@@ -261,21 +261,25 @@ def _base_report(cfg: dict, command: str, seed: int) -> dict:
 
 def cmd_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     problem = build_problem(cfg)
+    ops = build_operators(problem.spec)
     requested = cfg.get("conditions")
     if not requested:
         requested = ["H0", "Hc"]
         if problem.spec.dim == 3:
             requested.append("FeroneMurat")
-    reports: list[ConditionReport] = []
-    for tag in requested:
+    # H0 factors the full Laplacian, which ops keeps for first_eigen; running
+    # it last keeps that factor out of memory while the masked checks factor
+    by_tag: dict[str, ConditionReport] = {}
+    for tag in sorted(requested, key=lambda t: t == "H0"):
         if tag == "FeroneMurat":
-            reports.append(check_ferone_murat(problem))
+            by_tag[tag] = check_ferone_murat(problem)
         else:
-            reports.append(check_smallness(problem, tag))
+            by_tag[tag] = check_smallness(problem, tag, ops)
+    reports = [by_tag[tag] for tag in requested]
 
     gamma_entry = None
     try:
-        eig = first_eigen(problem.c.field, _ops(problem))
+        eig = first_eigen(problem.c.field, ops)
         gamma_entry = {"gamma1": eig.gamma, "residual": eig.residual,
                        "iterations": eig.iterations}
     except EigenError as exc:
@@ -294,21 +298,11 @@ def cmd_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     return EXIT_OK if all(r.holds for r in reports) else EXIT_CONDITION_FAILED
 
 
-_OPS_CACHE: dict = {}
-
-
-def _ops(problem: ProblemData):
-    key = problem.spec
-    if key not in _OPS_CACHE:
-        _OPS_CACHE[key] = build_operators(key)
-    return _OPS_CACHE[key]
-
-
 def cmd_solve(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     if "lambda" not in cfg:
         raise ConfigError("solve needs a fixed 'lambda' in the config")
     problem = build_problem(cfg)
-    ops = _ops(problem)
+    ops = build_operators(problem.spec)
     opts = solve_options(cfg)
     solution, strategy, attempts = solve_cascade(problem, ops, opts)
 
@@ -341,7 +335,7 @@ def cmd_branch(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     if "continuation" not in cfg:
         raise ConfigError("branch needs a 'continuation' section with lambda0")
     problem = build_problem(cfg)
-    ops = _ops(problem)
+    ops = build_operators(problem.spec)
     copts = continuation_options(cfg)
     lam0 = float(cfg["continuation"]["lambda0"])
     if lam0 >= 0.0:
@@ -397,7 +391,7 @@ def cmd_branch(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
 
 def cmd_eigen(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     problem = build_problem(cfg)
-    ops = _ops(problem)
+    ops = build_operators(problem.spec)
     try:
         eig = first_eigen(problem.c.field, ops)
     except EigenError as exc:
@@ -478,6 +472,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (SolverError, EigenError) as exc:
+        print(f"solve failed: {exc}", file=sys.stderr)
+        return EXIT_SOLVE_FAILED
     except Exception as exc:  # expression errors, grid errors, value errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -24,14 +24,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import DiscreteOperators, GridFunction
+from .grid import DiscreteOperators, GridFunction, build_operators
 from .problem import ProblemData
 
 CONDITION_TAGS = ("H0", "Hc", "H", "FeroneMurat", "k1")
 
-EIGEN_INCREMENT_TOL = 1e-10
-EIGEN_RESIDUAL_REL = 1e-8
-EIGEN_MAX_ITER = 10000
+# cap on Lanczos restarts; each restart costs up to 19 solves
+EIGEN_MAX_ITER = 1000
 
 
 class EigenError(RuntimeError):
@@ -94,15 +93,40 @@ class ExponentWitness:
         }
 
 
+def _pencil_top(w: np.ndarray, A: sp.spmatrix, solve) -> tuple[float, np.ndarray, int]:
+    """Largest eigenpair of the pencil  diag(w) x = nu A x  for SPD A.
+
+    Implicitly restarted Lanczos (ARPACK through ``eigsh``) in the
+    A-inner product, with ``solve`` applying A^{-1}. The all-ones start
+    vector and the fixed generator for ARPACK's restart vectors make runs
+    deterministic. Returns (nu, x, number of solves) with x^T A x = 1.
+    """
+    n = w.size
+    if n == 1:  # ARPACK needs two unknowns
+        a = float(A[0, 0])
+        return float(w[0]) / a, np.array([1.0 / math.sqrt(a)]), 0
+    solves = 0
+
+    def apply_inverse(x: np.ndarray) -> np.ndarray:
+        nonlocal solves
+        solves += 1
+        return solve(x)
+
+    Minv = spla.LinearOperator((n, n), matvec=apply_inverse, dtype=float)
+    try:
+        vals, vecs = spla.eigsh(sp.diags(w), k=1, M=A, Minv=Minv, which="LA",
+                                v0=np.ones(n), maxiter=EIGEN_MAX_ITER, rng=0)
+    except spla.ArpackError as exc:
+        raise EigenError(f"Lanczos failed after {solves} solves: {exc}") from exc
+    return float(vals[0]), vecs[:, 0], solves
+
+
 def first_eigen(c: GridFunction, ops: DiscreteOperators) -> EigenResult:
     """Smallest eigenvalue of the weighted Dirichlet problem.
 
-    Inverse power iteration with shift 0 on the pencil L phi = gamma c phi:
-    the Laplacian is factorized once and iterates x <- L^{-1}(c x) converge
-    to the largest eigenvalue of L^{-1} diag(c), whose reciprocal is
-    gamma_1. The all-ones start vector makes the run deterministic; since
-    L^{-1} has positive entries the iterates stay strictly positive, which
-    realizes the single-signedness of the first eigenfunction.
+    gamma_1 is the reciprocal of the largest eigenvalue of the pencil
+    diag(c) phi = nu L phi, computed on the cached Laplacian factor;
+    ``iterations`` counts the solves with that factor.
     """
     ops.check_spec(c)
     cvals = c.values
@@ -111,44 +135,15 @@ def first_eigen(c: GridFunction, ops: DiscreteOperators) -> EigenResult:
     if np.max(cvals, initial=0.0) <= 0.0:
         raise EigenError("weight c vanishes identically; no eigenvalue")
 
-    lu = ops.lap_solver()
-    L = ops.laplacian
-    x = np.ones(c.spec.n_interior)
-    x /= np.linalg.norm(x)
-    gamma_prev = np.inf
-    gamma = np.inf
-    iterations = 0
-    for iterations in range(1, EIGEN_MAX_ITER + 1):
-        y = lu.solve(cvals * x)
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            raise EigenError("iteration collapsed to zero; weight too degenerate")
-        x = y / ny
-        Lx = L @ x
-        cx = cvals * x
-        denom = float(x @ cx)
-        if denom <= 0.0:
-            raise EigenError("weighted mass vanished during iteration")
-        gamma = float(x @ Lx) / denom
-        resid = float(np.linalg.norm(Lx - gamma * cx))
-        if (
-            abs(gamma - gamma_prev) <= EIGEN_INCREMENT_TOL * max(1.0, abs(gamma))
-            and resid <= EIGEN_RESIDUAL_REL * float(np.linalg.norm(Lx))
-        ):
-            break
-        gamma_prev = gamma
-    else:
-        raise EigenError(f"no convergence after {EIGEN_MAX_ITER} iterations")
-
+    nu, x, solves = _pencil_top(cvals, ops.laplacian, ops.lap_solver().solve)
+    gamma = 1.0 / nu
     # normalize to unit Dirichlet energy, positive orientation
-    energy = math.sqrt(ops.energy_product(x, x))
-    phi_vals = x / energy
+    phi_vals = x / math.sqrt(ops.energy_product(x, x))
     if np.sum(phi_vals) < 0.0:
         phi_vals = -phi_vals
-    Lphi = L @ phi_vals
-    resid = float(np.linalg.norm(Lphi - gamma * cvals * phi_vals))
+    resid = float(np.linalg.norm(ops.laplacian @ phi_vals - gamma * cvals * phi_vals))
     return EigenResult(gamma=gamma, phi=GridFunction(c.spec, phi_vals),
-                       residual=resid, iterations=iterations)
+                       residual=resid, iterations=solves)
 
 
 def _restricted(mat: sp.spmatrix, mask: np.ndarray) -> sp.csc_matrix:
@@ -174,41 +169,13 @@ def weighted_rayleigh_sup(
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise ValueError("mask selects no nodes")
-    A = stiffness if stiffness is not None else ops.laplacian
     wm = wvals[mask]
     if np.max(wm, initial=0.0) <= 0.0:
         return 0.0
-    Am = _restricted(A, mask)
-    lu = spla.splu(Am)
-
-    def rayleigh(x: np.ndarray) -> float:
-        return float(x @ (wm * x)) / float(x @ (Am @ x))
-
-    def iterate(shift: float) -> float:
-        x = np.ones(wm.size)
-        x /= np.linalg.norm(x)
-        nu_prev = np.inf
-        nu = 0.0
-        for _ in range(50000):
-            y = lu.solve(wm * x) + shift * x
-            ny = np.linalg.norm(y)
-            if ny == 0.0:
-                return 0.0
-            x = y / ny
-            nu = rayleigh(x)
-            if abs(nu - nu_prev) <= 1e-13 * max(1.0, abs(nu)):
-                resid = np.linalg.norm(wm * x - nu * (Am @ x))
-                if resid <= 1e-9 * max(np.linalg.norm(wm * x), 1e-300):
-                    break
-            nu_prev = nu
-        return nu
-
-    nu = iterate(0.0)
-    if nu <= 0.0:
-        # mixed-sign weight where the most negative eigenvalue dominates:
-        # shift so the largest algebraic eigenvalue becomes dominant
-        nu = iterate(2.0 * abs(nu) + 1.0)
-    return max(nu, 0.0)
+    if stiffness is None and mask.all():
+        return _pencil_top(wm, ops.laplacian, ops.lap_solver().solve)[0]
+    Am = _restricted(stiffness if stiffness is not None else ops.laplacian, mask)
+    return _pencil_top(wm, Am, spla.splu(Am).solve)[0]
 
 
 def _vacuous_report(which: str, note: str) -> ConditionReport:
@@ -216,16 +183,20 @@ def _vacuous_report(which: str, note: str) -> ConditionReport:
                            sub_infima=None, note=note)
 
 
-def check_smallness(problem: ProblemData, which: str) -> ConditionReport:
+def check_smallness(
+    problem: ProblemData, which: str, ops: DiscreteOperators | None = None
+) -> ConditionReport:
     """Evaluate one of the smallness conditions H0, Hc, H or k1.
 
     The margin is 1 - M * nu for the relevant weighted Rayleigh supremum
     nu (the paired sub-margins for the +/- parts where applicable); the
-    condition holds exactly when the margin is positive.
+    condition holds exactly when the margin is positive. Operators for
+    ``problem.spec`` are built when ``ops`` is omitted.
     """
     if which not in ("H0", "Hc", "H", "k1"):
         raise ValueError(f"unknown smallness condition {which!r}")
-    ops = _ops_for(problem)
+    if ops is None:
+        ops = build_operators(problem.spec)
 
     if which in ("H0", "Hc"):
         if which == "H0":
@@ -236,10 +207,13 @@ def check_smallness(problem: ProblemData, which: str) -> ConditionReport:
                 return _vacuous_report(
                     "Hc", "vacuous: the discrete support of c covers every node"
                 )
-        nu_plus = weighted_rayleigh_sup(problem.h_plus, mask, ops)
-        nu_minus = weighted_rayleigh_sup(problem.h_minus, mask, ops)
-        sub1 = 1.0 - problem.mu_plus_sup * nu_plus
-        sub2 = 1.0 - problem.mu_minus_sup * nu_minus
+
+        def sub_margin(m: float, w: np.ndarray) -> float:
+            # a zero multiplier leaves nothing to weigh
+            return 1.0 if m == 0.0 else 1.0 - m * weighted_rayleigh_sup(w, mask, ops)
+
+        sub1 = sub_margin(problem.mu_plus_sup, problem.h_plus)
+        sub2 = sub_margin(problem.mu_minus_sup, problem.h_minus)
         margin = min(sub1, sub2)
         return ConditionReport(condition=which, holds=margin > 0.0,
                                infimum_estimate=margin, sub_infima=(sub1, sub2))
@@ -347,16 +321,3 @@ def find_exponents(p: float, theta: float, dim: int) -> ExponentWitness:
         "this contradicts the feasibility guarantee"
     )
 
-
-_OPS_CACHE: dict = {}
-
-
-def _ops_for(problem: ProblemData) -> DiscreteOperators:
-    key = problem.spec
-    ops = _OPS_CACHE.get(key)
-    if ops is None:
-        from .grid import build_operators
-
-        ops = build_operators(key)
-        _OPS_CACHE[key] = ops
-    return ops

@@ -225,7 +225,6 @@ class DiscreteOperators:
         self.gradient: tuple[sp.csr_matrix, ...] = tuple(grads)
         self.edge_diffs: tuple[sp.csr_matrix, ...] = tuple(edges)
         self.node_weight: float = spec.node_weight
-        self.quadrature_weights: np.ndarray = np.full(spec.n_interior, spec.node_weight)
         self._lap_factor = None
 
     def lap_solver(self):
@@ -283,11 +282,7 @@ def build_operators(spec: GridSpec) -> DiscreteOperators:
 def grad_sq(u: GridFunction, ops: DiscreteOperators) -> GridFunction:
     """Nodal |grad u|^2 from the central-difference gradient operators."""
     ops.check_spec(u)
-    acc = np.zeros_like(u.values)
-    for D in ops.gradient:
-        g = D @ u.values
-        acc += g * g
-    return GridFunction(u.spec, acc)
+    return GridFunction(u.spec, grad_sq_values(u.values, ops))
 
 
 def grad_sq_values(values: np.ndarray, ops: DiscreteOperators) -> np.ndarray:

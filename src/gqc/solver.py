@@ -24,6 +24,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -105,6 +106,57 @@ def residual_scale(
     )
 
 
+def damped_newton(
+    x0: np.ndarray,
+    residual: Callable[[np.ndarray], np.ndarray],
+    jacobian: Callable[[np.ndarray], sp.spmatrix],
+    tolerance: Callable[[np.ndarray], float],
+    opts: SolveOptions,
+) -> tuple[np.ndarray, SolveReport]:
+    """Damped Newton with Armijo backtracking on the residual 2-norm.
+
+    Converged when the sup norm of ``residual(x)`` is at most
+    ``tolerance(x)``; every other exit returns the last iterate with a
+    failure reason (diverged, line_search_stall or max_iter).
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    history: list[tuple[float, float]] = []
+    R = residual(x)
+    tol = tolerance(x)
+    rsup = float(np.max(np.abs(R), initial=0.0))
+    if rsup <= tol:
+        return x, SolveReport(True, 0, rsup, history, None, tol)
+
+    for it in range(1, opts.max_newton + 1):
+        try:
+            delta = spla.splu(jacobian(x)).solve(-R)
+        except RuntimeError:
+            return x, SolveReport(False, it, rsup, history, "diverged", tol)
+        if not np.all(np.isfinite(delta)):
+            return x, SolveReport(False, it, rsup, history, "diverged", tol)
+        r0 = float(np.linalg.norm(R))
+        t = 1.0
+        while True:
+            x_try = x + t * delta
+            R_try = residual(x_try)
+            if np.all(np.isfinite(R_try)) and float(np.linalg.norm(R_try)) <= (
+                1.0 - opts.armijo_slope * t
+            ) * r0:
+                break
+            t *= opts.armijo_shrink
+            if t < opts.min_step:
+                return x, SolveReport(False, it, rsup, history, "line_search_stall", tol)
+        x, R = x_try, R_try
+        rsup = float(np.max(np.abs(R), initial=0.0))
+        history.append((t, float(np.linalg.norm(R))))
+        tol = tolerance(x)
+        if rsup <= tol:
+            return x, SolveReport(True, it, rsup, history, None, tol)
+        if not np.isfinite(rsup) or rsup > 1e150:
+            return x, SolveReport(False, it, rsup, history, "diverged", tol)
+    return x, SolveReport(False, opts.max_newton, rsup, history, "max_iter", tol)
+
+
 def newton_quasilinear(
     u0: np.ndarray,
     d: np.ndarray,
@@ -113,54 +165,14 @@ def newton_quasilinear(
     ops: DiscreteOperators,
     opts: SolveOptions,
 ) -> tuple[np.ndarray, SolveReport]:
-    """Damped Newton with Armijo backtracking on the residual 2-norm."""
-    u = np.asarray(u0, dtype=float).copy()
-    history: list[tuple[float, float]] = []
-
-    def effective_tol(vals: np.ndarray) -> float:
-        return opts.tol_residual * (1.0 + residual_scale(vals, d, mu, h, ops))
-
-    R = quasilinear_residual(u, d, mu, h, ops)
-    tol = effective_tol(u)
-    if float(np.max(np.abs(R), initial=0.0)) <= tol:
-        return u, SolveReport(True, 0, float(np.max(np.abs(R), initial=0.0)),
-                              history, None, tol)
-
-    for it in range(1, opts.max_newton + 1):
-        try:
-            lu = spla.splu(quasilinear_jacobian(u, d, mu, ops))
-            delta = lu.solve(-R)
-        except RuntimeError:
-            return u, SolveReport(False, it, float(np.max(np.abs(R))), history,
-                                  "diverged", tol)
-        if not np.all(np.isfinite(delta)):
-            return u, SolveReport(False, it, float(np.max(np.abs(R))), history,
-                                  "diverged", tol)
-        r0 = float(np.linalg.norm(R))
-        t = 1.0
-        accepted = False
-        while t >= opts.min_step:
-            u_try = u + t * delta
-            R_try = quasilinear_residual(u_try, d, mu, h, ops)
-            if np.all(np.isfinite(R_try)) and float(np.linalg.norm(R_try)) <= (
-                1.0 - opts.armijo_slope * t
-            ) * r0:
-                accepted = True
-                break
-            t *= opts.armijo_shrink
-        if not accepted:
-            return u, SolveReport(False, it, float(np.max(np.abs(R))), history,
-                                  "line_search_stall", tol)
-        u, R = u_try, R_try
-        rsup = float(np.max(np.abs(R), initial=0.0))
-        history.append((t, float(np.linalg.norm(R))))
-        tol = effective_tol(u)
-        if rsup <= tol:
-            return u, SolveReport(True, it, rsup, history, None, tol)
-        if not np.isfinite(rsup) or rsup > 1e150:
-            return u, SolveReport(False, it, rsup, history, "diverged", tol)
-    return u, SolveReport(False, opts.max_newton, float(np.max(np.abs(R))), history,
-                          "max_iter", tol)
+    """``damped_newton`` on  L u - d u - mu |grad u|^2 - h = 0."""
+    return damped_newton(
+        u0,
+        lambda u: quasilinear_residual(u, d, mu, h, ops),
+        lambda u: quasilinear_jacobian(u, d, mu, ops),
+        lambda u: opts.tol_residual * (1.0 + residual_scale(u, d, mu, h, ops)),
+        opts,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +180,7 @@ def newton_quasilinear(
 
 
 def _mu_values(mu, spec) -> np.ndarray:
-    if isinstance(mu, CoefficientSpec):
-        return mu.values
-    if isinstance(mu, GridFunction):
+    if isinstance(mu, (CoefficientSpec, GridFunction)):
         return mu.values
     arr = np.asarray(mu, dtype=float)
     if arr.ndim == 0:

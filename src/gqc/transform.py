@@ -19,6 +19,12 @@ which is coercive and weakly lower semicontinuous when the smallness
 condition on mu * h holds, so minimizing I produces a (nonnegative)
 solution. The route back is  u = ln(1 + mu v) / mu.
 
+The minimization is an energy-preconditioned descent into the Newton
+basin followed by Newton on the Euler-Lagrange system. If roundoff leaves
+the minimizer slightly negative, it is replaced by |v| and Newton runs
+again. Both Newton runs use the damped core of ``solver`` and raise
+``TransformError`` unless they reach a relative residual of 1e-12.
+
 Discrete caveat: central stencils do not commute with the pointwise
 change of variables, so the image of the minimizer solves the discrete
 quasilinear system only up to O(h^2). ``solve_transformed`` therefore
@@ -34,11 +40,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .conditions import weighted_rayleigh_sup
 from .grid import DiscreteOperators, GridFunction
-from .solver import SolveOptions, newton_quasilinear
+from .solver import SolveOptions, damped_newton, newton_quasilinear
+
+# the Euler-Lagrange solves keep their own caps, apart from the caller's options
+_EL_NEWTON = SolveOptions(max_newton=60, min_step=1e-10)
 
 
 class CoercivityError(RuntimeError):
@@ -137,6 +145,14 @@ def _el_residual(v: np.ndarray, tp: TransformedProblem, ops: DiscreteOperators) 
     )
 
 
+def _functional_value(vals: np.ndarray, tp: TransformedProblem, ops: DiscreteOperators) -> float:
+    w = ops.node_weight
+    h = tp.h_field.values
+    _, G = g_and_G(vals, tp.mu)
+    quad_part = 0.5 * (ops.energy_product(vals, vals) - tp.mu * w * float(np.sum(h * vals**2)))
+    return quad_part - w * float(np.sum(tp.d_field.values * G)) - w * float(np.sum(h * vals))
+
+
 def functional_I(
     v: GridFunction, tp: TransformedProblem, ops: DiscreteOperators
 ) -> tuple[float, GridFunction]:
@@ -148,15 +164,8 @@ def functional_I(
     ops.check_spec(v)
     if tp.spec != v.spec:
         raise ValueError("transformed problem lives on a different grid")
-    w = ops.node_weight
-    vals = v.values
-    h = tp.h_field.values
-    d = tp.d_field.values
-    _, G = g_and_G(vals, tp.mu)
-    quad_part = 0.5 * (ops.energy_product(vals, vals) - tp.mu * w * float(np.sum(h * vals**2)))
-    value = quad_part - w * float(np.sum(d * G)) - w * float(np.sum(h * vals))
-    grad = w * _el_residual(vals, tp, ops)
-    return value, GridFunction(v.spec, grad)
+    grad = ops.node_weight * _el_residual(v.values, tp, ops)
+    return _functional_value(v.values, tp, ops), GridFunction(v.spec, grad)
 
 
 def _minimize(
@@ -166,21 +175,10 @@ def _minimize(
     Euler-Lagrange system."""
     w = ops.node_weight
     h = tp.h_field.values
-    d = tp.d_field.values
-    mu = tp.mu
     lu = ops.lap_solver()
     blow_up = 1e12 * (1.0 + float(np.max(np.abs(h), initial=0.0)))
-
-    def value(vals: np.ndarray) -> float:
-        _, G = g_and_G(vals, mu)
-        return (
-            0.5 * (ops.energy_product(vals, vals) - mu * w * float(np.sum(h * vals**2)))
-            - w * float(np.sum(d * G))
-            - w * float(np.sum(h * vals))
-        )
-
     v = np.zeros(tp.spec.n_interior)
-    val = value(v)
+    val = _functional_value(v, tp, ops)
     coarse_tol = 1e-3 * (1.0 + float(np.max(np.abs(h), initial=0.0)))
     for _ in range(2000):
         F = _el_residual(v, tp, ops)
@@ -192,7 +190,7 @@ def _minimize(
         accepted = False
         while t >= 1e-14:
             trial = v + t * direction
-            trial_val = value(trial)
+            trial_val = _functional_value(trial, tp, ops)
             if np.isfinite(trial_val) and trial_val <= val + 1e-4 * t * slope:
                 accepted = True
                 break
@@ -210,37 +208,26 @@ def _minimize(
             "descent did not reach the Newton basin: smallness condition "
             "violated / coercivity failure"
         )
+    return _newton_el(v, tp, ops)
 
-    # Newton tail on the Euler-Lagrange system
-    tol = 1e-12 * (1.0 + float(np.max(np.abs(ops.laplacian @ v)))
-                   + float(np.max(np.abs(h), initial=0.0)))
-    F = _el_residual(v, tp, ops)
-    for _ in range(60):
-        if float(np.max(np.abs(F), initial=0.0)) <= tol:
-            break
-        J = (
-            ops.laplacian
-            - sp.diags(mu * h)
-            - sp.diags(d * g_prime(v, mu))
-        ).tocsc()
-        delta = spla.splu(J).solve(-F)
-        r0 = float(np.linalg.norm(F))
-        t = 1.0
-        accepted = False
-        while t >= 1e-10:
-            trial = v + t * delta
-            F_try = _el_residual(trial, tp, ops)
-            if np.all(np.isfinite(F_try)) and float(np.linalg.norm(F_try)) <= (1.0 - 1e-4 * t) * r0:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            raise TransformError("Newton stalled on the Euler-Lagrange system")
-        v, F = trial, F_try
-        tol = 1e-12 * (1.0 + float(np.max(np.abs(ops.laplacian @ v)))
-                       + float(np.max(np.abs(h), initial=0.0)))
-    else:
-        raise TransformError("Newton did not converge on the Euler-Lagrange system")
+
+def _newton_el(v: np.ndarray, tp: TransformedProblem, ops: DiscreteOperators) -> np.ndarray:
+    """Damped Newton on the Euler-Lagrange system, to a relative 1e-12."""
+    h = tp.h_field.values
+    h_sup = float(np.max(np.abs(h), initial=0.0))
+    v, report = damped_newton(
+        v,
+        lambda x: _el_residual(x, tp, ops),
+        lambda x: (ops.laplacian - sp.diags(tp.mu * h)
+                   - sp.diags(tp.d_field.values * g_prime(x, tp.mu))).tocsc(),
+        lambda x: 1e-12 * (1.0 + float(np.max(np.abs(ops.laplacian @ x))) + h_sup),
+        _EL_NEWTON,
+    )
+    if not report.converged:
+        raise TransformError(
+            f"Newton failed on the Euler-Lagrange system: {report.failure_reason} "
+            f"(residual {report.final_residual:.3e})"
+        )
     return v
 
 
@@ -283,8 +270,7 @@ def solve_transformed(
             RuntimeWarning,
             stacklevel=2,
         )
-        v = np.abs(v)
-        v = _polish_el(v, tp, ops)
+        v = _newton_el(np.abs(v), tp, ops)
 
     v_fn = GridFunction(spec, v)
     u_raw = cole_hopf(v_fn, tp.mu, "inv")
@@ -309,18 +295,3 @@ def solve_transformed(
         return v_fn, u_fn, details
     return v_fn, u_fn
 
-
-def _polish_el(v: np.ndarray, tp: TransformedProblem, ops: DiscreteOperators) -> np.ndarray:
-    """Re-converge the Euler-Lagrange system after the |v| flip."""
-    h = tp.h_field.values
-    d = tp.d_field.values
-    mu = tp.mu
-    for _ in range(30):
-        F = _el_residual(v, tp, ops)
-        tol = 1e-12 * (1.0 + float(np.max(np.abs(ops.laplacian @ v)))
-                       + float(np.max(np.abs(h), initial=0.0)))
-        if float(np.max(np.abs(F), initial=0.0)) <= tol:
-            return v
-        J = (ops.laplacian - sp.diags(mu * h) - sp.diags(d * g_prime(v, mu))).tocsc()
-        v = v + spla.splu(J).solve(-F)
-    return v

@@ -4,7 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gqc import cli
 from gqc.cli import main
+from gqc.conditions import EigenError
+from gqc.solver import SolverError
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -234,6 +237,20 @@ def test_branch_seed_failure_exits3(tmp_path):
     assert main(["branch", "--config", cfg, "--out", str(out), "--quiet"]) == 3
     analysis = json.loads((out / "analysis.json").read_text())
     assert "error" in analysis
+
+
+@pytest.mark.parametrize("command, target, error", [
+    ("branch", "analyze_branch", SolverError("could not refine both solutions")),
+    ("check", "check_smallness", EigenError("Lanczos failed")),
+])
+def test_solve_failure_exits3(tmp_path, monkeypatch, command, target, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, target, fail)
+    code = main([command, "--config", str(DEMO_DIR / "demo_fig2.json"),
+                 "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 3
 
 
 def test_check_restricted_conditions(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gqc import (
     GridFunction,
@@ -12,6 +13,7 @@ from gqc import (
     sobolev_constant,
     weighted_rayleigh_sup,
 )
+from gqc import conditions
 from gqc.conditions import EigenError
 
 from conftest import make_problem
@@ -84,6 +86,14 @@ def test_rayleigh_half_interval(interval64):
     assert abs(nu - target) <= 0.02 * target
 
 
+def test_rayleigh_single_node_mask(interval64):
+    spec, ops = interval64
+    mask = np.zeros(spec.n_interior, dtype=bool)
+    mask[10] = True
+    nu = weighted_rayleigh_sup(GridFunction.constant(spec, 1.0), mask, ops)
+    assert nu == pytest.approx(1.0 / ops.laplacian[10, 10], rel=1e-15)
+
+
 def test_rayleigh_empty_mask(interval64):
     spec, ops = interval64
     with pytest.raises(ValueError):
@@ -97,6 +107,28 @@ def test_rayleigh_matches_eigen_reciprocal(interval64):
     nu = weighted_rayleigh_sup(c, None, ops)
     gamma = first_eigen(c, ops).gamma
     assert nu == pytest.approx(1.0 / gamma, rel=1e-8)
+
+
+def mixed_sign_weight(spec):
+    # positive bump in a negative sea: the top eigenvalue, about 1e-4,
+    # sits just above the cluster of eigenvalues near 0
+    x = spec.axis_coords(0)
+    return -1.0 + 1.1 * np.exp(-((x - 0.3) ** 2) / 0.01)
+
+
+def test_rayleigh_mixed_sign_weight_matches_dense(interval64):
+    spec, ops = interval64
+    w = mixed_sign_weight(spec)
+    dense = scipy.linalg.eigh(np.diag(w), ops.laplacian.toarray(), eigvals_only=True)[-1]
+    assert dense > 0.0
+    assert weighted_rayleigh_sup(w, None, ops) == pytest.approx(dense, rel=1e-8)
+
+
+def test_rayleigh_nonconvergence_raises(interval64, monkeypatch):
+    spec, ops = interval64
+    monkeypatch.setattr(conditions, "EIGEN_MAX_ITER", 1)
+    with pytest.raises(EigenError):
+        weighted_rayleigh_sup(mixed_sign_weight(spec), None, ops)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from gqc import (
     solve_transformed,
 )
 
+from gqc import transform
+
 from conftest import make_problem
 
 
@@ -242,6 +244,25 @@ def test_solve_transformed_small_h_residual(interval64):
     assert np.max(np.abs(resid.values)) <= 1e-8
     # the raw transform image differs from the discrete root by O(h^2)
     assert 0.0 < details["polish_shift_sup"] <= 1e-3
+
+
+def test_solve_transformed_flips_negative_minimizer(interval64, monkeypatch):
+    spec, ops = interval64
+    x = spec.axis_coords(0)
+    tp = make_tp(spec, -1.0, 1.0, np.sin(np.pi * x))
+    v_true = transform._minimize(tp, ops)
+    _, u_true, details = solve_transformed(tp, ops, return_details=True)
+
+    def dipped(tp, ops):
+        v = v_true.copy()
+        v[0] = -1e-8
+        return v
+
+    monkeypatch.setattr(transform, "_minimize", dipped)
+    with pytest.warns(RuntimeWarning, match="flipping"):
+        _, u = solve_transformed(tp, ops)
+    tol = details["polish_report"].tolerance_used
+    assert np.max(np.abs(u.values - u_true.values)) <= tol
 
 
 def test_solve_transformed_polish_shift_shrinks_with_h():
