@@ -267,10 +267,11 @@ def cmd_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
         requested = ["H0", "Hc"]
         if problem.spec.dim == 3:
             requested.append("FeroneMurat")
-    # H0 factors the full Laplacian, which ops keeps for first_eigen; running
-    # it last keeps that factor out of memory while the masked checks factor
+    # ops keeps one Laplacian factorization: Hc and H share the masked one,
+    # and H0 runs last so that the full one it leaves serves first_eigen.
+    # k1 factors a matrix of its own, so it runs first, while the slot is empty
     by_tag: dict[str, ConditionReport] = {}
-    for tag in sorted(requested, key=lambda t: t == "H0"):
+    for tag in sorted(requested, key=lambda t: {"k1": 0, "H0": 2}.get(t, 1)):
         if tag == "FeroneMurat":
             by_tag[tag] = check_ferone_murat(problem)
         else:

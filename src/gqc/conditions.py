@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import DiscreteOperators, GridFunction, build_operators
+from .grid import DiscreteOperators, GridFunction, build_operators, factor, restrict
 from .problem import ProblemData
 
 CONDITION_TAGS = ("H0", "Hc", "H", "FeroneMurat", "k1")
@@ -146,11 +146,6 @@ def first_eigen(c: GridFunction, ops: DiscreteOperators) -> EigenResult:
                        residual=resid, iterations=solves)
 
 
-def _restricted(mat: sp.spmatrix, mask: np.ndarray) -> sp.csc_matrix:
-    idx = np.flatnonzero(mask)
-    return mat.tocsr()[idx][:, idx].tocsc()
-
-
 def weighted_rayleigh_sup(
     w: GridFunction | np.ndarray,
     mask: np.ndarray | None,
@@ -161,7 +156,8 @@ def weighted_rayleigh_sup(
     over fields supported on ``mask``.
 
     Returns 0 when w <= 0 on the mask. ``stiffness`` replaces the plain
-    Laplacian when the gradient term carries a coefficient.
+    Laplacian when the gradient term carries a coefficient; the plain
+    Laplacian's factorization is the one ``ops`` keeps.
     """
     wvals = w.values if isinstance(w, GridFunction) else np.asarray(w, dtype=float)
     if mask is None:
@@ -172,10 +168,12 @@ def weighted_rayleigh_sup(
     wm = wvals[mask]
     if np.max(wm, initial=0.0) <= 0.0:
         return 0.0
-    if stiffness is None and mask.all():
-        return _pencil_top(wm, ops.laplacian, ops.lap_solver().solve)[0]
-    Am = _restricted(stiffness if stiffness is not None else ops.laplacian, mask)
-    return _pencil_top(wm, Am, spla.splu(Am).solve)[0]
+    if stiffness is None:
+        Am, lu = ops.masked_laplacian(mask)
+    else:
+        Am = restrict(stiffness, mask)
+        lu = factor(Am)
+    return _pencil_top(wm, Am, lu.solve)[0]
 
 
 def _vacuous_report(which: str, note: str) -> ConditionReport:

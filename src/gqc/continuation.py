@@ -8,12 +8,16 @@ whose relative u-scaling keeps steps meaningful while norms grow toward
 the cap. Predictors are secants in that norm; the corrector is Newton on
 the bordered system (residual = 0, arclength constraint = 0), which stays
 regular through folds where plain parameter continuation degenerates.
+Each Newton step solves the bordered system by block elimination on the
+factored Jacobian (Keller's bordering lemma) with one step of iterative
+refinement, and factors the bordered matrix itself only when that fails.
 
 Termination is one of: the sup norm exceeding ``norm_cap`` (read as the
 branch escaping to infinity, with the side classified by the sign of
 lambda at the last point), lambda falling below ``lambda_min``, the step
 size hitting ``ds_min`` after repeated corrector failures, or the point
-budget running out.
+budget running out. Every rejected step is recorded with its reason
+(``Branch.rejections``).
 """
 
 from __future__ import annotations
@@ -23,9 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .grid import DiscreteOperators, GridFunction
+from .grid import DiscreteOperators, GridFunction, factor
 from .problem import ProblemData
 from .solver import (
     SolveOptions,
@@ -70,11 +73,21 @@ class BranchPoint:
 
 @dataclass
 class Branch:
+    """A traced branch.
+
+    ``rejections`` holds one ``(s, ds, reason)`` per rejected step: the
+    arclength of the base point, the step tried, and ``corrector_failed``
+    (no convergence within ``max_corrector``), ``singular`` (the bordered
+    system could not be solved) or ``step_too_long`` (the corrected point
+    lies beyond ``max_step_ratio * ds``).
+    """
+
     points: list[BranchPoint] = field(default_factory=list)
     folds: list[int] = field(default_factory=list)
     termination: str = ""
     gamma1: float | None = None
     family: str = ""
+    rejections: list[tuple[float, float, str]] = field(default_factory=list)
 
     @property
     def lambdas(self) -> np.ndarray:
@@ -103,6 +116,53 @@ def _make_point(lam: float, uvals: np.ndarray, s: float, iters: int, ds: float,
                        newton_iters=iters, converged=True, ds=ds)
 
 
+class _Rejected(Exception):
+    """A continuation step failed; the message is the reason."""
+
+
+def _bordered_solve(
+    J: sp.spmatrix, col: np.ndarray, row: np.ndarray, corner: float,
+    rhs_u: np.ndarray, rhs_g: float,
+) -> tuple[np.ndarray, float]:
+    """Solve  [[J, col], [row^T, corner]] (du, dl) = (rhs_u, rhs_g).
+
+    Block elimination: one factorization of J solves for rhs_u and col
+    together, and dl follows from the Schur scalar corner - row.J^-1 col.
+    One step of iterative refinement against the bordered residual keeps
+    the result accurate where J is nearly singular, as at a fold. When J
+    cannot be factored or the Schur scalar is zero or not finite, the
+    bordered matrix is factored instead; raises ``_Rejected("singular")``
+    when that fails too.
+    """
+    try:
+        lu = factor(J)
+    except RuntimeError:
+        lu = None
+    if lu is not None:
+        vw = lu.solve(np.column_stack([rhs_u, col]))
+        w = vw[:, 1]
+        schur = corner - float(row @ w)
+        if math.isfinite(schur) and schur != 0.0:
+            def eliminate(v: np.ndarray, r_g: float) -> tuple[np.ndarray, float]:
+                dl = (r_g - float(row @ v)) / schur
+                return v - dl * w, dl
+
+            du, dl = eliminate(vw[:, 0], rhs_g)
+            res_u = rhs_u - (J @ du + dl * col)
+            res_g = rhs_g - (float(row @ du) + corner * dl)
+            ddu, ddl = eliminate(lu.solve(res_u), res_g)
+            return du + ddu, dl + ddl
+    bordered = sp.bmat(
+        [[J, col[:, None]], [sp.csr_matrix(row[None, :]), sp.csr_matrix([[corner]])]],
+        format="csc",
+    )
+    try:
+        delta = factor(bordered).solve(np.append(rhs_u, rhs_g))
+    except RuntimeError:
+        raise _Rejected("singular") from None
+    return delta[:-1], float(delta[-1])
+
+
 def _corrector(
     problem: ProblemData,
     ops: DiscreteOperators,
@@ -112,12 +172,13 @@ def _corrector(
     t_lam: float,
     t_u: np.ndarray,
     ds: float,
-) -> tuple[np.ndarray, float, int, float] | None:
+) -> tuple[np.ndarray, float, int, float]:
     """Newton on the bordered system from the secant predictor.
 
-    Returns (u, lam, iterations, correction norm) or None on failure; the
-    correction norm measures how far the corrector moved off the
-    predictor, in the product norm.
+    Returns (u, lam, iterations, correction norm); the correction norm
+    measures how far the corrector moved off the predictor, in the
+    product norm. Raises ``_Rejected`` with reason ``singular`` or
+    ``corrector_failed``.
     """
     c = problem.c.values
     mu = problem.mu.values
@@ -140,23 +201,14 @@ def _corrector(
             correction = _product_norm(lam - lam_pred, u - u_pred, base_energy_sq, ops)
             return u, lam, it - 1, correction
         J = quasilinear_jacobian(u, d, mu, ops)
-        dR_dlam = -(c * u)
-        bordered = sp.bmat(
-            [[J, dR_dlam[:, None]], [sp.csr_matrix(cvec[None, :]), sp.csr_matrix([[t_lam]])]],
-            format="csc",
-        )
-        rhs = -np.concatenate([R, [constraint]])
-        try:
-            delta = spla.splu(bordered).solve(rhs)
-        except RuntimeError:
-            return None
-        if not np.all(np.isfinite(delta)):
-            return None
-        u = u + delta[:-1]
-        lam = lam + float(delta[-1])
+        du, dl = _bordered_solve(J, -(c * u), cvec, t_lam, -R, -constraint)
+        if not (np.all(np.isfinite(du)) and math.isfinite(dl)):
+            break
+        u = u + du
+        lam = lam + dl
         if not np.isfinite(lam) or float(np.max(np.abs(u), initial=0.0)) > 1e12:
-            return None
-    return None
+            break
+    raise _Rejected("corrector_failed")
 
 
 def _seed_solution(problem: ProblemData, lam: float, ops: DiscreteOperators,
@@ -231,14 +283,16 @@ def trace_branch(
         else:
             t_lam, t_u = dl / nrm, du / nrm
 
-        result = _corrector(problem, ops, opts, cur.lam, cur.u.values, t_lam, t_u, ds)
-        if result is not None:
-            u_new, lam_new, iters, _ = result
+        try:
+            u_new, lam_new, iters, _ = _corrector(problem, ops, opts, cur.lam, cur.u.values,
+                                                  t_lam, t_u, ds)
             step_norm = _product_norm(lam_new - cur.lam, u_new - cur.u.values,
                                       base_energy_sq, ops)
             if step_norm > opts.max_step_ratio * ds:
-                result = None  # landed too far from the base: likely another branch
-        if result is None:
+                # landed too far from the base: likely another branch
+                raise _Rejected("step_too_long")
+        except _Rejected as exc:
+            branch.rejections.append((cur.s, ds, str(exc)))
             ds *= 0.5
             if ds < opts.ds_min:
                 branch.termination = "step_floor"
@@ -412,10 +466,10 @@ def locate_fold(
     width = b.s - a.s
 
     def lam_at(sigma: float) -> float:
-        res = _corrector(problem, ops, opts, a.lam, a.u.values, t_lam, t_u, sigma)
-        if res is None:
+        try:
+            return _corrector(problem, ops, opts, a.lam, a.u.values, t_lam, t_u, sigma)[1]
+        except _Rejected:
             return -np.inf
-        return res[1]
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     lo, hi = 0.0, width

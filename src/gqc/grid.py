@@ -191,6 +191,17 @@ def _kron_chain(mats: Sequence[sp.spmatrix]) -> sp.csr_matrix:
     return reduce(lambda a, b: sp.kron(a, b, format="csr"), mats).tocsr()
 
 
+def factor(A: sp.spmatrix) -> spla.SuperLU:
+    """Sparse LU of ``A``, the one factorization every gqc solve goes through.
+
+    Columns are ordered by minimum degree on the pattern of A^T + A, which
+    suits the structurally symmetric matrices gqc assembles. ``spla.splu``
+    is looked up at each call, so a wrapper installed on it sees every
+    factorization.
+    """
+    return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A")
+
+
 def _lift_axis_operator(spec: GridSpec, axis: int, op1d: sp.spmatrix) -> sp.csr_matrix:
     shape = spec.interior_shape
     factors: list[sp.spmatrix] = [sp.identity(m, format="csr") for m in shape]
@@ -201,8 +212,9 @@ def _lift_axis_operator(spec: GridSpec, axis: int, op1d: sp.spmatrix) -> sp.csr_
 class DiscreteOperators:
     """Assembled Dirichlet operators and quadrature for one GridSpec.
 
-    Immutable after construction; the sparse factorization of the
-    Laplacian is computed lazily and cached.
+    Immutable after construction apart from one factorization slot: the
+    sparse LU of the Laplacian, or of the Laplacian restricted to a node
+    mask, whichever was asked for last.
     """
 
     def __init__(self, spec: GridSpec):
@@ -225,13 +237,30 @@ class DiscreteOperators:
         self.gradient: tuple[sp.csr_matrix, ...] = tuple(grads)
         self.edge_diffs: tuple[sp.csr_matrix, ...] = tuple(edges)
         self.node_weight: float = spec.node_weight
-        self._lap_factor = None
+        self._lap_factor = None  # (mask bytes or None, matrix, LU)
 
-    def lap_solver(self):
-        """Cached sparse LU factorization of the Laplacian."""
-        if self._lap_factor is None:
-            self._lap_factor = spla.splu(self.laplacian.tocsc())
-        return self._lap_factor
+    def lap_solver(self) -> spla.SuperLU:
+        """Sparse LU factorization of the Laplacian, kept in the slot."""
+        return self.masked_laplacian(None)[1]
+
+    def masked_laplacian(self, mask: np.ndarray | None) -> tuple[sp.spmatrix, spla.SuperLU]:
+        """The Laplacian restricted to the nodes of ``mask`` (all nodes when
+        ``None``) and its LU factorization, kept in the slot.
+
+        Conditions that share a mask (Hc and H both use the zero set of c)
+        factor it once. The slot is emptied before a different matrix is
+        factored, so ops never holds two factorizations at once.
+        """
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool)
+            if mask.all():
+                mask = None
+        key = None if mask is None else mask.tobytes()
+        if self._lap_factor is None or self._lap_factor[0] != key:
+            self._lap_factor = None
+            A = self.laplacian if mask is None else restrict(self.laplacian, mask)
+            self._lap_factor = (key, A, factor(A))
+        return self._lap_factor[1], self._lap_factor[2]
 
     def check_spec(self, u: GridFunction) -> None:
         if u.spec != self.spec:
@@ -272,6 +301,12 @@ class DiscreteOperators:
             part = (E.T @ D @ E).tocsr()
             total = part if total is None else (total + part).tocsr()
         return total
+
+
+def restrict(mat: sp.spmatrix, mask: np.ndarray) -> sp.csc_matrix:
+    """Rows and columns of ``mat`` on the nodes of ``mask``."""
+    idx = np.flatnonzero(mask)
+    return mat.tocsr()[idx][:, idx].tocsc()
 
 
 def build_operators(spec: GridSpec) -> DiscreteOperators:

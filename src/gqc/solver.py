@@ -28,9 +28,8 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .grid import DiscreteOperators, GridFunction, grad_sq_values
+from .grid import DiscreteOperators, GridFunction, factor, grad_sq_values
 from .problem import CoefficientSpec, ProblemData
 
 
@@ -129,7 +128,7 @@ def damped_newton(
 
     for it in range(1, opts.max_newton + 1):
         try:
-            delta = spla.splu(jacobian(x)).solve(-R)
+            delta = factor(jacobian(x)).solve(-R)
         except RuntimeError:
             return x, SolveReport(False, it, rsup, history, "diverged", tol)
         if not np.all(np.isfinite(delta)):
@@ -279,8 +278,7 @@ def _solve_auxiliary_bound(
     """Nonnegative solution of  L u = d u + mu_const |grad u|^2 + h_part."""
     spec = problem.spec
     if mu_const <= 1e-13:
-        mat = (ops.laplacian - sp.diags(d)).tocsc()
-        vals = spla.splu(mat).solve(h_part)
+        vals = factor(ops.laplacian - sp.diags(d)).solve(h_part)
         return GridFunction(spec, vals)
     from .transform import TransformedProblem, solve_transformed
 

@@ -148,7 +148,7 @@ def test_criterion_6_condition_threshold():
 
         def holds(product):
             problem = make_problem(spec, mu="1", h=f"{product}")
-            return check_smallness(problem, "H0").holds
+            return check_smallness(problem, "H0", ops).holds
 
         target = 2 * np.pi**2
         lo, hi = 0.5 * target, 1.5 * target

@@ -5,6 +5,7 @@ import scipy.linalg
 from gqc import (
     GridFunction,
     GridSpec,
+    build_operators,
     check_ferone_murat,
     check_smallness,
     exponent_margins,
@@ -277,6 +278,7 @@ def test_ferone_murat_rejects_other_dims(square32):
 def test_ferone_murat_implies_h0_small_sample():
     # randomized bump instances passing the product check also pass H0
     spec = GridSpec(3, ((0.0, 1.0),) * 3, (12, 12, 12))
+    ops = build_operators(spec)
     rng = np.random.default_rng(7)
     s2 = sobolev_constant(3) ** 2
     tried = 0
@@ -293,7 +295,7 @@ def test_ferone_murat_implies_h0_small_sample():
         if not fm.holds:
             continue
         tried += 1
-        assert check_smallness(problem, "H0").holds, (a, b, w, mu_sup)
+        assert check_smallness(problem, "H0", ops).holds, (a, b, w, mu_sup)
     assert tried >= 5
 
 

@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from gqc import (
     ContinuationOptions,
+    GridSpec,
     analyze_branch,
+    build_operators,
     first_eigen,
     locate_fold,
     residual_P,
     trace_branch,
 )
-from gqc.solver import residual_scale
+from gqc import continuation
+from gqc.grid import factor
+from gqc.solver import quasilinear_jacobian, quasilinear_residual, residual_scale
 
 from conftest import make_problem
 
@@ -211,3 +217,165 @@ def test_seed_failure_reported(square32):
     problem = make_problem(spec, h="6*pi^2", profile="A2")  # unsolvable at -2
     with pytest.raises(SolverError, match="seed"):
         trace_branch(problem, -2.0, ops, ContinuationOptions(max_points=20))
+
+
+# ---------------------------------------------------------------------------
+# the block-elimination corrector against the bordered LU it replaces
+
+
+def _reference_corrector(problem, ops, opts, base_lam, base_u, t_lam, t_u, ds):
+    """The corrector with every Newton step an LU of the bordered matrix."""
+    c, mu, h = problem.c.values, problem.mu.values, problem.h.values
+    scale = ops.node_weight / (1.0 + ops.energy_product(base_u, base_u))
+    cvec = scale * (ops.laplacian @ t_u)
+    lam, u = base_lam + ds * t_lam, base_u + ds * t_u
+    for it in range(1, opts.max_corrector + 1):
+        d = lam * c
+        R = quasilinear_residual(u, d, mu, h, ops)
+        constraint = t_lam * (lam - base_lam) + float(cvec @ (u - base_u)) - ds
+        tol = opts.solve.tol_residual * (1.0 + residual_scale(u, d, mu, h, ops))
+        if np.max(np.abs(R)) <= tol and abs(constraint) <= 1e-10 * (1.0 + abs(ds)):
+            return u, lam, it - 1
+        bordered = _bordered_matrix(quasilinear_jacobian(u, d, mu, ops), -(c * u), cvec, t_lam)
+        delta = spla.splu(bordered).solve(-np.append(R, constraint))
+        u, lam = u + delta[:-1], lam + delta[-1]
+    raise AssertionError("reference corrector did not converge")
+
+
+def _bordered_matrix(J, col, row, corner):
+    return sp.bmat([[J, col[:, None]], [sp.csr_matrix(row[None, :]), [[corner]]]],
+                   format="csc")
+
+
+@pytest.fixture(scope="module")
+def fold_square24():
+    """The 2-D folded family on 24^2 cells, traced, with its located fold."""
+    spec = GridSpec(2, ((0.0, 1.0), (0.0, 1.0)), (24, 24))
+    ops = build_operators(spec)
+    problem = make_problem(spec, h="0.5*sin(pi*x1)*sin(pi*x2)", profile="A2")
+    opts = ContinuationOptions(norm_cap=3.0, max_points=200)
+    branch = trace_branch(problem, -2.0, ops, opts)
+    lam_fold, sigma = locate_fold(branch, problem, ops, opts)
+    i = branch.folds[0]
+    a, mid = branch.points[i - 1], branch.points[i]
+    e = ops.energy_product(a.u.values, a.u.values)
+    dl, du = mid.lam - a.lam, mid.u.values - a.u.values
+    nrm = continuation._product_norm(dl, du, e, ops)
+    return {"ops": ops, "problem": problem, "opts": opts, "branch": branch,
+            "sigma": sigma, "lam_fold": lam_fold,
+            "fold_step": (a.lam, a.u.values, dl / nrm, du / nrm)}
+
+
+def _ordinary_step(data):
+    """A secant step from an early branch point, far from the fold."""
+    p0, p1 = data["branch"].points[3], data["branch"].points[4]
+    ops = data["ops"]
+    e = ops.energy_product(p1.u.values, p1.u.values)
+    dl, du = p1.lam - p0.lam, p1.u.values - p0.u.values
+    nrm = continuation._product_norm(dl, du, e, ops)
+    return (p1.lam, p1.u.values, dl / nrm, du / nrm), 0.1
+
+
+def _assert_same_step(got, ref):
+    u, lam, iters = got[:3]
+    assert iters == ref[2]
+    assert abs(lam - ref[1]) <= 1e-10 * abs(ref[1])
+    assert np.max(np.abs(u - ref[0])) <= 1e-10 * np.max(np.abs(ref[0]))
+
+
+def test_corrector_matches_bordered_lu(fold_square24, monkeypatch):
+    data = fold_square24
+    args = (data["problem"], data["ops"], data["opts"])
+    sizes = []
+    monkeypatch.setattr(continuation, "factor", lambda A: sizes.append(A.shape[0]) or factor(A))
+    step, ds = _ordinary_step(data)
+    _assert_same_step(continuation._corrector(*args, *step, ds),
+                      _reference_corrector(*args, *step, ds))
+    # at the located fold the Jacobian is nearly singular
+    step, sigma = data["fold_step"], data["sigma"]
+    got = continuation._corrector(*args, *step, sigma)
+    _assert_same_step(got, _reference_corrector(*args, *step, sigma))
+    assert got[1] == pytest.approx(data["lam_fold"], rel=1e-12)
+    # block elimination throughout: only J was factored, never the bordered matrix
+    assert set(sizes) == {data["problem"].spec.n_interior}
+    J = quasilinear_jacobian(got[0], got[1] * data["problem"].c.values,
+                             data["problem"].mu.values, data["ops"]).toarray()
+    assert np.linalg.cond(J) > 1e8
+
+
+def test_bordered_solve_at_fold_matches_lu(fold_square24):
+    # one linear step at the fold point, against the bordered LU
+    data = fold_square24
+    problem, ops = data["problem"], data["ops"]
+    base_lam, base_u, t_lam, t_u = data["fold_step"]
+    u, lam, _, _ = continuation._corrector(problem, ops, data["opts"], *data["fold_step"],
+                                           data["sigma"])
+    c = problem.c.values
+    J = quasilinear_jacobian(u, lam * c, problem.mu.values, ops)
+    row = ops.laplacian @ t_u
+    rng = np.random.default_rng(3)
+    rhs_u, rhs_g = rng.standard_normal(u.size), 0.7
+    du, dl = continuation._bordered_solve(J, -(c * u), row, t_lam, rhs_u, rhs_g)
+    ref = spla.splu(_bordered_matrix(J, -(c * u), row, t_lam)).solve(np.append(rhs_u, rhs_g))
+    assert abs(dl - ref[-1]) <= 1e-10 * abs(ref[-1])
+    assert np.max(np.abs(du - ref[:-1])) <= 1e-10 * np.max(np.abs(ref[:-1]))
+
+
+def test_bordered_fallback_when_jacobian_factor_fails(fold_square24, monkeypatch):
+    data = fold_square24
+    args = (data["problem"], data["ops"], data["opts"])
+    n = data["problem"].spec.n_interior
+    sizes = []
+
+    def jacobian_refused(A):
+        sizes.append(A.shape[0])
+        if A.shape[0] == n:
+            raise RuntimeError("Factor is exactly singular")
+        return factor(A)
+
+    cases = [_ordinary_step(data), (data["fold_step"], data["sigma"])]
+    expected = [continuation._corrector(*args, *step, ds) for step, ds in cases]
+    monkeypatch.setattr(continuation, "factor", jacobian_refused)
+    for (step, ds), ref in zip(cases, expected):
+        sizes.clear()
+        got = continuation._corrector(*args, *step, ds)
+        _assert_same_step(got, ref)
+        # every Newton step tried J, then factored the bordered matrix
+        assert sizes == [n, n + 1] * got[2]
+
+
+def test_singular_steps_are_recorded(interval64, monkeypatch):
+    spec, ops = interval64
+    problem = make_problem(spec, h="0.1*sin(pi*x1)", profile="A2")
+
+    def refused(A):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(continuation, "factor", refused)
+    opts = ContinuationOptions(ds0=0.1, ds_min=0.01, max_points=20)
+    branch = trace_branch(problem, -2.0, ops, opts)
+    assert branch.termination == "step_floor"
+    assert len(branch.points) == 2
+    s = branch.points[-1].s
+    assert branch.rejections == [(s, 0.1, "singular"), (s, 0.05, "singular"),
+                                 (s, 0.025, "singular"), (s, 0.0125, "singular")]
+
+
+def test_rejection_reasons(fold_demo):
+    # the demo family rejects a few steps whose corrector does not converge
+    branch = fold_demo["branch"]
+    assert branch.rejections
+    for s, ds, reason in branch.rejections:
+        assert reason in ("corrector_failed", "singular", "step_too_long")
+        assert any(p.s == s for p in branch.points)
+        assert ds > 0.0
+
+
+def test_step_too_long_is_recorded(interval64):
+    spec, ops = interval64
+    problem = make_problem(spec, h="0.1*sin(pi*x1)", profile="A2")
+    # no corrected point lies within 1e-3 ds of its base
+    opts = ContinuationOptions(ds0=0.1, ds_min=0.01, max_points=20, max_step_ratio=1e-3)
+    branch = trace_branch(problem, -2.0, ops, opts)
+    assert branch.termination == "step_floor"
+    assert [r[2] for r in branch.rejections] == ["step_too_long"] * 4

@@ -1,6 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+import gqc
 from gqc import (
     GridError,
     GridFunction,
@@ -10,6 +16,9 @@ from gqc import (
     norms,
     poisson_solve,
 )
+from gqc import grid
+from gqc.grid import factor
+from gqc.solver import quasilinear_jacobian
 
 
 def test_invalid_specs_rejected():
@@ -212,3 +221,53 @@ def test_gridfunction_validation(interval64):
     bad[3] = np.nan
     with pytest.raises(GridError):
         GridFunction(spec, bad)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 24), (3, 10)])
+def test_factor_matches_default_splu(dim, n):
+    spec = GridSpec(dim, ((0.0, 1.0),) * dim, (n,) * dim)
+    ops = build_operators(spec)
+    rng = np.random.default_rng(dim)
+    u = rng.uniform(0.0, 1.0, spec.n_interior)
+    mu = 1.0 + rng.uniform(0.0, 0.5, spec.n_interior)
+    J = quasilinear_jacobian(u, np.full(spec.n_interior, 2.0), mu, ops)
+    b = rng.standard_normal(spec.n_interior)
+    for A in (ops.laplacian, J):
+        ref = spla.splu(sp.csc_matrix(A)).solve(b)
+        assert np.linalg.norm(factor(A).solve(b) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_masked_laplacian_shares_one_factor_slot(square32, monkeypatch):
+    spec, _ = square32
+    ops = build_operators(spec)
+    factored = []
+    monkeypatch.setattr(grid, "factor", lambda A: factored.append(A.shape[0]) or factor(A))
+    mask = spec.interior_points()[:, 0] > 0.5
+    A, lu = ops.masked_laplacian(mask)
+    assert ops.masked_laplacian(mask.copy())[1] is lu
+    idx = np.flatnonzero(mask)
+    assert abs(A - ops.laplacian.tocsr()[idx][:, idx]).max() == 0.0
+    full = ops.lap_solver()
+    assert ops.masked_laplacian(np.ones(spec.n_interior, dtype=bool))[1] is full
+    assert ops.masked_laplacian(None)[1] is full
+    assert factored == [mask.sum(), spec.n_interior]
+
+
+def _splu_users(node, fn=None):
+    """Names of the functions that refer to ``splu`` (None at module level)."""
+    if isinstance(node, ast.FunctionDef):
+        fn = node.name
+    if (getattr(node, "attr", None) == "splu" or getattr(node, "id", None) == "splu"
+            or isinstance(node, ast.alias) and node.name == "splu"):
+        yield fn
+    for child in ast.iter_child_nodes(node):
+        yield from _splu_users(child, fn)
+
+
+def test_only_grid_factor_and_oracle_call_splu():
+    # every gqc factorization goes through grid.factor; the oracle keeps
+    # its own LU as an independent check
+    users = {(path.name, fn) for path in Path(gqc.__file__).parent.glob("*.py")
+             for fn in _splu_users(ast.parse(path.read_text()))}
+    assert ("oracle.py", "_plain_newton") in users
+    assert {u for u in users if u[0] != "oracle.py"} == {("grid.py", "factor")}
