@@ -22,18 +22,15 @@ worker parallelism in the multi-start solver.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 from .conditions import (
     ConditionReport,
@@ -173,11 +170,10 @@ def load_config(path: str) -> dict:
         cfg = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(cfg, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            raise ConfigError(f"config error at {exc.json_path}: {exc.message}") from exc
+    try:
+        jsonschema.validate(cfg, CONFIG_SCHEMA)
+    except jsonschema.ValidationError as exc:
+        raise ConfigError(f"config error at {exc.json_path}: {exc.message}") from exc
     cfg["__dir__"] = str(p.parent)
     return cfg
 
@@ -217,27 +213,22 @@ def build_problem(cfg: dict, lam: float | None = None) -> ProblemData:
     )
 
 
+def _options(cls, section: dict, **fixed):
+    """``cls`` with the values a config section sets, each coerced to the
+    type of the field's default; every other field keeps its default."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    return cls(**{k: type(defaults[k])(v) for k, v in section.items()}, **fixed)
+
+
 def solve_options(cfg: dict) -> SolveOptions:
-    s = cfg.get("solver", {})
-    return SolveOptions(
-        tol_residual=float(s.get("tol_residual", 1e-10)),
-        max_newton=int(s.get("max_newton", 50)),
-        fp_tol=float(s.get("fp_tol", 1e-10)),
-        max_fixed_point=int(s.get("max_fixed_point", 200)),
-    )
+    return _options(SolveOptions, cfg.get("solver", {}))
 
 
 def continuation_options(cfg: dict) -> ContinuationOptions:
-    c = cfg.get("continuation", {})
-    return ContinuationOptions(
-        ds0=float(c.get("ds0", 0.1)),
-        ds_min=float(c.get("ds_min", 1e-6)),
-        ds_max=float(c.get("ds_max", 0.5)),
-        norm_cap=float(c.get("norm_cap", 1e3)),
-        max_points=int(c.get("max_points", 800)),
-        lambda_min=float(c.get("lambda_min", -1e3)),
-        solve=solve_options(cfg),
-    )
+    # lambda0 and two_solution_lambda are read by cmd_branch, not options
+    c = {k: v for k, v in cfg.get("continuation", {}).items()
+         if k not in ("lambda0", "two_solution_lambda")}
+    return _options(ContinuationOptions, c, solve=solve_options(cfg))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -354,7 +345,6 @@ def cmd_branch(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
         gamma1 = first_eigen(problem.c.field, ops).gamma
     except EigenError:
         gamma1 = math.nan
-    branch.gamma1 = gamma1
 
     req = cfg["continuation"].get("two_solution_lambda")
     two_lam = None

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import DiscreteOperators, GridFunction, build_operators, factor, restrict
-from .problem import ProblemData
+from .problem import TAU_C_RELATIVE, ProblemData, compute_zero_mask
 
 CONDITION_TAGS = ("H0", "Hc", "H", "FeroneMurat", "k1")
 
@@ -218,8 +218,7 @@ def check_smallness(
 
     if which == "H":
         d = problem.d_values()
-        tau = 1e-12 * float(np.max(np.abs(d), initial=0.0))
-        mask = np.abs(d) <= tau
+        mask = compute_zero_mask(d, TAU_C_RELATIVE * float(np.max(np.abs(d), initial=0.0)))
         if not mask.any():
             return _vacuous_report("H", "vacuous: the zero-order coefficient never vanishes")
         mu_vals = problem.mu.values

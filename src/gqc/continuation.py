@@ -41,6 +41,15 @@ from .solver import (
     solve_cascade,
 )
 
+# step growth after an accepted step whose corrector took at most 4 iterations
+GROW_FACTOR = 1.3
+# corrector Newton iterations before a step is rejected as corrector_failed
+MAX_CORRECTOR = 12
+# accepted steps must stay within this multiple of ds from the base
+# point (product norm); keeps the tracer from tunneling onto another
+# branch near sharp turns and asymptotes
+MAX_STEP_RATIO = 2.0
+
 
 @dataclass
 class ContinuationOptions:
@@ -50,12 +59,6 @@ class ContinuationOptions:
     norm_cap: float = 1e3
     max_points: int = 800
     lambda_min: float = -1e3
-    grow_factor: float = 1.3
-    max_corrector: int = 12
-    # accepted steps must stay within this multiple of ds from the base
-    # point (product norm); keeps the tracer from tunneling onto another
-    # branch near sharp turns and asymptotes
-    max_step_ratio: float = 2.0
     solve: SolveOptions = field(default_factory=SolveOptions)
 
 
@@ -77,15 +80,14 @@ class Branch:
 
     ``rejections`` holds one ``(s, ds, reason)`` per rejected step: the
     arclength of the base point, the step tried, and ``corrector_failed``
-    (no convergence within ``max_corrector``), ``singular`` (the bordered
-    system could not be solved) or ``step_too_long`` (the corrected point
-    lies beyond ``max_step_ratio * ds``).
+    (no convergence within ``MAX_CORRECTOR`` iterations), ``singular`` (the
+    bordered system could not be solved) or ``step_too_long`` (the corrected
+    point lies beyond ``MAX_STEP_RATIO * ds``).
     """
 
     points: list[BranchPoint] = field(default_factory=list)
     folds: list[int] = field(default_factory=list)
     termination: str = ""
-    gamma1: float | None = None
     family: str = ""
     rejections: list[tuple[float, float, str]] = field(default_factory=list)
 
@@ -172,34 +174,27 @@ def _corrector(
     t_lam: float,
     t_u: np.ndarray,
     ds: float,
-) -> tuple[np.ndarray, float, int, float]:
+) -> tuple[np.ndarray, float, int]:
     """Newton on the bordered system from the secant predictor.
 
-    Returns (u, lam, iterations, correction norm); the correction norm
-    measures how far the corrector moved off the predictor, in the
-    product norm. Raises ``_Rejected`` with reason ``singular`` or
-    ``corrector_failed``.
+    Returns (u, lam, iterations). Raises ``_Rejected`` with reason
+    ``singular`` or ``corrector_failed``.
     """
     c = problem.c.values
     mu = problem.mu.values
     h = problem.h.values
-    base_energy_sq = ops.energy_product(base_u, base_u)
-    scale = ops.node_weight / (1.0 + base_energy_sq)
+    scale = ops.node_weight / (1.0 + ops.energy_product(base_u, base_u))
     cvec = scale * (ops.laplacian @ t_u)
 
-    lam_pred = base_lam + ds * t_lam
-    u_pred = base_u + ds * t_u
-    lam = lam_pred
-    u = u_pred
-    sopts = opts.solve
-    for it in range(1, opts.max_corrector + 1):
+    lam = base_lam + ds * t_lam
+    u = base_u + ds * t_u
+    for it in range(1, MAX_CORRECTOR + 1):
         d = lam * c
         R = quasilinear_residual(u, d, mu, h, ops)
         constraint = t_lam * (lam - base_lam) + float(cvec @ (u - base_u)) - ds
-        tol = sopts.tol_residual * (1.0 + residual_scale(u, d, mu, h, ops))
+        tol = opts.solve.tol_residual * (1.0 + residual_scale(u, d, mu, h, ops))
         if float(np.max(np.abs(R), initial=0.0)) <= tol and abs(constraint) <= 1e-10 * (1.0 + abs(ds)):
-            correction = _product_norm(lam - lam_pred, u - u_pred, base_energy_sq, ops)
-            return u, lam, it - 1, correction
+            return u, lam, it - 1
         J = quasilinear_jacobian(u, d, mu, ops)
         du, dl = _bordered_solve(J, -(c * u), cvec, t_lam, -R, -constraint)
         if not (np.all(np.isfinite(du)) and math.isfinite(dl)):
@@ -284,11 +279,11 @@ def trace_branch(
             t_lam, t_u = dl / nrm, du / nrm
 
         try:
-            u_new, lam_new, iters, _ = _corrector(problem, ops, opts, cur.lam, cur.u.values,
-                                                  t_lam, t_u, ds)
+            u_new, lam_new, iters = _corrector(problem, ops, opts, cur.lam, cur.u.values,
+                                               t_lam, t_u, ds)
             step_norm = _product_norm(lam_new - cur.lam, u_new - cur.u.values,
                                       base_energy_sq, ops)
-            if step_norm > opts.max_step_ratio * ds:
+            if step_norm > MAX_STEP_RATIO * ds:
                 # landed too far from the base: likely another branch
                 raise _Rejected("step_too_long")
         except _Rejected as exc:
@@ -308,7 +303,7 @@ def trace_branch(
             if d1 * d0 < 0.0:
                 branch.folds.append(n - 2)
         if iters <= 4:
-            ds = min(ds * opts.grow_factor, opts.ds_max)
+            ds = min(ds * GROW_FACTOR, opts.ds_max)
     return branch
 
 

@@ -174,17 +174,7 @@ def _central_difference_1d(m: int, h: float) -> sp.csr_matrix:
 def _edge_difference_1d(m: int, h: float) -> sp.csr_matrix:
     # (m+1) x m forward differences over all edges including the two that
     # touch the boundary; E^T E reproduces the second-difference matrix
-    rows, cols, vals = [], [], []
-    for j in range(m + 1):
-        if j <= m - 1:
-            rows.append(j)
-            cols.append(j)
-            vals.append(1.0 / h)
-        if j >= 1:
-            rows.append(j)
-            cols.append(j - 1)
-            vals.append(-1.0 / h)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(m + 1, m))
+    return sp.diags([1.0 / h, -1.0 / h], [0, -1], shape=(m + 1, m), format="csr")
 
 
 def _kron_chain(mats: Sequence[sp.spmatrix]) -> sp.csr_matrix:
@@ -277,30 +267,12 @@ class DiscreteOperators:
         boundary edges take the single interior node value.
         """
         coeff = np.asarray(coeff, dtype=float)
-        shape = self.spec.interior_shape
-        total = None
-        for axis in range(self.spec.dim):
-            E = self.edge_diffs[axis]
-            m = shape[axis]
-            arr = coeff.reshape(shape)
-            pad_shape = list(shape)
-            pad_shape[axis] = m + 1
-            edge_vals = np.empty(pad_shape)
-            lo = [slice(None)] * self.spec.dim
-            hi = [slice(None)] * self.spec.dim
-            inner = [slice(None)] * self.spec.dim
-            lo[axis] = slice(0, 1)
-            hi[axis] = slice(m, m + 1)
-            inner[axis] = slice(1, m)
-            edge_vals[tuple(lo)] = arr[tuple(lo)]
-            edge_vals[tuple(hi)] = np.take(arr, [m - 1], axis=axis)
-            left = np.take(arr, range(0, m - 1), axis=axis)
-            right = np.take(arr, range(1, m), axis=axis)
-            edge_vals[tuple(inner)] = 0.5 * (left + right)
-            D = sp.diags(edge_vals.ravel(order="C"))
-            part = (E.T @ D @ E).tocsr()
-            total = part if total is None else (total + part).tocsr()
-        return total
+        parts = []
+        for E in self.edge_diffs:
+            adj = (E != 0).astype(float)  # edge-node adjacency
+            vals = (adj @ coeff) / (adj @ np.ones(coeff.size))
+            parts.append((E.T @ sp.diags(vals) @ E).tocsr())
+        return reduce(lambda a, b: (a + b).tocsr(), parts)
 
 
 def restrict(mat: sp.spmatrix, mask: np.ndarray) -> sp.csc_matrix:

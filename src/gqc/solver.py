@@ -41,12 +41,16 @@ class EnclosureError(SolverError):
     """The computed bounds failed to bracket the solution."""
 
 
+# Armijo backtracking: a step t is accepted once the residual 2-norm has
+# fallen to (1 - ARMIJO_SLOPE * t) times its value, else t *= ARMIJO_SHRINK
+ARMIJO_SHRINK = 0.5
+ARMIJO_SLOPE = 1e-4
+
+
 @dataclass
 class SolveOptions:
     tol_residual: float = 1e-10
     max_newton: int = 50
-    armijo_shrink: float = 0.5
-    armijo_slope: float = 1e-4
     min_step: float = 1e-8
     max_fixed_point: int = 200
     fp_tol: float = 1e-10
@@ -138,11 +142,10 @@ def damped_newton(
         while True:
             x_try = x + t * delta
             R_try = residual(x_try)
-            if np.all(np.isfinite(R_try)) and float(np.linalg.norm(R_try)) <= (
-                1.0 - opts.armijo_slope * t
-            ) * r0:
+            if (np.all(np.isfinite(R_try))
+                    and float(np.linalg.norm(R_try)) <= (1.0 - ARMIJO_SLOPE * t) * r0):
                 break
-            t *= opts.armijo_shrink
+            t *= ARMIJO_SHRINK
             if t < opts.min_step:
                 return x, SolveReport(False, it, rsup, history, "line_search_stall", tol)
         x, R = x_try, R_try

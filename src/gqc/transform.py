@@ -43,6 +43,7 @@ import scipy.sparse as sp
 
 from .conditions import weighted_rayleigh_sup
 from .grid import DiscreteOperators, GridFunction
+from .problem import TAU_C_RELATIVE, compute_zero_mask
 from .solver import SolveOptions, damped_newton, newton_quasilinear
 
 # the Euler-Lagrange solves keep their own caps, apart from the caller's options
@@ -235,7 +236,6 @@ def solve_transformed(
     tp: TransformedProblem,
     ops: DiscreteOperators,
     opts: SolveOptions | None = None,
-    check_condition: bool = True,
     return_details: bool = False,
 ):
     """Minimize the functional, map back, and polish on the quasilinear system.
@@ -244,24 +244,23 @@ def solve_transformed(
     corresponding solution of the discrete quasilinear problem. The
     minimizer is checked to be nonnegative (flipped to |v| with a warning
     if roundoff pushed it below -1e-10, mirroring that the infimum is
-    attained at a nonnegative field).
+    attained at a nonnegative field). Warns when the smallness condition
+    fails on the zero set of d.
     """
     opts = opts or SolveOptions()
     spec = tp.spec
 
-    if check_condition:
-        d = tp.d_field.values
-        tau = 1e-12 * float(np.max(np.abs(d), initial=0.0))
-        mask = np.abs(d) <= tau
-        if mask.any():
-            nu = weighted_rayleigh_sup(tp.h_field.values, mask, ops)
-            if 1.0 - tp.mu * nu <= 0.0:
-                warnings.warn(
-                    "smallness condition fails (margin "
-                    f"{1.0 - tp.mu * nu:.3e}); the functional may be unbounded below",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+    d = tp.d_field.values
+    mask = compute_zero_mask(d, TAU_C_RELATIVE * float(np.max(np.abs(d), initial=0.0)))
+    if mask.any():
+        nu = weighted_rayleigh_sup(tp.h_field.values, mask, ops)
+        if 1.0 - tp.mu * nu <= 0.0:
+            warnings.warn(
+                "smallness condition fails (margin "
+                f"{1.0 - tp.mu * nu:.3e}); the functional may be unbounded below",
+                RuntimeWarning,
+                stacklevel=2,
+            )
 
     v = _minimize(tp, ops)
     if float(np.min(v, initial=0.0)) < -1e-10:

@@ -167,6 +167,7 @@ def test_criterion_6_condition_threshold():
 def test_criterion_7_ferone_murat_implies_h0():
     with criterion(7, "20 randomized d=3 instances: product check implies H0"):
         spec = GridSpec(3, ((0.0, 1.0),) * 3, (12, 12, 12))
+        ops = build_operators(spec)
         rng = np.random.default_rng(2024)
         confirmed = 0
         attempts = 0
@@ -180,7 +181,7 @@ def test_criterion_7_ferone_murat_implies_h0():
             problem = make_problem(spec, mu=f"{mu_sup}", h=h_expr)
             if not check_ferone_murat(problem).holds:
                 continue
-            assert check_smallness(problem, "H0").holds, (a, b, w, mu_sup)
+            assert check_smallness(problem, "H0", ops).holds, (a, b, w, mu_sup)
             confirmed += 1
         assert confirmed == 20, f"only {confirmed} qualifying instances"
 

@@ -229,7 +229,7 @@ def _reference_corrector(problem, ops, opts, base_lam, base_u, t_lam, t_u, ds):
     scale = ops.node_weight / (1.0 + ops.energy_product(base_u, base_u))
     cvec = scale * (ops.laplacian @ t_u)
     lam, u = base_lam + ds * t_lam, base_u + ds * t_u
-    for it in range(1, opts.max_corrector + 1):
+    for it in range(1, continuation.MAX_CORRECTOR + 1):
         d = lam * c
         R = quasilinear_residual(u, d, mu, h, ops)
         constraint = t_lam * (lam - base_lam) + float(cvec @ (u - base_u)) - ds
@@ -308,8 +308,8 @@ def test_bordered_solve_at_fold_matches_lu(fold_square24):
     data = fold_square24
     problem, ops = data["problem"], data["ops"]
     base_lam, base_u, t_lam, t_u = data["fold_step"]
-    u, lam, _, _ = continuation._corrector(problem, ops, data["opts"], *data["fold_step"],
-                                           data["sigma"])
+    u, lam, _ = continuation._corrector(problem, ops, data["opts"], *data["fold_step"],
+                                        data["sigma"])
     c = problem.c.values
     J = quasilinear_jacobian(u, lam * c, problem.mu.values, ops)
     row = ops.laplacian @ t_u
@@ -371,11 +371,12 @@ def test_rejection_reasons(fold_demo):
         assert ds > 0.0
 
 
-def test_step_too_long_is_recorded(interval64):
+def test_step_too_long_is_recorded(interval64, monkeypatch):
     spec, ops = interval64
     problem = make_problem(spec, h="0.1*sin(pi*x1)", profile="A2")
     # no corrected point lies within 1e-3 ds of its base
-    opts = ContinuationOptions(ds0=0.1, ds_min=0.01, max_points=20, max_step_ratio=1e-3)
+    monkeypatch.setattr(continuation, "MAX_STEP_RATIO", 1e-3)
+    opts = ContinuationOptions(ds0=0.1, ds_min=0.01, max_points=20)
     branch = trace_branch(problem, -2.0, ops, opts)
     assert branch.termination == "step_floor"
     assert [r[2] for r in branch.rejections] == ["step_too_long"] * 4

@@ -89,6 +89,44 @@ def test_edge_factorization_matches_laplacian():
     assert abs(total - ops.laplacian).max() <= 1e-10 * ops.laplacian.max()
 
 
+def _dense_weighted_stiffness(spec, coeff):
+    """Sum over grid edges of a_e (u_p - u_q)^2 / h^2, the boundary end of an
+    edge carrying u = 0; a_e is the mean of the edge's interior end values."""
+    shape = spec.interior_shape
+    index = np.arange(spec.n_interior).reshape(shape)
+    K = np.zeros((spec.n_interior, spec.n_interior))
+    for axis, h in enumerate(spec.spacing):
+        for node in np.ndindex(*shape):
+            k = node[axis]
+            below = node[:axis] + (k - 1,) + node[axis + 1:]
+            edges = [[index[node]] if k == 0 else [index[node], index[below]]]
+            if k == shape[axis] - 1:
+                edges.append([index[node]])  # the boundary edge above the last node
+            for ends in edges:
+                w = np.mean(coeff[ends]) / h**2
+                for p in ends:
+                    for q in ends:
+                        K[p, q] += w if p == q else -w
+    return K
+
+
+@pytest.mark.parametrize("dim, bounds, n", [
+    (1, ((0.0, 1.0),), (9,)),
+    (2, ((0.0, 30.0), (0.0, 30.0)), (32, 32)),
+    (2, ((0.0, 1.0), (-1.0, 2.0)), (6, 9)),
+    (3, ((0.0, 1.0), (0.0, 2.0), (0.0, 1.5)), (4, 6, 5)),
+])
+def test_weighted_stiffness_matches_dense_edge_sum(dim, bounds, n):
+    spec = GridSpec(dim, bounds, n)
+    ops = build_operators(spec)
+    coeff = np.random.default_rng(dim).uniform(0.2, 3.0, spec.n_interior)
+    ref = _dense_weighted_stiffness(spec, coeff)
+    K = ops.weighted_stiffness(coeff)
+    assert np.max(np.abs(K.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
+    ones = ops.weighted_stiffness(np.ones(spec.n_interior))
+    assert abs(ones - ops.laplacian).max() <= 1e-13 * ops.laplacian.max()
+
+
 def test_grad_sq_zero_field(interval64):
     spec, ops = interval64
     g = grad_sq(GridFunction.zeros(spec), ops)

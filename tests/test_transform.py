@@ -290,6 +290,17 @@ def test_solve_transformed_warns_when_condition_fails(square32):
     assert any("smallness" in str(w.message) for w in caught)
 
 
+def test_solve_transformed_warns_on_partial_zero_set(square32):
+    # d vanishes on the left half only; the smallness condition on that
+    # zero set fails for this h (mu * nu about 1.2)
+    spec, ops = square32
+    d = np.where(spec.interior_points()[:, 0] > 0.5, -2.0, 0.0)
+    tp = make_tp(spec, d, 1.0, 3 * 2 * np.pi**2)
+    with pytest.warns(RuntimeWarning, match="smallness condition fails"):
+        with pytest.raises(CoercivityError):
+            solve_transformed(tp, ops)
+
+
 def test_solve_transformed_coercivity_failure_message(square32):
     spec, ops = square32
     tp = make_tp(spec, 0.0, 1.0, 3 * 2 * np.pi**2)
