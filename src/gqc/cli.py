@@ -13,10 +13,10 @@ Subcommands and their artifacts (written under --out, default "."):
 * ``eigen``    : eigenfunction.txt and report.json.
 * ``exponents``: report.json with the exponent witness.
 
-Exit codes: 0 success, 1 usage or config error, 2 a requested condition
-fails, 3 a solve failed. Reports embed the sha256 of the canonical config
-and the seed, so a run is reproducible from its report. GQC_THREADS caps
-worker parallelism in the multi-start solver.
+Exit codes: 0 success, 1 usage, config or expression error, 2 a requested
+condition fails, 3 a solve or another numerical step failed (any
+``RuntimeError``). Reports embed the sha256 of the canonical config and
+the seed, so a run is reproducible from its report.
 """
 
 from __future__ import annotations
@@ -463,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SolverError, EigenError) as exc:
+    except RuntimeError as exc:  # numerical failures: solver, eigen, LU, transform
         print(f"solve failed: {exc}", file=sys.stderr)
         return EXIT_SOLVE_FAILED
     except Exception as exc:  # expression errors, grid errors, value errors

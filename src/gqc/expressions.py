@@ -1,18 +1,26 @@
 """Arithmetic expressions for coefficient fields.
 
-Grammar (precedence high to low): ``^`` (right associative), unary ``-``,
-``* /``, ``+ -``. Identifiers: variables ``x1 .. x3``, the constant
-``pi``, unary functions ``sin cos exp ln abs`` and the n-ary forms
-``min(a, b)``, ``max(a, b)`` and ``indicator(axis, lo, hi)``. The
-indicator is 1 where lo < x_axis <= hi and 0 elsewhere; axis is a 1-based
-integer literal. Parsing is deterministic and ASTs compare by value, so
-``parse(to_string(ast)) == ast``.
+The grammar is a checked subset of Python's expression grammar, with
+``^`` for the power (``**`` itself is rejected). Precedence, high to low:
+``^`` (right associative, its exponent may carry a unary minus), unary
+``-``, ``* /``, ``+ -``. Numbers are decimal literals such as ``2``,
+``0.5`` or ``1e-3``. Identifiers: variables ``x1 .. x3``, the constant
+``pi``, unary functions ``sin cos exp ln abs`` and the forms ``min(a, b)``,
+``max(a, b)`` and ``indicator(axis, lo, hi)``. The indicator is 1 where
+lo < x_axis <= hi and 0 elsewhere; axis is an integer in 1..3, and its
+three arguments are numeric literals (optionally negated) or ``pi``.
+
+``parse_expression`` parses with ``ast`` and returns the checked tree;
+``evaluate`` samples it. Errors are ``ExpressionError``s that carry the
+character position in the caller's text when one applies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+import ast
+import operator
+import re
+import warnings
 
 import numpy as np
 
@@ -24,7 +32,22 @@ UNARY_FUNCTIONS = {
     "abs": np.abs,
 }
 
-_BINARY_FUNCTIONS = {"min", "max"}
+_BINARY_FUNCTIONS = {"min": np.minimum, "max": np.maximum}
+
+_OPERATORS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
+
+_VARIABLES = {"x1": 1, "x2": 2, "x3": 3}
+
+# everything else (quotes, brackets, '#', ':', '=', '%', non-ASCII) is
+# rejected up front, so character offsets equal the parser's byte offsets
+_BAD_CHARACTER = re.compile(r"[^A-Za-z0-9_.+\-*/^(),\s]", re.ASCII)
+_NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 
 
 class ExpressionError(ValueError):
@@ -37,350 +60,102 @@ class ExpressionError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Pi:
-    pass
-
-
-@dataclass(frozen=True)
-class Var:
-    axis: int  # 1-based
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * / ^
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Call:
-    name: str
-    args: tuple["Expr", ...]
-
-
-@dataclass(frozen=True)
-class Indicator:
-    axis: int  # 1-based
-    lo: float
-    hi: float
-
-
-Expr = Union[Num, Pi, Var, Neg, BinOp, Call, Indicator]
-
-
-# ---------------------------------------------------------------------------
-# tokenizer
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num | name | op | lparen | rparen | comma | end
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_exp = False
-            while j < n:
-                c = text[j]
-                if c.isdigit() or c == ".":
-                    j += 1
-                elif c in "eE" and not seen_exp and j + 1 < n and (
-                    text[j + 1].isdigit() or text[j + 1] in "+-"
-                ):
-                    seen_exp = True
-                    j += 2 if text[j + 1] in "+-" else 1
-                else:
-                    break
-            tokens.append(_Token("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token("lparen", ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("rparen", ch, i))
-            i += 1
-            continue
-        if ch == ",":
-            tokens.append(_Token("comma", ch, i))
-            i += 1
-            continue
-        raise ExpressionError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
-# recursive descent parser
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.idx = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.idx]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise ExpressionError(f"expected {want!r}, found {tok.text or 'end of input'!r}", tok.pos)
-        return self.advance()
-
-    def parse(self) -> Expr:
-        node = self.parse_sum()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExpressionError(f"unexpected trailing input {tok.text!r}", tok.pos)
-        return node
-
-    def parse_sum(self) -> Expr:
-        node = self.parse_product()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_product())
-        return node
-
-    def parse_product(self) -> Expr:
-        node = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.parse_unary())
-        return node
-
-    def parse_unary(self) -> Expr:
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.advance()
-            return Neg(self.parse_unary())
-        return self.parse_power()
-
-    def parse_power(self) -> Expr:
-        base = self.parse_atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            return BinOp("^", base, self.parse_unary())
-        return base
-
-    def parse_atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return Num(float(tok.text))
-        if tok.kind == "lparen":
-            self.advance()
-            node = self.parse_sum()
-            self.expect("rparen")
-            return node
-        if tok.kind == "name":
-            self.advance()
-            name = tok.text
-            if name == "pi":
-                return Pi()
-            if len(name) == 2 and name[0] == "x" and name[1].isdigit():
-                axis = int(name[1])
-                if axis < 1 or axis > 3:
-                    raise ExpressionError(f"variable {name!r} out of range x1..x3", tok.pos)
-                return Var(axis)
-            if name in UNARY_FUNCTIONS:
-                self.expect("lparen")
-                arg = self.parse_sum()
-                self.expect("rparen")
-                return Call(name, (arg,))
-            if name in _BINARY_FUNCTIONS:
-                self.expect("lparen")
-                a = self.parse_sum()
-                self.expect("comma")
-                b = self.parse_sum()
-                self.expect("rparen")
-                return Call(name, (a, b))
-            if name == "indicator":
-                self.expect("lparen")
-                axis_expr = self.parse_sum()
-                self.expect("comma")
-                lo_expr = self.parse_sum()
-                self.expect("comma")
-                hi_expr = self.parse_sum()
-                self.expect("rparen")
-                axis = _const_value(axis_expr, tok.pos, "indicator axis")
-                lo = _const_value(lo_expr, tok.pos, "indicator lower bound")
-                hi = _const_value(hi_expr, tok.pos, "indicator upper bound")
-                if axis != int(axis) or not (1 <= int(axis) <= 3):
-                    raise ExpressionError("indicator axis must be an integer in 1..3", tok.pos)
-                return Indicator(int(axis), float(lo), float(hi))
-            raise ExpressionError(f"unknown identifier {name!r}", tok.pos)
-        raise ExpressionError(f"expected a value, found {tok.text or 'end of input'!r}", tok.pos)
-
-
-def _const_value(node: Expr, pos: int, what: str) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Neg):
-        return -_const_value(node.arg, pos, what)
-    if isinstance(node, Pi):
-        return float(np.pi)
-    raise ExpressionError(f"{what} must be a numeric literal", pos)
-
-
-def parse_expression(text: str) -> Expr:
+def parse_expression(text: str) -> ast.expr:
+    """Parse ``text`` into a checked tree whose node offsets index ``text``."""
     if not text or not text.strip():
         raise ExpressionError("empty expression", 0)
-    return _Parser(text).parse()
+    bad = _BAD_CHARACTER.search(text)
+    if bad:
+        raise ExpressionError(f"unexpected character {bad.group()!r}", bad.start())
+    if "**" in text:
+        raise ExpressionError("write the power as '^', not '**'", text.index("**"))
+    # eval mode takes a leading space for an indent and a newline as an end
+    body = text.lstrip()
+    start = len(text) - len(body)
+    source = re.sub(r"\s", " ", body).replace("^", "**")
+    # position in ``text`` of every character of ``source``, plus its end
+    where = [start + i for i, ch in enumerate(body) for _ in range(1 + (ch == "^"))]
+    where.append(len(text))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SyntaxWarning)  # e.g. "1if" -> SyntaxError
+            tree = ast.parse(source, mode="eval").body
+        for node in (n for n in ast.walk(tree) if isinstance(n, ast.expr)):
+            node.col_offset = where[node.col_offset]
+            node.end_col_offset = where[node.end_col_offset]
+            if isinstance(node, ast.Constant):
+                literal = text[node.col_offset:node.end_col_offset]
+                if not _NUMBER.fullmatch(literal):
+                    raise ExpressionError(f"unsupported literal {literal!r}", node.col_offset)
+                node.value = float(literal)
+        # an empty grid in three dimensions reaches every node and every check
+        _evaluate(tree, np.zeros((0, 3)))
+    except SyntaxError as exc:
+        # offsets are 1-based; the parser gives 0 or None at the end of input
+        offset = min(exc.offset - 1 if exc.offset else len(source), len(source))
+        raise ExpressionError(exc.msg, where[offset]) from None
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply") from None
+    return tree
 
 
-# ---------------------------------------------------------------------------
-# evaluation and printing
+def evaluate(node: ast.expr, coords: np.ndarray) -> np.ndarray:
+    """Evaluate a tree from ``parse_expression`` over points given as an
+    (npoints, dim) coordinate array."""
+    try:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return _evaluate(node, coords)
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply") from None
 
 
-def variables_used(node: Expr) -> set[int]:
-    if isinstance(node, Var):
-        return {node.axis}
-    if isinstance(node, Indicator):
-        return {node.axis}
-    if isinstance(node, Neg):
-        return variables_used(node.arg)
-    if isinstance(node, BinOp):
-        return variables_used(node.left) | variables_used(node.right)
-    if isinstance(node, Call):
-        out: set[int] = set()
-        for a in node.args:
-            out |= variables_used(a)
-        return out
-    return set()
+def _evaluate(node: ast.expr, coords: np.ndarray) -> np.ndarray:
+    npts, dim = coords.shape
 
+    def column(axis: int, at: ast.expr) -> np.ndarray:
+        if axis > dim:
+            raise ExpressionError(f"variable x{axis} undefined on a {dim}-d grid", at.col_offset)
+        return coords[:, axis - 1]
 
-def evaluate(node: Expr, coords: np.ndarray) -> np.ndarray:
-    """Evaluate over points given as an (npoints, dim) coordinate array."""
-    npts = coords.shape[0]
-    dim = coords.shape[1]
-
-    def rec(e: Expr) -> np.ndarray:
-        if isinstance(e, Num):
+    def rec(e: ast.expr) -> np.ndarray:
+        if isinstance(e, ast.Constant):
             return np.full(npts, e.value)
-        if isinstance(e, Pi):
-            return np.full(npts, np.pi)
-        if isinstance(e, Var):
-            if e.axis > dim:
-                raise ExpressionError(f"variable x{e.axis} undefined on a {dim}-d grid")
-            return coords[:, e.axis - 1].copy()
-        if isinstance(e, Neg):
-            return -rec(e.arg)
-        if isinstance(e, BinOp):
-            a, b = rec(e.left), rec(e.right)
-            if e.op == "+":
-                return a + b
-            if e.op == "-":
-                return a - b
-            if e.op == "*":
-                return a * b
-            if e.op == "/":
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    return a / b
-            with np.errstate(invalid="ignore", over="ignore"):
-                return a**b
-        if isinstance(e, Call):
-            args = [rec(a) for a in e.args]
-            if e.name in UNARY_FUNCTIONS:
-                with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                    return UNARY_FUNCTIONS[e.name](args[0])
-            if e.name == "min":
-                return np.minimum(args[0], args[1])
-            if e.name == "max":
-                return np.maximum(args[0], args[1])
-        if isinstance(e, Indicator):
-            if e.axis > dim:
-                raise ExpressionError(f"indicator axis {e.axis} undefined on a {dim}-d grid")
-            x = coords[:, e.axis - 1]
-            return np.where((x > e.lo) & (x <= e.hi), 1.0, 0.0)
-        raise ExpressionError(f"cannot evaluate node {e!r}")
+        if isinstance(e, ast.Name):
+            if e.id == "pi":
+                return np.full(npts, np.pi)
+            if e.id in _VARIABLES:
+                return column(_VARIABLES[e.id], e).copy()
+            raise ExpressionError(f"unknown identifier {e.id!r}", e.col_offset)
+        if isinstance(e, ast.UnaryOp) and isinstance(e.op, ast.USub):
+            return -rec(e.operand)
+        if isinstance(e, ast.BinOp) and type(e.op) in _OPERATORS:
+            return _OPERATORS[type(e.op)](rec(e.left), rec(e.right))
+        if isinstance(e, ast.Call) and isinstance(e.func, ast.Name) and not e.keywords:
+            return call(e.func.id, e.args, e)
+        what = type(getattr(e, "op", e)).__name__  # the operator of UAdd, FloorDiv, ...
+        raise ExpressionError(f"unsupported syntax {what}", e.col_offset)
+
+    def call(name: str, args: list[ast.expr], at: ast.expr) -> np.ndarray:
+        if name == "indicator" and len(args) == 3:
+            axis, lo, hi = (_literal(a) for a in args)
+            if axis not in (1, 2, 3):
+                raise ExpressionError("indicator axis must be an integer in 1..3", at.col_offset)
+            x = column(int(axis), at)
+            return np.where((x > lo) & (x <= hi), 1.0, 0.0)
+        if name in UNARY_FUNCTIONS and len(args) == 1:
+            return UNARY_FUNCTIONS[name](rec(args[0]))
+        if name in _BINARY_FUNCTIONS and len(args) == 2:
+            return _BINARY_FUNCTIONS[name](rec(args[0]), rec(args[1]))
+        raise ExpressionError(f"no function {name!r} of {len(args)} argument(s)", at.col_offset)
 
     return rec(node)
 
 
-def _precedence(node: Expr) -> int:
-    if isinstance(node, BinOp):
-        if node.op in "+-":
-            return 1
-        if node.op in "*/":
-            return 2
-        return 4  # ^
-    if isinstance(node, Neg):
-        return 3
-    return 5
-
-
-def to_string(node: Expr) -> str:
-    """Render an AST back to the grammar; parse(to_string(e)) == e."""
-
-    def wrap(child: Expr, parent_prec: int, right_side: bool = False) -> str:
-        s = to_string(child)
-        cp = _precedence(child)
-        if cp < parent_prec or (cp == parent_prec and right_side and cp in (1, 2)):
-            return f"({s})"
-        return s
-
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Pi):
-        return "pi"
-    if isinstance(node, Var):
-        return f"x{node.axis}"
-    if isinstance(node, Neg):
-        return f"-{wrap(node.arg, 3)}"
-    if isinstance(node, BinOp):
-        p = _precedence(node)
-        if node.op == "^":
-            # right associative; the exponent re-enters at unary level
-            base = wrap(node.left, p + 1)
-            expo = to_string(node.right)
-            if _precedence(node.right) < 3:
-                expo = f"({expo})"
-            return f"{base}^{expo}"
-        return f"{wrap(node.left, p)} {node.op} {wrap(node.right, p, right_side=True)}"
-    if isinstance(node, Call):
-        inner = ", ".join(to_string(a) for a in node.args)
-        return f"{node.name}({inner})"
-    if isinstance(node, Indicator):
-        return f"indicator({node.axis}, {node.lo!r}, {node.hi!r})"
-    raise ExpressionError(f"cannot print node {node!r}")
+def _literal(node: ast.expr) -> float:
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_literal(node.operand)
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return float(np.pi)
+    raise ExpressionError("indicator arguments must be numeric literals", node.col_offset)

@@ -36,18 +36,13 @@ PROFILES = ("A1", "A2", "A3", "A5")
 
 @dataclass
 class CoefficientSpec:
-    """A coefficient field plus the source it was sampled from.
-
-    ``kind`` is one of ``expression`` (text under the documented grammar),
-    ``constant`` or ``data`` (flat text file, one value per interior node
-    in lexicographic order).
+    """A coefficient field: its values at the interior nodes of ``spec``,
+    in lexicographic order, sampled from an expression, a constant or a
+    flat data file.
     """
 
     spec: GridSpec
-    kind: str
-    source: str
     values: np.ndarray
-    ast: ex.Expr | None = None
 
     @property
     def field(self) -> GridFunction:
@@ -56,21 +51,21 @@ class CoefficientSpec:
     @classmethod
     def from_constant(cls, value: float, spec: GridSpec) -> "CoefficientSpec":
         vals = np.full(spec.n_interior, float(value))
-        return cls(spec=spec, kind="constant", source=repr(float(value)), values=vals)
+        return cls(spec=spec, values=vals)
 
     @classmethod
-    def from_values(cls, values, spec: GridSpec, source: str = "<array>") -> "CoefficientSpec":
+    def from_values(cls, values, spec: GridSpec) -> "CoefficientSpec":
         vals = np.asarray(values, dtype=float).ravel(order="C")
         if vals.size != spec.n_interior:
             raise GridError(
                 f"coefficient data has {vals.size} values, grid needs {spec.n_interior}"
             )
-        return cls(spec=spec, kind="data", source=source, values=vals)
+        return cls(spec=spec, values=vals)
 
     @classmethod
     def from_file(cls, path: str | Path, spec: GridSpec) -> "CoefficientSpec":
         vals = np.loadtxt(path, dtype=float).ravel(order="C")
-        out = cls.from_values(vals, spec, source=str(path))
+        out = cls.from_values(vals, spec)
         _check_finite(out.values, spec)
         return out
 
@@ -92,17 +87,10 @@ def parse_coefficient(text: str, spec: GridSpec) -> CoefficientSpec:
     variables beyond the grid dimension and for non-finite samples (the
     offending node is named).
     """
-    ast = ex.parse_expression(text)
-    used = ex.variables_used(ast)
-    for axis in sorted(used):
-        if axis > spec.dim:
-            raise ex.ExpressionError(
-                f"variable x{axis} undefined on a {spec.dim}-d grid"
-            )
-    vals = ex.evaluate(ast, spec.interior_points())
+    vals = ex.evaluate(ex.parse_expression(text), spec.interior_points())
     vals = np.broadcast_to(np.asarray(vals, dtype=float), (spec.n_interior,)).copy()
     _check_finite(vals, spec)
-    return CoefficientSpec(spec=spec, kind="expression", source=text, values=vals, ast=ast)
+    return CoefficientSpec(spec=spec, values=vals)
 
 
 def save_values_file(path: str | Path, values: np.ndarray) -> None:

@@ -21,8 +21,6 @@ is recorded in the report.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -396,17 +394,6 @@ class UniquenessReport:
         return clusters
 
 
-def _worker_count(k: int) -> int:
-    env = os.environ.get("GQC_THREADS", "").strip()
-    if env:
-        try:
-            cap = max(1, int(env))
-        except ValueError:
-            cap = 1
-        return min(k, cap)
-    return 1
-
-
 def _first_mode_shape(problem: ProblemData) -> np.ndarray:
     """Product of half-period sines over the box, normalized to sup 1."""
     pts = problem.spec.interior_points()
@@ -433,9 +420,7 @@ def multi_start(
     times that amplitude. Pure noise never lands in the basin of large
     smooth solutions (the first damped Newton step smooths it into the
     small-solution basin), so the ramps supply the diversity that makes a
-    second solution visible when one exists. Results are collected in
-    start-index order, so the report does not depend on the worker count
-    (GQC_THREADS caps parallelism).
+    second solution visible when one exists.
     """
     if k < 2:
         raise ValueError("need at least 2 starts")
@@ -456,16 +441,7 @@ def multi_start(
                 GridFunction(problem.spec, amp * rng.uniform(-1.0, 1.0, problem.spec.n_interior))
             )
 
-    def run(u0: GridFunction) -> tuple[GridFunction, SolveReport]:
-        return newton_solve(problem, u0, ops, opts)
-
-    workers = _worker_count(k)
-    if workers == 1:
-        results = [run(u0) for u0 in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, starts))
-
+    results = [newton_solve(problem, u0, ops, opts) for u0 in starts]
     solutions = [u.values for (u, rep) in results if rep.converged]
     reports = [rep for (_, rep) in results]
     max_dist = 0.0

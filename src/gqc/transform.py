@@ -49,6 +49,9 @@ from .solver import SolveOptions, damped_newton, newton_quasilinear
 # the Euler-Lagrange solves keep their own caps, apart from the caller's options
 _EL_NEWTON = SolveOptions(max_newton=60, min_step=1e-10)
 
+# cap on the descent steps that bring the minimizer into the Newton basin
+DESCENT_MAX_ITER = 2000
+
 
 class CoercivityError(RuntimeError):
     """Minimization escaped to -infinity: the smallness condition fails."""
@@ -181,7 +184,7 @@ def _minimize(
     v = np.zeros(tp.spec.n_interior)
     val = _functional_value(v, tp, ops)
     coarse_tol = 1e-3 * (1.0 + float(np.max(np.abs(h), initial=0.0)))
-    for _ in range(2000):
+    for _ in range(DESCENT_MAX_ITER):
         F = _el_residual(v, tp, ops)
         if float(np.max(np.abs(F), initial=0.0)) <= coarse_tol:
             break
@@ -205,9 +208,10 @@ def _minimize(
                 "condition violated / coercivity failure"
             )
     else:
-        raise CoercivityError(
-            "descent did not reach the Newton basin: smallness condition "
-            "violated / coercivity failure"
+        # the blow-up test never fired, so this is slow descent, not proof
+        # that the functional is unbounded below
+        raise TransformError(
+            f"descent did not reach the Newton basin in {DESCENT_MAX_ITER} steps"
         )
     return _newton_el(v, tp, ops)
 

@@ -60,6 +60,17 @@ def test_bad_expression_is_usage_error(tmp_path, capsys):
     assert "position" in capsys.readouterr().err
 
 
+def test_deeply_nested_expression_is_usage_error(tmp_path, capsys):
+    # a RecursionError is a RuntimeError, which would exit 3 if it escaped
+    deep = "+".join(["x1"] * 5000)
+    cfg = write_config(
+        tmp_path,
+        {"grid": grid_block(), "coefficients": {"c": deep, "mu": "1", "h": "0"}},
+    )
+    assert main(["check", "--config", cfg]) == 1
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_missing_coefficient_file(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -242,6 +253,7 @@ def test_branch_seed_failure_exits3(tmp_path):
 @pytest.mark.parametrize("command, target, error", [
     ("branch", "analyze_branch", SolverError("could not refine both solutions")),
     ("check", "check_smallness", EigenError("Lanczos failed")),
+    ("check", "check_smallness", RuntimeError("Factor is exactly singular")),
 ])
 def test_solve_failure_exits3(tmp_path, monkeypatch, command, target, error):
     def fail(*args, **kwargs):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gqc import GridSpec, compute_zero_mask, parse_coefficient, validate_profile
-from gqc.expressions import ExpressionError, parse_expression, to_string
+from gqc.expressions import ExpressionError, parse_expression
 from gqc.problem import CoefficientSpec, load_values_file, save_values_file
 
 from conftest import make_problem
@@ -50,6 +52,13 @@ def test_indicator_semantics():
         ("exp(ln(4))", 0.5, 4.0),
         ("cos(0*x1)", 0.5, 1.0),
         ("pi/pi", 0.5, 1.0),
+        ("1 + 2*x1", 0.25, 1.5),
+        ("-x1^2 + 3", 0.5, 2.75),
+        ("2^-x1", 0.5, 2.0**-0.5),
+        ("1 - 2 - 3", 0.1, -4.0),        # left-associative subtraction
+        ("1 - (2 - 3)", 0.1, 2.0),
+        ("abs(x1 - 0.5)^1.5", 0.25, 0.125),
+        (" 1 +\n\t2", 0.1, 3.0),         # leading, tab and newline whitespace
     ],
 )
 def test_expression_values(text, x, expected):
@@ -58,6 +67,22 @@ def test_expression_values(text, x, expected):
     xs = spec.axis_coords(0)
     idx = int(np.argmin(np.abs(xs - x)))
     assert c.values[idx] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "text,point,expected",
+    [
+        ("sin(pi*x1)*cos(pi*x2)", (0.5, 0.25), np.cos(np.pi / 4)),
+        ("min(x1, max(x2, 0.5))", (0.75, 0.25), 0.5),
+        ("indicator(2, 0.25, 0.75) * exp(-x1)", (0.5, 0.5), np.exp(-0.5)),
+        ("indicator(2, 0.25, 0.75) * exp(-x1)", (0.5, 0.25), 0.0),  # lo excluded
+        ("(x1 + x2)/(1 + x1*x2)", (0.5, 0.5), 0.8),
+    ],
+)
+def test_expression_values_2d(square8, text, point, expected):
+    c = parse_coefficient(text, square8)
+    idx = int(np.argmin(np.sum(np.abs(square8.interior_points() - point), axis=1)))
+    assert c.values[idx] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def test_syntax_error_carries_position():
@@ -88,23 +113,82 @@ def test_nonfinite_sample_reports_node():
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text,position",
     [
-        "1 + 2*x1",
-        "-x1^2 + 3",
-        "sin(pi*x1)*cos(pi*x2)",
-        "min(x1, max(x2, 0.5))",
-        "indicator(2, 0.25, 0.75) * exp(-x1)",
-        "2^-x1",
-        "(x1 + x2)/(1 + x1*x2)",
-        "1 - 2 - 3",
-        "1 - (2 - 3)",
-        "abs(x1 - 0.5)^1.5",
+        ("2**3", 1),                     # the power is written ^
+        ("+1", 0),
+        ("1 % 2", 2),
+        ("1_000", 0),
+        ("1j", 0),
+        ("True", 0),
+        ("x1 < 2", 3),
+        ("a.b", 0),
+        ("1 # c", 2),
+        ("min(1)", 0),
+        ("sin(1,2)", 0),
+        ("indicator(x1,0,1)", 10),
+        ("indicator(4,0,1)", 0),
+        ("(1", 0),
+        ("1.2.3", 3),
+        ("x1^2 + * 2", 7),               # positions count ^ as one character
+        ("x1^2 + a.b", 7),
+        ("+".join(["x1"] * 5000), None),  # nested too deeply, no position
     ],
 )
-def test_parse_print_parse_roundtrip(text):
-    ast = parse_expression(text)
-    assert parse_expression(to_string(ast)) == ast
+def test_rejected_expressions(text, position):
+    with pytest.raises(ExpressionError) as err:
+        parse_expression(text)
+    assert err.value.position == position
+
+
+# random expression trees, rendered fully parenthesized, paired with the
+# numpy evaluation the grammar promises
+_SPEC = GridSpec(2, ((-0.5, 1.0), (0.0, 2.0)), (5, 4))
+# indicator bounds sometimes sit exactly on a node, where lo < x <= hi decides
+_bounds = st.one_of(st.floats(-0.5, 1.5),
+                    st.sampled_from([float(v) for v in np.unique(_SPEC.interior_points())]))
+_leaves = st.one_of(
+    st.floats(-10.0, 10.0).map(lambda v: (f"({v!r})", lambda x: np.full(len(x), v))),
+    st.integers(1, 2).map(lambda k: (f"x{k}", lambda x: x[:, k - 1].copy())),
+    st.just(("pi", lambda x: np.full(len(x), np.pi))),
+    st.tuples(st.integers(1, 2), _bounds, _bounds).map(
+        lambda a: (f"indicator({a[0]}, {a[1]!r}, {a[2]!r})",
+                   lambda x: np.where((x[:, a[0] - 1] > a[1]) & (x[:, a[0] - 1] <= a[2]), 1.0, 0.0))),
+)
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log, "abs": np.abs}
+
+
+def _branches(children):
+    def binary(op, a, b):
+        return f"({a[0]}){op}({b[0]})", lambda x: _BINARY[op](a[1](x), b[1](x))
+
+    def call(name, a):
+        return f"{name}({a[0]})", lambda x: _CALLS[name](a[1](x))
+
+    def minmax(name, a, b):
+        f = np.minimum if name == "min" else np.maximum
+        return f"{name}({a[0]}, {b[0]})", lambda x: f(a[1](x), b[1](x))
+
+    return st.one_of(
+        st.builds(binary, st.sampled_from(sorted(_BINARY)), children, children),
+        st.builds(call, st.sampled_from(sorted(_CALLS)), children),
+        st.builds(minmax, st.sampled_from(["min", "max"]), children, children),
+        children.map(lambda a: (f"-({a[0]})", lambda x: -a[1](x))),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tree=st.recursive(_leaves, _branches, max_leaves=12))
+def test_parse_matches_numpy_evaluation(tree):
+    text, reference = tree
+    with np.errstate(all="ignore"):
+        expected = reference(_SPEC.interior_points())
+    if not np.all(np.isfinite(expected)):
+        with pytest.raises(ExpressionError, match="non-finite"):
+            parse_coefficient(text, _SPEC)
+        return
+    assert parse_coefficient(text, _SPEC).values.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

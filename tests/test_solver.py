@@ -318,17 +318,6 @@ def test_multi_start_needs_two(interval64):
         multi_start(make_problem(spec), 1, 0, ops)
 
 
-def test_multi_start_worker_count_does_not_change_results(interval64, monkeypatch):
-    spec, ops = interval64
-    problem = make_problem(spec, h="0.1*sin(pi*x1)", lam=-1.0)
-    serial = multi_start(problem, 6, 3, ops)
-    monkeypatch.setenv("GQC_THREADS", "3")
-    threaded = multi_start(problem, 6, 3, ops)
-    assert serial.converged_count == threaded.converged_count
-    for a, b in zip(serial.solutions, threaded.solutions):
-        assert np.array_equal(a, b)
-
-
 def test_solve_cascade_reports(square32):
     spec, ops = square32
     problem = make_problem(spec, h="0.1*sin(pi*x1)*sin(pi*x2)", lam=-1.0)

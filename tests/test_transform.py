@@ -18,6 +18,7 @@ from gqc import (
     norms,
     residual_P,
     solve_transformed,
+    weighted_rayleigh_sup,
 )
 
 from gqc import transform
@@ -307,4 +308,18 @@ def test_solve_transformed_coercivity_failure_message(square32):
     with pytest.raises(CoercivityError, match="coercivity"):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
+            solve_transformed(tp, ops)
+
+
+def test_descent_cap_is_not_a_coercivity_failure(interval64, monkeypatch):
+    # the smallness condition holds with margin 0.5 on the zero set of d,
+    # yet the descent is slow; running out of steps must not blame coercivity
+    spec, ops = interval64
+    d = np.where(spec.axis_coords(0) > 0.5, -2.0, 0.0)
+    nu = weighted_rayleigh_sup(np.ones(spec.n_interior), d == 0.0, ops)
+    tp = make_tp(spec, d, 0.5 / nu, 1.0)
+    monkeypatch.setattr(transform, "DESCENT_MAX_ITER", 50)  # the full 2000 take seconds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no smallness warning either
+        with pytest.raises(TransformError, match="in 50 steps"):
             solve_transformed(tp, ops)
