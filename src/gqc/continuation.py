@@ -8,9 +8,12 @@ whose relative u-scaling keeps steps meaningful while norms grow toward
 the cap. Predictors are secants in that norm; the corrector is Newton on
 the bordered system (residual = 0, arclength constraint = 0), which stays
 regular through folds where plain parameter continuation degenerates.
-Each Newton step solves the bordered system by block elimination on the
-factored Jacobian (Keller's bordering lemma) with one step of iterative
-refinement, and factors the bordered matrix itself only when that fails.
+A trace holds one Jacobian LU (``HeldFactor``): each Newton step runs
+GMRES on the bordered system, preconditioned by block elimination with
+that LU (Keller's bordering lemma). When GMRES misses, the Jacobian is
+factored afresh and the bordered system solved by block elimination on
+it with one step of iterative refinement; the bordered matrix itself is
+factored only when that fails.
 
 Termination is one of: the sup norm exceeding ``norm_cap`` (read as the
 branch escaping to infinity, with the side classified by the sign of
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import DiscreteOperators, GridFunction, factor
+from .grid import DiscreteOperators, GridFunction, HeldFactor, factor
 from .problem import ProblemData
 from .solver import (
     SolveOptions,
@@ -36,8 +39,7 @@ from .solver import (
     SolverError,
     newton_solve,
     quasilinear_jacobian,
-    quasilinear_residual,
-    residual_scale,
+    residual_with_scale,
     solve_cascade,
 )
 
@@ -124,20 +126,30 @@ class _Rejected(Exception):
 
 def _bordered_solve(
     J: sp.spmatrix, col: np.ndarray, row: np.ndarray, corner: float,
-    rhs_u: np.ndarray, rhs_g: float,
+    rhs_u: np.ndarray, rhs_g: float, held: HeldFactor | None = None, tol: float = 0.0,
 ) -> tuple[np.ndarray, float]:
     """Solve  [[J, col], [row^T, corner]] (du, dl) = (rhs_u, rhs_g).
 
-    Block elimination: one factorization of J solves for rhs_u and col
-    together, and dl follows from the Schur scalar corner - row.J^-1 col.
-    One step of iterative refinement against the bordered residual keeps
-    the result accurate where J is nearly singular, as at a fold. When J
-    cannot be factored or the Schur scalar is zero or not finite, the
-    bordered matrix is factored instead; raises ``_Rejected("singular")``
+    When ``held`` holds a reusable LU of a nearby Jacobian, one GMRES run
+    on the bordered system, preconditioned by block elimination with that
+    LU, solves to the tolerances of ``HeldFactor.krylov`` (``tol`` is the
+    caller's sup-norm tolerance). Otherwise, or when GMRES misses, J is
+    factored afresh (and held) and the bordered system is solved by block
+    elimination: dl follows from the Schur scalar corner - row.J^-1 col,
+    and one step of iterative refinement against the bordered residual
+    keeps the result accurate where J is nearly singular, as at a fold.
+    When J cannot be factored or the Schur scalar is zero or not finite,
+    the bordered matrix is factored instead; raises ``_Rejected("singular")``
     when that fails too.
     """
+    if held is None:
+        held = HeldFactor(factor)
+    if held.reusable(J):
+        x = _bordered_krylov(J, col, row, corner, rhs_u, rhs_g, held, tol)
+        if x is not None:
+            return x[:-1], float(x[-1])
     try:
-        lu = factor(J)
+        lu = held.refresh(J)
     except RuntimeError:
         lu = None
     if lu is not None:
@@ -165,6 +177,29 @@ def _bordered_solve(
     return delta[:-1], float(delta[-1])
 
 
+def _bordered_krylov(
+    J: sp.spmatrix, col: np.ndarray, row: np.ndarray, corner: float,
+    rhs_u: np.ndarray, rhs_g: float, held: HeldFactor, tol: float,
+) -> np.ndarray | None:
+    """GMRES on the bordered system, preconditioned by block elimination
+    with the held LU; (du, dl) stacked, or None when it misses."""
+    lu = held.lu
+    w = lu.solve(col)
+    schur = corner - float(row @ w)
+    if not (math.isfinite(schur) and schur != 0.0):
+        return None
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        return np.append(J @ x[:-1] + x[-1] * col, row @ x[:-1] + corner * x[-1])
+
+    def precondition(r: np.ndarray) -> np.ndarray:
+        v = lu.solve(r[:-1])
+        dl = (r[-1] - float(row @ v)) / schur
+        return np.append(v - dl * w, dl)
+
+    return held.krylov(matvec, precondition, np.append(rhs_u, rhs_g), tol)
+
+
 def _corrector(
     problem: ProblemData,
     ops: DiscreteOperators,
@@ -174,29 +209,35 @@ def _corrector(
     t_lam: float,
     t_u: np.ndarray,
     ds: float,
+    held: HeldFactor | None = None,
 ) -> tuple[np.ndarray, float, int]:
     """Newton on the bordered system from the secant predictor.
 
     Returns (u, lam, iterations). Raises ``_Rejected`` with reason
-    ``singular`` or ``corrector_failed``.
+    ``singular`` or ``corrector_failed``. ``held`` carries the Jacobian
+    LU between calls; without it the first iteration factors afresh.
     """
+    if held is None:
+        held = HeldFactor(factor)
     c = problem.c.values
     mu = problem.mu.values
     h = problem.h.values
     scale = ops.node_weight / (1.0 + ops.energy_product(base_u, base_u))
     cvec = scale * (ops.laplacian @ t_u)
+    constraint_tol = 1e-10 * (1.0 + abs(ds))
 
     lam = base_lam + ds * t_lam
     u = base_u + ds * t_u
     for it in range(1, MAX_CORRECTOR + 1):
         d = lam * c
-        R = quasilinear_residual(u, d, mu, h, ops)
+        R, rscale = residual_with_scale(u, d, mu, h, ops)
         constraint = t_lam * (lam - base_lam) + float(cvec @ (u - base_u)) - ds
-        tol = opts.solve.tol_residual * (1.0 + residual_scale(u, d, mu, h, ops))
-        if float(np.max(np.abs(R), initial=0.0)) <= tol and abs(constraint) <= 1e-10 * (1.0 + abs(ds)):
+        tol = opts.solve.tol_residual * (1.0 + rscale)
+        if float(np.max(np.abs(R), initial=0.0)) <= tol and abs(constraint) <= constraint_tol:
             return u, lam, it - 1
         J = quasilinear_jacobian(u, d, mu, ops)
-        du, dl = _bordered_solve(J, -(c * u), cvec, t_lam, -R, -constraint)
+        du, dl = _bordered_solve(J, -(c * u), cvec, t_lam, -R, -constraint, held,
+                                 min(tol, constraint_tol))
         if not (np.all(np.isfinite(du)) and math.isfinite(dl)):
             break
         u = u + du
@@ -257,6 +298,7 @@ def trace_branch(
     branch.points.append(_make_point(lam0 + dlam, u1, s1, it1, dlam, problem, ops))
 
     ds = opts.ds0
+    held = HeldFactor(factor)
     while True:
         prev, cur = branch.points[-2], branch.points[-1]
         if cur.sup_norm > opts.norm_cap:
@@ -280,7 +322,7 @@ def trace_branch(
 
         try:
             u_new, lam_new, iters = _corrector(problem, ops, opts, cur.lam, cur.u.values,
-                                               t_lam, t_u, ds)
+                                               t_lam, t_u, ds, held)
             step_norm = _product_norm(lam_new - cur.lam, u_new - cur.u.values,
                                       base_energy_sq, ops)
             if step_norm > MAX_STEP_RATIO * ds:
@@ -459,10 +501,12 @@ def locate_fold(
     nrm = _product_norm(dl, du, base_energy_sq, ops)
     t_lam, t_u = dl / nrm, du / nrm
     width = b.s - a.s
+    held = HeldFactor(factor)
 
     def lam_at(sigma: float) -> float:
         try:
-            return _corrector(problem, ops, opts, a.lam, a.u.values, t_lam, t_u, sigma)[1]
+            return _corrector(problem, ops, opts, a.lam, a.u.values, t_lam, t_u, sigma,
+                              held)[1]
         except _Rejected:
             return -np.inf
 

@@ -27,6 +27,7 @@ discrete operators the solvers use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Sequence
@@ -192,6 +193,140 @@ def factor(A: sp.spmatrix) -> spla.SuperLU:
     return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A")
 
 
+# nnz(LU) / nnz(A) up to which a fresh factorization costs about what a
+# preconditioned Krylov solve does, so the held LU is never reused; SuperLU
+# fills Jacobians 1.8-2.5 on 1-D grids, 4.5-6 on 2-D and 5.7-26 on 3-D ones
+REUSE_MIN_FILL = 4.0
+# GMRES iterations with the held LU before it counts as too old and A is
+# factored afresh. Along a 48^2 branch solves take 2-10 (mostly 4-8), 18^3
+# Newton steps 4-5; caps of 6 to 20 traced that branch equally fast
+KRYLOV_MAX_ITER = 10
+# a Krylov solve stops at max(KRYLOV_RTOL |b|, KRYLOV_TOL_SHARE * tol) in
+# the 2-norm of its residual, tol being the sup-norm tolerance the caller
+# enforces on the residual the solve corrects. 1e-6 changed the Newton
+# iteration counts of a 48^2 branch point, 1e-9 changed none; without the
+# tol share a solve whose b is near tol stalls on the rounding floor of A x
+KRYLOV_RTOL = 1e-9
+KRYLOV_TOL_SHARE = 1e-3
+
+
+def gmres(
+    matvec: Callable[[np.ndarray], np.ndarray],
+    precondition: Callable[[np.ndarray], np.ndarray],
+    b: np.ndarray,
+    target: float,
+    max_iter: int,
+) -> np.ndarray | None:
+    """Right-preconditioned GMRES from x = 0, without restarts.
+
+    Returns x with |b - A x| <= ``target`` (2-norm, checked on the true
+    residual), or None when ``max_iter`` iterations do not get there or a
+    value turns non-finite. Arnoldi orthogonalizes by classical
+    Gram-Schmidt applied twice; Givens rotations track the residual norm.
+    """
+    beta = float(np.linalg.norm(b))
+    if beta <= target:
+        return np.zeros_like(b)
+    if not np.isfinite(beta):
+        return None
+    V = np.empty((max_iter + 1, b.size))
+    Z = np.empty((max_iter, b.size))
+    H = np.zeros((max_iter + 1, max_iter))
+    cs = np.zeros(max_iter)
+    sn = np.zeros(max_iter)
+    g = np.zeros(max_iter + 1)
+    g[0] = beta
+    V[0] = b / beta
+    for j in range(max_iter):
+        Z[j] = precondition(V[j])
+        w = matvec(Z[j])
+        h = V[: j + 1] @ w
+        w -= h @ V[: j + 1]
+        h2 = V[: j + 1] @ w
+        w -= h2 @ V[: j + 1]
+        H[: j + 1, j] = h + h2
+        hn = float(np.linalg.norm(w))
+        if not np.isfinite(hn):
+            return None
+        H[j + 1, j] = hn
+        if hn > 0.0:
+            V[j + 1] = w / hn
+        for i in range(j):
+            a, c = H[i, j], H[i + 1, j]
+            H[i, j] = cs[i] * a + sn[i] * c
+            H[i + 1, j] = cs[i] * c - sn[i] * a
+        r = math.hypot(H[j, j], hn)
+        if r == 0.0:
+            return None
+        cs[j], sn[j] = H[j, j] / r, hn / r
+        H[j, j], H[j + 1, j] = r, 0.0
+        g[j + 1] = -sn[j] * g[j]
+        g[j] *= cs[j]
+        if abs(g[j + 1]) <= target:
+            k = j + 1
+            y = np.zeros(k)
+            for i in range(k - 1, -1, -1):
+                y[i] = (g[i] - H[i, i + 1:k] @ y[i + 1:]) / H[i, i]
+            x = y @ Z[:k]
+            res = float(np.linalg.norm(b - matvec(x)))
+            return x if res <= target else None
+    return None
+
+
+class HeldFactor:
+    """The sparse LU of one recent matrix, reused for the nearby matrices
+    of a Newton or continuation run.
+
+    A solve with a matrix A runs GMRES preconditioned by the held LU and
+    factors A afresh, holding the new LU, only when GMRES misses its
+    tolerance within ``KRYLOV_MAX_ITER`` iterations. Where the LU fills
+    little (``REUSE_MIN_FILL``), and when nothing is held, A is always
+    factored afresh and solved directly. ``factorizations`` and
+    ``krylov_solves`` count the fresh LUs and the GMRES runs, including
+    the runs that missed. ``factorize`` makes every fresh LU.
+    """
+
+    def __init__(self, factorize: Callable[[sp.spmatrix], spla.SuperLU] = factor):
+        self._factorize = factorize
+        self.lu: spla.SuperLU | None = None
+        self.factorizations = 0
+        self.krylov_solves = 0
+
+    def reusable(self, A: sp.spmatrix) -> bool:
+        """Whether a Krylov solve with the held LU is worth trying on A."""
+        return self.lu is not None and self.lu.nnz > REUSE_MIN_FILL * A.nnz
+
+    def refresh(self, A: sp.spmatrix) -> spla.SuperLU:
+        """Factor A afresh and hold its LU. When A cannot be factored the
+        ``RuntimeError`` propagates and nothing is held."""
+        self.lu = None
+        self.lu = self._factorize(A)
+        self.factorizations += 1
+        return self.lu
+
+    def krylov(
+        self,
+        matvec: Callable[[np.ndarray], np.ndarray],
+        precondition: Callable[[np.ndarray], np.ndarray],
+        b: np.ndarray,
+        tol: float,
+    ) -> np.ndarray | None:
+        """``gmres`` at the held tolerances: x with |b - A x| at most
+        max(KRYLOV_RTOL |b|, KRYLOV_TOL_SHARE * tol), or None."""
+        self.krylov_solves += 1
+        target = max(KRYLOV_RTOL * float(np.linalg.norm(b)), KRYLOV_TOL_SHARE * tol)
+        return gmres(matvec, precondition, b, target, KRYLOV_MAX_ITER)
+
+    def solve(self, A: sp.spmatrix, b: np.ndarray, tol: float) -> np.ndarray:
+        """x with A x = b, for a caller that enforces the sup-norm
+        tolerance ``tol`` on the residual this solve corrects."""
+        if self.reusable(A):
+            x = self.krylov(lambda v: A @ v, self.lu.solve, b, tol)
+            if x is not None:
+                return x
+        return self.refresh(A).solve(b)
+
+
 def _lift_axis_operator(spec: GridSpec, axis: int, op1d: sp.spmatrix) -> sp.csr_matrix:
     shape = spec.interior_shape
     factors: list[sp.spmatrix] = [sp.identity(m, format="csr") for m in shape]
@@ -202,9 +337,10 @@ def _lift_axis_operator(spec: GridSpec, axis: int, op1d: sp.spmatrix) -> sp.csr_
 class DiscreteOperators:
     """Assembled Dirichlet operators and quadrature for one GridSpec.
 
-    Immutable after construction apart from one factorization slot: the
+    Immutable after construction apart from one factorization slot (the
     sparse LU of the Laplacian, or of the Laplacian restricted to a node
-    mask, whichever was asked for last.
+    mask, whichever was asked for last) and the index arrays that
+    ``linearized`` builds on its first call.
     """
 
     def __init__(self, spec: GridSpec):
@@ -228,6 +364,7 @@ class DiscreteOperators:
         self.edge_diffs: tuple[sp.csr_matrix, ...] = tuple(edges)
         self.node_weight: float = spec.node_weight
         self._lap_factor = None  # (mask bytes or None, matrix, LU)
+        self._lin_pattern = None  # (Laplacian in CSC, diagonal slots, per-axis slots)
 
     def lap_solver(self) -> spla.SuperLU:
         """Sparse LU factorization of the Laplacian, kept in the slot."""
@@ -251,6 +388,31 @@ class DiscreteOperators:
             A = self.laplacian if mask is None else restrict(self.laplacian, mask)
             self._lap_factor = (key, A, factor(A))
         return self._lap_factor[1], self._lap_factor[2]
+
+    def linearized(self, reaction: np.ndarray, drift: Sequence[np.ndarray]) -> sp.csc_matrix:
+        """The matrix of  v -> L v - reaction v - sum_k drift[k] D_k v.
+
+        Filled into the CSC pattern of the Laplacian, which holds every
+        entry of the diagonal and of the gradients: L_ii - reaction_i on
+        the diagonal and L_ij - drift[k]_i (D_k)_ij off it, each rounded
+        once, the values that summing ``sp.diags`` products gives.
+        """
+        if self._lin_pattern is None:
+            lap = self.laplacian.tocsc()
+            rows = lap.indices
+            cols = np.repeat(np.arange(lap.shape[1]), np.diff(lap.indptr))
+            axes = []
+            for D in self.gradient:
+                vals = np.asarray(D[rows, cols]).ravel()
+                slots = np.flatnonzero(vals)
+                axes.append((slots, rows[slots], vals[slots]))
+            self._lin_pattern = (lap, np.flatnonzero(rows == cols), tuple(axes))
+        lap, diag, axes = self._lin_pattern
+        data = lap.data.copy()
+        data[diag] -= reaction
+        for (slots, rows, vals), b in zip(axes, drift):
+            data[slots] -= b[rows] * vals
+        return sp.csc_matrix((data, lap.indices, lap.indptr), shape=lap.shape)
 
     def check_spec(self, u: GridFunction) -> None:
         if u.spec != self.spec:

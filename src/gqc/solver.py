@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import DiscreteOperators, GridFunction, factor, grad_sq_values
+from .grid import DiscreteOperators, GridFunction, HeldFactor, factor, grad_sq_values
 from .problem import CoefficientSpec, ProblemData
 
 
@@ -80,57 +80,75 @@ class SolveReport:
         }
 
 
+def _terms(
+    u: np.ndarray, d: np.ndarray, mu: np.ndarray, ops: DiscreteOperators
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms L u, d u and mu |grad u|^2 of the equation at u."""
+    return ops.laplacian @ u, d * u, mu * grad_sq_values(u, ops)
+
+
+def _residual(terms: tuple[np.ndarray, np.ndarray, np.ndarray], h: np.ndarray) -> np.ndarray:
+    lap_u, du, grad_term = terms
+    return lap_u - du - grad_term - h
+
+
+def _scale(terms: tuple[np.ndarray, np.ndarray, np.ndarray], h: np.ndarray) -> float:
+    return float(sum(np.max(np.abs(t), initial=0.0) for t in (*terms, h)))
+
+
 def quasilinear_residual(
     u: np.ndarray, d: np.ndarray, mu: np.ndarray, h: np.ndarray, ops: DiscreteOperators
 ) -> np.ndarray:
-    return ops.laplacian @ u - d * u - mu * grad_sq_values(u, ops) - h
+    return _residual(_terms(u, d, mu, ops), h)
 
 
 def quasilinear_jacobian(
     u: np.ndarray, d: np.ndarray, mu: np.ndarray, ops: DiscreteOperators
 ) -> sp.csc_matrix:
-    J = ops.laplacian - sp.diags(d)
-    for D in ops.gradient:
-        J = J - sp.diags(2.0 * mu * (D @ u)) @ D
-    return J.tocsc()
+    return ops.linearized(d, [2.0 * mu * (D @ u) for D in ops.gradient])
 
 
 def residual_scale(
     u: np.ndarray, d: np.ndarray, mu: np.ndarray, h: np.ndarray, ops: DiscreteOperators
 ) -> float:
     """Magnitude of the competing terms; the residual tolerance is relative to it."""
-    return float(
-        np.max(np.abs(ops.laplacian @ u), initial=0.0)
-        + np.max(np.abs(d * u), initial=0.0)
-        + np.max(np.abs(mu * grad_sq_values(u, ops)), initial=0.0)
-        + np.max(np.abs(h), initial=0.0)
-    )
+    return _scale(_terms(u, d, mu, ops), h)
+
+
+def residual_with_scale(
+    u: np.ndarray, d: np.ndarray, mu: np.ndarray, h: np.ndarray, ops: DiscreteOperators
+) -> tuple[np.ndarray, float]:
+    """``quasilinear_residual`` and ``residual_scale`` from one evaluation
+    of L u and |grad u|^2."""
+    terms = _terms(u, d, mu, ops)
+    return _residual(terms, h), _scale(terms, h)
 
 
 def damped_newton(
     x0: np.ndarray,
-    residual: Callable[[np.ndarray], np.ndarray],
+    residual: Callable[[np.ndarray], tuple[np.ndarray, float]],
     jacobian: Callable[[np.ndarray], sp.spmatrix],
-    tolerance: Callable[[np.ndarray], float],
     opts: SolveOptions,
 ) -> tuple[np.ndarray, SolveReport]:
     """Damped Newton with Armijo backtracking on the residual 2-norm.
 
-    Converged when the sup norm of ``residual(x)`` is at most
-    ``tolerance(x)``; every other exit returns the last iterate with a
-    failure reason (diverged, line_search_stall or max_iter).
+    ``residual(x)`` returns the residual at x and the sup-norm tolerance
+    it must meet there. Converged when the residual is within tolerance;
+    every other exit returns the last iterate with a failure reason
+    (diverged, line_search_stall or max_iter). The first Jacobian is
+    factored and its LU preconditions the later steps (``HeldFactor``).
     """
+    held = HeldFactor(factor)
     x = np.asarray(x0, dtype=float).copy()
     history: list[tuple[float, float]] = []
-    R = residual(x)
-    tol = tolerance(x)
+    R, tol = residual(x)
     rsup = float(np.max(np.abs(R), initial=0.0))
     if rsup <= tol:
         return x, SolveReport(True, 0, rsup, history, None, tol)
 
     for it in range(1, opts.max_newton + 1):
         try:
-            delta = factor(jacobian(x)).solve(-R)
+            delta = held.solve(jacobian(x), -R, tol)
         except RuntimeError:
             return x, SolveReport(False, it, rsup, history, "diverged", tol)
         if not np.all(np.isfinite(delta)):
@@ -139,17 +157,16 @@ def damped_newton(
         t = 1.0
         while True:
             x_try = x + t * delta
-            R_try = residual(x_try)
+            R_try, tol_try = residual(x_try)
             if (np.all(np.isfinite(R_try))
                     and float(np.linalg.norm(R_try)) <= (1.0 - ARMIJO_SLOPE * t) * r0):
                 break
             t *= ARMIJO_SHRINK
             if t < opts.min_step:
                 return x, SolveReport(False, it, rsup, history, "line_search_stall", tol)
-        x, R = x_try, R_try
+        x, R, tol = x_try, R_try, tol_try
         rsup = float(np.max(np.abs(R), initial=0.0))
         history.append((t, float(np.linalg.norm(R))))
-        tol = tolerance(x)
         if rsup <= tol:
             return x, SolveReport(True, it, rsup, history, None, tol)
         if not np.isfinite(rsup) or rsup > 1e150:
@@ -166,12 +183,13 @@ def newton_quasilinear(
     opts: SolveOptions,
 ) -> tuple[np.ndarray, SolveReport]:
     """``damped_newton`` on  L u - d u - mu |grad u|^2 - h = 0."""
+
+    def residual(u: np.ndarray) -> tuple[np.ndarray, float]:
+        R, scale = residual_with_scale(u, d, mu, h, ops)
+        return R, opts.tol_residual * (1.0 + scale)
+
     return damped_newton(
-        u0,
-        lambda u: quasilinear_residual(u, d, mu, h, ops),
-        lambda u: quasilinear_jacobian(u, d, mu, ops),
-        lambda u: opts.tol_residual * (1.0 + residual_scale(u, d, mu, h, ops)),
-        opts,
+        u0, residual, lambda u: quasilinear_jacobian(u, d, mu, ops), opts
     )
 
 

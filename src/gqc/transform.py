@@ -222,10 +222,10 @@ def _newton_el(v: np.ndarray, tp: TransformedProblem, ops: DiscreteOperators) ->
     h_sup = float(np.max(np.abs(h), initial=0.0))
     v, report = damped_newton(
         v,
-        lambda x: _el_residual(x, tp, ops),
+        lambda x: (_el_residual(x, tp, ops),
+                   1e-12 * (1.0 + float(np.max(np.abs(ops.laplacian @ x))) + h_sup)),
         lambda x: (ops.laplacian - sp.diags(tp.mu * h)
                    - sp.diags(tp.d_field.values * g_prime(x, tp.mu))).tocsc(),
-        lambda x: 1e-12 * (1.0 + float(np.max(np.abs(ops.laplacian @ x))) + h_sup),
         _EL_NEWTON,
     )
     if not report.converged:

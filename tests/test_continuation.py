@@ -13,7 +13,7 @@ from gqc import (
     residual_P,
     trace_branch,
 )
-from gqc import continuation
+from gqc import continuation, grid
 from gqc.grid import factor
 from gqc.solver import quasilinear_jacobian, quasilinear_residual, residual_scale
 
@@ -342,6 +342,59 @@ def test_bordered_fallback_when_jacobian_factor_fails(fold_square24, monkeypatch
         _assert_same_step(got, ref)
         # every Newton step tried J, then factored the bordered matrix
         assert sizes == [n, n + 1] * got[2]
+
+
+def _counting_factor(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(continuation, "factor", lambda A: sizes.append(A.shape[0]) or factor(A))
+    return sizes
+
+
+def test_locate_fold_holds_one_factor(fold_square24, monkeypatch):
+    data = fold_square24
+    args = (data["branch"], data["problem"], data["ops"], data["opts"])
+    sizes = _counting_factor(monkeypatch)
+    lam, _ = locate_fold(*args)
+    assert len(sizes) <= 5
+    # the reference search: every corrector step a fresh LU of the bordered matrix
+    steps = []
+
+    def reference(*corrector_args):
+        got = _reference_corrector(*corrector_args[:8])
+        steps.append(got[2])
+        return got
+
+    monkeypatch.setattr(continuation, "_corrector", reference)
+    lam_ref, _ = locate_fold(*args)
+    assert abs(lam - lam_ref) <= 1e-10 * abs(lam_ref)
+    assert sum(steps) > 10 * len(sizes)
+
+
+def test_corrector_refactors_after_a_krylov_miss(fold_square24, monkeypatch):
+    data = fold_square24
+    args = (data["problem"], data["ops"], data["opts"])
+    step, ds = _ordinary_step(data)
+    held = grid.HeldFactor(factor)
+    reused = continuation._corrector(*args, *step, ds, held)
+    assert held.factorizations == 1 and held.krylov_solves == reused[2] - 1
+    monkeypatch.setattr(grid, "gmres", lambda *a: None)
+    sizes = _counting_factor(monkeypatch)
+    missed = grid.HeldFactor(continuation.factor)
+    missed.lu = held.lu
+    got = continuation._corrector(*args, *step, ds, missed)
+    _assert_same_step(got, reused)
+    assert missed.factorizations == len(sizes) == got[2]
+    assert missed.krylov_solves == got[2]
+
+
+def test_one_dimensional_branch_never_takes_the_krylov_path(fold_demo, monkeypatch):
+    def refused(*args):
+        raise AssertionError("Krylov path taken on a 1-D grid")
+
+    monkeypatch.setattr(grid, "gmres", refused)
+    branch = trace_branch(fold_demo["problem"], -2.0, fold_demo["ops"], fold_demo["opts"])
+    assert np.array_equal(branch.lambdas, fold_demo["branch"].lambdas)
+    locate_fold(branch, fold_demo["problem"], fold_demo["ops"], fold_demo["opts"])
 
 
 def test_singular_steps_are_recorded(interval64, monkeypatch):

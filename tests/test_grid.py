@@ -309,3 +309,115 @@ def test_only_grid_factor_and_oracle_call_splu():
              for fn in _splu_users(ast.parse(path.read_text()))}
     assert ("oracle.py", "_plain_newton") in users
     assert {u for u in users if u[0] != "oracle.py"} == {("grid.py", "factor")}
+
+
+# ---------------------------------------------------------------------------
+# the Jacobian filled into the Laplacian's pattern, and the held factor
+
+
+def _diags_jacobian(u, d, mu, ops):
+    """The Jacobian as a sum of ``sp.diags`` products, the assembly that
+    ``DiscreteOperators.linearized`` replaces."""
+    J = ops.laplacian - sp.diags(d)
+    for D in ops.gradient:
+        J = J - sp.diags(2.0 * mu * (D @ u)) @ D
+    return J.tocsc()
+
+
+@pytest.mark.parametrize("bounds, n", [
+    (((0.0, 1.0),), (64,)),
+    (((0.0, 1.0), (0.0, 1.0)), (48, 48)),
+    (((0.0, 30.0), (0.0, 30.0)), (32, 32)),
+    (((-1.0, 2.0), (0.0, 0.5)), (20, 12)),
+    (((0.0, 1.0),) * 3, (18, 18, 18)),
+    (((0.0, 1.0), (0.0, 2.0), (0.5, 1.0)), (8, 10, 6)),
+])
+def test_linearized_jacobian_matches_diags_assembly(bounds, n):
+    spec = GridSpec(len(n), bounds, n)
+    ops = build_operators(spec)
+    rng = np.random.default_rng(sum(n))
+    x = spec.interior_points()
+    mu = 1.0 + 0.5 * np.sin(3.0 * x[:, 0]) + rng.uniform(-0.1, 0.1, spec.n_interior)
+    d = -2.0 + rng.uniform(-1.0, 1.0, spec.n_interior)
+    smooth = np.prod([np.sin(np.pi * (x[:, k] - lo) / (hi - lo))
+                      for k, (lo, hi) in enumerate(spec.bounds)], axis=0)
+    for u in (smooth, rng.uniform(-1.0, 1.0, spec.n_interior), np.zeros(spec.n_interior)):
+        got = quasilinear_jacobian(u, d, mu, ops)
+        ref = _diags_jacobian(u, d, mu, ops)
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data, ref.data)
+
+
+def _nearby_jacobians(spec, ops, step=0.02):
+    """Jacobians of the folded family at two nearby states, and a right side."""
+    x = spec.interior_points()
+    u0 = np.prod([np.sin(np.pi * x[:, k]) for k in range(spec.dim)], axis=0)
+    mu = 1.0 + 0.3 * x[:, 0]
+    J0 = quasilinear_jacobian(u0, np.full(spec.n_interior, 5.0), mu, ops)
+    J1 = quasilinear_jacobian((1.0 + step) * u0, np.full(spec.n_interior, 5.0 + step), mu, ops)
+    b = np.random.default_rng(spec.dim).standard_normal(spec.n_interior)
+    return J0, J1, b
+
+
+def test_held_factor_preconditions_a_nearby_matrix(square32):
+    spec, ops = square32
+    J0, J1, b = _nearby_jacobians(spec, ops)
+    held = grid.HeldFactor()
+    lu = held.refresh(J0)
+    x = held.solve(J1, b, 0.0)
+    assert (held.factorizations, held.krylov_solves) == (1, 1)
+    assert held.lu is lu
+    assert np.linalg.norm(b - J1 @ x) <= grid.KRYLOV_RTOL * np.linalg.norm(b)
+    ref = factor(J1).solve(b)
+    assert np.max(np.abs(x - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("refuse", ["cap", "gmres"])
+def test_krylov_miss_refactors(square32, monkeypatch, refuse):
+    spec, ops = square32
+    J0, J1, b = _nearby_jacobians(spec, ops)
+    if refuse == "cap":
+        monkeypatch.setattr(grid, "KRYLOV_MAX_ITER", 0)
+    else:
+        monkeypatch.setattr(grid, "gmres", lambda *args: None)
+    held = grid.HeldFactor()
+    lu0 = held.refresh(J0)
+    x = held.solve(J1, b, 0.0)
+    assert (held.factorizations, held.krylov_solves) == (2, 1)
+    assert held.lu is not lu0
+    assert np.array_equal(x, factor(J1).solve(b))
+
+
+def test_low_fill_lu_is_never_reused(interval64):
+    spec, ops = interval64
+    J0, J1, b = _nearby_jacobians(spec, ops)
+    held = grid.HeldFactor()
+    held.refresh(J0)
+    assert not held.reusable(J1)
+    x = held.solve(J1, b, 0.0)
+    assert (held.factorizations, held.krylov_solves) == (2, 0)
+    assert np.array_equal(x, factor(J1).solve(b))
+
+
+def test_failed_refresh_holds_nothing(square32):
+    spec, ops = square32
+    J0, J1, b = _nearby_jacobians(spec, ops)
+
+    def refused(A):
+        raise RuntimeError("Factor is exactly singular")
+
+    held = grid.HeldFactor(refused)
+    with pytest.raises(RuntimeError):
+        held.solve(J1, b, 0.0)
+    assert held.lu is None and held.factorizations == 0
+
+
+def test_gmres_meets_its_target_or_returns_none():
+    rng = np.random.default_rng(5)
+    A = np.eye(30) + 0.1 * rng.standard_normal((30, 30))
+    b = rng.standard_normal(30)
+    x = grid.gmres(lambda v: A @ v, lambda v: v, b, 1e-10, 30)
+    assert np.linalg.norm(b - A @ x) <= 1e-10
+    assert grid.gmres(lambda v: A @ v, lambda v: v, b, 1e-10, 2) is None
+    assert np.array_equal(grid.gmres(lambda v: A @ v, lambda v: v, b, 1e3, 0), np.zeros(30))

@@ -5,13 +5,19 @@ solution is unique and the enclosure applies. Examples are derandomized so
 that every run of the suite draws the same ones.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gqc import GridFunction, GridSpec, build_operators, monotone_enclosure, newton_solve
-from gqc.solver import residual_P
+from gqc import GridFunction, GridSpec, build_operators, grid, monotone_enclosure, newton_solve
+from gqc.continuation import _bordered_solve
+from gqc.grid import HeldFactor, factor
+from gqc.solver import quasilinear_jacobian, residual_P
 
 from conftest import make_problem
 
@@ -34,7 +40,7 @@ def smooth_fields(draw, spec, base, amplitude):
 
 @st.composite
 def problems(draw, dim):
-    n = tuple(draw(st.integers(8, 40 if dim == 1 else 14)) for _ in range(dim))
+    n = tuple(draw(st.integers(8, {1: 40, 2: 14, 3: 10}[dim])) for _ in range(dim))
     bounds = []
     for _ in range(dim):
         lo = draw(st.floats(-1.0, 1.0))
@@ -71,3 +77,53 @@ def test_enclosure_brackets_the_solution(dim, data):
     assume(report.converged)
     assert np.all(u.values - alpha.values >= -slack)
     assert np.all(beta.values - u.values >= -slack)
+
+
+def _nearby_systems(problem, data):
+    """A Jacobian, one a step away from it, and a plain and a bordered
+    system with the second, shaped as in the continuation corrector."""
+    spec, ops = problem.spec, build_operators(problem.spec)
+    c, mu = problem.c.values, problem.mu.values
+    u0 = data.draw(smooth_fields(spec, (-1.0, 1.0), (0.0, 1.0)))
+    t_u = data.draw(smooth_fields(spec, (-1.0, 1.0), (0.0, 1.0)))
+    step = data.draw(st.floats(0.0, 0.05))
+    J0 = quasilinear_jacobian(u0, problem.lam * c, mu, ops)
+    J1 = quasilinear_jacobian(u0 + step * t_u, (problem.lam + step) * c, mu, ops)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    col = -(c * (u0 + step * t_u))
+    row = ops.node_weight * (ops.laplacian @ t_u)
+    return J0, J1, rng.standard_normal(spec.n_interior), col, row, float(rng.standard_normal())
+
+
+def _held_solves(J0, J1, b, col, row, rhs_g):
+    """Both systems solved with the LU of J0 held; each result comes with
+    whether it kept that LU (took the Krylov path)."""
+    held = HeldFactor()
+    held.refresh(J0)
+    plain = held.solve(J1, b, 0.0), held.factorizations == 1
+    held.refresh(J0)
+    du, dl = _bordered_solve(J1, col, row, 1.0, b, rhs_g, held, 0.0)
+    return plain, (np.append(du, dl), held.factorizations == 2)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_held_factor_solves_match_the_lu(dim, data):
+    J0, J1, b, col, row, rhs_g = _nearby_systems(data.draw(problems(dim)), data)
+    bordered = sp.bmat([[J1, col[:, None]], [sp.csr_matrix(row[None, :]), [[1.0]]]],
+                       format="csc")
+    rhs = np.append(b, rhs_g)
+    exact = (factor(J1).solve(b), spla.splu(bordered).solve(rhs))
+    # at the shipped tolerance every Krylov solve meets its residual target
+    (x, krylov), (y, krylov_b) = _held_solves(J0, J1, b, col, row, rhs_g)
+    if krylov:
+        assert np.linalg.norm(b - J1 @ x) <= grid.KRYLOV_RTOL * np.linalg.norm(b)
+    if krylov_b:
+        assert np.linalg.norm(rhs - bordered @ y) <= grid.KRYLOV_RTOL * np.linalg.norm(rhs)
+    # run to a tight tolerance, the Krylov path lands on the LU solutions;
+    # at 1e-9 the forward error follows the conditioning (up to 2e-9 seen)
+    with mock.patch.object(grid, "KRYLOV_RTOL", 1e-12):
+        (x, _), (y, _) = _held_solves(J0, J1, b, col, row, rhs_g)
+    for got, ref in zip((x, y), exact):
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))

@@ -13,7 +13,8 @@ from gqc import (
     residual_P,
     solve_transformed,
 )
-from gqc.solver import solve_cascade
+from gqc import grid, solver
+from gqc.solver import quasilinear_residual, residual_scale, residual_with_scale, solve_cascade
 
 from conftest import make_problem
 
@@ -181,6 +182,36 @@ def test_newton_3d_manufactured():
     u, rep = newton_solve(problem, GridFunction.zeros(spec), ops)
     assert rep.converged
     assert np.max(np.abs(u.values - u_star.values)) <= 1e-10
+
+
+def test_residual_with_scale_matches_separate_evaluations(square32):
+    spec, ops = square32
+    rng = np.random.default_rng(4)
+    u, d, mu, h = (rng.standard_normal(spec.n_interior) for _ in range(4))
+    R, scale = residual_with_scale(u, d, mu, h, ops)
+    assert np.array_equal(R, quasilinear_residual(u, d, mu, h, ops))
+    assert scale == residual_scale(u, d, mu, h, ops)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 32), (3, 14)])
+def test_newton_reuses_the_first_lu(dim, n, monkeypatch):
+    from gqc import GridSpec, build_operators
+
+    spec = GridSpec(dim, ((0.0, 1.0),) * dim, (n,) * dim)
+    ops = build_operators(spec)
+    problem = make_problem(spec, mu="0.5 + 0.25*sin(pi*x1)", h="2 + x2", lam=-2.0)
+    sizes = []
+    monkeypatch.setattr(solver, "factor", lambda A: sizes.append(A.shape[0]) or grid.factor(A))
+    u, rep = newton_solve(problem, GridFunction.zeros(spec), ops)
+    assert rep.converged and rep.iterations >= 3
+    assert len(sizes) == 1
+    # a Krylov cap of 0 refactors at every step and lands on the same root
+    monkeypatch.setattr(grid, "KRYLOV_MAX_ITER", 0)
+    sizes.clear()
+    u_fresh, rep_fresh = newton_solve(problem, GridFunction.zeros(spec), ops)
+    assert rep_fresh.iterations == rep.iterations
+    assert len(sizes) == rep.iterations
+    assert np.max(np.abs(u.values - u_fresh.values)) <= 1e-12 * np.max(np.abs(u.values))
 
 
 # ---------------------------------------------------------------------------
