@@ -1,8 +1,8 @@
 """Numerical toolkit for the Dirichlet problem
 -lap u = lam c(x) u + mu(x) |grad u|^2 + h(x) on boxes:
 finite-difference operators, hypothesis checks, a Cole-Hopf pipeline for
-constant mu, Newton and fixed-point solvers, enclosure between lower and
-upper solutions, and pseudo-arclength branch continuation."""
+constant mu, a damped Newton solver, enclosure between lower and upper
+solutions, and pseudo-arclength branch continuation."""
 
 from .conditions import (
     ConditionReport,
@@ -47,12 +47,10 @@ from .problem import (
 )
 from .solver import (
     EnclosureError,
-    K_mu,
     SolveOptions,
     SolveReport,
     SolverError,
     UniquenessReport,
-    fixed_point_T,
     monotone_enclosure,
     multi_start,
     newton_solve,
@@ -75,12 +73,12 @@ __all__ = [
     "Branch", "BranchAnalysis", "BranchPoint", "CoefficientSpec",
     "CoercivityError", "ConditionReport", "ContinuationOptions",
     "DiscreteOperators", "EigenResult", "EnclosureError", "ExponentWitness",
-    "GridError", "GridFunction", "GridSpec", "K_mu", "ProblemData",
+    "GridError", "GridFunction", "GridSpec", "ProblemData",
     "SolveOptions", "SolveReport", "SolverError", "TransformError",
     "TransformedProblem", "UniquenessReport", "ValidationReport",
     "analyze_branch", "build_operators", "check_ferone_murat",
     "check_smallness", "cole_hopf", "compute_zero_mask", "exponent_margins",
-    "find_exponents", "first_eigen", "fixed_point_T", "functional_I",
+    "find_exponents", "first_eigen", "functional_I",
     "g_and_G", "g_prime", "grad_sq", "load_values_file", "locate_fold",
     "monotone_enclosure", "multi_start", "newton_solve", "norms",
     "parse_coefficient", "poisson_solve", "residual_P", "save_values_file",

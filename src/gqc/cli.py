@@ -5,8 +5,8 @@ Subcommands and their artifacts (written under --out, default "."):
 * ``check``    : report.json with one {condition, holds, margin, sub_infima}
                  entry per requested condition plus the first eigenvalue.
 * ``solve``    : solution.txt (flat values file) and report.json. Tries
-                 Newton from zero, then the fixed-point iteration, then the
-                 lower/upper enclosure when the zero-order term allows it.
+                 Newton from zero, then the lower/upper enclosure when the
+                 zero-order term allows it.
 * ``branch``   : branch.csv (columns idx, lambda, sup_norm, h10_norm,
                  arclength, newton_iters), analysis.json, and the refined
                  two-solution files when requested.
@@ -117,8 +117,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "tol_residual": _NUM,
                 "max_newton": {"type": "integer", "minimum": 1},
-                "fp_tol": _NUM,
-                "max_fixed_point": {"type": "integer", "minimum": 1},
             },
             "additionalProperties": False,
         },

@@ -5,11 +5,11 @@ Every equation handled here has the shape
     L u - d(x) u - mu(x) |grad u|^2 - h(x) = 0
 
 with the assembled Dirichlet Laplacian L: the parameterized problem uses
-d = lam * c, the pivot equation of the fixed-point map uses d = -1, and
-the auxiliary bound problems use d = lam * c with constant mu. One damped
-Newton core serves all of them; the Jacobian linearizes the quadratic
-gradient term exactly, 2 * diag(mu * D_i u) * D_i with the same one-sided
-boundary stencils, which preserves quadratic local convergence.
+d = lam * c, and the auxiliary bound problems use d = lam * c with
+constant mu. One damped Newton core serves both; the Jacobian linearizes
+the quadratic gradient term exactly, 2 * diag(mu * D_i u) * D_i with the
+same one-sided boundary stencils, which preserves quadratic local
+convergence.
 
 Convergence is declared on the sup norm of the residual relative to the
 magnitude of the equation's terms: near large-amplitude solutions the
@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid import DiscreteOperators, GridFunction, HeldFactor, factor, grad_sq_values
-from .problem import CoefficientSpec, ProblemData
+from .problem import ProblemData
 
 
 class SolverError(RuntimeError):
@@ -50,14 +50,12 @@ class SolveOptions:
     tol_residual: float = 1e-10
     max_newton: int = 50
     min_step: float = 1e-8
-    max_fixed_point: int = 200
-    fp_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.tol_residual <= 0 or self.fp_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_newton < 1 or self.max_fixed_point < 1:
-            raise ValueError("iteration caps must be >= 1")
+        if self.tol_residual <= 0:
+            raise ValueError("tol_residual must be positive")
+        if self.max_newton < 1:
+            raise ValueError("max_newton must be >= 1")
 
 
 @dataclass
@@ -197,15 +195,6 @@ def newton_quasilinear(
 # public operations on problems
 
 
-def _mu_values(mu, spec) -> np.ndarray:
-    if isinstance(mu, (CoefficientSpec, GridFunction)):
-        return mu.values
-    arr = np.asarray(mu, dtype=float)
-    if arr.ndim == 0:
-        return np.full(spec.n_interior, float(arr))
-    return arr
-
-
 def residual_P(u: GridFunction, problem: ProblemData, ops: DiscreteOperators) -> GridFunction:
     """Nodewise residual  L u - lam c u - mu |grad u|^2 - h."""
     ops.check_spec(u)
@@ -227,67 +216,6 @@ def newton_solve(
         u0.values, problem.d_values(), problem.mu.values, problem.h.values, ops, opts
     )
     return GridFunction(u0.spec, vals), report
-
-
-def K_mu(
-    f: GridFunction,
-    mu,
-    ops: DiscreteOperators,
-    opts: SolveOptions | None = None,
-    u0: GridFunction | None = None,
-) -> tuple[GridFunction, SolveReport]:
-    """Solution operator of the pivot equation  L u + u - mu |grad u|^2 = f."""
-    opts = opts or SolveOptions()
-    ops.check_spec(f)
-    muv = _mu_values(mu, f.spec)
-    d = np.full(f.spec.n_interior, -1.0)
-    start = u0.values if u0 is not None else np.zeros(f.spec.n_interior)
-    vals, report = newton_quasilinear(start, d, muv, f.values, ops, opts)
-    return GridFunction(f.spec, vals), report
-
-
-def fixed_point_T(
-    problem: ProblemData,
-    u0: GridFunction,
-    ops: DiscreteOperators,
-    opts: SolveOptions | None = None,
-) -> tuple[GridFunction, SolveReport]:
-    """Picard iteration of the fixed-point map u -> pivot_solve((lam c + 1) u + h).
-
-    Fixed points solve the parameterized problem; the returned report is
-    cross-checked against the direct residual.
-    """
-    opts = opts or SolveOptions()
-    ops.check_spec(u0)
-    c = problem.c.values
-    h = problem.h.values
-    u = u0.copy()
-    increments: list[tuple[float, float]] = []
-    converged = False
-    it = 0
-    for it in range(1, opts.max_fixed_point + 1):
-        f = GridFunction(problem.spec, (problem.lam * c + 1.0) * u.values + h)
-        u_next, inner = K_mu(f, problem.mu, ops, opts, u0=u)
-        if not inner.converged:
-            resid = residual_P(u, problem, ops)
-            return u, SolveReport(False, it, float(np.max(np.abs(resid.values))),
-                                  increments, inner.failure_reason or "diverged",
-                                  inner.tolerance_used)
-        inc = float(np.max(np.abs(u_next.values - u.values), initial=0.0))
-        increments.append((1.0, inc))
-        u = u_next
-        if inc <= opts.fp_tol * (1.0 + float(np.max(np.abs(u.values), initial=0.0))):
-            converged = True
-            break
-    resid_vals = residual_P(u, problem, ops).values
-    rsup = float(np.max(np.abs(resid_vals), initial=0.0))
-    scale = residual_scale(u.values, problem.d_values(), problem.mu.values, h, ops)
-    tol = 10.0 * opts.tol_residual * (1.0 + scale)
-    if converged and rsup > tol:
-        return u, SolveReport(False, it, rsup, increments, "diverged", tol)
-    if not converged:
-        return u, SolveReport(False, it, rsup, increments, "max_iter", tol)
-    return u, SolveReport(True, it, rsup, increments, None, tol)
 
 
 def _solve_auxiliary_bound(
@@ -354,10 +282,11 @@ def solve_cascade(
     opts: SolveOptions | None = None,
     u0: GridFunction | None = None,
 ) -> tuple[GridFunction | None, str | None, list[dict]]:
-    """Try Newton, then the fixed-point iteration, then the enclosure.
+    """Try Newton from ``u0`` (zero by default), then the enclosure.
 
     Returns (solution or None, winning strategy name, per-strategy
-    reports). The enclosure only applies when lam * c <= 0.
+    reports). The enclosure only applies when lam * c <= 0; it starts
+    from its own bounds, not from ``u0``.
     """
     opts = opts or SolveOptions()
     start = u0 if u0 is not None else GridFunction.zeros(problem.spec)
@@ -370,13 +299,6 @@ def solve_cascade(
             return u, "newton", attempts
     except Exception as exc:
         attempts.append({"strategy": "newton", "converged": False, "error": str(exc)})
-    try:
-        u, rep = fixed_point_T(problem, start, ops, opts)
-        attempts.append({"strategy": "fixed_point", **rep.to_dict()})
-        if rep.converged:
-            return u, "fixed_point", attempts
-    except Exception as exc:
-        attempts.append({"strategy": "fixed_point", "converged": False, "error": str(exc)})
     if float(np.max(problem.d_values(), initial=0.0)) <= 0.0:
         try:
             _, _, u, rep = monotone_enclosure(problem, ops, opts)

@@ -256,17 +256,28 @@ def solve_transformed(
 
     d = tp.d_field.values
     mask = compute_zero_mask(d, TAU_C_RELATIVE * float(np.max(np.abs(d), initial=0.0)))
+    margin = None
     if mask.any():
-        nu = weighted_rayleigh_sup(tp.h_field.values, mask, ops)
-        if 1.0 - tp.mu * nu <= 0.0:
+        margin = 1.0 - tp.mu * weighted_rayleigh_sup(tp.h_field.values, mask, ops)
+        if margin <= 0.0:
             warnings.warn(
-                "smallness condition fails (margin "
-                f"{1.0 - tp.mu * nu:.3e}); the functional may be unbounded below",
+                f"smallness condition fails (margin {margin:.3e}); "
+                "the functional may be unbounded below",
                 RuntimeWarning,
                 stacklevel=2,
             )
 
-    v = _minimize(tp, ops)
+    try:
+        v = _minimize(tp, ops)
+    except CoercivityError as exc:
+        # a blow-up proves nothing where the condition holds (or d < 0
+        # everywhere leaves no zero set): the descent failed, not coercivity
+        if margin is not None and margin <= 0.0:
+            raise
+        held = "d < 0 everywhere" if margin is None else f"margin {margin:.3e}"
+        raise TransformError(
+            f"descent blew up although the smallness condition holds ({held})"
+        ) from exc
     if float(np.min(v, initial=0.0)) < -1e-10:
         warnings.warn(
             f"minimizer dipped to {float(np.min(v)):.3e}; flipping to |v|",

@@ -46,9 +46,14 @@ def test_schema_violation_reports_path(tmp_path, capsys):
     assert "grid" in err and "dim" in err
 
 
-def test_unknown_key_rejected(tmp_path):
-    cfg = write_config(tmp_path, {"grid": grid_block(), "unknown_key": 1})
-    assert main(["check", "--config", cfg]) == 1
+def test_unknown_key_rejected(tmp_path, capsys):
+    # the solver keys are options of the removed fixed-point iteration
+    for extra, key in (({"unknown_key": 1}, "unknown_key"),
+                       ({"solver": {"max_fixed_point": 40}}, "max_fixed_point"),
+                       ({"solver": {"fp_tol": 1e-10}}, "fp_tol")):
+        cfg = write_config(tmp_path, {"grid": grid_block(), **extra})
+        assert main(["check", "--config", cfg]) == 1
+        assert key in capsys.readouterr().err
 
 
 def test_bad_expression_is_usage_error(tmp_path, capsys):
@@ -194,14 +199,15 @@ def test_solve_at_eigenvalue_exits3(tmp_path, fold_demo):
             "coefficients": {"c": "1", "mu": "1", "h": "0.1*sin(pi*x1)"},
             "profile": "A2",
             "lambda": gamma1,
-            "solver": {"max_newton": 30, "max_fixed_point": 40},
+            "solver": {"max_newton": 30},
         },
     )
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 3
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] is False
-    assert {a["strategy"] for a in report["attempts"]} >= {"newton", "fixed_point"}
+    # lam c > 0, so the enclosure does not apply
+    assert [a["strategy"] for a in report["attempts"]] == ["newton"]
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +247,7 @@ def test_branch_seed_failure_exits3(tmp_path):
             "grid": grid_block(n=32),
             "coefficients": {"c": "1", "mu": "1", "h": "6*pi^2"},
             "continuation": {"lambda0": -2.0, "max_points": 40},
-            "solver": {"max_newton": 20, "max_fixed_point": 20},
+            "solver": {"max_newton": 20},
         },
     )
     out = tmp_path / "out"

@@ -3,10 +3,8 @@ import pytest
 
 from gqc import (
     GridFunction,
-    K_mu,
     SolveOptions,
     TransformedProblem,
-    fixed_point_T,
     monotone_enclosure,
     multi_start,
     newton_solve,
@@ -98,73 +96,6 @@ def test_newton_reports_failure_honestly(square32):
     assert rep.final_residual > rep.tolerance_used
 
 
-# ---------------------------------------------------------------------------
-# the pivot operator
-
-
-def test_pivot_zero(interval64):
-    spec, ops = interval64
-    u, rep = K_mu(GridFunction.zeros(spec), 1.0, ops)
-    assert rep.converged and np.max(np.abs(u.values)) == 0.0
-
-
-def test_pivot_linear_helmholtz_exact(interval64):
-    # mu = 0: -u'' + u = 2 + x(1-x) has the exact discrete solution x(1-x)
-    spec, ops = interval64
-    x = spec.axis_coords(0)
-    f = GridFunction(spec, 2.0 + x * (1 - x))
-    u, rep = K_mu(f, 0.0, ops)
-    assert rep.converged
-    assert np.max(np.abs(u.values - x * (1 - x))) <= 1e-12
-
-
-def test_pivot_continuity_probe(interval64):
-    spec, ops = interval64
-    x = spec.axis_coords(0)
-    f = GridFunction(spec, np.sin(np.pi * x))
-    mu = GridFunction(spec, 1.0 + 0.5 * np.sin(np.pi * x))
-    base, _ = K_mu(f, mu, ops)
-    errs = []
-    for delta in (1e-2, 1e-4, 1e-6):
-        fp = GridFunction(spec, f.values + delta)
-        upd, rep = K_mu(fp, mu, ops)
-        assert rep.converged
-        errs.append(np.max(np.abs(upd.values - base.values)))
-    assert errs[0] > errs[1] > errs[2]
-    for delta, err in zip((1e-2, 1e-4, 1e-6), errs):
-        assert err <= 10 * delta
-
-
-# ---------------------------------------------------------------------------
-# fixed point iteration
-
-
-def test_fixed_point_trivial(interval64):
-    spec, ops = interval64
-    problem = make_problem(spec, h="0", lam=-1.0)
-    u, rep = fixed_point_T(problem, GridFunction.zeros(spec), ops)
-    assert rep.converged and rep.iterations <= 2
-    assert np.max(np.abs(u.values)) <= 1e-14
-
-
-def test_fixed_point_agrees_with_newton(interval64):
-    spec, ops = interval64
-    problem = make_problem(spec, h="0.1*sin(pi*x1)", lam=-1.0)
-    u_fp, rep_fp = fixed_point_T(problem, GridFunction.zeros(spec), ops)
-    u_n, rep_n = newton_solve(problem, GridFunction.zeros(spec), ops)
-    assert rep_fp.converged and rep_n.converged
-    assert np.max(np.abs(u_fp.values - u_n.values)) <= 1e-8
-
-
-def test_fixed_point_general_mu(interval64):
-    spec, ops = interval64
-    problem = make_problem(spec, mu="1 + 0.5*sin(pi*x1)", h="0.2*sin(pi*x1)", lam=-0.5)
-    u, rep = fixed_point_T(problem, GridFunction.zeros(spec), ops)
-    assert rep.converged
-    resid = residual_P(u, problem, ops)
-    assert np.max(np.abs(resid.values)) <= 1e-8
-
-
 def test_newton_3d_manufactured():
     from gqc import GridSpec, build_operators
     from gqc.oracle import manufactured_h
@@ -215,24 +146,22 @@ def test_newton_reuses_the_first_lu(dim, n, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# three-way solver consistency
+# solver consistency
 
 
 def test_solver_consistency_three_ways(square32):
+    # Newton on the quasilinear problem against the transform route
     spec, ops = square32
     problem = make_problem(spec, h="0.2*sin(pi*x1)*sin(pi*x2)", lam=-1.0, profile="A2")
     u_n, rn = newton_solve(problem, GridFunction.zeros(spec), ops)
-    u_f, rf = fixed_point_T(problem, GridFunction.zeros(spec), ops)
     tp = TransformedProblem(
         d_field=GridFunction(spec, -problem.c.values),
         mu=1.0,
         h_field=problem.h.field,
     )
     _, u_t = solve_transformed(tp, ops)
-    assert rn.converged and rf.converged
-    assert np.max(np.abs(u_n.values - u_f.values)) <= 1e-7
+    assert rn.converged
     assert np.max(np.abs(u_n.values - u_t.values)) <= 1e-7
-    assert np.max(np.abs(u_f.values - u_t.values)) <= 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -355,3 +284,18 @@ def test_solve_cascade_reports(square32):
     u, strategy, attempts = solve_cascade(problem, ops)
     assert u is not None and strategy == "newton"
     assert attempts[0]["strategy"] == "newton" and attempts[0]["converged"]
+
+
+def test_solve_cascade_falls_back_to_the_enclosure(interval64):
+    # lam c <= 0, and Newton stalls from a start far outside its basin
+    spec, ops = interval64
+    problem = make_problem(spec, h="0.1*sin(pi*x1)", lam=-1.0)
+    far = GridFunction(spec, 200.0 * solver._first_mode_shape(problem))
+    _, rep = newton_solve(problem, far, ops)
+    assert not rep.converged
+    u, strategy, attempts = solve_cascade(problem, ops, u0=far)
+    assert strategy == "enclosure"
+    assert [a["strategy"] for a in attempts] == ["newton", "enclosure"]
+    assert not attempts[0]["converged"] and attempts[1]["converged"]
+    u_ref, _, _ = solve_cascade(problem, ops)
+    assert np.max(np.abs(u.values - u_ref.values)) <= 1e-10

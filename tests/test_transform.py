@@ -323,3 +323,19 @@ def test_descent_cap_is_not_a_coercivity_failure(interval64, monkeypatch):
         warnings.simplefilter("error")  # no smallness warning either
         with pytest.raises(TransformError, match="in 50 steps"):
             solve_transformed(tp, ops)
+    # with margin 0.25 or 0.1 the descent blows up instead; the condition
+    # still holds, so that is a failure of the descent, named as such. So is
+    # a blow-up with d < 0 everywhere (no zero set), where the minimizer lies
+    # beyond float range because mu h is far above the first eigenvalue
+    for n in (32, 64):
+        spec = GridSpec(1, ((0.0, 1.0),), (n,))
+        ops = build_operators(spec)
+        d = np.where(spec.axis_coords(0) > 0.5, -2.0, 0.0)
+        nu = weighted_rayleigh_sup(np.ones(spec.n_interior), d == 0.0, ops)
+        for tp, reason in ((make_tp(spec, d, 0.75 / nu, 1.0), "margin 2.500e-01"),
+                           (make_tp(spec, d, 0.9 / nu, 1.0), "margin 1.000e-01"),
+                           (make_tp(spec, -1e-3, 30.0, 1.0), "d < 0 everywhere")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(TransformError, match=reason):
+                    solve_transformed(tp, ops)
