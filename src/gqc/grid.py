@@ -195,11 +195,19 @@ def factor(A: sp.spmatrix) -> spla.SuperLU:
 
 # nnz(LU) / nnz(A) up to which a fresh factorization costs about what a
 # preconditioned Krylov solve does, so the held LU is never reused; SuperLU
-# fills Jacobians 1.8-2.5 on 1-D grids, 4.5-6 on 2-D and 5.7-26 on 3-D ones
+# fills Jacobians 1.8-2.5 on 1-D grids, 4.5-6 on 2-D and 5.7-26 on 3-D ones.
+# A 3-D LU is also slow to make (78 ms at 18^3, fill 25), so 3-D Newton
+# solves start without one, preconditioned by the exact inverse of the
+# Laplacian (``DiscreteOperators.sine_solve``), and factor only on a miss
 REUSE_MIN_FILL = 4.0
 # GMRES iterations with the held LU before it counts as too old and A is
 # factored afresh. Along a 48^2 branch solves take 2-10 (mostly 4-8), 18^3
-# Newton steps 4-5; caps of 6 to 20 traced that branch equally fast
+# Newton steps 4-5; caps of 6 to 20 traced that branch equally fast. A
+# preconditioner used while no LU is held gets twice the cap: the Laplacian
+# inverse leaves the reaction and drift terms to GMRES, so 18^3 Newton steps
+# take up to 6 iterations with it from smooth starts and 9-14 on the first
+# step from the noise starts of ``multi_start``, where a miss would cost a
+# 3-D LU and the memory it holds
 KRYLOV_MAX_ITER = 10
 # a Krylov solve stops at max(KRYLOV_RTOL |b|, KRYLOV_TOL_SHARE * tol) in
 # the 2-norm of its residual, tol being the sup-norm tolerance the caller
@@ -279,15 +287,23 @@ class HeldFactor:
 
     A solve with a matrix A runs GMRES preconditioned by the held LU and
     factors A afresh, holding the new LU, only when GMRES misses its
-    tolerance within ``KRYLOV_MAX_ITER`` iterations. Where the LU fills
-    little (``REUSE_MIN_FILL``), and when nothing is held, A is always
-    factored afresh and solved directly. ``factorizations`` and
-    ``krylov_solves`` count the fresh LUs and the GMRES runs, including
-    the runs that missed. ``factorize`` makes every fresh LU.
+    tolerance within ``KRYLOV_MAX_ITER`` iterations. While no LU is held,
+    GMRES runs with ``precondition`` instead, when one is given, at the
+    same tolerance and twice the cap. Where the LU fills little
+    (``REUSE_MIN_FILL``), and when nothing is held and no ``precondition``
+    is given, A is always factored afresh and solved directly.
+    ``factorizations`` and ``krylov_solves`` count the fresh LUs and the
+    GMRES runs, including the runs that missed. ``factorize`` makes every
+    fresh LU.
     """
 
-    def __init__(self, factorize: Callable[[sp.spmatrix], spla.SuperLU] = factor):
+    def __init__(
+        self,
+        factorize: Callable[[sp.spmatrix], spla.SuperLU] = factor,
+        precondition: Callable[[np.ndarray], np.ndarray] | None = None,
+    ):
         self._factorize = factorize
+        self._precondition = precondition
         self.lu: spla.SuperLU | None = None
         self.factorizations = 0
         self.krylov_solves = 0
@@ -310,18 +326,26 @@ class HeldFactor:
         precondition: Callable[[np.ndarray], np.ndarray],
         b: np.ndarray,
         tol: float,
+        max_iter: int | None = None,
     ) -> np.ndarray | None:
         """``gmres`` at the held tolerances: x with |b - A x| at most
-        max(KRYLOV_RTOL |b|, KRYLOV_TOL_SHARE * tol), or None."""
+        max(KRYLOV_RTOL |b|, KRYLOV_TOL_SHARE * tol) within ``max_iter``
+        (by default ``KRYLOV_MAX_ITER``) iterations, or None."""
         self.krylov_solves += 1
         target = max(KRYLOV_RTOL * float(np.linalg.norm(b)), KRYLOV_TOL_SHARE * tol)
-        return gmres(matvec, precondition, b, target, KRYLOV_MAX_ITER)
+        return gmres(matvec, precondition, b, target,
+                     KRYLOV_MAX_ITER if max_iter is None else max_iter)
 
     def solve(self, A: sp.spmatrix, b: np.ndarray, tol: float) -> np.ndarray:
         """x with A x = b, for a caller that enforces the sup-norm
         tolerance ``tol`` on the residual this solve corrects."""
-        if self.reusable(A):
-            x = self.krylov(lambda v: A @ v, self.lu.solve, b, tol)
+        if self.lu is None:
+            precondition, max_iter = self._precondition, 2 * KRYLOV_MAX_ITER
+        else:
+            precondition = self.lu.solve if self.reusable(A) else None
+            max_iter = KRYLOV_MAX_ITER
+        if precondition is not None:
+            x = self.krylov(lambda v: A @ v, precondition, b, tol, max_iter)
             if x is not None:
                 return x
         return self.refresh(A).solve(b)
@@ -334,13 +358,42 @@ def _lift_axis_operator(spec: GridSpec, axis: int, op1d: sp.spmatrix) -> sp.csr_
     return _kron_chain(factors)
 
 
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """DST-I along the last axis, y_k = sum_j x_j sin(pi j k / (m + 1)) for
+    j, k = 1..m, returned with that axis moved first; d calls on a d-axis
+    block transform every axis and restore the axis order. y is read off
+    the real FFT of the odd extension [0, x, 0, -reversed x] as -Im / 2.
+    The transform is its own inverse up to the factor 2 / (m + 1)."""
+    m = x.shape[-1]
+    odd = np.zeros(x.shape[:-1] + (2 * m + 2,))
+    odd[..., 1:m + 1] = x
+    odd[..., m + 2:] = -x[..., ::-1]
+    return np.moveaxis(-0.5 * np.fft.rfft(odd, axis=-1).imag[..., 1:m + 1], -1, 0)
+
+
+def _sine_weights(spec: GridSpec) -> np.ndarray:
+    """prod_k 2 / (m_k + 1) over the Laplacian's eigenvalues, on the index
+    block; the eigenvalue of the sine mode (j_1, ..., j_d) is
+    sum_k (2 - 2 cos(j_k pi / (m_k + 1))) / h_k^2, summed here as
+    4 sin^2(j_k pi / (2 (m_k + 1))) / h_k^2, which keeps the smallest
+    ones to full relative precision."""
+    shape = spec.interior_shape
+    per_axis = [4.0 * np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1)) ** 2 / h**2
+                for m, h in zip(shape, spec.spacing)]
+    eig = sum(np.meshgrid(*per_axis, indexing="ij", sparse=True))
+    return math.prod(2.0 / (m + 1) for m in shape) / eig
+
+
 class DiscreteOperators:
     """Assembled Dirichlet operators and quadrature for one GridSpec.
 
     Immutable after construction apart from one factorization slot (the
     sparse LU of the Laplacian, or of the Laplacian restricted to a node
-    mask, whichever was asked for last) and the index arrays that
-    ``linearized`` builds on its first call.
+    mask, whichever was asked for last), the index arrays that
+    ``linearized`` builds on its first call and the eigenvalue weights
+    that ``sine_solve`` builds on its first call. ``sine_solve`` inverts
+    the full-box Laplacian exactly without an LU: the sine modes
+    diagonalize it.
     """
 
     def __init__(self, spec: GridSpec):
@@ -365,10 +418,25 @@ class DiscreteOperators:
         self.node_weight: float = spec.node_weight
         self._lap_factor = None  # (mask bytes or None, matrix, LU)
         self._lin_pattern = None  # (Laplacian in CSC, diagonal slots, per-axis slots)
+        self._sine_weights = None  # scaled inverse eigenvalues of the Laplacian
 
     def lap_solver(self) -> spla.SuperLU:
         """Sparse LU factorization of the Laplacian, kept in the slot."""
         return self.masked_laplacian(None)[1]
+
+    def sine_solve(self, b: np.ndarray) -> np.ndarray:
+        """x with L x = b for the full-box Laplacian L, by a DST-I along
+        each axis, a division by the eigenvalues and a DST-I again. No LU
+        is made; a masked Laplacian has no such solve."""
+        if self._sine_weights is None:
+            self._sine_weights = _sine_weights(self.spec)
+        y = np.reshape(b, self.spec.interior_shape)
+        for _ in range(self.spec.dim):
+            y = _dst1(y)
+        y = y * self._sine_weights
+        for _ in range(self.spec.dim):
+            y = _dst1(y)
+        return y.ravel()
 
     def masked_laplacian(self, mask: np.ndarray | None) -> tuple[sp.spmatrix, spla.SuperLU]:
         """The Laplacian restricted to the nodes of ``mask`` (all nodes when

@@ -127,16 +127,18 @@ def damped_newton(
     residual: Callable[[np.ndarray], tuple[np.ndarray, float]],
     jacobian: Callable[[np.ndarray], sp.spmatrix],
     opts: SolveOptions,
+    precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Damped Newton with Armijo backtracking on the residual 2-norm.
 
     ``residual(x)`` returns the residual at x and the sup-norm tolerance
     it must meet there. Converged when the residual is within tolerance;
     every other exit returns the last iterate with a failure reason
-    (diverged, line_search_stall or max_iter). The first Jacobian is
-    factored and its LU preconditions the later steps (``HeldFactor``).
+    (diverged, line_search_stall or max_iter). Steps are solved through
+    one ``HeldFactor``: GMRES preconditioned by ``precondition`` while no
+    LU is held, when one is given, and by the last LU made after that.
     """
-    held = HeldFactor(factor)
+    held = HeldFactor(factor, precondition)
     x = np.asarray(x0, dtype=float).copy()
     history: list[tuple[float, float]] = []
     R, tol = residual(x)
@@ -172,6 +174,15 @@ def damped_newton(
     return x, SolveReport(False, opts.max_newton, rsup, history, "max_iter", tol)
 
 
+def first_preconditioner(
+    ops: DiscreteOperators,
+) -> Callable[[np.ndarray], np.ndarray] | None:
+    """What preconditions a Newton solve on ``ops`` before it holds an LU:
+    ``ops.sine_solve`` on 3-D grids, where an LU is costly; None on 1-D
+    and 2-D grids, whose first step is factored and solved directly."""
+    return ops.sine_solve if ops.spec.dim == 3 else None
+
+
 def newton_quasilinear(
     u0: np.ndarray,
     d: np.ndarray,
@@ -187,7 +198,8 @@ def newton_quasilinear(
         return R, opts.tol_residual * (1.0 + scale)
 
     return damped_newton(
-        u0, residual, lambda u: quasilinear_jacobian(u, d, mu, ops), opts
+        u0, residual, lambda u: quasilinear_jacobian(u, d, mu, ops), opts,
+        first_preconditioner(ops),
     )
 
 
@@ -225,8 +237,9 @@ def _solve_auxiliary_bound(
     """Nonnegative solution of  L u = d u + mu_const |grad u|^2 + h_part."""
     spec = problem.spec
     if mu_const <= 1e-13:
-        vals = factor(ops.laplacian - sp.diags(d)).solve(h_part)
-        return GridFunction(spec, vals)
+        tol = opts.tol_residual * (1.0 + float(np.max(np.abs(h_part), initial=0.0)))
+        held = HeldFactor(factor, first_preconditioner(ops))
+        return GridFunction(spec, held.solve(ops.laplacian - sp.diags(d), h_part, tol))
     from .transform import TransformedProblem, solve_transformed
 
     tp = TransformedProblem(
@@ -286,10 +299,12 @@ def solve_cascade(
 
     Returns (solution or None, winning strategy name, per-strategy
     reports). The enclosure only applies when lam * c <= 0; it starts
-    from its own bounds, not from ``u0``.
+    from its own bounds, not from ``u0``. A ``u0`` on another grid than
+    ``ops`` raises ``GridError`` before any strategy runs.
     """
     opts = opts or SolveOptions()
     start = u0 if u0 is not None else GridFunction.zeros(problem.spec)
+    ops.check_spec(start)
     attempts: list[dict] = []
 
     try:

@@ -20,7 +20,8 @@ condition on mu * h holds, so minimizing I produces a (nonnegative)
 solution. The route back is  u = ln(1 + mu v) / mu.
 
 The minimization is an energy-preconditioned descent into the Newton
-basin followed by Newton on the Euler-Lagrange system. If roundoff leaves
+basin (each step solves with the Laplacian by its sine transform, no LU)
+followed by Newton on the Euler-Lagrange system. If roundoff leaves
 the minimizer slightly negative, it is replaced by |v| and Newton runs
 again. Both Newton runs use the damped core of ``solver`` and raise
 ``TransformError`` unless they reach a relative residual of 1e-12.
@@ -44,7 +45,7 @@ import scipy.sparse as sp
 from .conditions import weighted_rayleigh_sup
 from .grid import DiscreteOperators, GridFunction
 from .problem import TAU_C_RELATIVE, compute_zero_mask
-from .solver import SolveOptions, damped_newton, newton_quasilinear
+from .solver import SolveOptions, damped_newton, first_preconditioner, newton_quasilinear
 
 # the Euler-Lagrange solves keep their own caps, apart from the caller's options
 _EL_NEWTON = SolveOptions(max_newton=60, min_step=1e-10)
@@ -179,7 +180,6 @@ def _minimize(
     Euler-Lagrange system."""
     w = ops.node_weight
     h = tp.h_field.values
-    lu = ops.lap_solver()
     blow_up = 1e12 * (1.0 + float(np.max(np.abs(h), initial=0.0)))
     v = np.zeros(tp.spec.n_interior)
     val = _functional_value(v, tp, ops)
@@ -188,7 +188,7 @@ def _minimize(
         F = _el_residual(v, tp, ops)
         if float(np.max(np.abs(F), initial=0.0)) <= coarse_tol:
             break
-        direction = -lu.solve(F)
+        direction = -ops.sine_solve(F)
         slope = w * float(F @ direction)  # negative along a descent direction
         t = 1.0
         accepted = False
@@ -227,6 +227,7 @@ def _newton_el(v: np.ndarray, tp: TransformedProblem, ops: DiscreteOperators) ->
         lambda x: (ops.laplacian - sp.diags(tp.mu * h)
                    - sp.diags(tp.d_field.values * g_prime(x, tp.mu))).tocsc(),
         _EL_NEWTON,
+        first_preconditioner(ops),
     )
     if not report.converged:
         raise TransformError(

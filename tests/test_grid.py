@@ -413,6 +413,64 @@ def test_failed_refresh_holds_nothing(square32):
     assert held.lu is None and held.factorizations == 0
 
 
+def _sine_preconditioned_case(spec, ops):
+    """A 3-D Jacobian near the Laplacian, the held factor's first matrix in
+    a Newton solve from zero, and a right side."""
+    x = spec.interior_points()
+    mu = 0.5 + 0.25 * np.sin(np.pi * x[:, 0])
+    u = 0.2 * np.prod([np.sin(np.pi * x[:, k]) for k in range(spec.dim)], axis=0)
+    J = quasilinear_jacobian(u, np.full(spec.n_interior, -2.0), mu, ops)
+    return J, np.random.default_rng(8).standard_normal(spec.n_interior)
+
+
+def test_held_factor_starts_from_its_preconditioner():
+    spec = GridSpec(3, ((0.0, 1.0),) * 3, (12, 12, 12))
+    ops = build_operators(spec)
+    J, b = _sine_preconditioned_case(spec, ops)
+    held = grid.HeldFactor(factor, ops.sine_solve)
+    x = held.solve(J, b, 0.0)
+    assert (held.factorizations, held.krylov_solves) == (0, 1)
+    assert held.lu is None
+    assert np.linalg.norm(b - J @ x) <= grid.KRYLOV_RTOL * np.linalg.norm(b)
+    ref = factor(J).solve(b)
+    assert np.max(np.abs(x - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("refuse", ["cap", "zero"])
+def test_preconditioner_miss_factors_once(monkeypatch, refuse):
+    spec = GridSpec(3, ((0.0, 1.0),) * 3, (12, 12, 12))
+    ops = build_operators(spec)
+    J, b = _sine_preconditioned_case(spec, ops)
+    if refuse == "cap":
+        monkeypatch.setattr(grid, "KRYLOV_MAX_ITER", 0)
+        held = grid.HeldFactor(factor, ops.sine_solve)
+    else:
+        held = grid.HeldFactor(factor, np.zeros_like)
+    x = held.solve(J, b, 0.0)
+    assert (held.factorizations, held.krylov_solves) == (1, 1)
+    assert held.lu is not None
+    assert np.array_equal(x, factor(J).solve(b))
+
+
+@pytest.mark.parametrize("bounds, n", [
+    (((0.0, 1.0),), (64,)),
+    (((0.0, 1.0),), (257,)),
+    (((0.0, 1.0), (0.0, 1.0)), (32, 32)),
+    (((-1.0, 2.0), (0.0, 0.5)), (20, 12)),
+    (((0.0, 1.0),) * 3, (18, 18, 18)),
+    (((0.0, 1.0), (0.0, 2.0), (0.5, 1.0)), (8, 10, 6)),
+])
+def test_sine_solve_matches_the_laplacian_lu(bounds, n):
+    spec = GridSpec(len(n), bounds, n)
+    ops = build_operators(spec)
+    rng = np.random.default_rng(sum(n))
+    for b in (rng.standard_normal(spec.n_interior), np.ones(spec.n_interior)):
+        ref = factor(ops.laplacian).solve(b)
+        got = ops.sine_solve(b)
+        assert got.shape == b.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_gmres_meets_its_target_or_returns_none():
     rng = np.random.default_rng(5)
     A = np.eye(30) + 0.1 * rng.standard_normal((30, 30))

@@ -135,7 +135,9 @@ def test_newton_reuses_the_first_lu(dim, n, monkeypatch):
     monkeypatch.setattr(solver, "factor", lambda A: sizes.append(A.shape[0]) or grid.factor(A))
     u, rep = newton_solve(problem, GridFunction.zeros(spec), ops)
     assert rep.converged and rep.iterations >= 3
-    assert len(sizes) == 1
+    # 2-D factors its first Jacobian; 3-D starts from the sine-transform
+    # preconditioner and needs no LU at all here
+    assert len(sizes) == (1 if dim == 2 else 0)
     # a Krylov cap of 0 refactors at every step and lands on the same root
     monkeypatch.setattr(grid, "KRYLOV_MAX_ITER", 0)
     sizes.clear()
@@ -143,6 +145,35 @@ def test_newton_reuses_the_first_lu(dim, n, monkeypatch):
     assert rep_fresh.iterations == rep.iterations
     assert len(sizes) == rep.iterations
     assert np.max(np.abs(u.values - u_fresh.values)) <= 1e-12 * np.max(np.abs(u.values))
+
+
+def test_3d_cascade_enclosure_and_multi_start_make_no_lu(monkeypatch):
+    # the solve-3d benchmark's problem family on its 18^3 grid
+    from gqc import GridSpec, build_operators
+
+    spec = GridSpec(3, ((0.0, 1.0),) * 3, (18, 18, 18))
+    ops = build_operators(spec)
+    problem = make_problem(spec, mu="0.5 + 0.25*sin(pi*x1)",
+                           h="1.1*(1 + 0.4*sin(pi*x2)*cos(0.5*pi*x3))", lam=-3.6)
+    lus = []
+    splu = grid.spla.splu
+    monkeypatch.setattr(grid.spla, "splu", lambda A, **kw: lus.append(A.shape[0]) or splu(A, **kw))
+    for lam in (-3.6, -2.2, -0.9):
+        _, strategy, _ = solve_cascade(problem.with_lambda(lam), ops)
+        assert strategy == "newton"
+    assert lus == []
+    # the first steps from noise starts take the most GMRES iterations
+    assert multi_start(problem, 4, 1, ops).converged_count == 4
+    assert lus == []
+    # with a sign-changing h the lower bound is a linear solve, not zero
+    mixed = make_problem(spec, mu="0.5 + 0.25*sin(pi*x1)", h="1.1 - 2*x1*x2", lam=-3.6)
+    for prob in (problem, mixed):
+        alpha, beta, u_enc, rep = monotone_enclosure(prob, ops)
+        assert rep.converged
+        assert np.all(alpha.values <= u_enc.values + 1e-8)
+        assert np.all(u_enc.values <= beta.values + 1e-8)
+    assert np.min(alpha.values) < 0.0
+    assert lus == []
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +315,19 @@ def test_solve_cascade_reports(square32):
     u, strategy, attempts = solve_cascade(problem, ops)
     assert u is not None and strategy == "newton"
     assert attempts[0]["strategy"] == "newton" and attempts[0]["converged"]
+
+
+def test_solve_cascade_rejects_a_start_on_another_grid():
+    # a mismatched u0 is the caller's error, not a Newton failure that the
+    # enclosure would cover up
+    from gqc import GridSpec
+    from gqc.grid import GridError
+
+    spec = GridSpec(1, ((0.0, 1.0),), (32,))
+    problem = make_problem(spec, h="0.1*sin(pi*x1)", lam=-1.0)
+    u0 = GridFunction.zeros(GridSpec(1, ((0.0, 1.0),), (16,)))
+    with pytest.raises(GridError):
+        solve_cascade(problem, grid.build_operators(spec), u0=u0)
 
 
 def test_solve_cascade_falls_back_to_the_enclosure(interval64):
