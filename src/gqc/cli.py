@@ -33,7 +33,6 @@ import jsonschema
 import numpy as np
 
 from .conditions import (
-    ConditionReport,
     EigenError,
     check_ferone_murat,
     check_smallness,
@@ -256,16 +255,8 @@ def cmd_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
         requested = ["H0", "Hc"]
         if problem.spec.dim == 3:
             requested.append("FeroneMurat")
-    # ops keeps one Laplacian factorization: Hc and H share the masked one,
-    # and H0 runs last so that the full one it leaves serves first_eigen.
-    # k1 factors a matrix of its own, so it runs first, while the slot is empty
-    by_tag: dict[str, ConditionReport] = {}
-    for tag in sorted(requested, key=lambda t: {"k1": 0, "H0": 2}.get(t, 1)):
-        if tag == "FeroneMurat":
-            by_tag[tag] = check_ferone_murat(problem)
-        else:
-            by_tag[tag] = check_smallness(problem, tag, ops)
-    reports = [by_tag[tag] for tag in requested]
+    reports = [check_ferone_murat(problem) if tag == "FeroneMurat"
+               else check_smallness(problem, tag, ops) for tag in requested]
 
     gamma_entry = None
     try:

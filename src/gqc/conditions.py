@@ -125,8 +125,8 @@ def first_eigen(c: GridFunction, ops: DiscreteOperators) -> EigenResult:
     """Smallest eigenvalue of the weighted Dirichlet problem.
 
     gamma_1 is the reciprocal of the largest eigenvalue of the pencil
-    diag(c) phi = nu L phi, computed on the cached Laplacian factor;
-    ``iterations`` counts the solves with that factor.
+    diag(c) phi = nu L phi, with L inverted by ``ops.sine_solve``;
+    ``iterations`` counts those solves.
     """
     ops.check_spec(c)
     cvals = c.values
@@ -135,7 +135,7 @@ def first_eigen(c: GridFunction, ops: DiscreteOperators) -> EigenResult:
     if np.max(cvals, initial=0.0) <= 0.0:
         raise EigenError("weight c vanishes identically; no eigenvalue")
 
-    nu, x, solves = _pencil_top(cvals, ops.laplacian, ops.lap_solver().solve)
+    nu, x, solves = _pencil_top(cvals, ops.laplacian, ops.sine_solve)
     gamma = 1.0 / nu
     # normalize to unit Dirichlet energy, positive orientation
     phi_vals = x / math.sqrt(ops.energy_product(x, x))
@@ -156,8 +156,9 @@ def weighted_rayleigh_sup(
     over fields supported on ``mask``.
 
     Returns 0 when w <= 0 on the mask. ``stiffness`` replaces the plain
-    Laplacian when the gradient term carries a coefficient; the plain
-    Laplacian's factorization is the one ``ops`` keeps.
+    Laplacian when the gradient term carries a coefficient. The plain
+    Laplacian on every node is inverted by ``ops.sine_solve``; any other
+    matrix, restricted to the mask, is factored for this call.
     """
     wvals = w.values if isinstance(w, GridFunction) else np.asarray(w, dtype=float)
     if mask is None:
@@ -168,12 +169,10 @@ def weighted_rayleigh_sup(
     wm = wvals[mask]
     if np.max(wm, initial=0.0) <= 0.0:
         return 0.0
-    if stiffness is None:
-        Am, lu = ops.masked_laplacian(mask)
-    else:
-        Am = restrict(stiffness, mask)
-        lu = factor(Am)
-    return _pencil_top(wm, Am, lu.solve)[0]
+    if stiffness is None and mask.all():
+        return _pencil_top(wm, ops.laplacian, ops.sine_solve)[0]
+    Am = restrict(ops.laplacian if stiffness is None else stiffness, mask)
+    return _pencil_top(wm, Am, factor(Am).solve)[0]
 
 
 def _vacuous_report(which: str, note: str) -> ConditionReport:

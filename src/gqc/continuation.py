@@ -63,6 +63,13 @@ class ContinuationOptions:
     lambda_min: float = -1e3
     solve: SolveOptions = field(default_factory=SolveOptions)
 
+    def __post_init__(self):
+        if not 0 < self.ds_min <= self.ds0 <= self.ds_max:
+            raise ValueError("steps must satisfy 0 < ds_min <= ds0 <= ds_max, got "
+                             f"{self.ds_min}, {self.ds0}, {self.ds_max}")
+        if not self.norm_cap > 0:
+            raise ValueError("norm_cap must be positive")
+
 
 @dataclass
 class BranchPoint:

@@ -387,13 +387,11 @@ def _sine_weights(spec: GridSpec) -> np.ndarray:
 class DiscreteOperators:
     """Assembled Dirichlet operators and quadrature for one GridSpec.
 
-    Immutable after construction apart from one factorization slot (the
-    sparse LU of the Laplacian, or of the Laplacian restricted to a node
-    mask, whichever was asked for last), the index arrays that
+    Immutable after construction apart from the index arrays that
     ``linearized`` builds on its first call and the eigenvalue weights
-    that ``sine_solve`` builds on its first call. ``sine_solve`` inverts
-    the full-box Laplacian exactly without an LU: the sine modes
-    diagonalize it.
+    that ``sine_solve`` builds on its first call; it holds no
+    factorization. ``sine_solve`` inverts the full-box Laplacian exactly
+    without an LU: the sine modes diagonalize it.
     """
 
     def __init__(self, spec: GridSpec):
@@ -416,13 +414,12 @@ class DiscreteOperators:
         self.gradient: tuple[sp.csr_matrix, ...] = tuple(grads)
         self.edge_diffs: tuple[sp.csr_matrix, ...] = tuple(edges)
         self.node_weight: float = spec.node_weight
-        self._lap_factor = None  # (mask bytes or None, matrix, LU)
         self._lin_pattern = None  # (Laplacian in CSC, diagonal slots, per-axis slots)
         self._sine_weights = None  # scaled inverse eigenvalues of the Laplacian
 
     def lap_solver(self) -> spla.SuperLU:
-        """Sparse LU factorization of the Laplacian, kept in the slot."""
-        return self.masked_laplacian(None)[1]
+        """A fresh sparse LU factorization of the Laplacian; nothing keeps it."""
+        return factor(self.laplacian)
 
     def sine_solve(self, b: np.ndarray) -> np.ndarray:
         """x with L x = b for the full-box Laplacian L, by a DST-I along
@@ -437,25 +434,6 @@ class DiscreteOperators:
         for _ in range(self.spec.dim):
             y = _dst1(y)
         return y.ravel()
-
-    def masked_laplacian(self, mask: np.ndarray | None) -> tuple[sp.spmatrix, spla.SuperLU]:
-        """The Laplacian restricted to the nodes of ``mask`` (all nodes when
-        ``None``) and its LU factorization, kept in the slot.
-
-        Conditions that share a mask (Hc and H both use the zero set of c)
-        factor it once. The slot is emptied before a different matrix is
-        factored, so ops never holds two factorizations at once.
-        """
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.all():
-                mask = None
-        key = None if mask is None else mask.tobytes()
-        if self._lap_factor is None or self._lap_factor[0] != key:
-            self._lap_factor = None
-            A = self.laplacian if mask is None else restrict(self.laplacian, mask)
-            self._lap_factor = (key, A, factor(A))
-        return self._lap_factor[1], self._lap_factor[2]
 
     def linearized(self, reaction: np.ndarray, drift: Sequence[np.ndarray]) -> sp.csc_matrix:
         """The matrix of  v -> L v - reaction v - sum_k drift[k] D_k v.
@@ -561,7 +539,7 @@ def norms(u: GridFunction, ops: DiscreteOperators, p: float = 2.0) -> NormReport
 
 
 def poisson_solve(f: GridFunction, ops: DiscreteOperators) -> GridFunction:
-    """Solve laplacian * u = f by the cached direct factorization."""
+    """Solve laplacian * u = f by a direct factorization made for this call."""
     ops.check_spec(f)
     u = ops.lap_solver().solve(f.values)
     return GridFunction(f.spec, u)

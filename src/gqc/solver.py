@@ -78,48 +78,26 @@ class SolveReport:
         }
 
 
-def _terms(
-    u: np.ndarray, d: np.ndarray, mu: np.ndarray, ops: DiscreteOperators
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The terms L u, d u and mu |grad u|^2 of the equation at u."""
-    return ops.laplacian @ u, d * u, mu * grad_sq_values(u, ops)
-
-
-def _residual(terms: tuple[np.ndarray, np.ndarray, np.ndarray], h: np.ndarray) -> np.ndarray:
-    lap_u, du, grad_term = terms
-    return lap_u - du - grad_term - h
-
-
-def _scale(terms: tuple[np.ndarray, np.ndarray, np.ndarray], h: np.ndarray) -> float:
-    return float(sum(np.max(np.abs(t), initial=0.0) for t in (*terms, h)))
+def residual_with_scale(
+    u: np.ndarray, d: np.ndarray, mu: np.ndarray, h: np.ndarray, ops: DiscreteOperators
+) -> tuple[np.ndarray, float]:
+    """The residual L u - d u - mu |grad u|^2 - h at u and the magnitude of
+    those competing terms, to which the residual tolerance is relative."""
+    lap_u, du, grad_term = ops.laplacian @ u, d * u, mu * grad_sq_values(u, ops)
+    scale = float(sum(np.max(np.abs(t), initial=0.0) for t in (lap_u, du, grad_term, h)))
+    return lap_u - du - grad_term - h, scale
 
 
 def quasilinear_residual(
     u: np.ndarray, d: np.ndarray, mu: np.ndarray, h: np.ndarray, ops: DiscreteOperators
 ) -> np.ndarray:
-    return _residual(_terms(u, d, mu, ops), h)
+    return residual_with_scale(u, d, mu, h, ops)[0]
 
 
 def quasilinear_jacobian(
     u: np.ndarray, d: np.ndarray, mu: np.ndarray, ops: DiscreteOperators
 ) -> sp.csc_matrix:
     return ops.linearized(d, [2.0 * mu * (D @ u) for D in ops.gradient])
-
-
-def residual_scale(
-    u: np.ndarray, d: np.ndarray, mu: np.ndarray, h: np.ndarray, ops: DiscreteOperators
-) -> float:
-    """Magnitude of the competing terms; the residual tolerance is relative to it."""
-    return _scale(_terms(u, d, mu, ops), h)
-
-
-def residual_with_scale(
-    u: np.ndarray, d: np.ndarray, mu: np.ndarray, h: np.ndarray, ops: DiscreteOperators
-) -> tuple[np.ndarray, float]:
-    """``quasilinear_residual`` and ``residual_scale`` from one evaluation
-    of L u and |grad u|^2."""
-    terms = _terms(u, d, mu, ops)
-    return _residual(terms, h), _scale(terms, h)
 
 
 def damped_newton(

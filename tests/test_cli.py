@@ -283,6 +283,42 @@ def test_solve_failure_exits3(tmp_path, monkeypatch, command, target, error):
     assert code == 3
 
 
+def test_check_and_eigen_factor_no_full_laplacian(tmp_path, monkeypatch):
+    # H0 and gamma1 invert the full-box Laplacian by sine_solve; Hc, H and
+    # k1 each factor one matrix restricted to the zero set of c
+    from gqc import grid
+
+    n = 24
+    cfg = write_config(tmp_path, {
+        "grid": grid_block(n=n),
+        "coefficients": {"c": "indicator(1, 0.25, 0.6)*indicator(2, 0.25, 0.6)",
+                         "mu": "1 + 0.5*x2", "h": "0.3*sin(pi*x1)*sin(pi*x2)"},
+        "lambda": -1.0,
+        "conditions": ["H0", "Hc", "H", "k1"],
+    })
+    sizes = []
+    splu = grid.spla.splu
+    monkeypatch.setattr(grid.spla, "splu",
+                        lambda A, **kw: sizes.append(A.shape[0]) or splu(A, **kw))
+    assert main(["check", "--config", cfg, "--out", str(tmp_path / "check"), "--quiet"]) == 0
+    assert len(sizes) == 3 and (n - 1) ** 2 not in sizes
+    sizes.clear()
+    assert main(["eigen", "--config", cfg, "--out", str(tmp_path / "eigen"), "--quiet"]) == 0
+    assert sizes == []
+
+
+@pytest.mark.parametrize("key, value", [
+    ("ds0", 0), ("ds_max", 0), ("ds_min", 0), ("ds0", 1.0), ("norm_cap", -1),
+])
+def test_branch_rejects_bad_step_settings(tmp_path, key, value):
+    cfg = json.loads((DEMO_DIR / "demo_fig2.json").read_text())
+    cfg["continuation"][key] = value
+    out = tmp_path / "out"
+    assert main(["branch", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                 "--quiet"]) == 1
+    assert not (out / "branch.csv").exists()
+
+
 def test_check_restricted_conditions(tmp_path):
     cfg = write_config(
         tmp_path,

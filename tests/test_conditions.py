@@ -16,6 +16,7 @@ from gqc import (
 )
 from gqc import conditions
 from gqc.conditions import EigenError
+from gqc.grid import factor
 
 from conftest import make_problem
 
@@ -108,6 +109,24 @@ def test_rayleigh_matches_eigen_reciprocal(interval64):
     nu = weighted_rayleigh_sup(c, None, ops)
     gamma = first_eigen(c, ops).gamma
     assert nu == pytest.approx(1.0 / gamma, rel=1e-8)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 24), (3, 10)])
+def test_full_box_pencils_match_the_lu_path(dim, n):
+    # gamma1 and a full-mask supremum invert L by sine_solve, not an LU
+    spec = GridSpec(dim, ((0.0, 1.0),) * dim, (n,) * dim)
+    ops = build_operators(spec)
+    w = 0.5 + spec.interior_points()[:, 0] ** 2
+    lu = factor(ops.laplacian)
+    nu_ref, _, solves_ref = conditions._pencil_top(w, ops.laplacian, lu.solve)
+    eig = first_eigen(GridFunction(spec, w), ops)
+    assert eig.gamma == pytest.approx(1.0 / nu_ref, rel=1e-12)
+    assert eig.iterations == solves_ref
+    solves = []
+    ops.sine_solve = lambda b, solve=ops.sine_solve: solves.append(1) or solve(b)
+    nu = weighted_rayleigh_sup(w, np.ones(spec.n_interior, dtype=bool), ops)
+    assert nu == pytest.approx(nu_ref, rel=1e-12)
+    assert len(solves) == solves_ref
 
 
 def mixed_sign_weight(spec):

@@ -15,7 +15,7 @@ from gqc import (
 )
 from gqc import continuation, grid
 from gqc.grid import factor
-from gqc.solver import quasilinear_jacobian, quasilinear_residual, residual_scale
+from gqc.solver import quasilinear_jacobian, residual_with_scale
 
 from conftest import make_problem
 
@@ -70,8 +70,8 @@ def test_branch_points_reverify(fold_demo):
     for p in branch.points[:: max(1, len(branch.points) // 12)]:
         prob = problem.with_lambda(p.lam)
         resid = residual_P(p.u, prob, ops)
-        scale = residual_scale(p.u.values, prob.d_values(), prob.mu.values,
-                               prob.h.values, ops)
+        scale = residual_with_scale(p.u.values, prob.d_values(), prob.mu.values,
+                                    prob.h.values, ops)[1]
         assert np.max(np.abs(resid.values)) <= tol0 * (1.0 + scale)
         # stored norms match recomputation
         assert p.sup_norm == pytest.approx(np.max(np.abs(p.u.values)), abs=1e-12)
@@ -110,8 +110,8 @@ def test_two_solution_extraction(fold_demo):
     assert np.min(pair.u_high.values) >= -1e-8
     for u in (pair.u_low, pair.u_high):
         resid = residual_P(u, problem.with_lambda(lam), ops)
-        scale = residual_scale(u.values, lam * problem.c.values,
-                               problem.mu.values, problem.h.values, ops)
+        scale = residual_with_scale(u.values, lam * problem.c.values,
+                                    problem.mu.values, problem.h.values, ops)[1]
         assert np.max(np.abs(resid.values)) <= 1e-9 * (1.0 + scale)
 
 
@@ -231,9 +231,9 @@ def _reference_corrector(problem, ops, opts, base_lam, base_u, t_lam, t_u, ds):
     lam, u = base_lam + ds * t_lam, base_u + ds * t_u
     for it in range(1, continuation.MAX_CORRECTOR + 1):
         d = lam * c
-        R = quasilinear_residual(u, d, mu, h, ops)
+        R, rscale = residual_with_scale(u, d, mu, h, ops)
         constraint = t_lam * (lam - base_lam) + float(cvec @ (u - base_u)) - ds
-        tol = opts.solve.tol_residual * (1.0 + residual_scale(u, d, mu, h, ops))
+        tol = opts.solve.tol_residual * (1.0 + rscale)
         if np.max(np.abs(R)) <= tol and abs(constraint) <= 1e-10 * (1.0 + abs(ds)):
             return u, lam, it - 1
         bordered = _bordered_matrix(quasilinear_jacobian(u, d, mu, ops), -(c * u), cvec, t_lam)

@@ -275,22 +275,6 @@ def test_factor_matches_default_splu(dim, n):
         assert np.linalg.norm(factor(A).solve(b) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_masked_laplacian_shares_one_factor_slot(square32, monkeypatch):
-    spec, _ = square32
-    ops = build_operators(spec)
-    factored = []
-    monkeypatch.setattr(grid, "factor", lambda A: factored.append(A.shape[0]) or factor(A))
-    mask = spec.interior_points()[:, 0] > 0.5
-    A, lu = ops.masked_laplacian(mask)
-    assert ops.masked_laplacian(mask.copy())[1] is lu
-    idx = np.flatnonzero(mask)
-    assert abs(A - ops.laplacian.tocsr()[idx][:, idx]).max() == 0.0
-    full = ops.lap_solver()
-    assert ops.masked_laplacian(np.ones(spec.n_interior, dtype=bool))[1] is full
-    assert ops.masked_laplacian(None)[1] is full
-    assert factored == [mask.sum(), spec.n_interior]
-
-
 def _splu_users(node, fn=None):
     """Names of the functions that refer to ``splu`` (None at module level)."""
     if isinstance(node, ast.FunctionDef):

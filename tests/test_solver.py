@@ -12,7 +12,8 @@ from gqc import (
     solve_transformed,
 )
 from gqc import grid, solver
-from gqc.solver import quasilinear_residual, residual_scale, residual_with_scale, solve_cascade
+from gqc.grid import grad_sq_values
+from gqc.solver import quasilinear_residual, residual_with_scale, solve_cascade
 
 from conftest import make_problem
 
@@ -121,7 +122,9 @@ def test_residual_with_scale_matches_separate_evaluations(square32):
     u, d, mu, h = (rng.standard_normal(spec.n_interior) for _ in range(4))
     R, scale = residual_with_scale(u, d, mu, h, ops)
     assert np.array_equal(R, quasilinear_residual(u, d, mu, h, ops))
-    assert scale == residual_scale(u, d, mu, h, ops)
+    terms = (ops.laplacian @ u, d * u, mu * grad_sq_values(u, ops), h)
+    assert np.array_equal(R, terms[0] - terms[1] - terms[2] - h)
+    assert scale == sum(np.max(np.abs(t)) for t in terms)
 
 
 @pytest.mark.parametrize("dim, n", [(2, 32), (3, 14)])
