@@ -337,7 +337,7 @@ def cmd_branch(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
 
     req = cfg["continuation"].get("two_solution_lambda")
     two_lam = None
-    if req == "half_fold" and branch.folds:
+    if req == "half_fold" and branch.folds and branch.max_lambda() > 0.0:
         two_lam = 0.5 * branch.max_lambda()
     elif isinstance(req, (int, float)):
         two_lam = float(req)

@@ -8,12 +8,9 @@ whose relative u-scaling keeps steps meaningful while norms grow toward
 the cap. Predictors are secants in that norm; the corrector is Newton on
 the bordered system (residual = 0, arclength constraint = 0), which stays
 regular through folds where plain parameter continuation degenerates.
-A trace holds one Jacobian LU (``HeldFactor``): each Newton step runs
-GMRES on the bordered system, preconditioned by block elimination with
-that LU (Keller's bordering lemma). When GMRES misses, the Jacobian is
-factored afresh and the bordered system solved by block elimination on
-it with one step of iterative refinement; the bordered matrix itself is
-factored only when that fails.
+Each Newton step is one ``HeldFactor.solve`` with the Jacobian and its
+border, the same held-LU solve that Newton at fixed lambda makes; a trace
+holds one ``HeldFactor``, and this module makes no LU of its own.
 
 Termination is one of: the sup norm exceeding ``norm_cap`` (read as the
 branch escaping to infinity, with the side classified by the sign of
@@ -29,9 +26,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from .grid import DiscreteOperators, GridFunction, HeldFactor, factor
+from .grid import DiscreteOperators, GridFunction, HeldFactor
 from .problem import ProblemData
 from .solver import (
     SolveOptions,
@@ -131,82 +127,6 @@ class _Rejected(Exception):
     """A continuation step failed; the message is the reason."""
 
 
-def _bordered_solve(
-    J: sp.spmatrix, col: np.ndarray, row: np.ndarray, corner: float,
-    rhs_u: np.ndarray, rhs_g: float, held: HeldFactor | None = None, tol: float = 0.0,
-) -> tuple[np.ndarray, float]:
-    """Solve  [[J, col], [row^T, corner]] (du, dl) = (rhs_u, rhs_g).
-
-    When ``held`` holds a reusable LU of a nearby Jacobian, one GMRES run
-    on the bordered system, preconditioned by block elimination with that
-    LU, solves to the tolerances of ``HeldFactor.krylov`` (``tol`` is the
-    caller's sup-norm tolerance). Otherwise, or when GMRES misses, J is
-    factored afresh (and held) and the bordered system is solved by block
-    elimination: dl follows from the Schur scalar corner - row.J^-1 col,
-    and one step of iterative refinement against the bordered residual
-    keeps the result accurate where J is nearly singular, as at a fold.
-    When J cannot be factored or the Schur scalar is zero or not finite,
-    the bordered matrix is factored instead; raises ``_Rejected("singular")``
-    when that fails too.
-    """
-    if held is None:
-        held = HeldFactor(factor)
-    if held.reusable(J):
-        x = _bordered_krylov(J, col, row, corner, rhs_u, rhs_g, held, tol)
-        if x is not None:
-            return x[:-1], float(x[-1])
-    try:
-        lu = held.refresh(J)
-    except RuntimeError:
-        lu = None
-    if lu is not None:
-        vw = lu.solve(np.column_stack([rhs_u, col]))
-        w = vw[:, 1]
-        schur = corner - float(row @ w)
-        if math.isfinite(schur) and schur != 0.0:
-            def eliminate(v: np.ndarray, r_g: float) -> tuple[np.ndarray, float]:
-                dl = (r_g - float(row @ v)) / schur
-                return v - dl * w, dl
-
-            du, dl = eliminate(vw[:, 0], rhs_g)
-            res_u = rhs_u - (J @ du + dl * col)
-            res_g = rhs_g - (float(row @ du) + corner * dl)
-            ddu, ddl = eliminate(lu.solve(res_u), res_g)
-            return du + ddu, dl + ddl
-    bordered = sp.bmat(
-        [[J, col[:, None]], [sp.csr_matrix(row[None, :]), sp.csr_matrix([[corner]])]],
-        format="csc",
-    )
-    try:
-        delta = factor(bordered).solve(np.append(rhs_u, rhs_g))
-    except RuntimeError:
-        raise _Rejected("singular") from None
-    return delta[:-1], float(delta[-1])
-
-
-def _bordered_krylov(
-    J: sp.spmatrix, col: np.ndarray, row: np.ndarray, corner: float,
-    rhs_u: np.ndarray, rhs_g: float, held: HeldFactor, tol: float,
-) -> np.ndarray | None:
-    """GMRES on the bordered system, preconditioned by block elimination
-    with the held LU; (du, dl) stacked, or None when it misses."""
-    lu = held.lu
-    w = lu.solve(col)
-    schur = corner - float(row @ w)
-    if not (math.isfinite(schur) and schur != 0.0):
-        return None
-
-    def matvec(x: np.ndarray) -> np.ndarray:
-        return np.append(J @ x[:-1] + x[-1] * col, row @ x[:-1] + corner * x[-1])
-
-    def precondition(r: np.ndarray) -> np.ndarray:
-        v = lu.solve(r[:-1])
-        dl = (r[-1] - float(row @ v)) / schur
-        return np.append(v - dl * w, dl)
-
-    return held.krylov(matvec, precondition, np.append(rhs_u, rhs_g), tol)
-
-
 def _corrector(
     problem: ProblemData,
     ops: DiscreteOperators,
@@ -216,16 +136,16 @@ def _corrector(
     t_lam: float,
     t_u: np.ndarray,
     ds: float,
-    held: HeldFactor | None = None,
+    held: HeldFactor,
 ) -> tuple[np.ndarray, float, int]:
     """Newton on the bordered system from the secant predictor.
 
     Returns (u, lam, iterations). Raises ``_Rejected`` with reason
-    ``singular`` or ``corrector_failed``. ``held`` carries the Jacobian
-    LU between calls; without it the first iteration factors afresh.
+    ``singular`` (no LU of the Jacobian or of the bordered matrix could be
+    made) or ``corrector_failed``. Each step is one ``held.solve`` with the
+    Jacobian bordered by dR/dlam = -c u and the arclength row; ``held``
+    carries the Jacobian LU between steps and calls.
     """
-    if held is None:
-        held = HeldFactor(factor)
     c = problem.c.values
     mu = problem.mu.values
     h = problem.h.values
@@ -243,12 +163,15 @@ def _corrector(
         if float(np.max(np.abs(R), initial=0.0)) <= tol and abs(constraint) <= constraint_tol:
             return u, lam, it - 1
         J = quasilinear_jacobian(u, d, mu, ops)
-        du, dl = _bordered_solve(J, -(c * u), cvec, t_lam, -R, -constraint, held,
-                                 min(tol, constraint_tol))
-        if not (np.all(np.isfinite(du)) and math.isfinite(dl)):
+        try:
+            delta = held.solve(J, -np.append(R, constraint), min(tol, constraint_tol),
+                               border=(-(c * u), cvec, t_lam))
+        except RuntimeError:
+            raise _Rejected("singular") from None
+        if not np.all(np.isfinite(delta)):
             break
-        u = u + du
-        lam = lam + dl
+        u = u + delta[:-1]
+        lam = lam + float(delta[-1])
         if not np.isfinite(lam) or float(np.max(np.abs(u), initial=0.0)) > 1e12:
             break
     raise _Rejected("corrector_failed")
@@ -305,7 +228,7 @@ def trace_branch(
     branch.points.append(_make_point(lam0 + dlam, u1, s1, it1, dlam, problem, ops))
 
     ds = opts.ds0
-    held = HeldFactor(factor)
+    held = HeldFactor()
     while True:
         prev, cur = branch.points[-2], branch.points[-1]
         if cur.sup_norm > opts.norm_cap:
@@ -489,7 +412,8 @@ def locate_fold(
     Re-solves the bordered system at interior arclength offsets between
     the points bracketing the fold until the search window shrinks below
     ``ds_min``; returns (fold lambda, arclength offset from the left
-    bracketing point).
+    bracketing point). Raises ``SolverError`` when the corrector is
+    rejected at that final offset.
     """
     opts = opts or ContinuationOptions()
     if fold_index is None:
@@ -508,7 +432,7 @@ def locate_fold(
     nrm = _product_norm(dl, du, base_energy_sq, ops)
     t_lam, t_u = dl / nrm, du / nrm
     width = b.s - a.s
-    held = HeldFactor(factor)
+    held = HeldFactor()
 
     def lam_at(sigma: float) -> float:
         try:
@@ -532,4 +456,7 @@ def locate_fold(
             x2 = lo + invphi * (hi - lo)
             f2 = lam_at(x2)
     sigma = 0.5 * (lo + hi)
-    return lam_at(sigma), sigma
+    lam = lam_at(sigma)
+    if lam == -np.inf:
+        raise SolverError(f"corrector rejected at the refined fold, arclength offset {sigma:.6g}")
+    return lam, sigma

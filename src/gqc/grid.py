@@ -283,7 +283,8 @@ def gmres(
 
 class HeldFactor:
     """The sparse LU of one recent matrix, reused for the nearby matrices
-    of a Newton or continuation run.
+    of a Newton or continuation run; the one place that chooses between
+    that LU, a given preconditioner and a fresh LU.
 
     A solve with a matrix A runs GMRES preconditioned by the held LU and
     factors A afresh, holding the new LU, only when GMRES misses its
@@ -292,63 +293,101 @@ class HeldFactor:
     same tolerance and twice the cap. Where the LU fills little
     (``REUSE_MIN_FILL``), and when nothing is held and no ``precondition``
     is given, A is always factored afresh and solved directly.
-    ``factorizations`` and ``krylov_solves`` count the fresh LUs and the
-    GMRES runs, including the runs that missed. ``factorize`` makes every
-    fresh LU.
+    ``factorizations`` and ``krylov_solves`` count the fresh LUs of A and
+    the GMRES runs, including the runs that missed. Every LU is made by
+    ``factor``, looked up at each call.
     """
 
-    def __init__(
-        self,
-        factorize: Callable[[sp.spmatrix], spla.SuperLU] = factor,
-        precondition: Callable[[np.ndarray], np.ndarray] | None = None,
-    ):
-        self._factorize = factorize
+    def __init__(self, precondition: Callable[[np.ndarray], np.ndarray] | None = None):
         self._precondition = precondition
         self.lu: spla.SuperLU | None = None
         self.factorizations = 0
         self.krylov_solves = 0
 
-    def reusable(self, A: sp.spmatrix) -> bool:
-        """Whether a Krylov solve with the held LU is worth trying on A."""
-        return self.lu is not None and self.lu.nnz > REUSE_MIN_FILL * A.nnz
-
-    def refresh(self, A: sp.spmatrix) -> spla.SuperLU:
-        """Factor A afresh and hold its LU. When A cannot be factored the
-        ``RuntimeError`` propagates and nothing is held."""
-        self.lu = None
-        self.lu = self._factorize(A)
-        self.factorizations += 1
-        return self.lu
-
-    def krylov(
+    def solve(
         self,
-        matvec: Callable[[np.ndarray], np.ndarray],
-        precondition: Callable[[np.ndarray], np.ndarray],
+        A: sp.spmatrix,
         b: np.ndarray,
         tol: float,
-        max_iter: int | None = None,
-    ) -> np.ndarray | None:
-        """``gmres`` at the held tolerances: x with |b - A x| at most
-        max(KRYLOV_RTOL |b|, KRYLOV_TOL_SHARE * tol) within ``max_iter``
-        (by default ``KRYLOV_MAX_ITER``) iterations, or None."""
-        self.krylov_solves += 1
-        target = max(KRYLOV_RTOL * float(np.linalg.norm(b)), KRYLOV_TOL_SHARE * tol)
-        return gmres(matvec, precondition, b, target,
-                     KRYLOV_MAX_ITER if max_iter is None else max_iter)
+        border: tuple[np.ndarray, np.ndarray, float] | None = None,
+    ) -> np.ndarray:
+        """x with M x = b, for a caller that enforces the sup-norm
+        tolerance ``tol`` on the residual this solve corrects.
 
-    def solve(self, A: sp.spmatrix, b: np.ndarray, tol: float) -> np.ndarray:
-        """x with A x = b, for a caller that enforces the sup-norm
-        tolerance ``tol`` on the residual this solve corrects."""
+        M is A or, with ``border = (col, row, corner)``, the bordered matrix
+        [[A, col], [row^T, corner]], whose b and x are one entry longer.
+        A bordered system is preconditioned, and solved directly, by block
+        elimination with a solve by A (``_block_elimination``); a direct
+        solve takes one step of iterative refinement against the bordered
+        residual, which keeps it accurate where A is nearly singular, as at
+        a fold. When A cannot be factored or the Schur scalar fails, the
+        bordered matrix is factored for this call instead. A
+        ``RuntimeError`` of the last LU tried propagates, and when A
+        cannot be factored nothing is held.
+        """
+        if border is None:
+            def matvec(v: np.ndarray) -> np.ndarray:
+                return A @ v
+
+            def inverse(solve):
+                return solve
+        else:
+            col, row, corner = border
+
+            def matvec(x: np.ndarray) -> np.ndarray:
+                return np.append(A @ x[:-1] + x[-1] * col, row @ x[:-1] + corner * x[-1])
+
+            def inverse(solve):
+                return _block_elimination(solve, col, row, corner)
+
         if self.lu is None:
             precondition, max_iter = self._precondition, 2 * KRYLOV_MAX_ITER
         else:
-            precondition = self.lu.solve if self.reusable(A) else None
+            precondition = self.lu.solve if self.lu.nnz > REUSE_MIN_FILL * A.nnz else None
             max_iter = KRYLOV_MAX_ITER
         if precondition is not None:
-            x = self.krylov(lambda v: A @ v, precondition, b, tol, max_iter)
+            precondition = inverse(precondition)
+        if precondition is not None:
+            self.krylov_solves += 1
+            target = max(KRYLOV_RTOL * float(np.linalg.norm(b)), KRYLOV_TOL_SHARE * tol)
+            x = gmres(matvec, precondition, b, target, max_iter)
             if x is not None:
                 return x
-        return self.refresh(A).solve(b)
+        self.lu = None
+        try:
+            self.lu = factor(A)
+            self.factorizations += 1
+        except RuntimeError:
+            if border is None:
+                raise
+        direct = None if self.lu is None else inverse(self.lu.solve)
+        if direct is not None:
+            x = direct(b)
+            return x if border is None else x + direct(b - matvec(x))
+        # only a bordered solve gets here
+        bordered = sp.bmat([[A, col[:, None]], [sp.csr_matrix(row[None, :]), [[corner]]]],
+                           format="csc")
+        return factor(bordered).solve(b)
+
+
+def _block_elimination(
+    solve: Callable[[np.ndarray], np.ndarray], col: np.ndarray, row: np.ndarray, corner: float,
+) -> Callable[[np.ndarray], np.ndarray] | None:
+    """The inverse of [[A, col], [row^T, corner]] from ``solve``, a solve by
+    A (Keller's bordering lemma): the last entry follows from the Schur
+    scalar corner - row.A^-1 col, the others by one more solve. None when
+    that scalar is zero or not finite."""
+    w = solve(col)
+    schur = corner - float(row @ w)
+    if not (math.isfinite(schur) and schur != 0.0):
+        return None
+
+    def inverse(r: np.ndarray) -> np.ndarray:
+        v = solve(r[:-1])
+        dl = (r[-1] - float(row @ v)) / schur
+        return np.append(v - dl * w, dl)
+
+    return inverse
 
 
 def _lift_axis_operator(spec: GridSpec, axis: int, op1d: sp.spmatrix) -> sp.csr_matrix:

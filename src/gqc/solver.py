@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import DiscreteOperators, GridFunction, HeldFactor, factor, grad_sq_values
+from .grid import DiscreteOperators, GridFunction, HeldFactor, grad_sq_values
 from .problem import ProblemData
 
 
@@ -116,7 +116,7 @@ def damped_newton(
     one ``HeldFactor``: GMRES preconditioned by ``precondition`` while no
     LU is held, when one is given, and by the last LU made after that.
     """
-    held = HeldFactor(factor, precondition)
+    held = HeldFactor(precondition)
     x = np.asarray(x0, dtype=float).copy()
     history: list[tuple[float, float]] = []
     R, tol = residual(x)
@@ -216,7 +216,7 @@ def _solve_auxiliary_bound(
     spec = problem.spec
     if mu_const <= 1e-13:
         tol = opts.tol_residual * (1.0 + float(np.max(np.abs(h_part), initial=0.0)))
-        held = HeldFactor(factor, first_preconditioner(ops))
+        held = HeldFactor(first_preconditioner(ops))
         return GridFunction(spec, held.solve(ops.laplacian - sp.diags(d), h_part, tol))
     from .transform import TransformedProblem, solve_transformed
 

@@ -37,6 +37,7 @@ from gqc.solver import solve_cascade
 from conftest import make_problem
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 @contextmanager
@@ -186,6 +187,19 @@ def test_criterion_7_ferone_murat_implies_h0():
         assert confirmed == 20, f"only {confirmed} qualifying instances"
 
 
+def assert_branch_matches_reference(path, name):
+    """A demo's branch.csv against its committed reference: the header, the
+    row count and the integer columns (idx, newton_iters) exactly, the float
+    columns (lambda, sup_norm, h10_norm, arclength) to 1e-10 relative."""
+    ref_path = DATA_DIR / name
+    assert path.read_text().splitlines()[0] == ref_path.read_text().splitlines()[0]
+    got = np.loadtxt(path, delimiter=",", skiprows=1)
+    ref = np.loadtxt(ref_path, delimiter=",", skiprows=1)
+    assert got.shape == ref.shape
+    assert np.array_equal(got[:, [0, 5]], ref[:, [0, 5]])
+    assert np.all(np.abs(got[:, 1:5] - ref[:, 1:5]) <= 1e-10 * np.abs(ref[:, 1:5]))
+
+
 def test_criterion_8_fold_branch_behavior(tmp_path):
     with criterion(8, "folded-family branch: crossing, fold, two solutions, right blow-up"):
         t0 = time.monotonic()
@@ -196,6 +210,7 @@ def test_criterion_8_fold_branch_behavior(tmp_path):
         analysis = json.loads((out / "analysis.json").read_text())
         rows = np.loadtxt(out / "branch.csv", delimiter=",", skiprows=1)
         lams, sups = rows[:, 1], rows[:, 2]
+        assert_branch_matches_reference(out / "branch.csv", "demo_fig2_branch.csv")
 
         # crosses the axis with finite norms
         assert lams.min() < 0.0 < lams.max()
@@ -240,6 +255,7 @@ def test_criterion_9_blowup_branch_behavior(tmp_path):
         assert analysis["blowup_side"] == "left"
         rows = np.loadtxt(out / "branch.csv", delimiter=",", skiprows=1)
         assert rows[-1, 1] < 0.0
+        assert_branch_matches_reference(out / "branch.csv", "demo_fig1_branch.csv")
 
         spec = GridSpec(2, ((0.0, 30.0), (0.0, 30.0)), (32, 32))
         ops = build_operators(spec)

@@ -268,6 +268,24 @@ def test_branch_seed_failure_exits3(tmp_path):
     assert "error" in analysis
 
 
+def test_branch_half_fold_left_of_the_axis(tmp_path):
+    # h above gamma1/mu folds the branch at lambda < 0: no pair at half the
+    # fold is asked for, and the branch is still written
+    cfg = write_config(tmp_path, {
+        "grid": grid_block(dim=1, n=32),
+        "coefficients": {"c": "1", "mu": "1", "h": "10.5"},
+        "continuation": {"lambda0": -30.0, "norm_cap": 30.0, "max_points": 150,
+                         "two_solution_lambda": "half_fold"},
+    })
+    out = tmp_path / "out"
+    assert main(["branch", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    analysis = json.loads((out / "analysis.json").read_text())
+    assert analysis["folds"] and analysis["max_lambda"] < 0.0
+    assert "two_solutions" not in analysis
+    rows = (out / "branch.csv").read_text().strip().splitlines()
+    assert len(rows) - 1 == analysis["points"]
+
+
 @pytest.mark.parametrize("command, target, error", [
     ("branch", "analyze_branch", SolverError("could not refine both solutions")),
     ("check", "check_smallness", EigenError("Lanczos failed")),

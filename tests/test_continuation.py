@@ -286,14 +286,13 @@ def _assert_same_step(got, ref):
 def test_corrector_matches_bordered_lu(fold_square24, monkeypatch):
     data = fold_square24
     args = (data["problem"], data["ops"], data["opts"])
-    sizes = []
-    monkeypatch.setattr(continuation, "factor", lambda A: sizes.append(A.shape[0]) or factor(A))
+    sizes = _counting_factor(monkeypatch)
     step, ds = _ordinary_step(data)
-    _assert_same_step(continuation._corrector(*args, *step, ds),
+    _assert_same_step(continuation._corrector(*args, *step, ds, grid.HeldFactor()),
                       _reference_corrector(*args, *step, ds))
     # at the located fold the Jacobian is nearly singular
     step, sigma = data["fold_step"], data["sigma"]
-    got = continuation._corrector(*args, *step, sigma)
+    got = continuation._corrector(*args, *step, sigma, grid.HeldFactor())
     _assert_same_step(got, _reference_corrector(*args, *step, sigma))
     assert got[1] == pytest.approx(data["lam_fold"], rel=1e-12)
     # block elimination throughout: only J was factored, never the bordered matrix
@@ -309,13 +308,17 @@ def test_bordered_solve_at_fold_matches_lu(fold_square24):
     problem, ops = data["problem"], data["ops"]
     base_lam, base_u, t_lam, t_u = data["fold_step"]
     u, lam, _ = continuation._corrector(problem, ops, data["opts"], *data["fold_step"],
-                                        data["sigma"])
+                                        data["sigma"], grid.HeldFactor())
     c = problem.c.values
     J = quasilinear_jacobian(u, lam * c, problem.mu.values, ops)
     row = ops.laplacian @ t_u
     rng = np.random.default_rng(3)
     rhs_u, rhs_g = rng.standard_normal(u.size), 0.7
-    du, dl = continuation._bordered_solve(J, -(c * u), row, t_lam, rhs_u, rhs_g)
+    # nothing held: J is factored and the step solved by block elimination
+    held = grid.HeldFactor()
+    got = held.solve(J, np.append(rhs_u, rhs_g), 0.0, border=(-(c * u), row, t_lam))
+    assert (held.factorizations, held.krylov_solves) == (1, 0)
+    du, dl = got[:-1], got[-1]
     ref = spla.splu(_bordered_matrix(J, -(c * u), row, t_lam)).solve(np.append(rhs_u, rhs_g))
     assert abs(dl - ref[-1]) <= 1e-10 * abs(ref[-1])
     assert np.max(np.abs(du - ref[:-1])) <= 1e-10 * np.max(np.abs(ref[:-1]))
@@ -334,11 +337,12 @@ def test_bordered_fallback_when_jacobian_factor_fails(fold_square24, monkeypatch
         return factor(A)
 
     cases = [_ordinary_step(data), (data["fold_step"], data["sigma"])]
-    expected = [continuation._corrector(*args, *step, ds) for step, ds in cases]
-    monkeypatch.setattr(continuation, "factor", jacobian_refused)
+    expected = [continuation._corrector(*args, *step, ds, grid.HeldFactor())
+                for step, ds in cases]
+    monkeypatch.setattr(grid, "factor", jacobian_refused)
     for (step, ds), ref in zip(cases, expected):
         sizes.clear()
-        got = continuation._corrector(*args, *step, ds)
+        got = continuation._corrector(*args, *step, ds, grid.HeldFactor())
         _assert_same_step(got, ref)
         # every Newton step tried J, then factored the bordered matrix
         assert sizes == [n, n + 1] * got[2]
@@ -346,7 +350,7 @@ def test_bordered_fallback_when_jacobian_factor_fails(fold_square24, monkeypatch
 
 def _counting_factor(monkeypatch):
     sizes = []
-    monkeypatch.setattr(continuation, "factor", lambda A: sizes.append(A.shape[0]) or factor(A))
+    monkeypatch.setattr(grid, "factor", lambda A: sizes.append(A.shape[0]) or factor(A))
     return sizes
 
 
@@ -370,16 +374,25 @@ def test_locate_fold_holds_one_factor(fold_square24, monkeypatch):
     assert sum(steps) > 10 * len(sizes)
 
 
+def test_locate_fold_raises_when_the_final_corrector_is_rejected(fold_demo, monkeypatch):
+    from gqc.solver import SolverError
+
+    monkeypatch.setattr(continuation, "MAX_CORRECTOR", 0)
+    with pytest.raises(SolverError, match="arclength offset"):
+        locate_fold(fold_demo["branch"], fold_demo["problem"], fold_demo["ops"],
+                    fold_demo["opts"])
+
+
 def test_corrector_refactors_after_a_krylov_miss(fold_square24, monkeypatch):
     data = fold_square24
     args = (data["problem"], data["ops"], data["opts"])
     step, ds = _ordinary_step(data)
-    held = grid.HeldFactor(factor)
+    held = grid.HeldFactor()
     reused = continuation._corrector(*args, *step, ds, held)
     assert held.factorizations == 1 and held.krylov_solves == reused[2] - 1
     monkeypatch.setattr(grid, "gmres", lambda *a: None)
     sizes = _counting_factor(monkeypatch)
-    missed = grid.HeldFactor(continuation.factor)
+    missed = grid.HeldFactor()
     missed.lu = held.lu
     got = continuation._corrector(*args, *step, ds, missed)
     _assert_same_step(got, reused)
@@ -404,7 +417,15 @@ def test_singular_steps_are_recorded(interval64, monkeypatch):
     def refused(A):
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(continuation, "factor", refused)
+    # the seed solves factor; every corrector step is refused its LUs
+    corrector = continuation._corrector
+
+    def refusing(*args):
+        with monkeypatch.context() as m:
+            m.setattr(grid, "factor", refused)
+            return corrector(*args)
+
+    monkeypatch.setattr(continuation, "_corrector", refusing)
     opts = ContinuationOptions(ds0=0.1, ds_min=0.01, max_points=20)
     branch = trace_branch(problem, -2.0, ops, opts)
     assert branch.termination == "step_floor"

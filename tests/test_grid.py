@@ -348,7 +348,8 @@ def test_held_factor_preconditions_a_nearby_matrix(square32):
     spec, ops = square32
     J0, J1, b = _nearby_jacobians(spec, ops)
     held = grid.HeldFactor()
-    lu = held.refresh(J0)
+    held.solve(J0, b, 0.0)
+    lu = held.lu
     x = held.solve(J1, b, 0.0)
     assert (held.factorizations, held.krylov_solves) == (1, 1)
     assert held.lu is lu
@@ -366,7 +367,8 @@ def test_krylov_miss_refactors(square32, monkeypatch, refuse):
     else:
         monkeypatch.setattr(grid, "gmres", lambda *args: None)
     held = grid.HeldFactor()
-    lu0 = held.refresh(J0)
+    held.solve(J0, b, 0.0)
+    lu0 = held.lu
     x = held.solve(J1, b, 0.0)
     assert (held.factorizations, held.krylov_solves) == (2, 1)
     assert held.lu is not lu0
@@ -377,24 +379,28 @@ def test_low_fill_lu_is_never_reused(interval64):
     spec, ops = interval64
     J0, J1, b = _nearby_jacobians(spec, ops)
     held = grid.HeldFactor()
-    held.refresh(J0)
-    assert not held.reusable(J1)
+    held.solve(J0, b, 0.0)
+    assert held.lu.nnz <= grid.REUSE_MIN_FILL * J1.nnz
     x = held.solve(J1, b, 0.0)
     assert (held.factorizations, held.krylov_solves) == (2, 0)
     assert np.array_equal(x, factor(J1).solve(b))
 
 
-def test_failed_refresh_holds_nothing(square32):
+def test_failed_refresh_holds_nothing(square32, monkeypatch):
     spec, ops = square32
     J0, J1, b = _nearby_jacobians(spec, ops)
+    held = grid.HeldFactor()
+    held.solve(J0, b, 0.0)
+    # a miss with the held LU, then a refused factorization of J1
+    monkeypatch.setattr(grid, "gmres", lambda *args: None)
 
     def refused(A):
         raise RuntimeError("Factor is exactly singular")
 
-    held = grid.HeldFactor(refused)
+    monkeypatch.setattr(grid, "factor", refused)
     with pytest.raises(RuntimeError):
         held.solve(J1, b, 0.0)
-    assert held.lu is None and held.factorizations == 0
+    assert held.lu is None and held.factorizations == 1
 
 
 def _sine_preconditioned_case(spec, ops):
@@ -411,7 +417,7 @@ def test_held_factor_starts_from_its_preconditioner():
     spec = GridSpec(3, ((0.0, 1.0),) * 3, (12, 12, 12))
     ops = build_operators(spec)
     J, b = _sine_preconditioned_case(spec, ops)
-    held = grid.HeldFactor(factor, ops.sine_solve)
+    held = grid.HeldFactor(ops.sine_solve)
     x = held.solve(J, b, 0.0)
     assert (held.factorizations, held.krylov_solves) == (0, 1)
     assert held.lu is None
@@ -427,9 +433,9 @@ def test_preconditioner_miss_factors_once(monkeypatch, refuse):
     J, b = _sine_preconditioned_case(spec, ops)
     if refuse == "cap":
         monkeypatch.setattr(grid, "KRYLOV_MAX_ITER", 0)
-        held = grid.HeldFactor(factor, ops.sine_solve)
+        held = grid.HeldFactor(ops.sine_solve)
     else:
-        held = grid.HeldFactor(factor, np.zeros_like)
+        held = grid.HeldFactor(np.zeros_like)
     x = held.solve(J, b, 0.0)
     assert (held.factorizations, held.krylov_solves) == (1, 1)
     assert held.lu is not None

@@ -15,7 +15,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gqc import GridFunction, GridSpec, build_operators, grid, monotone_enclosure, newton_solve
-from gqc.continuation import _bordered_solve
 from gqc.grid import HeldFactor, factor
 from gqc.solver import quasilinear_jacobian, residual_P
 
@@ -98,12 +97,12 @@ def _nearby_systems(problem, data):
 def _held_solves(J0, J1, b, col, row, rhs_g):
     """Both systems solved with the LU of J0 held; each result comes with
     whether it kept that LU (took the Krylov path)."""
-    held = HeldFactor()
-    held.refresh(J0)
-    plain = held.solve(J1, b, 0.0), held.factorizations == 1
-    held.refresh(J0)
-    du, dl = _bordered_solve(J1, col, row, 1.0, b, rhs_g, held, 0.0)
-    return plain, (np.append(du, dl), held.factorizations == 2)
+    out = []
+    for border, rhs in ((None, b), ((col, row, 1.0), np.append(b, rhs_g))):
+        held = HeldFactor()
+        held.solve(J0, b, 0.0)
+        out.append((held.solve(J1, rhs, 0.0, border=border), held.factorizations == 1))
+    return out
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -12,7 +12,7 @@ from gqc import (
     solve_transformed,
 )
 from gqc import grid, solver
-from gqc.grid import grad_sq_values
+from gqc.grid import factor, grad_sq_values
 from gqc.solver import quasilinear_residual, residual_with_scale, solve_cascade
 
 from conftest import make_problem
@@ -135,7 +135,7 @@ def test_newton_reuses_the_first_lu(dim, n, monkeypatch):
     ops = build_operators(spec)
     problem = make_problem(spec, mu="0.5 + 0.25*sin(pi*x1)", h="2 + x2", lam=-2.0)
     sizes = []
-    monkeypatch.setattr(solver, "factor", lambda A: sizes.append(A.shape[0]) or grid.factor(A))
+    monkeypatch.setattr(grid, "factor", lambda A: sizes.append(A.shape[0]) or factor(A))
     u, rep = newton_solve(problem, GridFunction.zeros(spec), ops)
     assert rep.converged and rep.iterations >= 3
     # 2-D factors its first Jacobian; 3-D starts from the sine-transform
