@@ -29,7 +29,6 @@ import math
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .conditions import (
@@ -154,6 +153,64 @@ class ConfigError(ValueError):
     pass
 
 
+def _has_type(value, name: str) -> bool:
+    # JSON Schema types: a bool is no number, and 4.0 is an integer
+    if name in ("number", "integer"):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        return name == "number" or isinstance(value, int) or value.is_integer()
+    return isinstance(value, {"object": dict, "array": list, "string": str}[name])
+
+
+def _schema_error(value, schema: dict, path: str = "$") -> tuple[str, str] | None:
+    """The first place where ``value`` breaks ``schema`` as (json_path,
+    message), or None.
+
+    Interprets the Draft 2020-12 keywords that CONFIG_SCHEMA uses, with
+    one difference: NaN and infinite numbers, which ``json`` reads from
+    ``NaN``, ``Infinity`` and ``1e400``, are refused wherever they stand.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        return path, f"{value!r} is not a finite number"
+    if "type" in schema and not _has_type(value, schema["type"]):
+        return path, f"{value!r} is not of type {schema['type']!r}"
+    if "enum" in schema and value not in schema["enum"]:
+        return path, f"{value!r} is not one of {schema['enum']!r}"
+    if "const" in schema and value != schema["const"]:
+        return path, f"{schema['const']!r} was expected"
+    if "oneOf" in schema:
+        matches = sum(_schema_error(value, s, path) is None for s in schema["oneOf"])
+        if matches != 1:
+            return path, f"{value!r} matches {matches} of {len(schema['oneOf'])} forms, not 1"
+    if _has_type(value, "number"):
+        if value < schema.get("minimum", value):
+            return path, f"{value!r} is less than the minimum of {schema['minimum']!r}"
+        if value > schema.get("maximum", value):
+            return path, f"{value!r} is greater than the maximum of {schema['maximum']!r}"
+    if isinstance(value, str) and len(value) < schema.get("minLength", 0):
+        return path, f"{value!r} is too short"
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return path, f"{value!r} is too short"
+        if len(value) > schema.get("maxItems", len(value)):
+            return path, f"{value!r} is too long"
+        for i, item in enumerate(value):
+            if err := _schema_error(item, schema.get("items", {}), f"{path}[{i}]"):
+                return err
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", []):
+            if key not in value:
+                return path, f"{key!r} is a required property"
+        for key, item in value.items():
+            if key in props:
+                if err := _schema_error(item, props[key], f"{path}.{key}"):
+                    return err
+            elif schema.get("additionalProperties", True) is False:
+                return path, f"additional properties are not allowed ({key!r} was unexpected)"
+    return None
+
+
 def config_sha256(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
@@ -167,10 +224,8 @@ def load_config(path: str) -> dict:
         cfg = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config error at {exc.json_path}: {exc.message}") from exc
+    if err := _schema_error(cfg, CONFIG_SCHEMA):
+        raise ConfigError("config error at {}: {}".format(*err))
     cfg["__dir__"] = str(p.parent)
     return cfg
 

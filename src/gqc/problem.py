@@ -95,7 +95,9 @@ def parse_coefficient(text: str, spec: GridSpec) -> CoefficientSpec:
 
 def save_values_file(path: str | Path, values: np.ndarray) -> None:
     """Write a flat values file, one value per interior node, full precision."""
-    np.savetxt(path, np.asarray(values, dtype=float).ravel(order="C"), fmt="%.17g")
+    # the bytes np.savetxt(fmt="%.17g") writes, formatted in one pass
+    flat = np.asarray(values, dtype=float).ravel(order="C").tolist()
+    Path(path).write_bytes("".join("%.17g\n" % v for v in flat).encode())
 
 
 def load_values_file(path: str | Path, spec: GridSpec) -> GridFunction:
@@ -126,7 +128,7 @@ class ProblemData:
                 raise GridError(f"coefficient {name} sampled on a different grid")
         if self.profile not in PROFILES:
             raise ValueError(f"profile must be one of {PROFILES}, got {self.profile!r}")
-        if self.p_exponent <= self.spec.dim / 2.0:
+        if not self.p_exponent > self.spec.dim / 2.0:  # NaN fails too
             raise ValueError(
                 f"p_exponent must exceed dim/2 = {self.spec.dim / 2.0}, got {self.p_exponent}"
             )

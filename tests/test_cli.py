@@ -29,13 +29,24 @@ def grid_block(dim=2, n=16, side=1.0):
     }
 
 
+def cli_import_loads_any(*modules) -> bool:
+    """Whether a fresh ``import gqc.cli`` puts any of ``modules`` in sys.modules."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = f"import sys, gqc.cli; sys.exit(any(m in sys.modules for m in {modules!r}))"
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode != 0
+
+
 def test_cli_import_leaves_scipy_fft_out():
     # the sine transform is built on numpy.fft; importing scipy.fft would
     # add about 0.09 s and 4.8 MB to every CLI start
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, gqc.cli; sys.exit('scipy.fft' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert not cli_import_loads_any("scipy.fft")
+
+
+def test_cli_import_leaves_jsonschema_out():
+    # configs are checked by cli._schema_error; jsonschema and its
+    # referencing stack would add about 0.06 s to every CLI start
+    assert not cli_import_loads_any("jsonschema", "referencing")
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +77,38 @@ def test_unknown_key_rejected(tmp_path, capsys):
         cfg = write_config(tmp_path, {"grid": grid_block(), **extra})
         assert main(["check", "--config", cfg]) == 1
         assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, path, literal", [
+    ("solve", ("lambda",), "NaN"),
+    ("solve", ("lambda",), "Infinity"),
+    ("solve", ("lambda",), "1e400"),
+    ("solve", ("solver", "tol_residual"), "NaN"),
+    ("solve", ("coefficients", "h"), "NaN"),
+    ("branch", ("continuation", "lambda0"), "NaN"),
+    ("branch", ("continuation", "lambda_min"), "NaN"),
+    ("check", ("p_exponent",), "NaN"),
+    ("check", ("grid", "bounds", 0, 1), "-Infinity"),
+])
+def test_nonfinite_config_number_is_usage_error(tmp_path, capsys, command, path, literal):
+    # json reads NaN, Infinity and 1e400 as floats; each is refused by path
+    payload = {
+        "grid": grid_block(dim=1, n=32),
+        "coefficients": {"c": "1", "mu": "1", "h": "0.1*sin(pi*x1)"},
+        "lambda": -1.0,
+        "solver": {},
+        "continuation": {"lambda0": -2.0, "norm_cap": 3.0},
+    }
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "__NONFINITE__"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload).replace('"__NONFINITE__"', literal))
+    json_path = "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 1
+    assert f"at {json_path}: " in capsys.readouterr().err
 
 
 def test_bad_expression_is_usage_error(tmp_path, capsys):

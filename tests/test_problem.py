@@ -205,6 +205,16 @@ def test_values_file_roundtrip(tmp_path, square8):
     assert np.array_equal(coeff.values, vals)
 
 
+def test_values_file_matches_savetxt_bytes(tmp_path):
+    vals = np.array([1.0, -1.0, 0.0, -0.0, 3.0, -42.0, 5e-324, -2.5e-310, 1e300,
+                     -1e300, 0.1, 1 / 3, np.pi, 2.0**53, 123456789.0])
+    rng = np.random.default_rng(5)
+    vals = np.concatenate([vals, rng.standard_normal(65) * 10.0 ** rng.integers(-20, 20, 65)])
+    np.savetxt(tmp_path / "ref.txt", vals, fmt="%.17g")
+    save_values_file(tmp_path / "ours.txt", vals.reshape(-1, 5))
+    assert (tmp_path / "ours.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+
 def test_values_file_count_mismatch(tmp_path, square8):
     save_values_file(tmp_path / "short.txt", np.zeros(5))
     with pytest.raises(Exception, match="49"):
@@ -280,3 +290,5 @@ def test_profile_a5_sign(square8):
 def test_p_exponent_bound(square8):
     with pytest.raises(ValueError, match="dim/2"):
         make_problem(square8, p_exponent=1.0)
+    with pytest.raises(ValueError, match="dim/2"):
+        make_problem(square8, p_exponent=float("nan"))
