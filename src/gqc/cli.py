@@ -4,9 +4,8 @@ Subcommands and their artifacts (written under --out, default "."):
 
 * ``check``    : report.json with one {condition, holds, margin, sub_infima}
                  entry per requested condition plus the first eigenvalue.
-* ``solve``    : solution.txt (flat values file) and report.json. Tries
-                 Newton from zero, then the lower/upper enclosure when the
-                 zero-order term allows it.
+* ``solve``    : solution.txt (flat values file) and report.json. Newton
+                 from zero; report.json records the attempt.
 * ``branch``   : branch.csv (columns idx, lambda, sup_norm, h10_norm,
                  arclength, newton_iters), analysis.json, and the refined
                  two-solution files when requested.

@@ -36,7 +36,6 @@ from .solver import (
     newton_solve,
     quasilinear_jacobian,
     residual_with_scale,
-    solve_cascade,
 )
 
 # step growth after an accepted step whose corrector took at most 4 iterations
@@ -65,6 +64,8 @@ class ContinuationOptions:
                              f"{self.ds_min}, {self.ds0}, {self.ds_max}")
         if not self.norm_cap > 0:
             raise ValueError("norm_cap must be positive")
+        if not math.isfinite(self.lambda_min):
+            raise ValueError("lambda_min must be finite")
 
 
 @dataclass
@@ -180,20 +181,12 @@ def _corrector(
 def _seed_solution(problem: ProblemData, lam: float, ops: DiscreteOperators,
                    sopts: SolveOptions, start: np.ndarray | None = None
                    ) -> tuple[np.ndarray, int]:
-    prob = problem.with_lambda(lam)
     u0 = GridFunction(problem.spec, start if start is not None
                       else np.zeros(problem.spec.n_interior))
-    u, strategy, attempts = solve_cascade(prob, ops, sopts, u0=u0)
-    if u is None:
-        reasons = "; ".join(
-            f"{a['strategy']}: {a.get('failure_reason') or a.get('error')}" for a in attempts
-        )
-        raise SolverError(f"seed solve failed at lambda = {lam} ({reasons})")
-    iters = next(
-        (a["iterations"] for a in attempts if a["strategy"] == strategy and "iterations" in a),
-        0,
-    )
-    return u.values, int(iters)
+    u, rep = newton_solve(problem.with_lambda(lam), u0, ops, sopts)
+    if not rep.converged:
+        raise SolverError(f"seed solve failed at lambda = {lam} (newton: {rep.failure_reason})")
+    return u.values, rep.iterations
 
 
 def trace_branch(

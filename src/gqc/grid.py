@@ -65,6 +65,7 @@ class GridSpec:
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise GridError(f"dim must be 1, 2 or 3, got {self.dim}")
+        object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "bounds", _as_bounds(self.bounds))
         object.__setattr__(self, "n", tuple(int(v) for v in self.n))
         if len(self.bounds) != self.dim or len(self.n) != self.dim:

@@ -52,7 +52,7 @@ class SolveOptions:
     min_step: float = 1e-8
 
     def __post_init__(self):
-        if self.tol_residual <= 0:
+        if not self.tol_residual > 0:
             raise ValueError("tol_residual must be positive")
         if self.max_newton < 1:
             raise ValueError("max_newton must be >= 1")
@@ -209,23 +209,19 @@ def newton_solve(
 
 
 def _solve_auxiliary_bound(
-    d: np.ndarray, mu_const: float, h_part: np.ndarray, problem: ProblemData,
-    ops: DiscreteOperators, opts: SolveOptions,
-) -> GridFunction:
-    """Nonnegative solution of  L u = d u + mu_const |grad u|^2 + h_part."""
-    spec = problem.spec
-    if mu_const <= 1e-13:
-        tol = opts.tol_residual * (1.0 + float(np.max(np.abs(h_part), initial=0.0)))
-        held = HeldFactor(first_preconditioner(ops))
-        return GridFunction(spec, held.solve(ops.laplacian - sp.diags(d), h_part, tol))
-    from .transform import TransformedProblem, solve_transformed
-
-    tp = TransformedProblem(
-        d_field=GridFunction(spec, np.minimum(d, 0.0)),
-        mu=float(mu_const),
-        h_field=GridFunction(spec, h_part),
-    )
-    _, u = solve_transformed(tp, ops, opts)
+    d: np.ndarray, mu_const: float, h_part: np.ndarray, ops: DiscreteOperators,
+    opts: SolveOptions,
+) -> np.ndarray:
+    """Newton from zero on  L u = d u + mu_const |grad u|^2 + h_part,  the
+    bound problem of ``monotone_enclosure`` (d <= 0, h_part >= 0). Raises
+    ``SolverError`` with the failure reason when Newton does not converge."""
+    mu = np.full(h_part.shape, float(mu_const))
+    u, report = newton_quasilinear(np.zeros_like(h_part), d, mu, h_part, ops, opts)
+    if not report.converged:
+        raise SolverError(
+            f"bound solve failed: {report.failure_reason} "
+            f"(residual {report.final_residual:.3e})"
+        )
     return u
 
 
@@ -239,22 +235,21 @@ def monotone_enclosure(
 
     The upper bound solves the problem with mu replaced by sup mu^+ and h
     by h^+; the lower bound is minus the solution of the (sup mu^-, h^-)
-    problem. A Newton solve from the midpoint then lands between them;
-    the ordering is asserted to ``slack``.
+    problem. Each bound is one Newton solve from zero. A Newton solve
+    from the midpoint then lands between them; the ordering is asserted
+    to ``slack``.
     """
     opts = opts or SolveOptions()
     d = problem.d_values()
     if float(np.max(d, initial=0.0)) > 0.0:
         raise SolverError("enclosure needs lam * c <= 0 at every node")
-    beta = _solve_auxiliary_bound(d, problem.mu_plus_sup, problem.h_plus, problem, ops, opts)
-    alpha_pos = _solve_auxiliary_bound(d, problem.mu_minus_sup, problem.h_minus, problem, ops, opts)
-    alpha = GridFunction(problem.spec, -alpha_pos.values)
-    mid = GridFunction(problem.spec, 0.5 * (alpha.values + beta.values))
+    spec = problem.spec
+    beta = GridFunction(
+        spec, _solve_auxiliary_bound(d, problem.mu_plus_sup, problem.h_plus, ops, opts))
+    alpha = GridFunction(
+        spec, -_solve_auxiliary_bound(d, problem.mu_minus_sup, problem.h_minus, ops, opts))
+    mid = GridFunction(spec, 0.5 * (alpha.values + beta.values))
     u, report = newton_solve(problem, mid, ops, opts)
-    if not report.converged:
-        # the upper bound itself is often the best start (for constant mu
-        # with h >= 0 it already solves the problem exactly)
-        u, report = newton_solve(problem, beta, ops, opts)
     if report.converged:
         lower_gap = float(np.min(u.values - alpha.values))
         upper_gap = float(np.min(beta.values - u.values))
@@ -273,34 +268,16 @@ def solve_cascade(
     opts: SolveOptions | None = None,
     u0: GridFunction | None = None,
 ) -> tuple[GridFunction | None, str | None, list[dict]]:
-    """Try Newton from ``u0`` (zero by default), then the enclosure.
+    """Newton from ``u0`` (zero by default).
 
-    Returns (solution or None, winning strategy name, per-strategy
-    reports). The enclosure only applies when lam * c <= 0; it starts
-    from its own bounds, not from ``u0``. A ``u0`` on another grid than
-    ``ops`` raises ``GridError`` before any strategy runs.
+    Returns (solution or None, "newton" or None, [the Newton report as a
+    dict with "strategy": "newton"]). A ``u0`` on another grid than
+    ``ops`` raises ``GridError``.
     """
-    opts = opts or SolveOptions()
     start = u0 if u0 is not None else GridFunction.zeros(problem.spec)
-    ops.check_spec(start)
-    attempts: list[dict] = []
-
-    try:
-        u, rep = newton_solve(problem, start, ops, opts)
-        attempts.append({"strategy": "newton", **rep.to_dict()})
-        if rep.converged:
-            return u, "newton", attempts
-    except Exception as exc:
-        attempts.append({"strategy": "newton", "converged": False, "error": str(exc)})
-    if float(np.max(problem.d_values(), initial=0.0)) <= 0.0:
-        try:
-            _, _, u, rep = monotone_enclosure(problem, ops, opts)
-            attempts.append({"strategy": "enclosure", **rep.to_dict()})
-            if rep.converged:
-                return u, "enclosure", attempts
-        except Exception as exc:
-            attempts.append({"strategy": "enclosure", "converged": False, "error": str(exc)})
-    return None, None, attempts
+    u, rep = newton_solve(problem, start, ops, opts)
+    attempts = [{"strategy": "newton", **rep.to_dict()}]
+    return (u, "newton", attempts) if rep.converged else (None, None, attempts)
 
 
 @dataclass

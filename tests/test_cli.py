@@ -111,6 +111,20 @@ def test_nonfinite_config_number_is_usage_error(tmp_path, capsys, command, path,
     assert f"at {json_path}: " in capsys.readouterr().err
 
 
+def test_integral_float_grid_sizes_run(tmp_path):
+    # the config check accepts 1.0 and 16.0 as integers, as JSON Schema does
+    cfg = write_config(tmp_path, {
+        "grid": {"dim": 1.0, "bounds": [[0.0, 1.0]], "n": [16.0]},
+        "coefficients": {"c": "1", "mu": "1", "h": "0.1*sin(pi*x1)"},
+        "lambda": -1.0,
+    })
+    for command, artifact in (("check", "report.json"), ("solve", "solution.txt"),
+                              ("eigen", "eigenfunction.txt")):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        assert (out / artifact).exists()
+
+
 def test_bad_expression_is_usage_error(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -261,7 +275,6 @@ def test_solve_at_eigenvalue_exits3(tmp_path, fold_demo):
     assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 3
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] is False
-    # lam c > 0, so the enclosure does not apply
     assert [a["strategy"] for a in report["attempts"]] == ["newton"]
 
 

@@ -203,6 +203,12 @@ def test_lambda_min_termination(interval64):
     assert branch.points[-1].lam < -30.0
 
 
+def test_continuation_options_refuse_a_nan_lambda_min():
+    # a nan lambda_min would never end a trace
+    with pytest.raises(ValueError, match="lambda_min"):
+        ContinuationOptions(lambda_min=float("nan"))
+
+
 def test_empty_branch_analysis_raises():
     from gqc.continuation import Branch
 

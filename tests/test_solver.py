@@ -258,6 +258,48 @@ def test_enclosure_mixed_sign_h(interval64):
     assert np.min(beta.values - u.values) >= -1e-8
 
 
+def test_enclosure_needs_no_transform(interval64, monkeypatch):
+    # the bounds are Newton solves; the Cole-Hopf route is never called
+    from gqc import transform
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_transformed called")
+
+    monkeypatch.setattr(transform, "solve_transformed", refuse)
+    spec, ops = interval64
+    for h, mu in (("0.2*sin(pi*x1)", "1"), ("0.2*sin(2*pi*x1)", "0.5 + 0.25*sin(pi*x1)")):
+        problem = make_problem(spec, h=h, mu=mu, lam=-1.0)
+        alpha, beta, u, rep = monotone_enclosure(problem, ops)
+        assert rep.converged
+        assert np.min(u.values - alpha.values) >= -1e-8
+        assert np.min(beta.values - u.values) >= -1e-8
+        assert np.max(beta.values) > 0.0
+
+
+@pytest.mark.parametrize("dim, n, c, mu, h, lam", [
+    (1, 64, "1", 1.0, "0.2*sin(pi*x1)", -1.0),
+    (1, 48, "1 + x1", 2.0, "1", -3.0),
+    (2, 24, "1", 1.0, "0.5*sin(pi*x1)*sin(pi*x2)", 0.0),
+    (2, 20, "x1*x2", 0.75, "1 + x1", -2.0),
+    (3, 10, "1", 0.5, "1 + x1*x2", -1.0),
+])
+def test_newton_bounds_match_the_transform_route(dim, n, c, mu, h, lam):
+    # the Cole-Hopf route stays the reference for the bounds' Newton solves
+    from gqc import GridSpec, build_operators
+
+    spec = GridSpec(dim, ((0.0, 1.0),) * dim, (n,) * dim)
+    ops = build_operators(spec)
+    problem = make_problem(spec, c=c, mu=str(mu), h=h, lam=lam)
+    d = problem.d_values()
+    opts = SolveOptions()
+    u_newton = solver._solve_auxiliary_bound(d, mu, problem.h.values, ops, opts)
+    tp = TransformedProblem(d_field=GridFunction(spec, d), mu=mu, h_field=problem.h.field)
+    _, u_transform = solve_transformed(tp, ops, opts)
+    scale = np.max(np.abs(u_transform.values))
+    assert scale > 0.0
+    assert np.max(np.abs(u_newton - u_transform.values)) <= 1e-9 * scale
+
+
 def test_enclosure_requires_nonpositive_d(interval64):
     spec, ops = interval64
     problem = make_problem(spec, h="1", lam=1.0)
@@ -306,6 +348,12 @@ def test_multi_start_two_clusters_on_folded_instance(fold_demo):
     assert sups[-1] - sups[0] >= 1e-3
 
 
+def test_solve_options_refuse_a_nan_tolerance():
+    # nan <= 0 is False; a nan tolerance made every solve run to max_iter
+    with pytest.raises(ValueError, match="tol_residual"):
+        SolveOptions(tol_residual=float("nan"))
+
+
 def test_multi_start_needs_two(interval64):
     spec, ops = interval64
     with pytest.raises(ValueError):
@@ -321,8 +369,7 @@ def test_solve_cascade_reports(square32):
 
 
 def test_solve_cascade_rejects_a_start_on_another_grid():
-    # a mismatched u0 is the caller's error, not a Newton failure that the
-    # enclosure would cover up
+    # a mismatched u0 is the caller's error, not a Newton failure
     from gqc import GridSpec
     from gqc.grid import GridError
 
@@ -333,16 +380,12 @@ def test_solve_cascade_rejects_a_start_on_another_grid():
         solve_cascade(problem, grid.build_operators(spec), u0=u0)
 
 
-def test_solve_cascade_falls_back_to_the_enclosure(interval64):
-    # lam c <= 0, and Newton stalls from a start far outside its basin
+def test_solve_cascade_is_newton_alone(interval64):
+    # lam c <= 0, yet a Newton stall from a far start is reported as it is
     spec, ops = interval64
     problem = make_problem(spec, h="0.1*sin(pi*x1)", lam=-1.0)
     far = GridFunction(spec, 200.0 * solver._first_mode_shape(problem))
-    _, rep = newton_solve(problem, far, ops)
-    assert not rep.converged
     u, strategy, attempts = solve_cascade(problem, ops, u0=far)
-    assert strategy == "enclosure"
-    assert [a["strategy"] for a in attempts] == ["newton", "enclosure"]
-    assert not attempts[0]["converged"] and attempts[1]["converged"]
-    u_ref, _, _ = solve_cascade(problem, ops)
-    assert np.max(np.abs(u.values - u_ref.values)) <= 1e-10
+    assert u is None and strategy is None
+    assert [a["strategy"] for a in attempts] == ["newton"]
+    assert not attempts[0]["converged"]
