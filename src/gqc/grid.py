@@ -204,11 +204,11 @@ REUSE_MIN_FILL = 4.0
 # GMRES iterations with the held LU before it counts as too old and A is
 # factored afresh. Along a 48^2 branch solves take 2-10 (mostly 4-8), 18^3
 # Newton steps 4-5; caps of 6 to 20 traced that branch equally fast. A
-# preconditioner used while no LU is held gets twice the cap: the Laplacian
-# inverse leaves the reaction and drift terms to GMRES, so 18^3 Newton steps
-# take up to 6 iterations with it from smooth starts and 9-14 on the first
-# step from the noise starts of ``multi_start``, where a miss would cost a
-# 3-D LU and the memory it holds
+# preconditioner used while no LU is held gets twice the cap, as it leaves the
+# drift term (and, unshifted, the reaction) to GMRES: with the Laplacian inverse
+# 18^3 Newton steps take up to 6 from smooth starts and 9-14 on the first step
+# from ``multi_start``'s noise starts; with the shifted one corrector steps take
+# mostly 4-7 and up to 20 along 48^2 and 24^3 branches. A miss costs an LU
 KRYLOV_MAX_ITER = 10
 # a Krylov solve stops at max(KRYLOV_RTOL |b|, KRYLOV_TOL_SHARE * tol) in
 # the 2-norm of its residual, tol being the sup-norm tolerance the caller
@@ -290,17 +290,16 @@ class HeldFactor:
     A solve with a matrix A runs GMRES preconditioned by the held LU and
     factors A afresh, holding the new LU, only when GMRES misses its
     tolerance within ``KRYLOV_MAX_ITER`` iterations. While no LU is held,
-    GMRES runs with ``precondition`` instead, when one is given, at the
-    same tolerance and twice the cap. Where the LU fills little
-    (``REUSE_MIN_FILL``), and when nothing is held and no ``precondition``
-    is given, A is always factored afresh and solved directly.
-    ``factorizations`` and ``krylov_solves`` count the fresh LUs of A and
-    the GMRES runs, including the runs that missed. Every LU is made by
-    ``factor``, looked up at each call.
+    GMRES runs with the call's ``precondition`` instead, when one is given
+    (it may change from call to call), at the same tolerance and twice the
+    cap. Where the LU fills little (``REUSE_MIN_FILL``), and when nothing
+    is held and no ``precondition`` is given, A is always factored afresh
+    and solved directly. ``factorizations`` and ``krylov_solves`` count the
+    fresh LUs of A and the GMRES runs, including the runs that missed.
+    Every LU is made by ``factor``, looked up at each call.
     """
 
-    def __init__(self, precondition: Callable[[np.ndarray], np.ndarray] | None = None):
-        self._precondition = precondition
+    def __init__(self):
         self.lu: spla.SuperLU | None = None
         self.factorizations = 0
         self.krylov_solves = 0
@@ -311,6 +310,7 @@ class HeldFactor:
         b: np.ndarray,
         tol: float,
         border: tuple[np.ndarray, np.ndarray, float] | None = None,
+        precondition: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> np.ndarray:
         """x with M x = b, for a caller that enforces the sup-norm
         tolerance ``tol`` on the residual this solve corrects.
@@ -342,7 +342,7 @@ class HeldFactor:
                 return _block_elimination(solve, col, row, corner)
 
         if self.lu is None:
-            precondition, max_iter = self._precondition, 2 * KRYLOV_MAX_ITER
+            max_iter = 2 * KRYLOV_MAX_ITER
         else:
             precondition = self.lu.solve if self.lu.nnz > REUSE_MIN_FILL * A.nnz else None
             max_iter = KRYLOV_MAX_ITER
@@ -411,27 +411,29 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     return np.moveaxis(-0.5 * np.fft.rfft(odd, axis=-1).imag[..., 1:m + 1], -1, 0)
 
 
-def _sine_weights(spec: GridSpec) -> np.ndarray:
-    """prod_k 2 / (m_k + 1) over the Laplacian's eigenvalues, on the index
-    block; the eigenvalue of the sine mode (j_1, ..., j_d) is
-    sum_k (2 - 2 cos(j_k pi / (m_k + 1))) / h_k^2, summed here as
-    4 sin^2(j_k pi / (2 (m_k + 1))) / h_k^2, which keeps the smallest
-    ones to full relative precision."""
-    shape = spec.interior_shape
+def _sine_eigenvalues(spec: GridSpec) -> np.ndarray:
+    """The Laplacian's eigenvalues on the index block; that of the sine mode
+    (j_1, ..., j_d) is sum_k (2 - 2 cos(j_k pi / (m_k + 1))) / h_k^2, summed
+    here as 4 sin^2(j_k pi / (2 (m_k + 1))) / h_k^2, which keeps the
+    smallest ones to full relative precision."""
     per_axis = [4.0 * np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1)) ** 2 / h**2
-                for m, h in zip(shape, spec.spacing)]
-    eig = sum(np.meshgrid(*per_axis, indexing="ij", sparse=True))
-    return math.prod(2.0 / (m + 1) for m in shape) / eig
+                for m, h in zip(spec.interior_shape, spec.spacing)]
+    return sum(np.meshgrid(*per_axis, indexing="ij", sparse=True))
+
+
+def _sine_weights(spec: GridSpec) -> np.ndarray:
+    """prod_k 2 / (m_k + 1) over the Laplacian's eigenvalues, on the index block."""
+    return math.prod(2.0 / (m + 1) for m in spec.interior_shape) / _sine_eigenvalues(spec)
 
 
 class DiscreteOperators:
     """Assembled Dirichlet operators and quadrature for one GridSpec.
 
     Immutable after construction apart from the index arrays that
-    ``linearized`` builds on its first call and the eigenvalue weights
-    that ``sine_solve`` builds on its first call; it holds no
-    factorization. ``sine_solve`` inverts the full-box Laplacian exactly
-    without an LU: the sine modes diagonalize it.
+    ``linearized`` builds on its first call and the eigenvalue arrays that
+    ``sine_solve`` and ``sine_basis`` build on theirs; it holds no
+    factorization. ``sine_solve`` and ``shifted_sine_solve`` invert the
+    full-box Laplacian, shifted for the latter, without an LU.
     """
 
     def __init__(self, spec: GridSpec):
@@ -456,6 +458,7 @@ class DiscreteOperators:
         self.node_weight: float = spec.node_weight
         self._lin_pattern = None  # (Laplacian in CSC, diagonal slots, per-axis slots)
         self._sine_weights = None  # scaled inverse eigenvalues of the Laplacian
+        self._sine_basis = None  # per-axis orthonormal DST-I matrices, eigenvalues
 
     def lap_solver(self) -> spla.SuperLU:
         """A fresh sparse LU factorization of the Laplacian; nothing keeps it."""
@@ -473,6 +476,31 @@ class DiscreteOperators:
         y = y * self._sine_weights
         for _ in range(self.spec.dim):
             y = _dst1(y)
+        return y.ravel()
+
+    def sine_basis(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """The orthonormal DST-I matrix of each axis and the full-box Laplacian's
+        eigenvalues on the index block, which they diagonalize; built on first use."""
+        if self._sine_basis is None:
+            mats = []
+            for m in self.spec.interior_shape:
+                # j k taken mod 2 (m + 1) keeps each sine's argument below 2 pi
+                jk = np.outer(np.arange(1, m + 1), np.arange(1, m + 1)) % (2 * m + 2)
+                mats.append(math.sqrt(2.0 / (m + 1)) * np.sin(np.pi * jk / (m + 1)))
+            self._sine_basis = (tuple(mats), _sine_eigenvalues(self.spec))
+        return self._sine_basis
+
+    def shifted_sine_solve(self, b: np.ndarray, shift: float) -> np.ndarray:
+        """x with (L - shift) x = b for the full-box Laplacian L, by the matrices of
+        ``sine_basis`` along each axis (fast diagonalization, O(m^(d+1)) per
+        solve); ``shift`` must not be an eigenvalue of L."""
+        mats, eig = self.sine_basis()
+        y = b
+        for Q in mats:  # each product moves the first axis last: d of them restore the order
+            y = y.reshape(Q.shape[0], -1).T @ Q
+        y = y.reshape(eig.shape) / (eig - shift)
+        for Q in mats:
+            y = y.reshape(Q.shape[0], -1).T @ Q
         return y.ravel()
 
     def linearized(self, reaction: np.ndarray, drift: Sequence[np.ndarray]) -> sp.csc_matrix:

@@ -116,7 +116,7 @@ def damped_newton(
     one ``HeldFactor``: GMRES preconditioned by ``precondition`` while no
     LU is held, when one is given, and by the last LU made after that.
     """
-    held = HeldFactor(precondition)
+    held = HeldFactor()
     x = np.asarray(x0, dtype=float).copy()
     history: list[tuple[float, float]] = []
     R, tol = residual(x)
@@ -126,7 +126,7 @@ def damped_newton(
 
     for it in range(1, opts.max_newton + 1):
         try:
-            delta = held.solve(jacobian(x), -R, tol)
+            delta = held.solve(jacobian(x), -R, tol, precondition=precondition)
         except RuntimeError:
             return x, SolveReport(False, it, rsup, history, "diverged", tol)
         if not np.all(np.isfinite(delta)):

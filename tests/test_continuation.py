@@ -293,16 +293,28 @@ def test_corrector_matches_bordered_lu(fold_square24, monkeypatch):
     data = fold_square24
     args = (data["problem"], data["ops"], data["opts"])
     sizes = _counting_factor(monkeypatch)
+    shifts = []
+    shifted_solve = data["ops"].shifted_sine_solve
+    monkeypatch.setattr(data["ops"], "shifted_sine_solve",
+                        lambda r, shift: shifts.append(shift) or shifted_solve(r, shift))
     step, ds = _ordinary_step(data)
-    _assert_same_step(continuation._corrector(*args, *step, ds, grid.HeldFactor()),
-                      _reference_corrector(*args, *step, ds))
+    held = grid.HeldFactor()
+    got = continuation._corrector(*args, *step, ds, held)
+    _assert_same_step(got, _reference_corrector(*args, *step, ds))
+    assert (held.factorizations, held.krylov_solves) == (0, got[2])
     # at the located fold the Jacobian is nearly singular
     step, sigma = data["fold_step"], data["sigma"]
-    got = continuation._corrector(*args, *step, sigma, grid.HeldFactor())
+    held = grid.HeldFactor()
+    shifts.clear()
+    got = continuation._corrector(*args, *step, sigma, held)
     _assert_same_step(got, _reference_corrector(*args, *step, sigma))
     assert got[1] == pytest.approx(data["lam_fold"], rel=1e-12)
-    # block elimination throughout: only J was factored, never the bordered matrix
-    assert set(sizes) == {data["problem"].spec.n_interior}
+    assert (held.factorizations, held.krylov_solves) == (0, got[2])
+    # the shift is lambda (c = 1) at each Newton step, from the predictor's on
+    base_lam, _, t_lam, _ = step
+    assert shifts[0] == base_lam + sigma * t_lam and len(set(shifts)) == got[2] > 1
+    # GMRES on block elimination by the shifted sine solve throughout: no LU at all
+    assert sizes == []
     J = quasilinear_jacobian(got[0], got[1] * data["problem"].c.values,
                              data["problem"].mu.values, data["ops"]).toarray()
     assert np.linalg.cond(J) > 1e8
@@ -345,6 +357,8 @@ def test_bordered_fallback_when_jacobian_factor_fails(fold_square24, monkeypatch
     cases = [_ordinary_step(data), (data["fold_step"], data["sigma"])]
     expected = [continuation._corrector(*args, *step, ds, grid.HeldFactor())
                 for step, ds in cases]
+    # every GMRES run misses, so every step goes to the LUs
+    monkeypatch.setattr(grid, "gmres", lambda *a: None)
     monkeypatch.setattr(grid, "factor", jacobian_refused)
     for (step, ds), ref in zip(cases, expected):
         sizes.clear()
@@ -393,17 +407,81 @@ def test_corrector_refactors_after_a_krylov_miss(fold_square24, monkeypatch):
     data = fold_square24
     args = (data["problem"], data["ops"], data["opts"])
     step, ds = _ordinary_step(data)
-    held = grid.HeldFactor()
-    reused = continuation._corrector(*args, *step, ds, held)
-    assert held.factorizations == 1 and held.krylov_solves == reused[2] - 1
-    monkeypatch.setattr(grid, "gmres", lambda *a: None)
-    sizes = _counting_factor(monkeypatch)
-    missed = grid.HeldFactor()
-    missed.lu = held.lu
-    got = continuation._corrector(*args, *step, ds, missed)
-    _assert_same_step(got, reused)
+    shifted = continuation._corrector(*args, *step, ds, grid.HeldFactor())
+    # every GMRES run misses: the shifted sine solve's first, then the held LU's
+    with monkeypatch.context() as patch:
+        patch.setattr(grid, "gmres", lambda *a: None)
+        sizes = _counting_factor(patch)
+        missed = grid.HeldFactor()
+        got = continuation._corrector(*args, *step, ds, missed)
+    _assert_same_step(got, shifted)
     assert missed.factorizations == len(sizes) == got[2]
     assert missed.krylov_solves == got[2]
+    # once an LU is held it preconditions the steps, not the shifted sine solve
+    lu = missed.lu
+
+    def refused(b, shift):
+        raise AssertionError("shifted sine solve used while an LU is held")
+
+    monkeypatch.setattr(data["ops"], "shifted_sine_solve", refused)
+    again = continuation._corrector(*args, *step, ds, missed)
+    _assert_same_step(again, shifted)
+    assert missed.lu is lu and missed.factorizations == got[2]
+
+
+def test_cube_trace_and_fold_make_no_lu(monkeypatch):
+    # the folded family on 12^3 cells: every corrector step, the fold's included,
+    # is GMRES preconditioned by the shifted sine solve
+    spec = GridSpec(3, ((0.0, 1.0),) * 3, (12, 12, 12))
+    ops = build_operators(spec)
+    problem = make_problem(spec, h="0.1*sin(pi*x1)*sin(pi*x2)*sin(pi*x3)", profile="A2")
+    opts = ContinuationOptions(norm_cap=3.0, max_points=400)
+    sizes = _counting_factor(monkeypatch)
+    steps = []
+    corrector = continuation._corrector
+
+    def recorded(*args):
+        got = corrector(*args)
+        steps.append((args[:8], got))
+        return got
+
+    shifts = []
+    shifted_solve = ops.shifted_sine_solve
+
+    def recorded_shift(r, shift):
+        shifts.append(shift)
+        return shifted_solve(r, shift)
+
+    monkeypatch.setattr(continuation, "_corrector", recorded)
+    monkeypatch.setattr(ops, "shifted_sine_solve", recorded_shift)
+    branch = trace_branch(problem, -2.0, ops, opts)
+    in_trace = len(steps)
+    lam, _ = locate_fold(branch, problem, ops, opts)
+    assert sizes == []
+    assert branch.termination == "norm_cap" and branch.folds
+    # the shift follows lambda (c = 1) up to its cap, which the fold lies past
+    shift_cap = continuation.SHIFT_CAP * ops.sine_basis()[1].min()
+    assert lam > shift_cap and max(shifts) == shift_cap
+    assert -2.0 < min(shifts) < -1.0
+    assert in_trace > 100 and len(steps) > in_trace + 20
+    for args, got in steps[:in_trace:8] + steps[in_trace::3] + steps[-1:]:
+        _assert_same_step(got, _reference_corrector(*args))
+
+
+def test_corrector_shift_is_lambda_times_mean_c(monkeypatch):
+    spec = GridSpec(2, ((0.0, 1.0), (0.0, 2.0)), (16, 20))
+    ops = build_operators(spec)
+    problem = make_problem(spec, c="1 + 0.5*sin(pi*x1)", h="0.1*sin(pi*x1)*sin(pi*x2/2)",
+                           profile="A2")
+    calls, shifts = [], []
+    corrector, shifted_solve = continuation._corrector, ops.shifted_sine_solve
+    monkeypatch.setattr(continuation, "_corrector",
+                        lambda *args: calls.append(args[3:8]) or corrector(*args))
+    monkeypatch.setattr(ops, "shifted_sine_solve",
+                        lambda r, shift: shifts.append(shift) or shifted_solve(r, shift))
+    trace_branch(problem, -2.0, ops, ContinuationOptions(max_points=3))
+    base_lam, _, t_lam, _, ds = calls[0]
+    assert shifts[0] == (base_lam + ds * t_lam) * float(np.mean(problem.c.values))
 
 
 def test_one_dimensional_branch_never_takes_the_krylov_path(fold_demo, monkeypatch):

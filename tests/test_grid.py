@@ -417,8 +417,8 @@ def test_held_factor_starts_from_its_preconditioner():
     spec = GridSpec(3, ((0.0, 1.0),) * 3, (12, 12, 12))
     ops = build_operators(spec)
     J, b = _sine_preconditioned_case(spec, ops)
-    held = grid.HeldFactor(ops.sine_solve)
-    x = held.solve(J, b, 0.0)
+    held = grid.HeldFactor()
+    x = held.solve(J, b, 0.0, precondition=ops.sine_solve)
     assert (held.factorizations, held.krylov_solves) == (0, 1)
     assert held.lu is None
     assert np.linalg.norm(b - J @ x) <= grid.KRYLOV_RTOL * np.linalg.norm(b)
@@ -433,13 +433,37 @@ def test_preconditioner_miss_factors_once(monkeypatch, refuse):
     J, b = _sine_preconditioned_case(spec, ops)
     if refuse == "cap":
         monkeypatch.setattr(grid, "KRYLOV_MAX_ITER", 0)
-        held = grid.HeldFactor(ops.sine_solve)
+        precondition = ops.sine_solve
     else:
-        held = grid.HeldFactor(np.zeros_like)
-    x = held.solve(J, b, 0.0)
+        precondition = np.zeros_like
+    held = grid.HeldFactor()
+    x = held.solve(J, b, 0.0, precondition=precondition)
     assert (held.factorizations, held.krylov_solves) == (1, 1)
     assert held.lu is not None
     assert np.array_equal(x, factor(J).solve(b))
+
+
+def test_held_factor_takes_each_calls_preconditioner():
+    spec = GridSpec(3, ((0.0, 1.0),) * 3, (12, 12, 12))
+    ops = build_operators(spec)
+    J, b = _sine_preconditioned_case(spec, ops)
+    held = grid.HeldFactor()
+    for shift in (0.0, -2.0):
+        x = held.solve(J, b, 0.0, precondition=lambda v: ops.shifted_sine_solve(v, shift))
+        assert np.linalg.norm(b - J @ x) <= grid.KRYLOV_RTOL * np.linalg.norm(b)
+    assert (held.factorizations, held.krylov_solves, held.lu) == (0, 2, None)
+    # no preconditioner on this call: A is factored and solved directly
+    x = held.solve(J, b, 0.0)
+    assert (held.factorizations, held.krylov_solves) == (1, 2)
+    assert np.array_equal(x, factor(J).solve(b))
+
+    # with an LU held, the call's preconditioner is not used
+    def refused(v):
+        raise AssertionError("the call's preconditioner was used while an LU is held")
+
+    x = held.solve(J, b, 0.0, precondition=refused)
+    assert (held.factorizations, held.krylov_solves) == (1, 3)
+    assert np.linalg.norm(b - J @ x) <= grid.KRYLOV_RTOL * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("bounds, n", [
@@ -459,6 +483,43 @@ def test_sine_solve_matches_the_laplacian_lu(bounds, n):
         got = ops.sine_solve(b)
         assert got.shape == b.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("bounds, n", [
+    (((0.0, 1.0),), (64,)),
+    (((-1.0, 2.0),), (37,)),
+    (((0.0, 1.0), (0.0, 1.0)), (32, 32)),
+    (((-1.0, 2.0), (0.0, 0.5)), (20, 12)),
+    (((0.0, 1.0),) * 3, (12, 12, 12)),
+    (((0.0, 1.0), (0.0, 2.0), (0.5, 1.0)), (8, 10, 6)),
+])
+def test_shifted_sine_solve_matches_the_shifted_laplacian(bounds, n):
+    spec = GridSpec(len(n), bounds, n)
+    ops = build_operators(spec)
+    eig = ops.sine_basis()[1]
+    lam_min, lam_max = float(eig.min()), float(eig.max())
+    rng = np.random.default_rng(sum(n))
+    for b in (rng.standard_normal(spec.n_interior), np.ones(spec.n_interior)):
+        # the FFT transform is the reference at shift 0
+        ref = ops.sine_solve(b)
+        assert np.max(np.abs(ops.shifted_sine_solve(b, 0.0) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        for shift in (-5.0, 0.0, 0.5 * lam_min, 0.9 * lam_min):
+            ref = spla.spsolve((ops.laplacian - shift * sp.identity(spec.n_interior)).tocsc(), b)
+            got = ops.shifted_sine_solve(b, shift)
+            assert got.shape == b.shape
+            cond = (lam_max - shift) / (lam_min - shift)
+            assert np.max(np.abs(got - ref)) <= 1e-15 * cond * np.max(np.abs(ref))
+
+
+def test_sine_basis_diagonalizes_the_laplacian():
+    spec = GridSpec(2, ((-1.0, 2.0), (0.0, 0.5)), (20, 12))
+    ops = build_operators(spec)
+    (Q0, Q1), eig = ops.sine_basis()
+    Q = np.kron(Q0, Q1)
+    assert np.max(np.abs(Q @ Q - np.eye(spec.n_interior))) <= 1e-14
+    D = Q @ ops.laplacian.toarray() @ Q
+    assert np.max(np.abs(D - np.diag(eig.ravel()))) <= 1e-12 * float(eig.max())
+    assert ops.sine_basis() is ops.sine_basis()
 
 
 def test_gmres_meets_its_target_or_returns_none():
