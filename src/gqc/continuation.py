@@ -5,13 +5,12 @@ The branch is parameterized by arclength in the product norm
     ||(dlam, du)||^2 = dlam^2 + ||du||_E^2 / (1 + ||u||_E^2),
 
 whose relative u-scaling keeps steps meaningful while norms grow toward
-the cap. Predictors are secants in that norm; the corrector is Newton on
-the bordered system (residual = 0, arclength constraint = 0), which stays
-regular through folds where plain parameter continuation degenerates.
-Each Newton step is one ``HeldFactor.solve`` with the Jacobian and its
-border; a trace holds one ``HeldFactor``, and this module makes no LU of
-its own. On 2-D and 3-D grids a shifted sine solve preconditions it, so a
-trace makes no LU until a GMRES run misses; 1-D steps are LU solves.
+the cap. Predictors are secants in that norm; the corrector is
+``solver.damped_newton`` on the bordered system (residual = 0, arclength
+constraint = 0), which stays regular through folds where plain parameter
+continuation degenerates. A trace solves its steps through one
+``HeldFactor``: shifted sine solves precondition them on 2-D and 3-D grids
+until a GMRES run misses, and 1-D steps are LU solves.
 
 Termination is one of: the sup norm exceeding ``norm_cap`` (read as the
 branch escaping to infinity, with the side classified by the sign of
@@ -24,7 +23,7 @@ budget running out. Every rejected step is recorded with its reason
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -35,6 +34,7 @@ from .solver import (
     SolveOptions,
     SolveReport,
     SolverError,
+    damped_newton,
     newton_solve,
     quasilinear_jacobian,
     residual_with_scale,
@@ -42,8 +42,11 @@ from .solver import (
 
 # step growth after an accepted step whose corrector took at most 4 iterations
 GROW_FACTOR = 1.3
-# corrector Newton iterations before a step is rejected as corrector_failed
+# corrector Newton steps before a step is rejected as corrector_failed
 MAX_CORRECTOR = 12
+# the corrector's smallest Armijo damping: a step past a fold stops at its first failed
+# line search, and near sup u = 4/mu full steps that fail Armijo still converge damped
+CORRECTOR_MIN_STEP = 0.125
 # accepted steps must stay within this multiple of ds from the base
 # point (product norm); keeps the tracer from tunneling onto another
 # branch near sharp turns and asymptotes
@@ -93,9 +96,10 @@ class Branch:
 
     ``rejections`` holds one ``(s, ds, reason)`` per rejected step: the
     arclength of the base point, the step tried, and ``corrector_failed``
-    (no convergence within ``MAX_CORRECTOR`` iterations), ``singular`` (the
-    bordered system could not be solved) or ``step_too_long`` (the corrected
-    point lies beyond ``MAX_STEP_RATIO * ds``).
+    (no convergence within ``MAX_CORRECTOR`` Newton steps, or a step damped
+    below ``CORRECTOR_MIN_STEP``), ``singular`` (the bordered system could
+    not be solved) or ``step_too_long`` (the corrected point lies beyond
+    ``MAX_STEP_RATIO * ds``).
     """
 
     points: list[BranchPoint] = field(default_factory=list)
@@ -135,59 +139,55 @@ class _Rejected(Exception):
     """A continuation step failed; the message is the reason."""
 
 
-def _corrector(
-    problem: ProblemData,
-    ops: DiscreteOperators,
-    opts: ContinuationOptions,
-    base_lam: float,
-    base_u: np.ndarray,
-    t_lam: float,
-    t_u: np.ndarray,
-    ds: float,
-    held: HeldFactor,
-) -> tuple[np.ndarray, float, int]:
-    """Newton on the bordered system from the secant predictor.
+def _corrector(problem: ProblemData, ops: DiscreteOperators, opts: ContinuationOptions,
+               base_lam: float, base_u: np.ndarray, t_lam: float, t_u: np.ndarray, ds: float,
+               held: HeldFactor) -> tuple[np.ndarray, float, int]:
+    """``damped_newton`` on the bordered system in x = (u, lam) from the
+    secant predictor; returns (u, lam, Newton steps) or raises ``_Rejected``
+    (``singular`` when no LU could be made, else ``corrector_failed``).
 
-    Returns (u, lam, iterations). Raises ``_Rejected`` with reason
-    ``singular`` (no LU of the Jacobian or of the bordered matrix could be
-    made) or ``corrector_failed``. Each step is one ``held.solve`` with the
-    Jacobian bordered by dR/dlam = -c u and the arclength row, preconditioned
-    by ``shifted_sine_solve`` on 2-D and 3-D grids (``SHIFT_CAP``); ``held``
-    carries the Jacobian LU, once one is made, between steps and calls.
+    The residual is the equation's over its tolerance and the constraint's
+    over ``1e-10 (1 + |ds|)``, so both must reach 1 and the Armijo merit
+    weighs both. A step is one ``held.solve`` of the raw bordered system (the
+    Jacobian bordered by dR/dlam = -c u and the arclength row) at the point
+    evaluated last, preconditioned by ``shifted_sine_solve`` on 2-D and 3-D
+    grids. ``held`` keeps its LU between calls, but not one made in a
+    rejected call.
     """
-    c = problem.c.values
-    mu = problem.mu.values
-    h = problem.h.values
+    c, mu, h = problem.c.values, problem.mu.values, problem.h.values
     scale = ops.node_weight / (1.0 + ops.energy_product(base_u, base_u))
     cvec = scale * (ops.laplacian @ t_u)
     constraint_tol = 1e-10 * (1.0 + abs(ds))
     c_mean = float(np.mean(c))
     shift_cap = SHIFT_CAP * float(ops.sine_basis()[1].min()) if ops.spec.dim > 1 else None
+    raw: list = []  # the unscaled residual, constraint and tolerance of the last point
 
-    lam = base_lam + ds * t_lam
-    u = base_u + ds * t_u
-    for it in range(1, MAX_CORRECTOR + 1):
-        d = lam * c
-        R, rscale = residual_with_scale(u, d, mu, h, ops)
+    def residual(x: np.ndarray) -> tuple[np.ndarray, float]:
+        u, lam = x[:-1], float(x[-1])
+        R, rscale = residual_with_scale(u, lam * c, mu, h, ops)
         constraint = t_lam * (lam - base_lam) + float(cvec @ (u - base_u)) - ds
         tol = opts.solve.tol_residual * (1.0 + rscale)
-        if float(np.max(np.abs(R), initial=0.0)) <= tol and abs(constraint) <= constraint_tol:
-            return u, lam, it - 1
-        J = quasilinear_jacobian(u, d, mu, ops)
+        raw[:] = R, constraint, tol
+        return np.append(R / tol, constraint / constraint_tol), 1.0
+
+    def step(x: np.ndarray, *_) -> np.ndarray:
+        u, lam = x[:-1], float(x[-1])
+        R, constraint, tol = raw
         precondition = None if shift_cap is None else partial(
             ops.shifted_sine_solve, shift=min(lam * c_mean, shift_cap))
-        try:
-            delta = held.solve(J, -np.append(R, constraint), min(tol, constraint_tol),
-                               border=(-(c * u), cvec, t_lam), precondition=precondition)
-        except RuntimeError:
-            raise _Rejected("singular") from None
-        if not np.all(np.isfinite(delta)):
-            break
-        u = u + delta[:-1]
-        lam = lam + float(delta[-1])
-        if not np.isfinite(lam) or float(np.max(np.abs(u), initial=0.0)) > 1e12:
-            break
-    raise _Rejected("corrector_failed")
+        return held.solve(quasilinear_jacobian(u, lam * c, mu, ops), -np.append(R, constraint),
+                          min(tol, constraint_tol), border=(-(c * u), cvec, t_lam),
+                          precondition=precondition)
+
+    x0 = np.append(base_u + ds * t_u, base_lam + ds * t_lam)
+    sopts = replace(opts.solve, max_newton=MAX_CORRECTOR, min_step=CORRECTOR_MIN_STEP)
+    lu = held.lu
+    x, report = damped_newton(x0, residual, step, sopts)
+    if not report.converged:
+        held.lu = lu  # an LU made off the branch serves no later step
+        raise _Rejected("singular" if report.failure_reason == "singular"
+                        else "corrector_failed")
+    return x[:-1], float(x[-1]), report.iterations
 
 
 def _seed_solution(problem: ProblemData, lam: float, ops: DiscreteOperators,

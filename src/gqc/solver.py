@@ -56,6 +56,8 @@ class SolveOptions:
             raise ValueError("tol_residual must be positive")
         if self.max_newton < 1:
             raise ValueError("max_newton must be >= 1")
+        if not 0.0 < self.min_step <= 1.0:
+            raise ValueError(f"min_step must lie in (0, 1], got {self.min_step}")
 
 
 @dataclass
@@ -103,20 +105,19 @@ def quasilinear_jacobian(
 def damped_newton(
     x0: np.ndarray,
     residual: Callable[[np.ndarray], tuple[np.ndarray, float]],
-    jacobian: Callable[[np.ndarray], sp.spmatrix],
+    step: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
     opts: SolveOptions,
-    precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Damped Newton with Armijo backtracking on the residual 2-norm.
 
-    ``residual(x)`` returns the residual at x and the sup-norm tolerance
-    it must meet there. Converged when the residual is within tolerance;
-    every other exit returns the last iterate with a failure reason
-    (diverged, line_search_stall or max_iter). Steps are solved through
-    one ``HeldFactor``: GMRES preconditioned by ``precondition`` while no
-    LU is held, when one is given, and by the last LU made after that.
+    ``residual(x)`` returns the residual at x and the sup-norm tolerance it
+    must meet there; ``step(x, R, tol)``, called right after ``residual(x)``,
+    returns the Newton step at x. Converged when the residual is within
+    tolerance; every other exit returns the last iterate with a failure
+    reason: singular (``step`` raised ``RuntimeError``, as a failed LU
+    does), diverged, line_search_stall (damped below ``opts.min_step``) or
+    max_iter.
     """
-    held = HeldFactor()
     x = np.asarray(x0, dtype=float).copy()
     history: list[tuple[float, float]] = []
     R, tol = residual(x)
@@ -124,27 +125,27 @@ def damped_newton(
     if rsup <= tol:
         return x, SolveReport(True, 0, rsup, history, None, tol)
 
+    rnorm = float(np.linalg.norm(R))
     for it in range(1, opts.max_newton + 1):
         try:
-            delta = held.solve(jacobian(x), -R, tol, precondition=precondition)
+            delta = step(x, R, tol)
         except RuntimeError:
-            return x, SolveReport(False, it, rsup, history, "diverged", tol)
+            return x, SolveReport(False, it, rsup, history, "singular", tol)
         if not np.all(np.isfinite(delta)):
             return x, SolveReport(False, it, rsup, history, "diverged", tol)
-        r0 = float(np.linalg.norm(R))
         t = 1.0
         while True:
             x_try = x + t * delta
             R_try, tol_try = residual(x_try)
-            if (np.all(np.isfinite(R_try))
-                    and float(np.linalg.norm(R_try)) <= (1.0 - ARMIJO_SLOPE * t) * r0):
+            rnorm_try = float(np.linalg.norm(R_try))
+            if np.isfinite(rnorm_try) and rnorm_try <= (1.0 - ARMIJO_SLOPE * t) * rnorm:
                 break
             t *= ARMIJO_SHRINK
             if t < opts.min_step:
                 return x, SolveReport(False, it, rsup, history, "line_search_stall", tol)
-        x, R, tol = x_try, R_try, tol_try
+        x, R, tol, rnorm = x_try, R_try, tol_try, rnorm_try
         rsup = float(np.max(np.abs(R), initial=0.0))
-        history.append((t, float(np.linalg.norm(R))))
+        history.append((t, rnorm))
         if rsup <= tol:
             return x, SolveReport(True, it, rsup, history, None, tol)
         if not np.isfinite(rsup) or rsup > 1e150:
@@ -152,13 +153,15 @@ def damped_newton(
     return x, SolveReport(False, opts.max_newton, rsup, history, "max_iter", tol)
 
 
-def first_preconditioner(
-    ops: DiscreteOperators,
-) -> Callable[[np.ndarray], np.ndarray] | None:
-    """What preconditions a Newton solve on ``ops`` before it holds an LU:
-    ``ops.sine_solve`` on 3-D grids, where an LU is costly; None on 1-D
-    and 2-D grids, whose first step is factored and solved directly."""
-    return ops.sine_solve if ops.spec.dim == 3 else None
+def held_newton_step(ops: DiscreteOperators, jacobian: Callable[[np.ndarray], sp.spmatrix]
+                     ) -> Callable[[np.ndarray, np.ndarray, float], np.ndarray]:
+    """The ``step`` of a fixed-parameter ``damped_newton`` solve on ``ops``:
+    ``jacobian(x)`` solved through one ``HeldFactor``. On 3-D grids, where
+    an LU is costly, GMRES preconditioned by ``ops.sine_solve`` runs while
+    no LU is held; 1-D and 2-D grids factor their first Jacobian."""
+    held = HeldFactor()
+    precondition = ops.sine_solve if ops.spec.dim == 3 else None
+    return lambda x, R, tol: held.solve(jacobian(x), -R, tol, precondition=precondition)
 
 
 def newton_quasilinear(
@@ -175,10 +178,8 @@ def newton_quasilinear(
         R, scale = residual_with_scale(u, d, mu, h, ops)
         return R, opts.tol_residual * (1.0 + scale)
 
-    return damped_newton(
-        u0, residual, lambda u: quasilinear_jacobian(u, d, mu, ops), opts,
-        first_preconditioner(ops),
-    )
+    step = held_newton_step(ops, lambda u: quasilinear_jacobian(u, d, mu, ops))
+    return damped_newton(u0, residual, step, opts)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ import scipy.sparse as sp
 from .conditions import weighted_rayleigh_sup
 from .grid import DiscreteOperators, GridFunction
 from .problem import TAU_C_RELATIVE, compute_zero_mask
-from .solver import SolveOptions, damped_newton, first_preconditioner, newton_quasilinear
+from .solver import SolveOptions, damped_newton, held_newton_step, newton_quasilinear
 
 # the Euler-Lagrange solves keep their own caps, apart from the caller's options
 _EL_NEWTON = SolveOptions(max_newton=60, min_step=1e-10)
@@ -224,10 +224,9 @@ def _newton_el(v: np.ndarray, tp: TransformedProblem, ops: DiscreteOperators) ->
         v,
         lambda x: (_el_residual(x, tp, ops),
                    1e-12 * (1.0 + float(np.max(np.abs(ops.laplacian @ x))) + h_sup)),
-        lambda x: (ops.laplacian - sp.diags(tp.mu * h)
-                   - sp.diags(tp.d_field.values * g_prime(x, tp.mu))).tocsc(),
+        held_newton_step(ops, lambda x: (ops.laplacian - sp.diags(tp.mu * h) - sp.diags(
+            tp.d_field.values * g_prime(x, tp.mu))).tocsc()),
         _EL_NEWTON,
-        first_preconditioner(ops),
     )
     if not report.converged:
         raise TransformError(

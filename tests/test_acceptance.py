@@ -200,6 +200,36 @@ def assert_branch_matches_reference(path, name):
     assert np.all(np.abs(got[:, 1:5] - ref[:, 1:5]) <= 1e-10 * np.abs(ref[:, 1:5]))
 
 
+def assert_close_json(got, ref, path="$"):
+    """Floats to 1e-10 relative, everything else (ints, strings, lists of
+    indices, null) exactly."""
+    if isinstance(ref, float):
+        assert isinstance(got, float) and abs(got - ref) <= 1e-10 * abs(ref), path
+    elif isinstance(ref, dict):
+        assert sorted(got) == sorted(ref), path
+        for key in ref:
+            assert_close_json(got[key], ref[key], f"{path}.{key}")
+    else:
+        assert got == ref, path
+
+
+@pytest.mark.parametrize("demo", ["demo_fig1", "demo_fig2"])
+def test_demo_branch_artifacts_match_golden(demo, tmp_path):
+    # the demos' branch artifacts as the committed golden files record them
+    out = tmp_path / demo
+    assert cli_main(["branch", "--config", str(DEMO_DIR / f"{demo}.json"),
+                     "--out", str(out), "--quiet"]) == 0
+    assert_branch_matches_reference(out / "branch.csv", f"{demo}_branch.csv")
+    ref = json.loads((DATA_DIR / f"{demo}_analysis.json").read_text())
+    assert_close_json(json.loads((out / "analysis.json").read_text()), ref)
+    pair = sorted(p.name for p in out.glob("solution_*.txt"))
+    assert pair == (["solution_high.txt", "solution_low.txt"] if "two_solutions" in ref else [])
+    for name in pair:
+        got, want = np.loadtxt(out / name), np.loadtxt(DATA_DIR / f"{demo}_{name}")
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+
+
 def test_criterion_8_fold_branch_behavior(tmp_path):
     with criterion(8, "folded-family branch: crossing, fold, two solutions, right blow-up"):
         t0 = time.monotonic()

@@ -395,9 +395,13 @@ def test_locate_fold_holds_one_factor(fold_square24, monkeypatch):
 
 
 def test_locate_fold_raises_when_the_final_corrector_is_rejected(fold_demo, monkeypatch):
-    from gqc.solver import SolverError
+    from gqc.solver import SolveReport, SolverError
 
-    monkeypatch.setattr(continuation, "MAX_CORRECTOR", 0)
+    # every corrector's Newton solve stops short of its tolerance
+    def unconverged(x0, residual, step, opts):
+        return x0, SolveReport(False, opts.max_newton, np.inf, [], "max_iter", 1.0)
+
+    monkeypatch.setattr(continuation, "damped_newton", unconverged)
     with pytest.raises(SolverError, match="arclength offset"):
         locate_fold(fold_demo["branch"], fold_demo["problem"], fold_demo["ops"],
                     fold_demo["opts"])
@@ -466,6 +470,50 @@ def test_cube_trace_and_fold_make_no_lu(monkeypatch):
     assert in_trace > 100 and len(steps) > in_trace + 20
     for args, got in steps[:in_trace:8] + steps[in_trace::3] + steps[-1:]:
         _assert_same_step(got, _reference_corrector(*args))
+
+
+def test_rejected_cube_steps_stop_early_and_make_no_lu(monkeypatch):
+    # the folded family on 16^3 cells: a step past the fold cannot converge, and
+    # its corrector stops at the first failed line search instead of running its
+    # iterates off the branch until GMRES misses and an LU is made
+    spec = GridSpec(3, ((0.0, 1.0),) * 3, (16, 16, 16))
+    ops = build_operators(spec)
+    problem = make_problem(spec, h="0.1*sin(pi*x1)*sin(pi*x2)*sin(pi*x3)", profile="A2")
+    opts = ContinuationOptions(norm_cap=3.0, max_points=400)
+    sizes = _counting_factor(monkeypatch)
+    reports = []
+    newton = continuation.damped_newton
+
+    def recorded(*args):
+        got = newton(*args)
+        reports.append(got[1])
+        return got
+
+    monkeypatch.setattr(continuation, "damped_newton", recorded)
+    branch = trace_branch(problem, -2.0, ops, opts)
+    locate_fold(branch, problem, ops, opts)
+    assert sizes == []
+    assert branch.termination == "norm_cap" and branch.folds
+    rejected = [r for r in reports if not r.converged]
+    assert len(rejected) >= len(branch.rejections) > 0
+    assert all(r.iterations <= 4 for r in rejected)
+    assert {r.failure_reason for r in rejected} <= {"line_search_stall", "max_iter"}
+
+
+def test_rejected_corrector_keeps_the_held_lu(fold_square24, monkeypatch):
+    # an LU made inside a rejected call, off the branch, is not held afterwards
+    data = fold_square24
+    args = (data["problem"], data["ops"], data["opts"])
+    step, ds = _ordinary_step(data)
+    monkeypatch.setattr(grid, "gmres", lambda *a: None)
+    held = grid.HeldFactor()
+    continuation._corrector(*args, *step, ds, held)
+    lu, made = held.lu, held.factorizations
+    # five times the step needs two Newton steps; one is allowed
+    monkeypatch.setattr(continuation, "MAX_CORRECTOR", 1)
+    with pytest.raises(continuation._Rejected, match="corrector_failed"):
+        continuation._corrector(*args, *step, 5 * ds, held)
+    assert held.factorizations == made + 1 and held.lu is lu
 
 
 def test_corrector_shift_is_lambda_times_mean_c(monkeypatch):

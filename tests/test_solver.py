@@ -354,6 +354,31 @@ def test_solve_options_refuse_a_nan_tolerance():
         SolveOptions(tol_residual=float("nan"))
 
 
+@pytest.mark.parametrize("min_step", [0.0, -1e-8, 1.5, float("nan")])
+def test_solve_options_refuse_a_step_floor_outside_unit_interval(min_step):
+    # with a floor of 0 a stalled line search halved t to 0.0 and took that step
+    with pytest.raises(ValueError, match="min_step"):
+        SolveOptions(min_step=min_step)
+
+
+def test_solve_options_accept_a_full_step_floor():
+    assert SolveOptions(min_step=1.0).min_step == 1.0
+
+
+def test_failed_linear_solve_is_reported_singular(square32, monkeypatch):
+    # nothing diverged: the first Jacobian could not be factored
+    spec, ops = square32
+    problem = make_problem(spec, h="0.1*sin(pi*x1)*sin(pi*x2)", lam=-1.0)
+
+    def refused(A):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(grid, "factor", refused)
+    u, rep = newton_solve(problem, GridFunction.zeros(spec), ops)
+    assert not rep.converged and rep.failure_reason == "singular"
+    assert rep.iterations == 1 and np.all(u.values == 0.0)
+
+
 def test_multi_start_needs_two(interval64):
     spec, ops = interval64
     with pytest.raises(ValueError):
