@@ -14,8 +14,10 @@ Subcommands and their artifacts (written under --out, default "."):
 
 Exit codes: 0 success, 1 usage, config or expression error, 2 a requested
 condition fails, 3 a solve or another numerical step failed (any
-``RuntimeError``). Reports embed the sha256 of the canonical config and
-the seed, so a run is reproducible from its report.
+``RuntimeError``). ``main`` writes the command's report (analysis.json for
+``branch``, report.json for the others) on exits 0, 2 and 3; on exit 3 it
+carries ``error``, and exit 1 writes none. Reports embed the sha256 of the
+canonical config and the seed, so a run is reproducible from its report.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .conditions import (
+    CONDITION_TAGS,
     EigenError,
     check_ferone_murat,
     check_smallness,
@@ -40,6 +43,7 @@ from .conditions import (
 from .continuation import ContinuationOptions, analyze_branch, trace_branch
 from .grid import GridSpec, build_operators, norms
 from .problem import (
+    PROFILES,
     CoefficientSpec,
     ProblemData,
     parse_coefficient,
@@ -103,11 +107,11 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
         },
         "lambda": _NUM,
-        "profile": {"enum": ["A1", "A2", "A3", "A5"]},
+        "profile": {"enum": list(PROFILES)},
         "p_exponent": _NUM,
         "conditions": {
             "type": "array",
-            "items": {"enum": ["H0", "Hc", "H", "FeroneMurat", "k1"]},
+            "items": {"enum": list(CONDITION_TAGS)},
         },
         "solver": {
             "type": "object",
@@ -292,16 +296,12 @@ def _say(quiet: bool, msg: str) -> None:
         print(msg)
 
 
-def _base_report(cfg: dict, command: str, seed: int) -> dict:
-    clean = {k: v for k, v in cfg.items() if k != "__dir__"}
-    return {"command": command, "config_sha256": config_sha256(clean), "seed": seed}
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each fills the report payload and returns an exit code; a
+# numerical failure is a RuntimeError, which main records in the report
 
 
-def cmd_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
+def cmd_check(cfg: dict, out: Path, payload: dict, quiet: bool) -> int:
     problem = build_problem(cfg)
     ops = build_operators(problem.spec)
     requested = cfg.get("conditions")
@@ -320,10 +320,8 @@ def cmd_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     except EigenError as exc:
         gamma_entry = {"error": str(exc)}
 
-    payload = _base_report(cfg, "check", seed)
     payload["conditions"] = [r.to_dict() for r in reports]
     payload["eigen"] = gamma_entry
-    _write_json(out / "report.json", payload)
     for r in reports:
         mark = "holds" if r.holds else "FAILS"
         note = f"  ({r.note})" if r.note else ""
@@ -333,7 +331,7 @@ def cmd_check(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     return EXIT_OK if all(r.holds for r in reports) else EXIT_CONDITION_FAILED
 
 
-def cmd_solve(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
+def cmd_solve(cfg: dict, out: Path, payload: dict, quiet: bool) -> int:
     if "lambda" not in cfg:
         raise ConfigError("solve needs a fixed 'lambda' in the config")
     problem = build_problem(cfg)
@@ -341,32 +339,28 @@ def cmd_solve(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     opts = solve_options(cfg)
     solution, strategy, attempts = solve_cascade(problem, ops, opts)
 
-    payload = _base_report(cfg, "solve", seed)
     payload["lambda"] = problem.lam
     payload["attempts"] = attempts
     payload["profile"] = {
         "name": problem.profile,
         "passed": validate_profile(problem).passed,
     }
+    payload["converged"] = solution is not None
     if solution is None:
-        payload["converged"] = False
-        _write_json(out / "report.json", payload)
-        _say(quiet, f"solve FAILED at lambda = {problem.lam} (all strategies)")
-        return EXIT_SOLVE_FAILED
+        raise SolverError(f"solve failed at lambda = {problem.lam} "
+                          f"(newton: {attempts[-1]['failure_reason']})")
 
     nr = norms(solution, ops)
     resid = residual_P(solution, problem, ops)
-    payload["converged"] = True
     payload["strategy"] = strategy
     payload["norms"] = {"sup": nr.sup, "h10": nr.h10, "l2": nr.lp, "integral": nr.integral}
     payload["residual_sup"] = float(np.max(np.abs(resid.values), initial=0.0))
     save_values_file(out / "solution.txt", solution.values)
-    _write_json(out / "report.json", payload)
     _say(quiet, f"solved via {strategy}: sup = {nr.sup:.6g}, h10 = {nr.h10:.6g}")
     return EXIT_OK
 
 
-def cmd_branch(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
+def cmd_branch(cfg: dict, out: Path, payload: dict, quiet: bool) -> int:
     if "continuation" not in cfg:
         raise ConfigError("branch needs a 'continuation' section with lambda0")
     problem = build_problem(cfg)
@@ -375,19 +369,21 @@ def cmd_branch(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
     lam0 = float(cfg["continuation"]["lambda0"])
     if lam0 >= 0.0:
         raise ConfigError(f"continuation.lambda0 must be negative, got {lam0}")
-    try:
-        branch = trace_branch(problem, lam0, ops, copts)
-    except SolverError as exc:
-        payload = _base_report(cfg, "branch", seed)
-        payload["error"] = str(exc)
-        _write_json(out / "analysis.json", payload)
-        _say(quiet, f"branch seed solve failed: {exc}")
-        return EXIT_SOLVE_FAILED
+    branch = trace_branch(problem, lam0, ops, copts)
+    lines = ["idx,lambda,sup_norm,h10_norm,arclength,newton_iters"]
+    for i, p in enumerate(branch.points):
+        lines.append(
+            f"{i},{p.lam:.17g},{p.sup_norm:.17g},{p.h10_norm:.17g},{p.s:.17g},{p.newton_iters}"
+        )
+    (out / "branch.csv").write_text("\n".join(lines) + "\n")
+    payload["points"] = len(branch.points)
+    payload["folds"] = branch.folds
 
     try:
         gamma1 = first_eigen(problem.c.field, ops).gamma
-    except EigenError:
-        gamma1 = math.nan
+    except EigenError as exc:
+        gamma1 = None
+        payload["eigen"] = {"error": str(exc)}
 
     req = cfg["continuation"].get("two_solution_lambda")
     two_lam = None
@@ -397,54 +393,33 @@ def cmd_branch(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
         two_lam = float(req)
     analysis = analyze_branch(branch, gamma1, problem=problem, ops=ops, opts=copts,
                               two_solution_lambda=two_lam)
-
-    out.mkdir(parents=True, exist_ok=True)
-    lines = ["idx,lambda,sup_norm,h10_norm,arclength,newton_iters"]
-    for i, p in enumerate(branch.points):
-        lines.append(
-            f"{i},{p.lam:.17g},{p.sup_norm:.17g},{p.h10_norm:.17g},{p.s:.17g},{p.newton_iters}"
-        )
-    (out / "branch.csv").write_text("\n".join(lines) + "\n")
-
-    payload = _base_report(cfg, "branch", seed)
     payload.update(analysis.to_dict())
-    payload["points"] = len(branch.points)
-    payload["folds"] = branch.folds
-    _write_json(out / "analysis.json", payload)
     if analysis.pair is not None:
         save_values_file(out / "solution_low.txt", analysis.pair.u_low.values)
         save_values_file(out / "solution_high.txt", analysis.pair.u_high.values)
     _say(
         quiet,
         f"branch: {len(branch.points)} points, termination={branch.termination}, "
-        f"max lambda = {analysis.max_lambda:.6g}, gamma1 = {gamma1:.6g}, "
+        f"max lambda = {analysis.max_lambda:.6g}, "
+        f"gamma1 = {math.nan if gamma1 is None else gamma1:.6g}, "
         f"blowup side = {analysis.blowup_side}",
     )
     return EXIT_OK
 
 
-def cmd_eigen(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
+def cmd_eigen(cfg: dict, out: Path, payload: dict, quiet: bool) -> int:
     problem = build_problem(cfg)
     ops = build_operators(problem.spec)
-    try:
-        eig = first_eigen(problem.c.field, ops)
-    except EigenError as exc:
-        payload = _base_report(cfg, "eigen", seed)
-        payload["error"] = str(exc)
-        _write_json(out / "report.json", payload)
-        _say(quiet, f"eigen solve failed: {exc}")
-        return EXIT_SOLVE_FAILED
-    payload = _base_report(cfg, "eigen", seed)
+    eig = first_eigen(problem.c.field, ops)
     payload["gamma1"] = eig.gamma
     payload["residual"] = eig.residual
     payload["iterations"] = eig.iterations
-    _write_json(out / "report.json", payload)
     save_values_file(out / "eigenfunction.txt", eig.phi.values)
     _say(quiet, f"gamma1 = {eig.gamma:.10g} (residual {eig.residual:.3e})")
     return EXIT_OK
 
 
-def cmd_exponents(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
+def cmd_exponents(cfg: dict, out: Path, payload: dict, quiet: bool) -> int:
     if "exponents" not in cfg:
         raise ConfigError("exponents needs an 'exponents' section with p, theta, N")
     e = cfg["exponents"]
@@ -452,9 +427,7 @@ def cmd_exponents(cfg: dict, out: Path, seed: int, quiet: bool) -> int:
         witness = find_exponents(float(e["p"]), float(e["theta"]), int(e["N"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    payload = _base_report(cfg, "exponents", seed)
     payload["witness"] = witness.to_dict()
-    _write_json(out / "report.json", payload)
     _say(
         quiet,
         f"witness: alpha={witness.alpha:.6g}, r={witness.r:.6g}, "
@@ -499,16 +472,26 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        clean = {k: v for k, v in cfg.items() if k != "__dir__"}
+        payload = {
+            "command": args.command,
+            "config_sha256": config_sha256(clean),
+            "seed": args.seed if args.seed is not None else int(cfg.get("seed", 0)),
+        }
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out, seed, args.quiet)
+        try:
+            code = _COMMANDS[args.command](cfg, out, payload, args.quiet)
+        except RuntimeError as exc:  # numerical failures: solver, eigen, LU
+            payload["error"] = str(exc)
+            print(f"solve failed: {exc}", file=sys.stderr)
+            code = EXIT_SOLVE_FAILED
+        report = "analysis.json" if args.command == "branch" else "report.json"
+        _write_json(out / report, payload)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:  # numerical failures: solver, eigen, LU, transform
-        print(f"solve failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVE_FAILED
     except Exception as exc:  # expression errors, grid errors, value errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

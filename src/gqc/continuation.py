@@ -86,7 +86,6 @@ class BranchPoint:
     h10_norm: float
     s: float
     newton_iters: int
-    converged: bool
     ds: float = 0.0  # nominal step that produced this point (0 for seeds)
 
 
@@ -132,7 +131,7 @@ def _make_point(lam: float, uvals: np.ndarray, s: float, iters: int, ds: float,
     sup = float(np.max(np.abs(uvals), initial=0.0))
     h10 = math.sqrt(max(ops.energy_product(uvals, uvals), 0.0))
     return BranchPoint(lam=float(lam), u=u, sup_norm=sup, h10_norm=h10, s=s,
-                       newton_iters=iters, converged=True, ds=ds)
+                       newton_iters=iters, ds=ds)
 
 
 class _Rejected(Exception):
@@ -250,10 +249,7 @@ def trace_branch(
         dl = cur.lam - prev.lam
         du = cur.u.values - prev.u.values
         nrm = _product_norm(dl, du, base_energy_sq, ops)
-        if nrm == 0.0:
-            t_lam, t_u = 1.0, np.zeros_like(du)
-        else:
-            t_lam, t_u = dl / nrm, du / nrm
+        t_lam, t_u = dl / nrm, du / nrm
 
         try:
             u_new, lam_new, iters = _corrector(problem, ops, opts, cur.lam, cur.u.values,
@@ -302,8 +298,8 @@ class BranchAnalysis:
     max_lambda: float
     fold_lambda: float
     fold_index: int | None
-    gamma1: float
-    gamma1_margin: float
+    gamma1: float | None  # None when the eigen solve failed
+    gamma1_margin: float | None
     blowup_side: str  # left | right | none
     termination: str
     pair: TwoSolutionPair | None = None
@@ -346,7 +342,7 @@ def _bracket_and_refine(
 
 def analyze_branch(
     branch: Branch,
-    gamma1: float,
+    gamma1: float | None,
     problem: ProblemData | None = None,
     ops: DiscreteOperators | None = None,
     opts: ContinuationOptions | None = None,
@@ -375,7 +371,7 @@ def analyze_branch(
         fold_lambda=max_lambda,
         fold_index=branch.folds[0] if branch.folds else None,
         gamma1=gamma1,
-        gamma1_margin=gamma1 - max_lambda,
+        gamma1_margin=None if gamma1 is None else gamma1 - max_lambda,
         blowup_side=side,
         termination=branch.termination,
     )

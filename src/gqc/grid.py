@@ -321,10 +321,9 @@ class HeldFactor:
         elimination with a solve by A (``_block_elimination``); a direct
         solve takes one step of iterative refinement against the bordered
         residual, which keeps it accurate where A is nearly singular, as at
-        a fold. When A cannot be factored or the Schur scalar fails, the
-        bordered matrix is factored for this call instead. A
-        ``RuntimeError`` of the last LU tried propagates, and when A
-        cannot be factored nothing is held.
+        a fold. A ``RuntimeError`` propagates when A cannot be factored, and
+        then nothing is held, or when the Schur scalar of a bordered solve
+        is zero or not finite.
         """
         if border is None:
             def matvec(v: np.ndarray) -> np.ndarray:
@@ -348,40 +347,30 @@ class HeldFactor:
             max_iter = KRYLOV_MAX_ITER
         if precondition is not None:
             precondition = inverse(precondition)
-        if precondition is not None:
             self.krylov_solves += 1
             target = max(KRYLOV_RTOL * float(np.linalg.norm(b)), KRYLOV_TOL_SHARE * tol)
             x = gmres(matvec, precondition, b, target, max_iter)
             if x is not None:
                 return x
-        self.lu = None
-        try:
-            self.lu = factor(A)
-            self.factorizations += 1
-        except RuntimeError:
-            if border is None:
-                raise
-        direct = None if self.lu is None else inverse(self.lu.solve)
-        if direct is not None:
-            x = direct(b)
-            return x if border is None else x + direct(b - matvec(x))
-        # only a bordered solve gets here
-        bordered = sp.bmat([[A, col[:, None]], [sp.csr_matrix(row[None, :]), [[corner]]]],
-                           format="csc")
-        return factor(bordered).solve(b)
+        self.lu = None  # nothing is held when A cannot be factored
+        self.lu = factor(A)
+        self.factorizations += 1
+        direct = inverse(self.lu.solve)
+        x = direct(b)
+        return x if border is None else x + direct(b - matvec(x))
 
 
 def _block_elimination(
     solve: Callable[[np.ndarray], np.ndarray], col: np.ndarray, row: np.ndarray, corner: float,
-) -> Callable[[np.ndarray], np.ndarray] | None:
+) -> Callable[[np.ndarray], np.ndarray]:
     """The inverse of [[A, col], [row^T, corner]] from ``solve``, a solve by
     A (Keller's bordering lemma): the last entry follows from the Schur
-    scalar corner - row.A^-1 col, the others by one more solve. None when
-    that scalar is zero or not finite."""
+    scalar corner - row.A^-1 col, the others by one more solve. Raises
+    ``RuntimeError`` when that scalar is zero or not finite."""
     w = solve(col)
     schur = corner - float(row @ w)
     if not (math.isfinite(schur) and schur != 0.0):
-        return None
+        raise RuntimeError(f"bordered system: Schur scalar {schur!r}")
 
     def inverse(r: np.ndarray) -> np.ndarray:
         v = solve(r[:-1])

@@ -232,8 +232,7 @@ def reference_continuation(
             s = prev.s + math.hypot(lam - prev.lam, sup - prev.sup_norm)
         branch.points.append(
             BranchPoint(lam=float(lam), u=GridFunction(problem.spec, u.copy()),
-                        sup_norm=sup, h10_norm=h10, s=s, newton_iters=0,
-                        converged=True)
+                        sup_norm=sup, h10_norm=h10, s=s, newton_iters=0)
         )
 
     u = _plain_newton(np.zeros(problem.spec.n_interior), lam0, problem, ops)

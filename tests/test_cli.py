@@ -342,19 +342,83 @@ def test_branch_half_fold_left_of_the_axis(tmp_path):
     assert len(rows) - 1 == analysis["points"]
 
 
-@pytest.mark.parametrize("command, target, error", [
-    ("branch", "analyze_branch", SolverError("could not refine both solutions")),
-    ("check", "check_smallness", EigenError("Lanczos failed")),
-    ("check", "check_smallness", RuntimeError("Factor is exactly singular")),
-])
-def test_solve_failure_exits3(tmp_path, monkeypatch, command, target, error):
-    def fail(*args, **kwargs):
-        raise error
+def strict_json(path):
+    """The JSON file at ``path``, refusing the NaN and Infinity that
+    ``json.loads`` accepts but JSON does not."""
+    def refuse(literal):
+        raise ValueError(f"{literal} is not JSON")
 
-    monkeypatch.setattr(cli, target, fail)
-    code = main([command, "--config", str(DEMO_DIR / "demo_fig2.json"),
-                 "--out", str(tmp_path / "out"), "--quiet"])
-    assert code == 3
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+def demo_with(tmp_path, demo, **overrides):
+    """A shipped demo config with keys of its sections replaced; its path."""
+    cfg = json.loads((DEMO_DIR / f"{demo}.json").read_text())
+    for section, values in overrides.items():
+        cfg[section] = {**cfg.get(section, {}), **values}
+    return write_config(tmp_path, cfg, name=f"{demo}.json")
+
+
+# every path to exit 3: (command, demo, config overrides, cli name to make raise, error)
+EXIT3_PATHS = {
+    "check-runtime": ("check", "demo_fig2", {}, "check_smallness",
+                      RuntimeError("Factor is exactly singular")),
+    "check-eigen": ("check", "demo_fig2", {}, "check_smallness", EigenError("Lanczos failed")),
+    "branch-refine": ("branch", "demo_fig2", {}, "analyze_branch",
+                      SolverError("could not refine both solutions")),
+    "branch-seed": ("branch", "demo_fig1", {"continuation": {"lambda0": -0.01}}, None, None),
+    "eigen-eigen": ("eigen", "demo_fig2", {}, "first_eigen", EigenError("Lanczos failed")),
+    "eigen-runtime": ("eigen", "demo_fig2", {}, "first_eigen",
+                      RuntimeError("Factor is exactly singular")),
+    "solve-newton": ("solve", "demo_fig2", {"solver": {"max_newton": 1}}, None, None),
+    "solve-cascade": ("solve", "demo_fig2", {}, "solve_cascade",
+                      RuntimeError("Factor is exactly singular")),
+}
+
+
+@pytest.mark.parametrize("case", EXIT3_PATHS)
+def test_failure_exits3_with_error_report(tmp_path, monkeypatch, capsys, case):
+    command, demo, overrides, target, error = EXIT3_PATHS[case]
+    if target is not None:
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, target, fail)
+    cfg = demo_with(tmp_path, demo, **overrides)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("solve failed: ")
+
+    report = strict_json(out / ("analysis.json" if command == "branch" else "report.json"))
+    assert report["command"] == command and report["seed"] == 0
+    assert report["config_sha256"] == cli.config_sha256(json.loads(Path(cfg).read_text()))
+    assert report["error"] and report["error"] in err[0]
+    if error is not None:
+        assert report["error"] == str(error)
+    if case == "branch-refine":
+        # the traced branch is kept although its analysis failed
+        rows = (out / "branch.csv").read_text().strip().splitlines()
+        assert len(rows) - 1 == report["points"] > 2
+    if case == "solve-newton":
+        assert report["converged"] is False
+        assert [(a["strategy"], a["failure_reason"]) for a in report["attempts"]] == [
+            ("newton", "max_iter")]
+        assert not (out / "solution.txt").exists()
+
+
+def test_branch_eigen_failure_writes_null_gamma1(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise EigenError("Lanczos failed")
+
+    monkeypatch.setattr(cli, "first_eigen", fail)
+    out = tmp_path / "out"
+    assert main(["branch", "--config", str(DEMO_DIR / "demo_fig1.json"),
+                 "--out", str(out), "--quiet"]) == 0
+    analysis = strict_json(out / "analysis.json")
+    assert analysis["gamma1"] is None and analysis["gamma1_margin"] is None
+    assert analysis["eigen"] == {"error": "Lanczos failed"}
+    assert "error" not in analysis and analysis["blowup_side"] == "left"
 
 
 def test_check_and_eigen_factor_no_full_laplacian(tmp_path, monkeypatch):

@@ -342,7 +342,7 @@ def test_bordered_solve_at_fold_matches_lu(fold_square24):
     assert np.max(np.abs(du - ref[:-1])) <= 1e-10 * np.max(np.abs(ref[:-1]))
 
 
-def test_bordered_fallback_when_jacobian_factor_fails(fold_square24, monkeypatch):
+def test_bordered_step_is_singular_when_jacobian_factor_fails(fold_square24, monkeypatch):
     data = fold_square24
     args = (data["problem"], data["ops"], data["opts"])
     n = data["problem"].spec.n_interior
@@ -350,22 +350,19 @@ def test_bordered_fallback_when_jacobian_factor_fails(fold_square24, monkeypatch
 
     def jacobian_refused(A):
         sizes.append(A.shape[0])
-        if A.shape[0] == n:
-            raise RuntimeError("Factor is exactly singular")
-        return factor(A)
+        raise RuntimeError("Factor is exactly singular")
 
-    cases = [_ordinary_step(data), (data["fold_step"], data["sigma"])]
-    expected = [continuation._corrector(*args, *step, ds, grid.HeldFactor())
-                for step, ds in cases]
-    # every GMRES run misses, so every step goes to the LUs
+    # every GMRES run misses, so every step goes to an LU of J
     monkeypatch.setattr(grid, "gmres", lambda *a: None)
     monkeypatch.setattr(grid, "factor", jacobian_refused)
-    for (step, ds), ref in zip(cases, expected):
+    for step, ds in (_ordinary_step(data), (data["fold_step"], data["sigma"])):
         sizes.clear()
-        got = continuation._corrector(*args, *step, ds, grid.HeldFactor())
-        _assert_same_step(got, ref)
-        # every Newton step tried J, then factored the bordered matrix
-        assert sizes == [n, n + 1] * got[2]
+        held = grid.HeldFactor()
+        with pytest.raises(continuation._Rejected, match="^singular$"):
+            continuation._corrector(*args, *step, ds, held)
+        # the first Newton step tried J once; no bordered matrix was factored
+        assert sizes == [n]
+        assert held.lu is None
 
 
 def _counting_factor(monkeypatch):

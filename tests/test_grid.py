@@ -403,6 +403,15 @@ def test_failed_refresh_holds_nothing(square32, monkeypatch):
     assert held.lu is None and held.factorizations == 1
 
 
+def test_bordered_solve_with_a_zero_schur_scalar_raises():
+    # [[I, e1], [e1^T, 1]] is singular although I is not: its Schur scalar is 1 - 1
+    n = 8
+    e1 = np.eye(n)[0]
+    held = grid.HeldFactor()
+    with pytest.raises(RuntimeError, match="Schur scalar"):
+        held.solve(sp.identity(n, format="csc"), np.ones(n + 1), 0.0, border=(e1, e1, 1.0))
+
+
 def _sine_preconditioned_case(spec, ops):
     """A 3-D Jacobian near the Laplacian, the held factor's first matrix in
     a Newton solve from zero, and a right side."""
