@@ -391,8 +391,13 @@ def cmd_branch(cfg: dict, out: Path, payload: dict, quiet: bool) -> int:
         two_lam = 0.5 * branch.max_lambda()
     elif isinstance(req, (int, float)):
         two_lam = float(req)
-    analysis = analyze_branch(branch, gamma1, problem=problem, ops=ops, opts=copts,
-                              two_solution_lambda=two_lam)
+    try:
+        analysis = analyze_branch(branch, gamma1, problem=problem, ops=ops, opts=copts,
+                                  two_solution_lambda=two_lam)
+    except ValueError as exc:  # the requested pair is undefined on the traced branch
+        payload.update(analyze_branch(branch, gamma1).to_dict(), error=str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     payload.update(analysis.to_dict())
     if analysis.pair is not None:
         save_values_file(out / "solution_low.txt", analysis.pair.u_low.values)

@@ -9,8 +9,9 @@ the cap. Predictors are secants in that norm; the corrector is
 ``solver.damped_newton`` on the bordered system (residual = 0, arclength
 constraint = 0), which stays regular through folds where plain parameter
 continuation degenerates. A trace solves its steps through one
-``HeldFactor``: shifted sine solves precondition them on 2-D and 3-D grids
-until a GMRES run misses, and 1-D steps are LU solves.
+``HeldFactor``: ``solver.drift_preconditioner``, a shifted sine solve
+conjugated by exp(mu u), preconditions them on 2-D and 3-D grids until a
+GMRES run misses, and 1-D steps are LU solves.
 
 Termination is one of: the sup norm exceeding ``norm_cap`` (read as the
 branch escaping to infinity, with the side classified by the sign of
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .solver import (
     SolveReport,
     SolverError,
     damped_newton,
+    drift_preconditioner,
     newton_solve,
     quasilinear_jacobian,
     residual_with_scale,
@@ -51,11 +52,6 @@ CORRECTOR_MIN_STEP = 0.125
 # point (product norm); keeps the tracer from tunneling onto another
 # branch near sharp turns and asymptotes
 MAX_STEP_RATIO = 2.0
-# the corrector's preconditioner (L - sigma)^-1 leaves the drift and c's variation to
-# GMRES; sigma = lambda mean(c) is capped at this fraction of L's smallest eigenvalue,
-# below which folds lie close (0.917 of it at 48^2, h = 0.1 sin sin). 1-D grids keep
-# LU steps: GMRES took twice as long on a 64-cell trace
-SHIFT_CAP = 0.9
 
 
 @dataclass
@@ -149,16 +145,15 @@ def _corrector(problem: ProblemData, ops: DiscreteOperators, opts: ContinuationO
     over ``1e-10 (1 + |ds|)``, so both must reach 1 and the Armijo merit
     weighs both. A step is one ``held.solve`` of the raw bordered system (the
     Jacobian bordered by dR/dlam = -c u and the arclength row) at the point
-    evaluated last, preconditioned by ``shifted_sine_solve`` on 2-D and 3-D
-    grids. ``held`` keeps its LU between calls, but not one made in a
-    rejected call.
+    evaluated last, preconditioned by ``drift_preconditioner`` at that point
+    on 2-D and 3-D grids; 1-D grids keep LU steps, as GMRES took twice as
+    long on a 64-cell trace. ``held`` keeps its LU between calls, but not
+    one made in a rejected call.
     """
     c, mu, h = problem.c.values, problem.mu.values, problem.h.values
     scale = ops.node_weight / (1.0 + ops.energy_product(base_u, base_u))
     cvec = scale * (ops.laplacian @ t_u)
     constraint_tol = 1e-10 * (1.0 + abs(ds))
-    c_mean = float(np.mean(c))
-    shift_cap = SHIFT_CAP * float(ops.sine_basis()[1].min()) if ops.spec.dim > 1 else None
     raw: list = []  # the unscaled residual, constraint and tolerance of the last point
 
     def residual(x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -172,11 +167,9 @@ def _corrector(problem: ProblemData, ops: DiscreteOperators, opts: ContinuationO
     def step(x: np.ndarray, *_) -> np.ndarray:
         u, lam = x[:-1], float(x[-1])
         R, constraint, tol = raw
-        precondition = None if shift_cap is None else partial(
-            ops.shifted_sine_solve, shift=min(lam * c_mean, shift_cap))
         return held.solve(quasilinear_jacobian(u, lam * c, mu, ops), -np.append(R, constraint),
                           min(tol, constraint_tol), border=(-(c * u), cvec, t_lam),
-                          precondition=precondition)
+                          precondition=drift_preconditioner(ops, u, lam * c, mu, h))
 
     x0 = np.append(base_u + ds * t_u, base_lam + ds * t_lam)
     sopts = replace(opts.solve, max_newton=MAX_CORRECTOR, min_step=CORRECTOR_MIN_STEP)

@@ -204,11 +204,13 @@ REUSE_MIN_FILL = 4.0
 # GMRES iterations with the held LU before it counts as too old and A is
 # factored afresh. Along a 48^2 branch solves take 2-10 (mostly 4-8), 18^3
 # Newton steps 4-5; caps of 6 to 20 traced that branch equally fast. A
-# preconditioner used while no LU is held gets twice the cap, as it leaves the
-# drift term (and, unshifted, the reaction) to GMRES: with the Laplacian inverse
-# 18^3 Newton steps take up to 6 from smooth starts and 9-14 on the first step
-# from ``multi_start``'s noise starts; with the shifted one corrector steps take
-# mostly 4-7 and up to 20 along 48^2 and 24^3 branches. A miss costs an LU
+# preconditioner used while no LU is held gets twice the cap, as it leaves more
+# to GMRES: the Laplacian inverse leaves the drift term and the reaction, and 18^3
+# Newton steps with it take up to 6 from smooth starts and 9-14 on the first step
+# from ``multi_start``'s noise starts; ``solver.drift_preconditioner`` leaves the
+# variation of its potential, and with it corrector steps take 1-8 (mostly 3-7)
+# along 48^2 and 24^3 branches to sup u = 3 and 2-D Newton steps from zero 1-5,
+# while first steps from 2-D noise starts miss. A miss costs an LU
 KRYLOV_MAX_ITER = 10
 # a Krylov solve stops at max(KRYLOV_RTOL |b|, KRYLOV_TOL_SHARE * tol) in
 # the 2-norm of its residual, tol being the sup-norm tolerance the caller

@@ -43,6 +43,12 @@ class EnclosureError(SolverError):
 # fallen to (1 - ARMIJO_SLOPE * t) times its value, else t *= ARMIJO_SHRINK
 ARMIJO_SHRINK = 0.5
 ARMIJO_SLOPE = 1e-4
+# ``drift_preconditioner``'s shift is capped at this fraction of the Laplacian's
+# smallest eigenvalue, below which folds lie close (0.917 of it at 48^2, h = 0.1 sin sin)
+SHIFT_CAP = 0.9
+# ``drift_preconditioner``'s exponents are raised to at least this, so its
+# factors stay within e^+-300 and the vectors GMRES forms from them finite
+DRIFT_EXP_FLOOR = -300.0
 
 
 @dataclass
@@ -153,15 +159,47 @@ def damped_newton(
     return x, SolveReport(False, opts.max_newton, rsup, history, "max_iter", tol)
 
 
-def held_newton_step(ops: DiscreteOperators, jacobian: Callable[[np.ndarray], sp.spmatrix]
-                     ) -> Callable[[np.ndarray, np.ndarray, float], np.ndarray]:
+def drift_preconditioner(
+    ops: DiscreteOperators, u: np.ndarray, d: np.ndarray, mu: np.ndarray, h: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray] | None:
+    """An approximate inverse of the Jacobian of  L u - d u - mu |grad u|^2 - h
+    at u, as a GMRES preconditioner; None on 1-D grids, whose steps are LU solves.
+
+    At a solution u with constant mu the Jacobian is
+    e^{-mu u} (L + V) e^{mu u} with V = -d (1 + mu u) - mu h (the identity
+    behind the Cole-Hopf transform). The preconditioner is
+    r -> e^{-mu u} (L - sigma)^-1 (e^{mu u} r) by ``ops.shifted_sine_solve``,
+    with sigma the mean of -V capped at ``SHIFT_CAP`` times L's smallest
+    eigenvalue, so GMRES is left only V's variation, the drift's where mu
+    varies and, off a solution, the identity's defect. mu, d and h enter
+    nodewise. The exponent is mu u - max(mu u), which leaves the
+    preconditioner unchanged, floored at ``DRIFT_EXP_FLOOR``.
+    """
+    if ops.spec.dim == 1:
+        return None
+    mu_u = mu * u
+    exponent = np.maximum(mu_u - np.max(mu_u), DRIFT_EXP_FLOOR)
+    up, down = np.exp(exponent), np.exp(-exponent)
+    sigma = min(float(np.mean(d * (1.0 + mu_u) + mu * h)),
+                SHIFT_CAP * float(ops.sine_basis()[1].min()))
+    return lambda r: down * ops.shifted_sine_solve(up * r, sigma)
+
+
+def held_newton_step(
+    ops: DiscreteOperators,
+    jacobian: Callable[[np.ndarray], sp.spmatrix],
+    precondition: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray] | None] | None = None,
+) -> Callable[[np.ndarray, np.ndarray, float], np.ndarray]:
     """The ``step`` of a fixed-parameter ``damped_newton`` solve on ``ops``:
-    ``jacobian(x)`` solved through one ``HeldFactor``. On 3-D grids, where
-    an LU is costly, GMRES preconditioned by ``ops.sine_solve`` runs while
-    no LU is held; 1-D and 2-D grids factor their first Jacobian."""
+    ``jacobian(x)`` solved through one ``HeldFactor``. While no LU is held,
+    GMRES runs preconditioned by ``precondition(x)``, by default
+    ``ops.sine_solve`` on 3-D grids and nothing elsewhere; a step without a
+    preconditioner factors its Jacobian."""
     held = HeldFactor()
-    precondition = ops.sine_solve if ops.spec.dim == 3 else None
-    return lambda x, R, tol: held.solve(jacobian(x), -R, tol, precondition=precondition)
+    if precondition is None:
+        def precondition(x):
+            return ops.sine_solve if ops.spec.dim == 3 else None
+    return lambda x, R, tol: held.solve(jacobian(x), -R, tol, precondition=precondition(x))
 
 
 def newton_quasilinear(
@@ -178,7 +216,9 @@ def newton_quasilinear(
         R, scale = residual_with_scale(u, d, mu, h, ops)
         return R, opts.tol_residual * (1.0 + scale)
 
-    step = held_newton_step(ops, lambda u: quasilinear_jacobian(u, d, mu, ops))
+    # 3-D steps keep ``held_newton_step``'s default, ``sine_solve``
+    drift = None if ops.spec.dim == 3 else lambda u: drift_preconditioner(ops, u, d, mu, h)
+    step = held_newton_step(ops, lambda u: quasilinear_jacobian(u, d, mu, ops), drift)
     return damped_newton(u0, residual, step, opts)
 
 

@@ -324,6 +324,28 @@ def test_branch_seed_failure_exits3(tmp_path):
     assert "error" in analysis
 
 
+@pytest.mark.parametrize("demo, lam, message", [("demo_fig1", 0.5, "no fold"),
+                                                 ("demo_fig2", 1000.0, "outside")])
+def test_branch_undefined_two_solution_lambda_keeps_the_analysis(demo, lam, message, tmp_path):
+    # only the trace shows that the pair is undefined (no fold on demo_fig1, a
+    # lambda past demo_fig2's fold): exit 1, with the trace's analysis and the
+    # error in analysis.json
+    cfg = json.loads((DEMO_DIR / f"{demo}.json").read_text())
+    cfg["continuation"]["two_solution_lambda"] = lam
+    out = tmp_path / "out"
+    code = main(["branch", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                 "--quiet"])
+    assert code == 1
+    analysis = strict_json(out / "analysis.json")
+    assert message in analysis["error"] and "two_solutions" not in analysis
+    ref = json.loads((Path(__file__).parent / "data" / f"{demo}_analysis.json").read_text())
+    for key in ("points", "folds", "fold_index", "termination", "blowup_side"):
+        assert analysis[key] == ref[key]
+    assert analysis["max_lambda"] == pytest.approx(ref["max_lambda"], rel=1e-10)
+    rows = (out / "branch.csv").read_text().strip().splitlines()
+    assert len(rows) - 1 == analysis["points"]
+
+
 def test_branch_half_fold_left_of_the_axis(tmp_path):
     # h above gamma1/mu folds the branch at lambda < 0: no pair at half the
     # fold is asked for, and the branch is still written

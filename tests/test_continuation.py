@@ -13,7 +13,7 @@ from gqc import (
     residual_P,
     trace_branch,
 )
-from gqc import continuation, grid
+from gqc import continuation, grid, solver
 from gqc.grid import factor
 from gqc.solver import quasilinear_jacobian, residual_with_scale
 
@@ -302,7 +302,13 @@ def test_corrector_matches_bordered_lu(fold_square24, monkeypatch):
     got = continuation._corrector(*args, *step, ds, held)
     _assert_same_step(got, _reference_corrector(*args, *step, ds))
     assert (held.factorizations, held.krylov_solves) == (0, got[2])
-    # at the located fold the Jacobian is nearly singular
+    # the shift is the mean of d (1 + mu u) + mu h at each Newton step, from the
+    # predictor's on; five times the step takes two
+    shifts.clear()
+    got = continuation._corrector(*args, *step, 5 * ds, grid.HeldFactor())
+    assert shifts[0] == _drift_shift(data["ops"], data["problem"], *step, 5 * ds)
+    assert len(set(shifts)) == got[2] > 1
+    # at the located fold the Jacobian is nearly singular, and the shift is capped
     step, sigma = data["fold_step"], data["sigma"]
     held = grid.HeldFactor()
     shifts.clear()
@@ -310,10 +316,8 @@ def test_corrector_matches_bordered_lu(fold_square24, monkeypatch):
     _assert_same_step(got, _reference_corrector(*args, *step, sigma))
     assert got[1] == pytest.approx(data["lam_fold"], rel=1e-12)
     assert (held.factorizations, held.krylov_solves) == (0, got[2])
-    # the shift is lambda (c = 1) at each Newton step, from the predictor's on
-    base_lam, _, t_lam, _ = step
-    assert shifts[0] == base_lam + sigma * t_lam and len(set(shifts)) == got[2] > 1
-    # GMRES on block elimination by the shifted sine solve throughout: no LU at all
+    assert set(shifts) == {solver.SHIFT_CAP * data["ops"].sine_basis()[1].min()}
+    # GMRES on block elimination by the drift preconditioner throughout: no LU at all
     assert sizes == []
     J = quasilinear_jacobian(got[0], got[1] * data["problem"].c.values,
                              data["problem"].mu.values, data["ops"]).toarray()
@@ -369,6 +373,60 @@ def _counting_factor(monkeypatch):
     sizes = []
     monkeypatch.setattr(grid, "factor", lambda A: sizes.append(A.shape[0]) or factor(A))
     return sizes
+
+
+def test_square_trace_with_its_seed_solves_makes_no_lu(fold_square24, monkeypatch):
+    # seed solves and corrector steps alike are GMRES with the drift preconditioner
+    data = fold_square24
+    sizes = _counting_factor(monkeypatch)
+    branch = trace_branch(data["problem"], -2.0, data["ops"], data["opts"])
+    assert np.array_equal(branch.lambdas, data["branch"].lambdas)
+    assert locate_fold(branch, data["problem"], data["ops"], data["opts"])[0] == data["lam_fold"]
+    assert sizes == []
+
+
+def _bordered_gmres_iterations(J, border, b, solve):
+    """GMRES iterations to 1e-9 |b| on the bordered J, preconditioned by block
+    elimination with ``solve``."""
+    col, row, corner = border
+    solves = []
+
+    def matvec(x):
+        return np.append(J @ x[:-1] + x[-1] * col, row @ x[:-1] + corner * x[-1])
+
+    def counted(r):
+        solves.append(1)
+        return solve(r)
+
+    precondition = grid._block_elimination(counted, col, row, corner)
+    assert grid.gmres(matvec, precondition, b, 1e-9 * np.linalg.norm(b), 100) is not None
+    return len(solves) - 1  # one solve, of col, sets the elimination up
+
+
+def test_drift_preconditioner_beats_the_shifted_sine_solve(fold_square24):
+    # bordered Jacobians as the tracer forms them, on the lower branch, at the
+    # fold and on the upper branch
+    data = fold_square24
+    problem, ops, points = data["problem"], data["ops"], data["branch"].points
+    c, mu, h = problem.c.values, problem.mu.values, problem.h.values
+    shift_cap = solver.SHIFT_CAP * ops.sine_basis()[1].min()
+    rng = np.random.default_rng(7)
+    fold = data["branch"].folds[0]
+    for i in (len(points) // 4, fold, (fold + len(points)) // 2):
+        prev, cur = points[i - 1], points[i]
+        u, lam = cur.u.values, cur.lam
+        e = ops.energy_product(u, u)
+        dl, du = cur.lam - prev.lam, u - prev.u.values
+        nrm = continuation._product_norm(dl, du, e, ops)
+        border = (-(c * u), ops.node_weight / (1.0 + e) * (ops.laplacian @ du) / nrm, dl / nrm)
+        J = quasilinear_jacobian(u, lam * c, mu, ops)
+        b = rng.standard_normal(u.size + 1)
+        drift = _bordered_gmres_iterations(
+            J, border, b, solver.drift_preconditioner(ops, u, lam * c, mu, h))
+        shifted = _bordered_gmres_iterations(
+            J, border, b,
+            lambda r: ops.shifted_sine_solve(r, min(lam * float(np.mean(c)), shift_cap)))
+        assert drift < shifted, (i, drift, shifted)
 
 
 def test_locate_fold_holds_one_factor(fold_square24, monkeypatch):
@@ -460,8 +518,8 @@ def test_cube_trace_and_fold_make_no_lu(monkeypatch):
     lam, _ = locate_fold(branch, problem, ops, opts)
     assert sizes == []
     assert branch.termination == "norm_cap" and branch.folds
-    # the shift follows lambda (c = 1) up to its cap, which the fold lies past
-    shift_cap = continuation.SHIFT_CAP * ops.sine_basis()[1].min()
+    # the shift grows with lambda up to its cap, which the fold lies past
+    shift_cap = solver.SHIFT_CAP * ops.sine_basis()[1].min()
     assert lam > shift_cap and max(shifts) == shift_cap
     assert -2.0 < min(shifts) < -1.0
     assert in_trace > 100 and len(steps) > in_trace + 20
@@ -513,20 +571,30 @@ def test_rejected_corrector_keeps_the_held_lu(fold_square24, monkeypatch):
     assert held.factorizations == made + 1 and held.lu is lu
 
 
-def test_corrector_shift_is_lambda_times_mean_c(monkeypatch):
+def _drift_shift(ops, problem, base_lam, base_u, t_lam, t_u, ds):
+    """The drift preconditioner's shift at the secant predictor: the mean of
+    d (1 + mu u) + mu h, capped at SHIFT_CAP times L's smallest eigenvalue."""
+    lam, u = base_lam + ds * t_lam, base_u + ds * t_u
+    c, mu, h = problem.c.values, problem.mu.values, problem.h.values
+    return min(float(np.mean(lam * c * (1.0 + mu * u) + mu * h)),
+               solver.SHIFT_CAP * float(ops.sine_basis()[1].min()))
+
+
+def test_corrector_shift_is_the_mean_of_minus_v(monkeypatch):
     spec = GridSpec(2, ((0.0, 1.0), (0.0, 2.0)), (16, 20))
     ops = build_operators(spec)
-    problem = make_problem(spec, c="1 + 0.5*sin(pi*x1)", h="0.1*sin(pi*x1)*sin(pi*x2/2)",
-                           profile="A2")
+    problem = make_problem(spec, c="1 + 0.5*sin(pi*x1)", mu="1 + 0.3*x2",
+                           h="0.1*sin(pi*x1)*sin(pi*x2/2)", profile="A2")
     calls, shifts = [], []
     corrector, shifted_solve = continuation._corrector, ops.shifted_sine_solve
+    # the seed solves shift too: keep where the first corrector call's shifts start
     monkeypatch.setattr(continuation, "_corrector",
-                        lambda *args: calls.append(args[3:8]) or corrector(*args))
+                        lambda *args: calls.append((len(shifts), args[3:8])) or corrector(*args))
     monkeypatch.setattr(ops, "shifted_sine_solve",
                         lambda r, shift: shifts.append(shift) or shifted_solve(r, shift))
     trace_branch(problem, -2.0, ops, ContinuationOptions(max_points=3))
-    base_lam, _, t_lam, _, ds = calls[0]
-    assert shifts[0] == (base_lam + ds * t_lam) * float(np.mean(problem.c.values))
+    first, step = calls[0]
+    assert 0 < first and shifts[first] == _drift_shift(ops, problem, *step)
 
 
 def test_one_dimensional_branch_never_takes_the_krylov_path(fold_demo, monkeypatch):

@@ -138,9 +138,9 @@ def test_newton_reuses_the_first_lu(dim, n, monkeypatch):
     monkeypatch.setattr(grid, "factor", lambda A: sizes.append(A.shape[0]) or factor(A))
     u, rep = newton_solve(problem, GridFunction.zeros(spec), ops)
     assert rep.converged and rep.iterations >= 3
-    # 2-D factors its first Jacobian; 3-D starts from the sine-transform
-    # preconditioner and needs no LU at all here
-    assert len(sizes) == (1 if dim == 2 else 0)
+    # 2-D starts from the drift preconditioner, 3-D from the sine-transform
+    # Laplacian inverse; neither needs an LU here
+    assert sizes == []
     # a Krylov cap of 0 refactors at every step and lands on the same root
     monkeypatch.setattr(grid, "KRYLOV_MAX_ITER", 0)
     sizes.clear()
@@ -148,6 +148,67 @@ def test_newton_reuses_the_first_lu(dim, n, monkeypatch):
     assert rep_fresh.iterations == rep.iterations
     assert len(sizes) == rep.iterations
     assert np.max(np.abs(u.values - u_fresh.values)) <= 1e-12 * np.max(np.abs(u.values))
+
+
+@pytest.mark.parametrize("lam", [-2.0, 8.0])
+def test_2d_newton_lands_on_the_root_of_lu_steps(lam, monkeypatch):
+    # variable c and mu, from zero: every step is GMRES preconditioned by the drift
+    # preconditioner, and the root is the one an LU at every step finds
+    from gqc import GridSpec, build_operators
+
+    spec = GridSpec(2, ((0.0, 1.0),) * 2, (48, 48))
+    ops = build_operators(spec)
+    problem = make_problem(spec, c="1 + 0.5*sin(pi*x2)", mu="0.5 + 0.25*sin(pi*x1)",
+                           h="2 + x2", lam=lam)
+    sizes = []
+    monkeypatch.setattr(grid, "factor", lambda A: sizes.append(A.shape[0]) or factor(A))
+    u, rep = newton_solve(problem, GridFunction.zeros(spec), ops)
+    assert rep.converged and rep.iterations >= 4 and sizes == []
+    monkeypatch.setattr(grid, "KRYLOV_MAX_ITER", 0)
+    u_lu, rep_lu = newton_solve(problem, GridFunction.zeros(spec), ops)
+    assert rep_lu.iterations == rep.iterations == len(sizes)
+    assert np.max(np.abs(u.values - u_lu.values)) <= 1e-12 * np.max(np.abs(u_lu.values))
+
+
+def test_drift_preconditioner_inverts_the_conjugated_shifted_laplacian():
+    from gqc import GridSpec, build_operators
+
+    spec = GridSpec(2, ((0.0, 1.0), (0.0, 2.0)), (12, 18))
+    ops = build_operators(spec)
+    rng = np.random.default_rng(5)
+    u, r = rng.standard_normal(spec.n_interior), rng.standard_normal(spec.n_interior)
+    mu = 1.0 + 0.5 * rng.uniform(size=spec.n_interior)
+    d, h = -2.0 + rng.uniform(size=spec.n_interior), rng.uniform(size=spec.n_interior)
+    z = solver.drift_preconditioner(ops, u, d, mu, h)(r)
+    sigma = float(np.mean(d * (1.0 + mu * u) + mu * h))
+    e = np.exp(mu * u - np.max(mu * u))  # exp(mu u) up to a constant factor
+    lhs = ops.laplacian @ (e * z) - sigma * (e * z)
+    assert np.max(np.abs(lhs - e * r)) <= 1e-12 * np.max(np.abs(e * r))
+    # the shift stops at SHIFT_CAP times the smallest eigenvalue of L
+    cap = solver.SHIFT_CAP * ops.sine_basis()[1].min()
+    z = solver.drift_preconditioner(ops, u, d + 1e3, mu, h)(r)
+    lhs = ops.laplacian @ (e * z) - cap * (e * z)
+    assert np.max(np.abs(lhs - e * r)) <= 1e-10 * np.max(np.abs(e * r))
+
+
+def test_drift_preconditioner_is_none_in_1d(interval64):
+    spec, ops = interval64
+    zeros = np.zeros(spec.n_interior)
+    assert solver.drift_preconditioner(ops, zeros, zeros, zeros + 1.0, zeros) is None
+
+
+def test_drift_preconditioner_does_not_overflow(square32):
+    # mu u spans 800, past the 709 at which exp overflows
+    import warnings
+
+    spec, ops = square32
+    ones = np.ones(spec.n_interior)
+    u = 800.0 * spec.interior_points()[:, 0]
+    r = np.random.default_rng(6).standard_normal(spec.n_interior)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        z = solver.drift_preconditioner(ops, u, -ones, ones, ones)(r)
+    assert np.all(np.isfinite(z))
 
 
 def test_3d_cascade_enclosure_and_multi_start_make_no_lu(monkeypatch):
@@ -373,6 +434,8 @@ def test_failed_linear_solve_is_reported_singular(square32, monkeypatch):
     def refused(A):
         raise RuntimeError("Factor is exactly singular")
 
+    # the first GMRES run misses, so the step needs an LU of the Jacobian
+    monkeypatch.setattr(grid, "gmres", lambda *a: None)
     monkeypatch.setattr(grid, "factor", refused)
     u, rep = newton_solve(problem, GridFunction.zeros(spec), ops)
     assert not rep.converged and rep.failure_reason == "singular"
