@@ -8,10 +8,10 @@ whose relative u-scaling keeps steps meaningful while norms grow toward
 the cap. Predictors are secants in that norm; the corrector is
 ``solver.damped_newton`` on the bordered system (residual = 0, arclength
 constraint = 0), which stays regular through folds where plain parameter
-continuation degenerates. A trace solves its steps through one
-``HeldFactor``: ``solver.drift_preconditioner``, a shifted sine solve
-conjugated by exp(mu u), preconditions them on 2-D and 3-D grids until a
-GMRES run misses, and 1-D steps are LU solves.
+continuation degenerates. Each corrector step is one bordered
+``grid.linear_solve``: GMRES preconditioned by ``solver.drift_preconditioner``,
+a shifted sine solve conjugated by exp(mu u), on 2-D and 3-D grids, with an
+LU for that step alone on a miss; 1-D steps are LU solves.
 
 Termination is one of: the sup norm exceeding ``norm_cap`` (read as the
 branch escaping to infinity, with the side classified by the sign of
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import DiscreteOperators, GridFunction, HeldFactor
+from .grid import DiscreteOperators, GridFunction, linear_solve
 from .problem import ProblemData
 from .solver import (
     SolveOptions,
@@ -135,20 +135,19 @@ class _Rejected(Exception):
 
 
 def _corrector(problem: ProblemData, ops: DiscreteOperators, opts: ContinuationOptions,
-               base_lam: float, base_u: np.ndarray, t_lam: float, t_u: np.ndarray, ds: float,
-               held: HeldFactor) -> tuple[np.ndarray, float, int]:
+               base_lam: float, base_u: np.ndarray, t_lam: float, t_u: np.ndarray, ds: float
+               ) -> tuple[np.ndarray, float, int]:
     """``damped_newton`` on the bordered system in x = (u, lam) from the
     secant predictor; returns (u, lam, Newton steps) or raises ``_Rejected``
     (``singular`` when no LU could be made, else ``corrector_failed``).
 
     The residual is the equation's over its tolerance and the constraint's
     over ``1e-10 (1 + |ds|)``, so both must reach 1 and the Armijo merit
-    weighs both. A step is one ``held.solve`` of the raw bordered system (the
-    Jacobian bordered by dR/dlam = -c u and the arclength row) at the point
-    evaluated last, preconditioned by ``drift_preconditioner`` at that point
-    on 2-D and 3-D grids; 1-D grids keep LU steps, as GMRES took twice as
-    long on a 64-cell trace. ``held`` keeps its LU between calls, but not
-    one made in a rejected call.
+    weighs both. A step is one ``linear_solve`` of the raw bordered system
+    (the Jacobian bordered by dR/dlam = -c u and the arclength row) at the
+    point evaluated last, preconditioned by ``drift_preconditioner`` at that
+    point on 2-D and 3-D grids; 1-D grids keep LU steps, as GMRES took twice
+    as long on a 64-cell trace.
     """
     c, mu, h = problem.c.values, problem.mu.values, problem.h.values
     scale = ops.node_weight / (1.0 + ops.energy_product(base_u, base_u))
@@ -167,16 +166,14 @@ def _corrector(problem: ProblemData, ops: DiscreteOperators, opts: ContinuationO
     def step(x: np.ndarray, *_) -> np.ndarray:
         u, lam = x[:-1], float(x[-1])
         R, constraint, tol = raw
-        return held.solve(quasilinear_jacobian(u, lam * c, mu, ops), -np.append(R, constraint),
-                          min(tol, constraint_tol), border=(-(c * u), cvec, t_lam),
-                          precondition=drift_preconditioner(ops, u, lam * c, mu, h))
+        return linear_solve(quasilinear_jacobian(u, lam * c, mu, ops), -np.append(R, constraint),
+                            min(tol, constraint_tol), border=(-(c * u), cvec, t_lam),
+                            precondition=drift_preconditioner(ops, u, lam * c, mu, h))
 
     x0 = np.append(base_u + ds * t_u, base_lam + ds * t_lam)
     sopts = replace(opts.solve, max_newton=MAX_CORRECTOR, min_step=CORRECTOR_MIN_STEP)
-    lu = held.lu
     x, report = damped_newton(x0, residual, step, sopts)
     if not report.converged:
-        held.lu = lu  # an LU made off the branch serves no later step
         raise _Rejected("singular" if report.failure_reason == "singular"
                         else "corrector_failed")
     return x[:-1], float(x[-1]), report.iterations
@@ -225,7 +222,6 @@ def trace_branch(
     branch.points.append(_make_point(lam0 + dlam, u1, s1, it1, dlam, problem, ops))
 
     ds = opts.ds0
-    held = HeldFactor()
     while True:
         prev, cur = branch.points[-2], branch.points[-1]
         if cur.sup_norm > opts.norm_cap:
@@ -246,7 +242,7 @@ def trace_branch(
 
         try:
             u_new, lam_new, iters = _corrector(problem, ops, opts, cur.lam, cur.u.values,
-                                               t_lam, t_u, ds, held)
+                                               t_lam, t_u, ds)
             step_norm = _product_norm(lam_new - cur.lam, u_new - cur.u.values,
                                       base_energy_sq, ops)
             if step_norm > MAX_STEP_RATIO * ds:
@@ -426,12 +422,10 @@ def locate_fold(
     nrm = _product_norm(dl, du, base_energy_sq, ops)
     t_lam, t_u = dl / nrm, du / nrm
     width = b.s - a.s
-    held = HeldFactor()
 
     def lam_at(sigma: float) -> float:
         try:
-            return _corrector(problem, ops, opts, a.lam, a.u.values, t_lam, t_u, sigma,
-                              held)[1]
+            return _corrector(problem, ops, opts, a.lam, a.u.values, t_lam, t_u, sigma)[1]
         except _Rejected:
             return -np.inf
 

@@ -23,6 +23,11 @@ central-difference quadrature would lose the boundary band contribution of
 |grad u|^2 (a 2/n relative deficit), which is far too crude for the
 eigenvalue and condition checks; the energy form is exact for the same
 discrete operators the solvers use.
+
+``linear_solve`` is the one linear solve of every Newton and continuation
+step: GMRES with the caller's preconditioner and, on a miss or without one,
+a sparse LU (``factor``) made for that call alone. No factorization is held
+between calls.
 """
 
 from __future__ import annotations
@@ -194,24 +199,14 @@ def factor(A: sp.spmatrix) -> spla.SuperLU:
     return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A")
 
 
-# nnz(LU) / nnz(A) up to which a fresh factorization costs about what a
-# preconditioned Krylov solve does, so the held LU is never reused; SuperLU
-# fills Jacobians 1.8-2.5 on 1-D grids, 4.5-6 on 2-D and 5.7-26 on 3-D ones.
-# A 3-D LU is also slow to make (78 ms at 18^3, fill 25), so 3-D Newton
-# solves start without one, preconditioned by the exact inverse of the
-# Laplacian (``DiscreteOperators.sine_solve``), and factor only on a miss
-REUSE_MIN_FILL = 4.0
-# GMRES iterations with the held LU before it counts as too old and A is
-# factored afresh. Along a 48^2 branch solves take 2-10 (mostly 4-8), 18^3
-# Newton steps 4-5; caps of 6 to 20 traced that branch equally fast. A
-# preconditioner used while no LU is held gets twice the cap, as it leaves more
-# to GMRES: the Laplacian inverse leaves the drift term and the reaction, and 18^3
-# Newton steps with it take up to 6 from smooth starts and 9-14 on the first step
-# from ``multi_start``'s noise starts; ``solver.drift_preconditioner`` leaves the
-# variation of its potential, and with it corrector steps take 1-8 (mostly 3-7)
-# along 48^2 and 24^3 branches to sup u = 3 and 2-D Newton steps from zero 1-5,
-# while first steps from 2-D noise starts miss. A miss costs an LU
-KRYLOV_MAX_ITER = 10
+# GMRES iterations before a solve counts as a miss and A is factored for that
+# call alone. With ``solver.drift_preconditioner`` corrector steps take 1-8
+# (mostly 3-7) along 48^2 and 24^3 branches to sup u = 3, and 2-D Newton steps
+# from zero 1-5; 3-D Newton steps with the Laplacian inverse
+# (``DiscreteOperators.sine_solve``) take up to 6 from smooth starts and 9-14 on
+# the first step from ``multi_start``'s noise starts. First steps from 2-D noise
+# starts miss
+KRYLOV_MAX_ITER = 20
 # a Krylov solve stops at max(KRYLOV_RTOL |b|, KRYLOV_TOL_SHARE * tol) in
 # the 2-norm of its residual, tol being the sup-norm tolerance the caller
 # enforces on the residual the solve corrects. 1e-6 changed the Newton
@@ -284,82 +279,53 @@ def gmres(
     return None
 
 
-class HeldFactor:
-    """The sparse LU of one recent matrix, reused for the nearby matrices
-    of a Newton or continuation run; the one place that chooses between
-    that LU, a given preconditioner and a fresh LU.
+def linear_solve(
+    A: sp.spmatrix,
+    b: np.ndarray,
+    tol: float,
+    border: tuple[np.ndarray, np.ndarray, float] | None = None,
+    precondition: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> np.ndarray:
+    """x with M x = b, for a caller that enforces the sup-norm tolerance
+    ``tol`` on the residual this solve corrects; the one place that chooses
+    between a caller's preconditioner and an LU.
 
-    A solve with a matrix A runs GMRES preconditioned by the held LU and
-    factors A afresh, holding the new LU, only when GMRES misses its
-    tolerance within ``KRYLOV_MAX_ITER`` iterations. While no LU is held,
-    GMRES runs with the call's ``precondition`` instead, when one is given
-    (it may change from call to call), at the same tolerance and twice the
-    cap. Where the LU fills little (``REUSE_MIN_FILL``), and when nothing
-    is held and no ``precondition`` is given, A is always factored afresh
-    and solved directly. ``factorizations`` and ``krylov_solves`` count the
-    fresh LUs of A and the GMRES runs, including the runs that missed.
-    Every LU is made by ``factor``, looked up at each call.
+    M is A or, with ``border = (col, row, corner)``, the bordered matrix
+    [[A, col], [row^T, corner]], whose b and x are one entry longer. With a
+    ``precondition`` (an approximate solve by A), GMRES runs for up to
+    ``KRYLOV_MAX_ITER`` iterations; on a miss, or without one, A is factored
+    by ``factor`` for this call alone and M solved directly. A bordered
+    system is preconditioned, and solved directly, by block elimination with
+    a solve by A (``_block_elimination``); a direct solve takes one step of
+    iterative refinement against the bordered residual, which keeps it
+    accurate where A is nearly singular, as at a fold. ``gmres`` and
+    ``factor`` are looked up at each call. A ``RuntimeError`` propagates when
+    A cannot be factored or when the Schur scalar of a bordered solve is
+    zero or not finite.
     """
+    if border is None:
+        def matvec(v: np.ndarray) -> np.ndarray:
+            return A @ v
 
-    def __init__(self):
-        self.lu: spla.SuperLU | None = None
-        self.factorizations = 0
-        self.krylov_solves = 0
+        def inverse(solve):
+            return solve
+    else:
+        col, row, corner = border
 
-    def solve(
-        self,
-        A: sp.spmatrix,
-        b: np.ndarray,
-        tol: float,
-        border: tuple[np.ndarray, np.ndarray, float] | None = None,
-        precondition: Callable[[np.ndarray], np.ndarray] | None = None,
-    ) -> np.ndarray:
-        """x with M x = b, for a caller that enforces the sup-norm
-        tolerance ``tol`` on the residual this solve corrects.
+        def matvec(x: np.ndarray) -> np.ndarray:
+            return np.append(A @ x[:-1] + x[-1] * col, row @ x[:-1] + corner * x[-1])
 
-        M is A or, with ``border = (col, row, corner)``, the bordered matrix
-        [[A, col], [row^T, corner]], whose b and x are one entry longer.
-        A bordered system is preconditioned, and solved directly, by block
-        elimination with a solve by A (``_block_elimination``); a direct
-        solve takes one step of iterative refinement against the bordered
-        residual, which keeps it accurate where A is nearly singular, as at
-        a fold. A ``RuntimeError`` propagates when A cannot be factored, and
-        then nothing is held, or when the Schur scalar of a bordered solve
-        is zero or not finite.
-        """
-        if border is None:
-            def matvec(v: np.ndarray) -> np.ndarray:
-                return A @ v
+        def inverse(solve):
+            return _block_elimination(solve, col, row, corner)
 
-            def inverse(solve):
-                return solve
-        else:
-            col, row, corner = border
-
-            def matvec(x: np.ndarray) -> np.ndarray:
-                return np.append(A @ x[:-1] + x[-1] * col, row @ x[:-1] + corner * x[-1])
-
-            def inverse(solve):
-                return _block_elimination(solve, col, row, corner)
-
-        if self.lu is None:
-            max_iter = 2 * KRYLOV_MAX_ITER
-        else:
-            precondition = self.lu.solve if self.lu.nnz > REUSE_MIN_FILL * A.nnz else None
-            max_iter = KRYLOV_MAX_ITER
-        if precondition is not None:
-            precondition = inverse(precondition)
-            self.krylov_solves += 1
-            target = max(KRYLOV_RTOL * float(np.linalg.norm(b)), KRYLOV_TOL_SHARE * tol)
-            x = gmres(matvec, precondition, b, target, max_iter)
-            if x is not None:
-                return x
-        self.lu = None  # nothing is held when A cannot be factored
-        self.lu = factor(A)
-        self.factorizations += 1
-        direct = inverse(self.lu.solve)
-        x = direct(b)
-        return x if border is None else x + direct(b - matvec(x))
+    if precondition is not None:
+        target = max(KRYLOV_RTOL * float(np.linalg.norm(b)), KRYLOV_TOL_SHARE * tol)
+        x = gmres(matvec, inverse(precondition), b, target, KRYLOV_MAX_ITER)
+        if x is not None:
+            return x
+    direct = inverse(factor(A).solve)
+    x = direct(b)
+    return x if border is None else x + direct(b - matvec(x))
 
 
 def _block_elimination(

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import DiscreteOperators, GridFunction, HeldFactor, grad_sq_values
+from .grid import DiscreteOperators, GridFunction, grad_sq_values, linear_solve
 from .problem import ProblemData
 
 
@@ -185,23 +185,6 @@ def drift_preconditioner(
     return lambda r: down * ops.shifted_sine_solve(up * r, sigma)
 
 
-def held_newton_step(
-    ops: DiscreteOperators,
-    jacobian: Callable[[np.ndarray], sp.spmatrix],
-    precondition: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray] | None] | None = None,
-) -> Callable[[np.ndarray, np.ndarray, float], np.ndarray]:
-    """The ``step`` of a fixed-parameter ``damped_newton`` solve on ``ops``:
-    ``jacobian(x)`` solved through one ``HeldFactor``. While no LU is held,
-    GMRES runs preconditioned by ``precondition(x)``, by default
-    ``ops.sine_solve`` on 3-D grids and nothing elsewhere; a step without a
-    preconditioner factors its Jacobian."""
-    held = HeldFactor()
-    if precondition is None:
-        def precondition(x):
-            return ops.sine_solve if ops.spec.dim == 3 else None
-    return lambda x, R, tol: held.solve(jacobian(x), -R, tol, precondition=precondition(x))
-
-
 def newton_quasilinear(
     u0: np.ndarray,
     d: np.ndarray,
@@ -216,9 +199,14 @@ def newton_quasilinear(
         R, scale = residual_with_scale(u, d, mu, h, ops)
         return R, opts.tol_residual * (1.0 + scale)
 
-    # 3-D steps keep ``held_newton_step``'s default, ``sine_solve``
-    drift = None if ops.spec.dim == 3 else lambda u: drift_preconditioner(ops, u, d, mu, h)
-    step = held_newton_step(ops, lambda u: quasilinear_jacobian(u, d, mu, ops), drift)
+    def step(u: np.ndarray, R: np.ndarray, tol: float) -> np.ndarray:
+        # 3-D steps keep the Laplacian inverse (the drift preconditioner misses
+        # on the first steps from ``multi_start``'s noise starts there)
+        precondition = (ops.sine_solve if ops.spec.dim == 3
+                        else drift_preconditioner(ops, u, d, mu, h))
+        return linear_solve(quasilinear_jacobian(u, d, mu, ops), -R, tol,
+                            precondition=precondition)
+
     return damped_newton(u0, residual, step, opts)
 
 

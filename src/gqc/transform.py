@@ -40,12 +40,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .conditions import weighted_rayleigh_sup
-from .grid import DiscreteOperators, GridFunction
+from .grid import DiscreteOperators, GridFunction, linear_solve
 from .problem import TAU_C_RELATIVE, compute_zero_mask
-from .solver import SolveOptions, damped_newton, held_newton_step, newton_quasilinear
+from .solver import SolveOptions, damped_newton, drift_preconditioner, newton_quasilinear
 
 # the Euler-Lagrange solves keep their own caps, apart from the caller's options
 _EL_NEWTON = SolveOptions(max_newton=60, min_step=1e-10)
@@ -217,15 +216,24 @@ def _minimize(
 
 
 def _newton_el(v: np.ndarray, tp: TransformedProblem, ops: DiscreteOperators) -> np.ndarray:
-    """Damped Newton on the Euler-Lagrange system, to a relative 1e-12."""
+    """Damped Newton on the Euler-Lagrange system, to a relative 1e-12.
+
+    The Jacobian L - (mu h + d g'(v)) has no drift term, so the drift
+    preconditioner with mu = h = 0, the shifted sine solve, preconditions
+    its steps on 2-D and 3-D grids; 1-D steps are LU solves."""
     h = tp.h_field.values
     h_sup = float(np.max(np.abs(h), initial=0.0))
+
+    def step(x: np.ndarray, R: np.ndarray, tol: float) -> np.ndarray:
+        reaction = tp.mu * h + tp.d_field.values * g_prime(x, tp.mu)
+        return linear_solve(ops.linearized(reaction, ()), -R, tol,
+                            precondition=drift_preconditioner(ops, x, reaction, 0.0, 0.0))
+
     v, report = damped_newton(
         v,
         lambda x: (_el_residual(x, tp, ops),
                    1e-12 * (1.0 + float(np.max(np.abs(ops.laplacian @ x))) + h_sup)),
-        held_newton_step(ops, lambda x: (ops.laplacian - sp.diags(tp.mu * h) - sp.diags(
-            tp.d_field.values * g_prime(x, tp.mu))).tocsc()),
+        step,
         _EL_NEWTON,
     )
     if not report.converged:

@@ -54,26 +54,33 @@ SMOOTH_H = (
     "(2*pi^2 + 1)*sin(pi*x1)*sin(pi*x2)"
     " - pi^2*(cos(pi*x1)^2*sin(pi*x2)^2 + sin(pi*x1)^2*cos(pi*x2)^2)"
 )
+SMOOTH_H_3D = (
+    "(3*pi^2 + 1)*sin(pi*x1)*sin(pi*x2)*sin(pi*x3)"
+    " - pi^2*(cos(pi*x1)^2*sin(pi*x2)^2*sin(pi*x3)^2"
+    " + sin(pi*x1)^2*cos(pi*x2)^2*sin(pi*x3)^2"
+    " + sin(pi*x1)^2*sin(pi*x2)^2*cos(pi*x3)^2)"
+)
 
 
 def test_criterion_1_manufactured_convergence():
     with criterion(1, "manufactured-solution convergence order in [3.5, 4.5]"):
-        errors = []
-        for n in (16, 32, 64):
-            spec = GridSpec(2, ((0.0, 1.0), (0.0, 1.0)), (n, n))
-            ops = build_operators(spec)
-            problem = make_problem(spec, c="1", mu="1", h=SMOOTH_H, lam=-1.0)
-            t0 = time.monotonic()
-            u, rep = newton_solve(problem, GridFunction.zeros(spec), ops)
-            elapsed = time.monotonic() - t0
-            assert rep.converged
-            assert elapsed < 5.0, f"solve on {n}^2 took {elapsed:.2f}s"
-            pts = spec.interior_points()
-            target = np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
-            errors.append(np.max(np.abs(u.values - target)))
-        for coarse, fine in zip(errors, errors[1:]):
-            ratio = coarse / fine
-            assert 3.5 <= ratio <= 4.5, f"ratio {ratio:.3f} outside [3.5, 4.5]"
+        # u* = prod sin(pi x_i) with c = mu = 1 and lam = -1, in 2-D and 3-D
+        for dim, h, sizes in ((2, SMOOTH_H, (16, 32, 64)), (3, SMOOTH_H_3D, (8, 16, 32))):
+            errors = []
+            for n in sizes:
+                spec = GridSpec(dim, ((0.0, 1.0),) * dim, (n,) * dim)
+                ops = build_operators(spec)
+                problem = make_problem(spec, c="1", mu="1", h=h, lam=-1.0)
+                t0 = time.monotonic()
+                u, rep = newton_solve(problem, GridFunction.zeros(spec), ops)
+                elapsed = time.monotonic() - t0
+                assert rep.converged
+                assert elapsed < 5.0, f"solve on {n}^{dim} took {elapsed:.2f}s"
+                target = np.prod(np.sin(np.pi * spec.interior_points()), axis=1)
+                errors.append(np.max(np.abs(u.values - target)))
+            for coarse, fine in zip(errors, errors[1:]):
+                ratio = coarse / fine
+                assert 3.5 <= ratio <= 4.5, f"{dim}-D ratio {ratio:.3f} outside [3.5, 4.5]"
 
 
 def _criterion2_instance():

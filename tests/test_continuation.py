@@ -297,25 +297,25 @@ def test_corrector_matches_bordered_lu(fold_square24, monkeypatch):
     shifted_solve = data["ops"].shifted_sine_solve
     monkeypatch.setattr(data["ops"], "shifted_sine_solve",
                         lambda r, shift: shifts.append(shift) or shifted_solve(r, shift))
+    runs = _counting_gmres(monkeypatch)
     step, ds = _ordinary_step(data)
-    held = grid.HeldFactor()
-    got = continuation._corrector(*args, *step, ds, held)
+    got = continuation._corrector(*args, *step, ds)
     _assert_same_step(got, _reference_corrector(*args, *step, ds))
-    assert (held.factorizations, held.krylov_solves) == (0, got[2])
+    assert len(runs) == got[2]
     # the shift is the mean of d (1 + mu u) + mu h at each Newton step, from the
     # predictor's on; five times the step takes two
     shifts.clear()
-    got = continuation._corrector(*args, *step, 5 * ds, grid.HeldFactor())
+    got = continuation._corrector(*args, *step, 5 * ds)
     assert shifts[0] == _drift_shift(data["ops"], data["problem"], *step, 5 * ds)
     assert len(set(shifts)) == got[2] > 1
     # at the located fold the Jacobian is nearly singular, and the shift is capped
     step, sigma = data["fold_step"], data["sigma"]
-    held = grid.HeldFactor()
     shifts.clear()
-    got = continuation._corrector(*args, *step, sigma, held)
+    runs.clear()
+    got = continuation._corrector(*args, *step, sigma)
     _assert_same_step(got, _reference_corrector(*args, *step, sigma))
     assert got[1] == pytest.approx(data["lam_fold"], rel=1e-12)
-    assert (held.factorizations, held.krylov_solves) == (0, got[2])
+    assert len(runs) == got[2]
     assert set(shifts) == {solver.SHIFT_CAP * data["ops"].sine_basis()[1].min()}
     # GMRES on block elimination by the drift preconditioner throughout: no LU at all
     assert sizes == []
@@ -324,22 +324,22 @@ def test_corrector_matches_bordered_lu(fold_square24, monkeypatch):
     assert np.linalg.cond(J) > 1e8
 
 
-def test_bordered_solve_at_fold_matches_lu(fold_square24):
+def test_bordered_solve_at_fold_matches_lu(fold_square24, monkeypatch):
     # one linear step at the fold point, against the bordered LU
     data = fold_square24
     problem, ops = data["problem"], data["ops"]
     base_lam, base_u, t_lam, t_u = data["fold_step"]
     u, lam, _ = continuation._corrector(problem, ops, data["opts"], *data["fold_step"],
-                                        data["sigma"], grid.HeldFactor())
+                                        data["sigma"])
     c = problem.c.values
     J = quasilinear_jacobian(u, lam * c, problem.mu.values, ops)
     row = ops.laplacian @ t_u
     rng = np.random.default_rng(3)
     rhs_u, rhs_g = rng.standard_normal(u.size), 0.7
-    # nothing held: J is factored and the step solved by block elimination
-    held = grid.HeldFactor()
-    got = held.solve(J, np.append(rhs_u, rhs_g), 0.0, border=(-(c * u), row, t_lam))
-    assert (held.factorizations, held.krylov_solves) == (1, 0)
+    # no preconditioner: J is factored and the step solved by block elimination
+    sizes, runs = _counting_factor(monkeypatch), _counting_gmres(monkeypatch)
+    got = grid.linear_solve(J, np.append(rhs_u, rhs_g), 0.0, border=(-(c * u), row, t_lam))
+    assert (sizes, runs) == ([u.size], [])
     du, dl = got[:-1], got[-1]
     ref = spla.splu(_bordered_matrix(J, -(c * u), row, t_lam)).solve(np.append(rhs_u, rhs_g))
     assert abs(dl - ref[-1]) <= 1e-10 * abs(ref[-1])
@@ -361,18 +361,23 @@ def test_bordered_step_is_singular_when_jacobian_factor_fails(fold_square24, mon
     monkeypatch.setattr(grid, "factor", jacobian_refused)
     for step, ds in (_ordinary_step(data), (data["fold_step"], data["sigma"])):
         sizes.clear()
-        held = grid.HeldFactor()
         with pytest.raises(continuation._Rejected, match="^singular$"):
-            continuation._corrector(*args, *step, ds, held)
+            continuation._corrector(*args, *step, ds)
         # the first Newton step tried J once; no bordered matrix was factored
         assert sizes == [n]
-        assert held.lu is None
 
 
 def _counting_factor(monkeypatch):
     sizes = []
     monkeypatch.setattr(grid, "factor", lambda A: sizes.append(A.shape[0]) or factor(A))
     return sizes
+
+
+def _counting_gmres(monkeypatch):
+    runs = []
+    gmres = grid.gmres
+    monkeypatch.setattr(grid, "gmres", lambda *args: runs.append(1) or gmres(*args))
+    return runs
 
 
 def test_square_trace_with_its_seed_solves_makes_no_lu(fold_square24, monkeypatch):
@@ -466,26 +471,19 @@ def test_corrector_refactors_after_a_krylov_miss(fold_square24, monkeypatch):
     data = fold_square24
     args = (data["problem"], data["ops"], data["opts"])
     step, ds = _ordinary_step(data)
-    shifted = continuation._corrector(*args, *step, ds, grid.HeldFactor())
-    # every GMRES run misses: the shifted sine solve's first, then the held LU's
+    shifted = continuation._corrector(*args, *step, ds)
+    # every GMRES run misses, and each miss makes one LU for its step alone
     with monkeypatch.context() as patch:
         patch.setattr(grid, "gmres", lambda *a: None)
-        sizes = _counting_factor(patch)
-        missed = grid.HeldFactor()
-        got = continuation._corrector(*args, *step, ds, missed)
+        sizes, runs = _counting_factor(patch), _counting_gmres(patch)
+        got = continuation._corrector(*args, *step, ds)
     _assert_same_step(got, shifted)
-    assert missed.factorizations == len(sizes) == got[2]
-    assert missed.krylov_solves == got[2]
-    # once an LU is held it preconditions the steps, not the shifted sine solve
-    lu = missed.lu
-
-    def refused(b, shift):
-        raise AssertionError("shifted sine solve used while an LU is held")
-
-    monkeypatch.setattr(data["ops"], "shifted_sine_solve", refused)
-    again = continuation._corrector(*args, *step, ds, missed)
+    assert len(sizes) == len(runs) == got[2]
+    # no LU outlives its step: the next call is GMRES throughout again
+    sizes, runs = _counting_factor(monkeypatch), _counting_gmres(monkeypatch)
+    again = continuation._corrector(*args, *step, ds)
     _assert_same_step(again, shifted)
-    assert missed.lu is lu and missed.factorizations == got[2]
+    assert (sizes, len(runs)) == ([], again[2])
 
 
 def test_cube_trace_and_fold_make_no_lu(monkeypatch):
@@ -553,22 +551,6 @@ def test_rejected_cube_steps_stop_early_and_make_no_lu(monkeypatch):
     assert len(rejected) >= len(branch.rejections) > 0
     assert all(r.iterations <= 4 for r in rejected)
     assert {r.failure_reason for r in rejected} <= {"line_search_stall", "max_iter"}
-
-
-def test_rejected_corrector_keeps_the_held_lu(fold_square24, monkeypatch):
-    # an LU made inside a rejected call, off the branch, is not held afterwards
-    data = fold_square24
-    args = (data["problem"], data["ops"], data["opts"])
-    step, ds = _ordinary_step(data)
-    monkeypatch.setattr(grid, "gmres", lambda *a: None)
-    held = grid.HeldFactor()
-    continuation._corrector(*args, *step, ds, held)
-    lu, made = held.lu, held.factorizations
-    # five times the step needs two Newton steps; one is allowed
-    monkeypatch.setattr(continuation, "MAX_CORRECTOR", 1)
-    with pytest.raises(continuation._Rejected, match="corrector_failed"):
-        continuation._corrector(*args, *step, 5 * ds, held)
-    assert held.factorizations == made + 1 and held.lu is lu
 
 
 def _drift_shift(ops, problem, base_lam, base_u, t_lam, t_u, ds):

@@ -296,7 +296,7 @@ def test_only_grid_factor_and_oracle_call_splu():
 
 
 # ---------------------------------------------------------------------------
-# the Jacobian filled into the Laplacian's pattern, and the held factor
+# the Jacobian filled into the Laplacian's pattern, and the linear solve
 
 
 def _diags_jacobian(u, d, mu, ops):
@@ -344,77 +344,60 @@ def _nearby_jacobians(spec, ops, step=0.02):
     return J0, J1, b
 
 
-def test_held_factor_preconditions_a_nearby_matrix(square32):
-    spec, ops = square32
-    J0, J1, b = _nearby_jacobians(spec, ops)
-    held = grid.HeldFactor()
-    held.solve(J0, b, 0.0)
-    lu = held.lu
-    x = held.solve(J1, b, 0.0)
-    assert (held.factorizations, held.krylov_solves) == (1, 1)
-    assert held.lu is lu
-    assert np.linalg.norm(b - J1 @ x) <= grid.KRYLOV_RTOL * np.linalg.norm(b)
-    ref = factor(J1).solve(b)
-    assert np.max(np.abs(x - ref)) <= 1e-8 * np.max(np.abs(ref))
+def _counted(monkeypatch):
+    """The calls ``linear_solve`` makes, in order: "gmres" for each GMRES run
+    and "lu" for each ``grid.factor`` call, through whatever each one is now."""
+    calls = []
+    factor_, gmres_ = grid.factor, grid.gmres
+    monkeypatch.setattr(grid, "factor", lambda A: calls.append("lu") or factor_(A))
+    monkeypatch.setattr(grid, "gmres", lambda *args: calls.append("gmres") or gmres_(*args))
+    return calls
 
 
 @pytest.mark.parametrize("refuse", ["cap", "gmres"])
 def test_krylov_miss_refactors(square32, monkeypatch, refuse):
+    # the LU of a nearby Jacobian preconditions; each call that misses makes one
+    # LU, which serves that call alone
     spec, ops = square32
     J0, J1, b = _nearby_jacobians(spec, ops)
+    precondition = factor(J0).solve
     if refuse == "cap":
         monkeypatch.setattr(grid, "KRYLOV_MAX_ITER", 0)
     else:
         monkeypatch.setattr(grid, "gmres", lambda *args: None)
-    held = grid.HeldFactor()
-    held.solve(J0, b, 0.0)
-    lu0 = held.lu
-    x = held.solve(J1, b, 0.0)
-    assert (held.factorizations, held.krylov_solves) == (2, 1)
-    assert held.lu is not lu0
-    assert np.array_equal(x, factor(J1).solve(b))
-
-
-def test_low_fill_lu_is_never_reused(interval64):
-    spec, ops = interval64
-    J0, J1, b = _nearby_jacobians(spec, ops)
-    held = grid.HeldFactor()
-    held.solve(J0, b, 0.0)
-    assert held.lu.nnz <= grid.REUSE_MIN_FILL * J1.nnz
-    x = held.solve(J1, b, 0.0)
-    assert (held.factorizations, held.krylov_solves) == (2, 0)
-    assert np.array_equal(x, factor(J1).solve(b))
+    calls = _counted(monkeypatch)
+    for _ in range(2):
+        x = grid.linear_solve(J1, b, 0.0, precondition=precondition)
+        assert np.array_equal(x, factor(J1).solve(b))
+    assert calls == ["gmres", "lu"] * 2
 
 
 def test_failed_refresh_holds_nothing(square32, monkeypatch):
+    # a miss, then a refused factorization: the RuntimeError reaches the caller
     spec, ops = square32
     J0, J1, b = _nearby_jacobians(spec, ops)
-    held = grid.HeldFactor()
-    held.solve(J0, b, 0.0)
-    # a miss with the held LU, then a refused factorization of J1
     monkeypatch.setattr(grid, "gmres", lambda *args: None)
 
     def refused(A):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(grid, "factor", refused)
-    with pytest.raises(RuntimeError):
-        held.solve(J1, b, 0.0)
-    assert held.lu is None and held.factorizations == 1
+    with pytest.raises(RuntimeError, match="exactly singular"):
+        grid.linear_solve(J1, b, 0.0, precondition=factor(J0).solve)
 
 
 def test_bordered_solve_with_a_zero_schur_scalar_raises():
     # [[I, e1], [e1^T, 1]] is singular although I is not: its Schur scalar is 1 - 1
     n = 8
     e1 = np.eye(n)[0]
-    held = grid.HeldFactor()
     with pytest.raises(RuntimeError, match="Schur scalar"):
-        held.solve(sp.identity(n, format="csc"), np.ones(n + 1), 0.0, border=(e1, e1, 1.0))
+        grid.linear_solve(sp.identity(n, format="csc"), np.ones(n + 1), 0.0,
+                          border=(e1, e1, 1.0))
 
 
 def _sine_preconditioned_case(spec, ops):
-    """A 3-D Jacobian near the Laplacian, the held factor's first matrix in
-    a Newton solve from zero, and a right side."""
+    """A 3-D Jacobian near the Laplacian, the first one of a Newton solve
+    from zero, and a right side."""
     x = spec.interior_points()
     mu = 0.5 + 0.25 * np.sin(np.pi * x[:, 0])
     u = 0.2 * np.prod([np.sin(np.pi * x[:, k]) for k in range(spec.dim)], axis=0)
@@ -422,14 +405,13 @@ def _sine_preconditioned_case(spec, ops):
     return J, np.random.default_rng(8).standard_normal(spec.n_interior)
 
 
-def test_held_factor_starts_from_its_preconditioner():
+def test_linear_solve_starts_from_its_preconditioner(monkeypatch):
     spec = GridSpec(3, ((0.0, 1.0),) * 3, (12, 12, 12))
     ops = build_operators(spec)
     J, b = _sine_preconditioned_case(spec, ops)
-    held = grid.HeldFactor()
-    x = held.solve(J, b, 0.0, precondition=ops.sine_solve)
-    assert (held.factorizations, held.krylov_solves) == (0, 1)
-    assert held.lu is None
+    calls = _counted(monkeypatch)
+    x = grid.linear_solve(J, b, 0.0, precondition=ops.sine_solve)
+    assert calls == ["gmres"]
     assert np.linalg.norm(b - J @ x) <= grid.KRYLOV_RTOL * np.linalg.norm(b)
     ref = factor(J).solve(b)
     assert np.max(np.abs(x - ref)) <= 1e-8 * np.max(np.abs(ref))
@@ -445,34 +427,25 @@ def test_preconditioner_miss_factors_once(monkeypatch, refuse):
         precondition = ops.sine_solve
     else:
         precondition = np.zeros_like
-    held = grid.HeldFactor()
-    x = held.solve(J, b, 0.0, precondition=precondition)
-    assert (held.factorizations, held.krylov_solves) == (1, 1)
-    assert held.lu is not None
+    calls = _counted(monkeypatch)
+    x = grid.linear_solve(J, b, 0.0, precondition=precondition)
+    assert calls == ["gmres", "lu"]
     assert np.array_equal(x, factor(J).solve(b))
 
 
-def test_held_factor_takes_each_calls_preconditioner():
+def test_linear_solve_takes_each_calls_preconditioner(monkeypatch):
     spec = GridSpec(3, ((0.0, 1.0),) * 3, (12, 12, 12))
     ops = build_operators(spec)
     J, b = _sine_preconditioned_case(spec, ops)
-    held = grid.HeldFactor()
+    calls = _counted(monkeypatch)
     for shift in (0.0, -2.0):
-        x = held.solve(J, b, 0.0, precondition=lambda v: ops.shifted_sine_solve(v, shift))
+        x = grid.linear_solve(J, b, 0.0, precondition=lambda v: ops.shifted_sine_solve(v, shift))
         assert np.linalg.norm(b - J @ x) <= grid.KRYLOV_RTOL * np.linalg.norm(b)
-    assert (held.factorizations, held.krylov_solves, held.lu) == (0, 2, None)
+    assert calls == ["gmres", "gmres"]
     # no preconditioner on this call: A is factored and solved directly
-    x = held.solve(J, b, 0.0)
-    assert (held.factorizations, held.krylov_solves) == (1, 2)
+    x = grid.linear_solve(J, b, 0.0)
+    assert calls == ["gmres", "gmres", "lu"]
     assert np.array_equal(x, factor(J).solve(b))
-
-    # with an LU held, the call's preconditioner is not used
-    def refused(v):
-        raise AssertionError("the call's preconditioner was used while an LU is held")
-
-    x = held.solve(J, b, 0.0, precondition=refused)
-    assert (held.factorizations, held.krylov_solves) == (1, 3)
-    assert np.linalg.norm(b - J @ x) <= grid.KRYLOV_RTOL * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("bounds, n", [

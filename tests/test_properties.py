@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gqc import GridFunction, GridSpec, build_operators, grid, monotone_enclosure, newton_solve
-from gqc.grid import HeldFactor, factor
+from gqc.grid import factor
 from gqc.solver import quasilinear_jacobian, residual_P
 
 from conftest import make_problem
@@ -95,13 +95,15 @@ def _nearby_systems(problem, data):
 
 
 def _held_solves(J0, J1, b, col, row, rhs_g):
-    """Both systems solved with the LU of J0 held; each result comes with
-    whether it kept that LU (took the Krylov path)."""
+    """Both systems solved with the LU of J0, held by the caller, as the
+    preconditioner; each result comes with whether the Krylov path served it
+    (no LU of J1 was made)."""
+    precondition = factor(J0).solve
     out = []
     for border, rhs in ((None, b), ((col, row, 1.0), np.append(b, rhs_g))):
-        held = HeldFactor()
-        held.solve(J0, b, 0.0)
-        out.append((held.solve(J1, rhs, 0.0, border=border), held.factorizations == 1))
+        with mock.patch.object(grid, "factor", side_effect=factor) as made:
+            x = grid.linear_solve(J1, rhs, 0.0, border=border, precondition=precondition)
+        out.append((x, made.call_count == 0))
     return out
 
 

@@ -21,7 +21,8 @@ from gqc import (
     weighted_rayleigh_sup,
 )
 
-from gqc import transform
+from gqc import grid, transform
+from gqc.grid import factor
 
 from conftest import make_problem
 
@@ -279,6 +280,24 @@ def test_solve_transformed_polish_shift_shrinks_with_h():
         shifts.append(details["polish_shift_sup"])
     assert 3.0 <= shifts[0] / shifts[1] <= 5.0
     assert 3.0 <= shifts[1] / shifts[2] <= 5.0
+
+
+def test_square_transform_route_makes_no_lu(square32, monkeypatch):
+    # acceptance criterion 2's instance: the Euler-Lagrange Newton steps are
+    # GMRES preconditioned by the shifted sine solve, the polish's by the drift
+    # preconditioner, and both land on the roots that LU steps reach
+    spec, ops = square32
+    x = spec.interior_points()
+    tp = make_tp(spec, -1.0, 1.0, 0.2 * np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]))
+    sizes = []
+    monkeypatch.setattr(grid, "factor", lambda A: sizes.append(A.shape[0]) or factor(A))
+    v, u = solve_transformed(tp, ops)
+    assert sizes == []
+    monkeypatch.setattr(grid, "KRYLOV_MAX_ITER", 0)
+    v_lu, u_lu = solve_transformed(tp, ops)
+    assert len(sizes) >= 2
+    assert np.max(np.abs(v.values - v_lu.values)) <= 1e-10 * np.max(v_lu.values)
+    assert np.max(np.abs(u.values - u_lu.values)) <= 1e-10 * np.max(u_lu.values)
 
 
 def test_solve_transformed_warns_when_condition_fails(square32):
