@@ -12,7 +12,6 @@ from gqc import (
     GridFunction,
     GridSpec,
     ProblemData,
-    TransformedProblem,
     build_operators,
     cole_hopf,
     functional_I,
@@ -46,13 +45,8 @@ problem = ProblemData(
     lam=-1.0,
 )
 u_direct, rep = newton_solve(problem, GridFunction.zeros(spec), ops)
-tp = TransformedProblem(
-    d_field=GridFunction(spec, -problem.c.values),
-    mu=1.0,
-    h_field=problem.h.field,
-)
-v, u_transform, details = solve_transformed(tp, ops, return_details=True)
-value, _ = functional_I(v, tp, ops)
+v, u_transform, details = solve_transformed(problem, ops, return_details=True)
+value, _ = functional_I(v, problem, ops)
 print(f"direct Newton: {rep.iterations} iterations, sup u = {np.max(u_direct.values):.6f}")
 print(f"minimization: I(v) = {value:.6e}, min v = {np.min(v.values):.2e}")
 print(f"raw image vs discrete root (the O(h^2) gap): "

@@ -58,7 +58,6 @@ from .solver import (
 )
 from .transform import (
     CoercivityError,
-    TransformedProblem,
     TransformError,
     cole_hopf,
     functional_I,
@@ -75,7 +74,7 @@ __all__ = [
     "DiscreteOperators", "EigenResult", "EnclosureError", "ExponentWitness",
     "GridError", "GridFunction", "GridSpec", "ProblemData",
     "SolveOptions", "SolveReport", "SolverError", "TransformError",
-    "TransformedProblem", "UniquenessReport", "ValidationReport",
+    "UniquenessReport", "ValidationReport",
     "analyze_branch", "build_operators", "check_ferone_murat",
     "check_smallness", "cole_hopf", "compute_zero_mask", "exponent_margins",
     "find_exponents", "first_eigen", "functional_I",

@@ -20,7 +20,7 @@ import scipy.sparse.linalg as spla
 from .continuation import Branch, BranchPoint
 from .grid import DiscreteOperators, GridFunction
 from .problem import ProblemData
-from .transform import TransformedProblem, functional_I
+from .transform import functional_I
 
 DENSE_EIGEN_MAX_NODES = 256
 
@@ -97,7 +97,7 @@ def dense_eigen_oracle(c: GridFunction, ops: DiscreteOperators) -> float:
 
 
 def fd_gradient_check(
-    tp: TransformedProblem,
+    problem: ProblemData,
     v: GridFunction,
     ops: DiscreteOperators,
     n_directions: int = 10,
@@ -110,14 +110,14 @@ def fd_gradient_check(
         if m > 16:
             raise ValueError("finite-difference check limited to 16 nodes per axis")
     rng = np.random.default_rng(seed)
-    value, grad = functional_I(v, tp, ops)
+    value, grad = functional_I(v, problem, ops)
     worst = 0.0
     for _ in range(n_directions):
         e = rng.uniform(-1.0, 1.0, v.spec.n_interior)
         e /= np.linalg.norm(e)
         vp = GridFunction(v.spec, v.values + eps * e)
         vm = GridFunction(v.spec, v.values - eps * e)
-        fd = (functional_I(vp, tp, ops)[0] - functional_I(vm, tp, ops)[0]) / (2.0 * eps)
+        fd = (functional_I(vp, problem, ops)[0] - functional_I(vm, problem, ops)[0]) / (2.0 * eps)
         dot = float(grad.values @ e)
         denom = max(abs(fd), abs(dot), 1e-14)
         worst = max(worst, abs(fd - dot) / denom)

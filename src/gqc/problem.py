@@ -50,8 +50,7 @@ class CoefficientSpec:
 
     @classmethod
     def from_constant(cls, value: float, spec: GridSpec) -> "CoefficientSpec":
-        vals = np.full(spec.n_interior, float(value))
-        return cls(spec=spec, values=vals)
+        return cls.from_values(np.full(spec.n_interior, float(value)), spec)
 
     @classmethod
     def from_values(cls, values, spec: GridSpec) -> "CoefficientSpec":
@@ -60,14 +59,12 @@ class CoefficientSpec:
             raise GridError(
                 f"coefficient data has {vals.size} values, grid needs {spec.n_interior}"
             )
+        _check_finite(vals, spec)
         return cls(spec=spec, values=vals)
 
     @classmethod
     def from_file(cls, path: str | Path, spec: GridSpec) -> "CoefficientSpec":
-        vals = np.loadtxt(path, dtype=float).ravel(order="C")
-        out = cls.from_values(vals, spec)
-        _check_finite(out.values, spec)
-        return out
+        return cls.from_values(np.loadtxt(path, dtype=float), spec)
 
 
 def _check_finite(vals: np.ndarray, spec: GridSpec) -> None:

@@ -27,6 +27,18 @@ def make_problem(spec, c="1", mu="1", h="0", lam=-1.0, profile="A1", p_exponent=
     )
 
 
+def make_a3_problem(spec, d, mu, h):
+    """The profile-A3 problem whose transform route has data (d, mu, h):
+    lam = -1 and c = -d. Each field is an expression, an array or a constant."""
+    def field(src):
+        if isinstance(src, str):
+            return src
+        return np.broadcast_to(np.asarray(src, dtype=float), (spec.n_interior,))
+
+    c = f"-({d})" if isinstance(d, str) else -field(d)
+    return make_problem(spec, c=c, mu=field(mu), h=field(h), lam=-1.0, profile="A3")
+
+
 @pytest.fixture(scope="session")
 def interval64():
     spec = GridSpec(1, ((0.0, 1.0),), (64,))

@@ -16,7 +16,6 @@ import gqc
 from gqc import (
     GridFunction,
     GridSpec,
-    TransformedProblem,
     build_operators,
     check_ferone_murat,
     check_smallness,
@@ -26,7 +25,6 @@ from gqc import (
     g_and_G,
     multi_start,
     newton_solve,
-    parse_coefficient,
     solve_transformed,
     weighted_rayleigh_sup,
 )
@@ -34,7 +32,7 @@ from gqc.cli import main as cli_main
 from gqc.oracle import dense_eigen_oracle, fd_gradient_check, reference_continuation
 from gqc.solver import solve_cascade
 
-from conftest import make_problem
+from conftest import make_a3_problem, make_problem
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -96,11 +94,7 @@ def test_criterion_2_transform_equivalence():
         spec, ops, problem = _criterion2_instance()
         u_direct, rep = newton_solve(problem, GridFunction.zeros(spec), ops)
         assert rep.converged
-        tp = TransformedProblem(
-            d_field=GridFunction(spec, -problem.c.values), mu=1.0,
-            h_field=problem.h.field,
-        )
-        _, u_transform = solve_transformed(tp, ops)
+        _, u_transform = solve_transformed(problem, ops)
         gap = np.max(np.abs(u_direct.values - u_transform.values))
         assert gap <= 1e-7, f"gap {gap:.3e}"
 
@@ -363,11 +357,7 @@ def test_criterion_12_functional_gradient():
         ]
         for i, (spec, d_expr, h_expr) in enumerate(cases):
             ops = build_operators(spec)
-            tp = TransformedProblem(
-                d_field=parse_coefficient(d_expr, spec).field,
-                mu=1.0 + 0.5 * i,
-                h_field=parse_coefficient(h_expr, spec).field,
-            )
+            problem = make_a3_problem(spec, d_expr, 1.0 + 0.5 * i, h_expr)
             v = GridFunction(spec, rng.uniform(-1.0, 1.0, spec.n_interior))
-            err = fd_gradient_check(tp, v, ops, seed=i)
+            err = fd_gradient_check(problem, v, ops, seed=i)
             assert err <= 1e-6, f"case {i}: rel err {err:.3e}"

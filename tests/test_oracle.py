@@ -4,7 +4,6 @@ import pytest
 from gqc import (
     GridFunction,
     GridSpec,
-    TransformedProblem,
     build_operators,
     first_eigen,
     newton_solve,
@@ -18,7 +17,7 @@ from gqc.oracle import (
     reference_continuation,
 )
 
-from conftest import make_problem
+from conftest import make_problem, make_a3_problem
 
 
 # ---------------------------------------------------------------------------
@@ -116,30 +115,24 @@ def test_dense_eigen_2d_square():
 # finite-difference gradient check
 
 
-def _small_tp(spec, d_expr, h_expr):
-    d = parse_coefficient(d_expr, spec)
-    h = parse_coefficient(h_expr, spec)
-    return TransformedProblem(d_field=d.field, mu=1.0, h_field=h.field)
-
-
 def test_fd_check_quadratic_case():
     # I is quadratic here, so central differences are exact at any step;
     # a larger step keeps the roundoff below the target
     spec = GridSpec(1, ((0.0, 1.0),), (16,))
     ops = build_operators(spec)
-    tp = _small_tp(spec, "0", "0")
+    problem = make_a3_problem(spec, "0", 1.0, "0")
     rng = np.random.default_rng(23)
     v = GridFunction(spec, rng.uniform(-1, 1, spec.n_interior))
-    assert fd_gradient_check(tp, v, ops, eps=1e-4) <= 1e-9
+    assert fd_gradient_check(problem, v, ops, eps=1e-4) <= 1e-9
 
 
 def test_fd_check_generic_case():
     spec = GridSpec(2, ((0.0, 1.0), (0.0, 1.0)), (12, 12))
     ops = build_operators(spec)
-    tp = _small_tp(spec, "0 - 1 - x1", "max(sin(pi*x1)*sin(pi*x2), 0)")
+    problem = make_a3_problem(spec, "0 - 1 - x1", 1.0, "max(sin(pi*x1)*sin(pi*x2), 0)")
     rng = np.random.default_rng(29)
     v = GridFunction(spec, rng.uniform(-1, 1, spec.n_interior))
-    assert fd_gradient_check(tp, v, ops) <= 1e-6
+    assert fd_gradient_check(problem, v, ops) <= 1e-6
 
 
 def test_fd_check_zero_point_directional():
@@ -148,23 +141,23 @@ def test_fd_check_zero_point_directional():
 
     spec = GridSpec(1, ((0.0, 1.0),), (12,))
     ops = build_operators(spec)
-    tp = _small_tp(spec, "0-1", "1")
+    problem = make_a3_problem(spec, "0-1", 1.0, "1")
     rng = np.random.default_rng(31)
     eps = 1e-6
     for _ in range(4):
         e = rng.uniform(-1, 1, spec.n_interior)
         vp = GridFunction(spec, eps * e)
         vm = GridFunction(spec, -eps * e)
-        fd = (functional_I(vp, tp, ops)[0] - functional_I(vm, tp, ops)[0]) / (2 * eps)
-        expected = -ops.node_weight * float(tp.h_field.values @ e)
+        fd = (functional_I(vp, problem, ops)[0] - functional_I(vm, problem, ops)[0]) / (2 * eps)
+        expected = -ops.node_weight * float(problem.h.values @ e)
         assert fd == pytest.approx(expected, rel=1e-6, abs=1e-12)
 
 
 def test_fd_check_refuses_large_grid(square64):
     spec, ops = square64
-    tp = _small_tp(spec, "0", "0")
+    problem = make_a3_problem(spec, "0", 1.0, "0")
     with pytest.raises(ValueError):
-        fd_gradient_check(tp, GridFunction.zeros(spec), ops)
+        fd_gradient_check(problem, GridFunction.zeros(spec), ops)
 
 
 # ---------------------------------------------------------------------------

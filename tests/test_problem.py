@@ -221,6 +221,22 @@ def test_values_file_count_mismatch(tmp_path, square8):
         CoefficientSpec.from_file(tmp_path / "short.txt", square8)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_coefficient_values_must_be_finite(tmp_path, square8, bad):
+    # arrays, files and expressions are held to one rule, naming the first bad node
+    vals = np.zeros(square8.n_interior)
+    vals[10] = bad
+    with pytest.raises(ExpressionError, match="non-finite value at node 10"):
+        CoefficientSpec.from_values(vals, square8)
+    save_values_file(tmp_path / "bad.txt", vals)
+    with pytest.raises(ExpressionError, match="non-finite value at node 10"):
+        CoefficientSpec.from_file(tmp_path / "bad.txt", square8)
+    with pytest.raises(ExpressionError, match="non-finite"):
+        make_problem(square8, h=vals)
+    with pytest.raises(ExpressionError, match="non-finite value at node 0"):
+        CoefficientSpec.from_constant(bad, square8)
+
+
 # ---------------------------------------------------------------------------
 # derived fields and profiles
 

@@ -4,7 +4,6 @@ import pytest
 from gqc import (
     GridFunction,
     SolveOptions,
-    TransformedProblem,
     monotone_enclosure,
     multi_start,
     newton_solve,
@@ -249,12 +248,7 @@ def test_solver_consistency_three_ways(square32):
     spec, ops = square32
     problem = make_problem(spec, h="0.2*sin(pi*x1)*sin(pi*x2)", lam=-1.0, profile="A2")
     u_n, rn = newton_solve(problem, GridFunction.zeros(spec), ops)
-    tp = TransformedProblem(
-        d_field=GridFunction(spec, -problem.c.values),
-        mu=1.0,
-        h_field=problem.h.field,
-    )
-    _, u_t = solve_transformed(tp, ops)
+    _, u_t = solve_transformed(problem, ops)
     assert rn.converged
     assert np.max(np.abs(u_n.values - u_t.values)) <= 1e-7
 
@@ -354,8 +348,7 @@ def test_newton_bounds_match_the_transform_route(dim, n, c, mu, h, lam):
     d = problem.d_values()
     opts = SolveOptions()
     u_newton = solver._solve_auxiliary_bound(d, mu, problem.h.values, ops, opts)
-    tp = TransformedProblem(d_field=GridFunction(spec, d), mu=mu, h_field=problem.h.field)
-    _, u_transform = solve_transformed(tp, ops, opts)
+    _, u_transform = solve_transformed(problem, ops, opts)
     scale = np.max(np.abs(u_transform.values))
     assert scale > 0.0
     assert np.max(np.abs(u_newton - u_transform.values)) <= 1e-9 * scale

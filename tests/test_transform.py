@@ -8,9 +8,9 @@ from gqc import (
     CoercivityError,
     GridFunction,
     GridSpec,
-    TransformedProblem,
     TransformError,
     build_operators,
+    check_smallness,
     cole_hopf,
     functional_I,
     g_and_G,
@@ -24,15 +24,7 @@ from gqc import (
 from gqc import grid, transform
 from gqc.grid import factor
 
-from conftest import make_problem
-
-
-def make_tp(spec, d, mu, h):
-    return TransformedProblem(
-        d_field=GridFunction(spec, np.broadcast_to(np.asarray(d, float), (spec.n_interior,)).copy()),
-        mu=mu,
-        h_field=GridFunction(spec, np.broadcast_to(np.asarray(h, float), (spec.n_interior,)).copy()),
-    )
+from conftest import make_a3_problem, make_problem
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +161,18 @@ def test_cole_hopf_rejects_bad_direction(interval64):
 
 def test_functional_at_zero(interval64):
     spec, ops = interval64
-    tp = make_tp(spec, -1.0, 1.0, 2.0)
-    value, grad = functional_I(GridFunction.zeros(spec), tp, ops)
+    problem = make_a3_problem(spec, -1.0, 1.0, 2.0)
+    value, grad = functional_I(GridFunction.zeros(spec), problem, ops)
     assert value == 0.0
-    assert np.allclose(grad.values, -ops.node_weight * tp.h_field.values)
+    assert np.allclose(grad.values, -ops.node_weight * problem.h.values)
 
 
 def test_functional_quadratic_core(interval64):
     spec, ops = interval64
-    tp = make_tp(spec, 0.0, 1.0, 0.0)
+    problem = make_a3_problem(spec, 0.0, 1.0, 0.0)
     rng = np.random.default_rng(13)
     v = GridFunction(spec, rng.standard_normal(spec.n_interior))
-    value, _ = functional_I(v, tp, ops)
+    value, _ = functional_I(v, problem, ops)
     assert value == pytest.approx(0.5 * norms(v, ops).h10 ** 2, rel=1e-12)
 
 
@@ -188,28 +180,49 @@ def test_functional_gradient_matches_fd():
     spec = GridSpec(1, ((0.0, 1.0),), (16,))
     ops = build_operators(spec)
     x = spec.axis_coords(0)
-    tp = make_tp(spec, -(1 + x), 1.0, np.maximum(np.sin(np.pi * x), 0.0))
+    problem = make_a3_problem(spec, -(1 + x), 1.0, np.maximum(np.sin(np.pi * x), 0.0))
     rng = np.random.default_rng(17)
     v = GridFunction(spec, rng.uniform(-1, 1, spec.n_interior))
-    value, grad = functional_I(v, tp, ops)
+    value, grad = functional_I(v, problem, ops)
     eps = 1e-5
     for _ in range(5):
         e = rng.uniform(-1, 1, spec.n_interior)
         e /= np.linalg.norm(e)
         vp = GridFunction(spec, v.values + eps * e)
         vm = GridFunction(spec, v.values - eps * e)
-        fd = (functional_I(vp, tp, ops)[0] - functional_I(vm, tp, ops)[0]) / (2 * eps)
+        fd = (functional_I(vp, problem, ops)[0] - functional_I(vm, problem, ops)[0]) / (2 * eps)
         assert fd == pytest.approx(grad.values @ e, rel=1e-6, abs=1e-12)
 
 
-def test_transformed_problem_validates_signs(interval64):
-    spec, _ = interval64
-    with pytest.raises(ValueError):
-        make_tp(spec, 1.0, 1.0, 0.0)  # d > 0
-    with pytest.raises(ValueError):
-        make_tp(spec, -1.0, 1.0, -1.0)  # h < 0
-    with pytest.raises(ValueError):
-        make_tp(spec, -1.0, -1.0, 1.0)  # mu <= 0
+def test_transform_route_names_failed_a3_clause(interval64):
+    spec, ops = interval64
+    d = np.full(spec.n_interior, -1.0)
+    d[7] = 0.5
+    h = np.ones(spec.n_interior)
+    h[20] = -1.0
+    zero = GridFunction.zeros(spec)
+    for problem, reason in (
+        (make_a3_problem(spec, d, 1.0, 0.0), "'lam \\* c <= 0' fails at node 7"),
+        (make_a3_problem(spec, -1.0, 1.0, h), "'h >= 0' fails at node 20"),
+        (make_a3_problem(spec, -1.0, -1.0, 1.0), "'mu > 0' fails at node 0"),
+    ):
+        with pytest.raises(ValueError, match=reason):
+            solve_transformed(problem, ops)
+        with pytest.raises(ValueError, match=reason):
+            functional_I(zero, problem, ops)
+    # the first failed clause is named, in A3's order
+    with pytest.raises(ValueError, match="'lam \\* c <= 0' fails at node 7"):
+        solve_transformed(make_a3_problem(spec, d, 1.0, h), ops)
+
+
+def test_transform_route_refuses_varying_mu(interval64):
+    # a problem may carry any mu; the route needs a constant one
+    spec, ops = interval64
+    problem = make_a3_problem(spec, -1.0, "1 + 0.5*x1", 1.0)
+    with pytest.raises(ValueError, match="'mu constant' fails \\(span 0.48"):
+        solve_transformed(problem, ops)
+    with pytest.raises(ValueError, match="'mu constant'"):
+        functional_I(GridFunction.zeros(spec), problem, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +231,8 @@ def test_transformed_problem_validates_signs(interval64):
 
 def test_solve_transformed_zero_forcing(interval64):
     spec, ops = interval64
-    tp = make_tp(spec, -1.0, 1.0, 0.0)
-    v, u = solve_transformed(tp, ops)
+    problem = make_a3_problem(spec, -1.0, 1.0, 0.0)
+    v, u = solve_transformed(problem, ops)
     assert np.max(np.abs(v.values)) == 0.0
     assert np.max(np.abs(u.values)) == 0.0
 
@@ -227,10 +240,10 @@ def test_solve_transformed_zero_forcing(interval64):
 def test_solve_transformed_minimizer_beats_zero():
     spec = GridSpec(1, ((0.0, 1.0),), (32,))
     ops = build_operators(spec)
-    tp = make_tp(spec, -1.0, 1.0, 1.0)
-    v, u = solve_transformed(tp, ops)
+    problem = make_a3_problem(spec, -1.0, 1.0, 1.0)
+    v, u = solve_transformed(problem, ops)
     assert np.min(v.values) >= -1e-10
-    value, _ = functional_I(v, tp, ops)
+    value, _ = functional_I(v, problem, ops)
     assert value <= 0.0  # I(v) <= I(0) = 0
     assert np.min(u.values) >= -1e-10
 
@@ -238,10 +251,8 @@ def test_solve_transformed_minimizer_beats_zero():
 def test_solve_transformed_small_h_residual(interval64):
     # d == 0 branch: the returned u must satisfy the quasilinear system
     spec, ops = interval64
-    x = spec.axis_coords(0)
-    tp = make_tp(spec, 0.0, 1.0, 0.1 * np.sin(np.pi * x))
-    v, u, details = solve_transformed(tp, ops, return_details=True)
     problem = make_problem(spec, c="1", mu="1", h="0.1*sin(pi*x1)", lam=0.0)
+    v, u, details = solve_transformed(problem, ops, return_details=True)
     resid = residual_P(u, problem, ops)
     assert np.max(np.abs(resid.values)) <= 1e-8
     # the raw transform image differs from the discrete root by O(h^2)
@@ -251,18 +262,17 @@ def test_solve_transformed_small_h_residual(interval64):
 def test_solve_transformed_flips_negative_minimizer(interval64, monkeypatch):
     spec, ops = interval64
     x = spec.axis_coords(0)
-    tp = make_tp(spec, -1.0, 1.0, np.sin(np.pi * x))
-    v_true = transform._minimize(tp, ops)
-    _, u_true, details = solve_transformed(tp, ops, return_details=True)
+    problem = make_a3_problem(spec, -1.0, 1.0, np.sin(np.pi * x))
+    v_true, u_true, details = solve_transformed(problem, ops, return_details=True)
 
-    def dipped(tp, ops):
-        v = v_true.copy()
+    def dipped(*args):
+        v = v_true.values.copy()
         v[0] = -1e-8
         return v
 
     monkeypatch.setattr(transform, "_minimize", dipped)
     with pytest.warns(RuntimeWarning, match="flipping"):
-        _, u = solve_transformed(tp, ops)
+        _, u = solve_transformed(problem, ops)
     tol = details["polish_report"].tolerance_used
     assert np.max(np.abs(u.values - u_true.values)) <= tol
 
@@ -275,8 +285,8 @@ def test_solve_transformed_polish_shift_shrinks_with_h():
         spec = GridSpec(1, ((0.0, 1.0),), (n,))
         ops = build_operators(spec)
         x = spec.axis_coords(0)
-        tp = make_tp(spec, -1.0, 1.0, np.sin(np.pi * x))
-        _, _, details = solve_transformed(tp, ops, return_details=True)
+        problem = make_a3_problem(spec, -1.0, 1.0, np.sin(np.pi * x))
+        _, _, details = solve_transformed(problem, ops, return_details=True)
         shifts.append(details["polish_shift_sup"])
     assert 3.0 <= shifts[0] / shifts[1] <= 5.0
     assert 3.0 <= shifts[1] / shifts[2] <= 5.0
@@ -288,46 +298,61 @@ def test_square_transform_route_makes_no_lu(square32, monkeypatch):
     # preconditioner, and both land on the roots that LU steps reach
     spec, ops = square32
     x = spec.interior_points()
-    tp = make_tp(spec, -1.0, 1.0, 0.2 * np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]))
+    problem = make_a3_problem(spec, -1.0, 1.0,
+                              0.2 * np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]))
     sizes = []
     monkeypatch.setattr(grid, "factor", lambda A: sizes.append(A.shape[0]) or factor(A))
-    v, u = solve_transformed(tp, ops)
+    v, u = solve_transformed(problem, ops)
     assert sizes == []
     monkeypatch.setattr(grid, "KRYLOV_MAX_ITER", 0)
-    v_lu, u_lu = solve_transformed(tp, ops)
+    v_lu, u_lu = solve_transformed(problem, ops)
     assert len(sizes) >= 2
     assert np.max(np.abs(v.values - v_lu.values)) <= 1e-10 * np.max(v_lu.values)
     assert np.max(np.abs(u.values - u_lu.values)) <= 1e-10 * np.max(u_lu.values)
 
 
-def test_solve_transformed_warns_when_condition_fails(square32):
+def _refuse_descent(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("descent started")
+
+    monkeypatch.setattr(transform, "_minimize", refuse)
+
+
+def test_solve_transformed_refuses_when_condition_fails(square32, monkeypatch):
     spec, ops = square32
-    tp = make_tp(spec, 0.0, 1.0, 3 * 2 * np.pi**2)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    problem = make_a3_problem(spec, 0.0, 1.0, 3 * 2 * np.pi**2)
+    _refuse_descent(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an error, not a warning
         with pytest.raises(CoercivityError):
-            solve_transformed(tp, ops)
-    assert any("smallness" in str(w.message) for w in caught)
+            solve_transformed(problem, ops)
 
 
-def test_solve_transformed_warns_on_partial_zero_set(square32):
+def test_solve_transformed_refuses_on_partial_zero_set(square32, monkeypatch):
     # d vanishes on the left half only; the smallness condition on that
     # zero set fails for this h (mu * nu about 1.2)
     spec, ops = square32
     d = np.where(spec.interior_points()[:, 0] > 0.5, -2.0, 0.0)
-    tp = make_tp(spec, d, 1.0, 3 * 2 * np.pi**2)
-    with pytest.warns(RuntimeWarning, match="smallness condition fails"):
-        with pytest.raises(CoercivityError):
-            solve_transformed(tp, ops)
+    problem = make_a3_problem(spec, d, 1.0, 3 * 2 * np.pi**2)
+    margin = check_smallness(problem, "H", ops).infimum_estimate
+    assert margin < 0.0
+    _refuse_descent(monkeypatch)
+    with pytest.raises(CoercivityError, match="smallness condition fails") as err:
+        solve_transformed(problem, ops)
+    assert f"margin {margin:.3e}" in str(err.value)
 
 
 def test_solve_transformed_coercivity_failure_message(square32):
     spec, ops = square32
-    tp = make_tp(spec, 0.0, 1.0, 3 * 2 * np.pi**2)
-    with pytest.raises(CoercivityError, match="coercivity"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            solve_transformed(tp, ops)
+    problem = make_a3_problem(spec, 0.0, 1.0, 3 * 2 * np.pi**2)
+    margin = check_smallness(problem, "H", ops).infimum_estimate
+    assert margin < 0.0
+    with pytest.raises(CoercivityError) as err:
+        solve_transformed(problem, ops)
+    message = str(err.value)
+    assert "smallness condition fails" in message
+    assert f"margin {margin:.3e}" in message
+    assert "coercivity" in message
 
 
 def test_descent_cap_is_not_a_coercivity_failure(interval64, monkeypatch):
@@ -336,12 +361,12 @@ def test_descent_cap_is_not_a_coercivity_failure(interval64, monkeypatch):
     spec, ops = interval64
     d = np.where(spec.axis_coords(0) > 0.5, -2.0, 0.0)
     nu = weighted_rayleigh_sup(np.ones(spec.n_interior), d == 0.0, ops)
-    tp = make_tp(spec, d, 0.5 / nu, 1.0)
+    problem = make_a3_problem(spec, d, 0.5 / nu, 1.0)
     monkeypatch.setattr(transform, "DESCENT_MAX_ITER", 50)  # the full 2000 take seconds
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no smallness warning either
+        warnings.simplefilter("error")  # and no warning
         with pytest.raises(TransformError, match="in 50 steps"):
-            solve_transformed(tp, ops)
+            solve_transformed(problem, ops)
     # with margin 0.25 or 0.1 the descent blows up instead; the condition
     # still holds, so that is a failure of the descent, named as such. So is
     # a blow-up with d < 0 everywhere (no zero set), where the minimizer lies
@@ -351,10 +376,10 @@ def test_descent_cap_is_not_a_coercivity_failure(interval64, monkeypatch):
         ops = build_operators(spec)
         d = np.where(spec.axis_coords(0) > 0.5, -2.0, 0.0)
         nu = weighted_rayleigh_sup(np.ones(spec.n_interior), d == 0.0, ops)
-        for tp, reason in ((make_tp(spec, d, 0.75 / nu, 1.0), "margin 2.500e-01"),
-                           (make_tp(spec, d, 0.9 / nu, 1.0), "margin 1.000e-01"),
-                           (make_tp(spec, -1e-3, 30.0, 1.0), "d < 0 everywhere")):
+        for problem, reason in ((make_a3_problem(spec, d, 0.75 / nu, 1.0), "margin 2.500e-01"),
+                                (make_a3_problem(spec, d, 0.9 / nu, 1.0), "margin 1.000e-01"),
+                                (make_a3_problem(spec, -1e-3, 30.0, 1.0), "d < 0 everywhere")):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(TransformError, match=reason):
-                    solve_transformed(tp, ops)
+                    solve_transformed(problem, ops)
