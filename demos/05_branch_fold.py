@@ -49,7 +49,7 @@ print(f"\ntermination: {branch.termination} at lambda = {branch.points[-1].lam:.
 print(f"fold abscissa: {analysis.fold_lambda:.5f}  "
       f"(gamma1 = {gamma1:.5f}, margin {analysis.gamma1_margin:.3f})")
 lam_fold, _ = locate_fold(branch, problem, ops, opts)
-print(f"fold refined by arclength bisection: {lam_fold:.6f}")
+print(f"fold refined by a secant on the tangent's lambda component: {lam_fold:.6f}")
 pair = analysis.pair
 print(f"two solutions at lambda = {pair.lam:.4f}: "
       f"sup {np.max(np.abs(pair.u_low.values)):.4f} and "

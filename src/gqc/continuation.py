@@ -13,6 +13,11 @@ continuation degenerates. Each corrector step is one bordered
 a shifted sine solve conjugated by exp(mu u), on 2-D and 3-D grids, with an
 LU for that step alone on a miss; 1-D steps are LU solves.
 
+``locate_fold`` refines a recorded fold by a secant on the lambda
+component of the unit tangent, whose root is the fold (Keller 1977): each
+iterate is one corrector solve, warm-started along the last tangent, and
+one more bordered solve for the tangent there.
+
 Termination is one of: the sup norm exceeding ``norm_cap`` (read as the
 branch escaping to infinity, with the side classified by the sign of
 lambda at the last point), lambda falling below ``lambda_min``, the step
@@ -52,6 +57,8 @@ CORRECTOR_MIN_STEP = 0.125
 # point (product norm); keeps the tracer from tunneling onto another
 # branch near sharp turns and asymptotes
 MAX_STEP_RATIO = 2.0
+# corrector solves before the fold search gives up
+FOLD_MAX_CORRECTORS = 40
 
 
 @dataclass
@@ -134,24 +141,39 @@ class _Rejected(Exception):
     """A continuation step failed; the message is the reason."""
 
 
+def _arclength_row(ops: DiscreteOperators, base_u: np.ndarray, t_u: np.ndarray) -> np.ndarray:
+    """The u-part of the arclength constraint's gradient: the product norm's
+    inner product with the tangent ``t_u``, taken at the base point."""
+    return ops.node_weight / (1.0 + ops.energy_product(base_u, base_u)) * (ops.laplacian @ t_u)
+
+
+def _bordered_solve(problem: ProblemData, ops: DiscreteOperators, u: np.ndarray, lam: float,
+                    cvec: np.ndarray, t_lam: float, rhs: np.ndarray, tol: float) -> np.ndarray:
+    """One ``linear_solve`` of [[J, -c u], [cvec^T, t_lam]] at (u, lam): the
+    Jacobian bordered by dR/dlam = -c u and the arclength row, preconditioned
+    by ``drift_preconditioner`` at that point on 2-D and 3-D grids."""
+    c, mu, h = problem.c.values, problem.mu.values, problem.h.values
+    return linear_solve(quasilinear_jacobian(u, lam * c, mu, ops), rhs, tol,
+                        border=(-(c * u), cvec, t_lam),
+                        precondition=drift_preconditioner(ops, u, lam * c, mu, h))
+
+
 def _corrector(problem: ProblemData, ops: DiscreteOperators, opts: ContinuationOptions,
-               base_lam: float, base_u: np.ndarray, t_lam: float, t_u: np.ndarray, ds: float
-               ) -> tuple[np.ndarray, float, int]:
-    """``damped_newton`` on the bordered system in x = (u, lam) from the
-    secant predictor; returns (u, lam, Newton steps) or raises ``_Rejected``
-    (``singular`` when no LU could be made, else ``corrector_failed``).
+               base_lam: float, base_u: np.ndarray, t_lam: float, t_u: np.ndarray, ds: float,
+               start: np.ndarray | None = None) -> tuple[np.ndarray, float, int]:
+    """``damped_newton`` on the bordered system in x = (u, lam) from
+    ``start``, by default the secant predictor; returns (u, lam, Newton
+    steps) or raises ``_Rejected`` (``singular`` when no LU could be made,
+    else ``corrector_failed``).
 
     The residual is the equation's over its tolerance and the constraint's
     over ``1e-10 (1 + |ds|)``, so both must reach 1 and the Armijo merit
-    weighs both. A step is one ``linear_solve`` of the raw bordered system
-    (the Jacobian bordered by dR/dlam = -c u and the arclength row) at the
-    point evaluated last, preconditioned by ``drift_preconditioner`` at that
-    point on 2-D and 3-D grids; 1-D grids keep LU steps, as GMRES took twice
-    as long on a 64-cell trace.
+    weighs both. A step is one ``_bordered_solve`` of the raw bordered
+    system at the point evaluated last; 1-D grids keep LU steps, as GMRES
+    took twice as long on a 64-cell trace.
     """
     c, mu, h = problem.c.values, problem.mu.values, problem.h.values
-    scale = ops.node_weight / (1.0 + ops.energy_product(base_u, base_u))
-    cvec = scale * (ops.laplacian @ t_u)
+    cvec = _arclength_row(ops, base_u, t_u)
     constraint_tol = 1e-10 * (1.0 + abs(ds))
     raw: list = []  # the unscaled residual, constraint and tolerance of the last point
 
@@ -164,13 +186,11 @@ def _corrector(problem: ProblemData, ops: DiscreteOperators, opts: ContinuationO
         return np.append(R / tol, constraint / constraint_tol), 1.0
 
     def step(x: np.ndarray, *_) -> np.ndarray:
-        u, lam = x[:-1], float(x[-1])
         R, constraint, tol = raw
-        return linear_solve(quasilinear_jacobian(u, lam * c, mu, ops), -np.append(R, constraint),
-                            min(tol, constraint_tol), border=(-(c * u), cvec, t_lam),
-                            precondition=drift_preconditioner(ops, u, lam * c, mu, h))
+        return _bordered_solve(problem, ops, x[:-1], float(x[-1]), cvec, t_lam,
+                               -np.append(R, constraint), min(tol, constraint_tol))
 
-    x0 = np.append(base_u + ds * t_u, base_lam + ds * t_lam)
+    x0 = np.append(base_u + ds * t_u, base_lam + ds * t_lam) if start is None else start
     sopts = replace(opts.solve, max_newton=MAX_CORRECTOR, min_step=CORRECTOR_MIN_STEP)
     x, report = damped_newton(x0, residual, step, sopts)
     if not report.converged:
@@ -390,6 +410,17 @@ def analyze_branch(
     return analysis
 
 
+def _parabola_vertex(s0: float, f0: float, s1: float, f1: float, s2: float, f2: float
+                     ) -> float:
+    """The abscissa of the vertex of the parabola through three points; nan
+    when they are collinear."""
+    d10, d12 = s1 - s0, s1 - s2
+    den = d10 * (f1 - f2) - d12 * (f1 - f0)
+    if den == 0.0:
+        return math.nan
+    return s1 - 0.5 * (d10 * d10 * (f1 - f2) - d12 * d12 * (f1 - f0)) / den
+
+
 def locate_fold(
     branch: Branch,
     problem: ProblemData,
@@ -397,13 +428,25 @@ def locate_fold(
     opts: ContinuationOptions | None = None,
     fold_index: int | None = None,
 ) -> tuple[float, float]:
-    """Refine a recorded fold by golden-section search in arclength.
+    """Refine a recorded fold by a secant on the tangent's lambda component.
 
-    Re-solves the bordered system at interior arclength offsets between
-    the points bracketing the fold until the search window shrinks below
-    ``ds_min``; returns (fold lambda, arclength offset from the left
-    bracketing point). Raises ``SolverError`` when the corrector is
-    rejected at that final offset.
+    Points near the fold are corrector solutions at an arclength offset
+    sigma along the secant from the point before the fold to the fold
+    point. At each, one more ``_bordered_solve`` of
+    [[J, -c u], [cvec^T, t_lam]] z = (0, ..., 0, 1) gives the tangent
+    z = d(u, lam)/dsigma. The fold is the root of g = z_lam / ||z||, the
+    lambda component of the unit tangent: it has the root of dlam/dsigma
+    but stays within [-1, 1] where the offset turns back past the fold.
+    The secant starts from the fold point (a tangent solve, no corrector)
+    and the vertex of the parabola through the three recorded points'
+    lambdas. It keeps a bracket on which g changes sign and bisects it when
+    an iterate leaves it. Each corrector starts from the last corrected
+    point moved along its tangent; a rejected one is retried halfway back
+    toward that point. The search stops when successive offsets differ by
+    at most ``ds_min`` and returns (fold lambda, arclength offset from the
+    point before the fold). Raises ``SolverError`` when the corrector is
+    rejected within ``ds_min`` of the last corrected point, or after
+    ``FOLD_MAX_CORRECTORS`` corrector solves.
     """
     opts = opts or ContinuationOptions()
     if fold_index is None:
@@ -421,30 +464,55 @@ def locate_fold(
     du = mid.u.values - a.u.values
     nrm = _product_norm(dl, du, base_energy_sq, ops)
     t_lam, t_u = dl / nrm, du / nrm
-    width = b.s - a.s
+    cvec = _arclength_row(ops, a.u.values, t_u)
+    unit = np.zeros(du.size + 1)
+    unit[-1] = 1.0
+    rising = dl > 0.0  # g has this sign before the fold
 
-    def lam_at(sigma: float) -> float:
-        try:
-            return _corrector(problem, ops, opts, a.lam, a.u.values, t_lam, t_u, sigma)[1]
-        except _Rejected:
-            return -np.inf
+    def offset(p: BranchPoint) -> float:
+        return t_lam * (p.lam - a.lam) + float(cvec @ (p.u.values - a.u.values))
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 0.0, width
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = lam_at(x1), lam_at(x2)
-    while hi - lo > opts.ds_min:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = lam_at(x1)
+    def tangent(x: np.ndarray) -> np.ndarray:
+        return _bordered_solve(problem, ops, x[:-1], float(x[-1]), cvec, t_lam, unit, 0.0)
+
+    def unit_lam(z: np.ndarray) -> float:
+        return float(z[-1]) / _product_norm(float(z[-1]), z[:-1], base_energy_sq, ops)
+
+    def narrow(sigma: float, g: float) -> None:
+        nonlocal lo, hi
+        if (g > 0.0) == rising:
+            lo = sigma
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = lam_at(x2)
-    sigma = 0.5 * (lo + hi)
-    lam = lam_at(sigma)
-    if lam == -np.inf:
-        raise SolverError(f"corrector rejected at the refined fold, arclength offset {sigma:.6g}")
-    return lam, sigma
+            hi = sigma
+
+    lo, hi = 0.0, offset(b)
+    s_prev, x_prev = offset(mid), np.append(mid.u.values, mid.lam)
+    sigma = _parabola_vertex(lo, a.lam, s_prev, mid.lam, hi, b.lam)
+    z_prev = tangent(x_prev)
+    g_prev = unit_lam(z_prev)
+    narrow(s_prev, g_prev)
+    for _ in range(FOLD_MAX_CORRECTORS):
+        if not lo <= sigma <= hi:
+            sigma = 0.5 * (lo + hi)
+        try:
+            u, lam, _ = _corrector(problem, ops, opts, a.lam, a.u.values, t_lam, t_u, sigma,
+                                   x_prev + (sigma - s_prev) * z_prev)
+            x = np.append(u, lam)
+            z = tangent(x)
+        except (_Rejected, RuntimeError):
+            back = 0.5 * (sigma + s_prev)
+            if abs(back - sigma) <= opts.ds_min:
+                raise SolverError("corrector rejected at the refined fold, "
+                                  f"arclength offset {sigma:.6g}") from None
+            sigma = back
+            continue
+        g = unit_lam(z)
+        narrow(sigma, g)
+        s_next = sigma - g * (sigma - s_prev) / (g - g_prev) if g != g_prev else math.nan
+        if not lo <= s_next <= hi:
+            s_next = 0.5 * (lo + hi)
+        if abs(s_next - sigma) <= opts.ds_min:
+            return lam, sigma
+        s_prev, x_prev, z_prev, g_prev, sigma = sigma, x, z, g, s_next
+    raise SolverError(f"fold search did not converge in {FOLD_MAX_CORRECTORS} corrector "
+                      f"solves, arclength offset {sigma:.6g}")

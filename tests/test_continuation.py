@@ -86,13 +86,80 @@ def test_branch_step_size_invariant(fold_demo):
             assert cur.s - prev.s <= 2.0 * cur.ds + 1e-12
 
 
-def test_fold_bisection_location(fold_demo):
-    branch = fold_demo["branch"]
-    opts = fold_demo["opts"]
-    lam_fold, sigma = locate_fold(branch, fold_demo["problem"], fold_demo["ops"], opts)
-    assert lam_fold == pytest.approx(branch.max_lambda(), abs=1e-3)
+def _golden_section_fold(branch, problem, ops, opts):
+    """The fold by golden-section search of lambda over the arclength offset
+    between the points bracketing it, each lambda a corrector solve from the
+    secant predictor: the search ``locate_fold`` made before its secant."""
     i = branch.folds[0]
-    assert 0.0 <= sigma <= branch.points[i + 1].s - branch.points[i - 1].s
+    a, mid, b = branch.points[i - 1], branch.points[i], branch.points[i + 1]
+    e = ops.energy_product(a.u.values, a.u.values)
+    dl, du = mid.lam - a.lam, mid.u.values - a.u.values
+    nrm = continuation._product_norm(dl, du, e, ops)
+    step = (a.lam, a.u.values, dl / nrm, du / nrm)
+    calls = []
+
+    def lam_at(sigma):
+        calls.append(sigma)
+        try:
+            return continuation._corrector(problem, ops, opts, *step, sigma)[1]
+        except continuation._Rejected:
+            return -np.inf
+
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = 0.0, b.s - a.s
+    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    f1, f2 = lam_at(x1), lam_at(x2)
+    while hi - lo > opts.ds_min:
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = lam_at(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = lam_at(x2)
+    return lam_at(0.5 * (lo + hi)), len(calls)
+
+
+def _check_fold(branch, problem, ops, opts, lam, sigma):
+    """The located fold against the golden-section oracle and the sampled
+    maximum, and the tangent's lambda component there, by a bordered LU;
+    returns the oracle's corrector calls."""
+    lam_ref, oracle_calls = _golden_section_fold(branch, problem, ops, opts)
+    assert abs(lam - lam_ref) <= 1e-9 * abs(lam_ref)
+    top = branch.max_lambda()
+    assert lam >= top - 1e-10 * abs(top)
+    i = branch.folds[0]
+    a, mid = branch.points[i - 1], branch.points[i]
+    assert 0.0 < sigma < branch.points[i + 1].s - a.s
+    e = ops.energy_product(a.u.values, a.u.values)
+    dl, du = mid.lam - a.lam, mid.u.values - a.u.values
+    nrm = continuation._product_norm(dl, du, e, ops)
+    t_lam, t_u = dl / nrm, du / nrm
+    # the corrector meets its tolerances at the located offset, on the located lambda
+    u, lam_at, _ = continuation._corrector(problem, ops, opts, a.lam, a.u.values, t_lam, t_u,
+                                           sigma)
+    assert abs(lam_at - lam) <= 1e-10 * abs(lam)
+    # dlam/dsigma, the tangent's lambda component, at the fold and at the fold
+    # point: by their secant the located offset lies within ds_min of its root
+    c = problem.c.values
+    cvec = ops.node_weight / (1.0 + e) * (ops.laplacian @ t_u)
+    unit = np.zeros(u.size + 1)
+    unit[-1] = 1.0
+
+    def dlam(u, lam):
+        J = quasilinear_jacobian(u, lam * c, problem.mu.values, ops)
+        return spla.splu(_bordered_matrix(J, -(c * u), cvec, t_lam)).solve(unit)[-1]
+
+    g, g_mid = dlam(u, lam_at), dlam(mid.u.values, mid.lam)
+    assert abs(g) * abs(nrm - sigma) <= opts.ds_min * abs(g_mid - g)
+    return oracle_calls
+
+
+def test_fold_secant_location(fold_demo):
+    branch, problem, ops, opts = (fold_demo[k] for k in ("branch", "problem", "ops", "opts"))
+    lam_fold, sigma = locate_fold(branch, problem, ops, opts)
+    _check_fold(branch, problem, ops, opts, lam_fold, sigma)
 
 
 def test_two_solution_extraction(fold_demo):
@@ -229,12 +296,15 @@ def test_seed_failure_reported(square32):
 # the block-elimination corrector against the bordered LU it replaces
 
 
-def _reference_corrector(problem, ops, opts, base_lam, base_u, t_lam, t_u, ds):
+def _reference_corrector(problem, ops, opts, base_lam, base_u, t_lam, t_u, ds, start=None):
     """The corrector with every Newton step an LU of the bordered matrix."""
     c, mu, h = problem.c.values, problem.mu.values, problem.h.values
     scale = ops.node_weight / (1.0 + ops.energy_product(base_u, base_u))
     cvec = scale * (ops.laplacian @ t_u)
-    lam, u = base_lam + ds * t_lam, base_u + ds * t_u
+    if start is None:
+        lam, u = base_lam + ds * t_lam, base_u + ds * t_u
+    else:
+        lam, u = start[-1], start[:-1]
     for it in range(1, continuation.MAX_CORRECTOR + 1):
         d = lam * c
         R, rscale = residual_with_scale(u, d, mu, h, ops)
@@ -314,7 +384,7 @@ def test_corrector_matches_bordered_lu(fold_square24, monkeypatch):
     runs.clear()
     got = continuation._corrector(*args, *step, sigma)
     _assert_same_step(got, _reference_corrector(*args, *step, sigma))
-    assert got[1] == pytest.approx(data["lam_fold"], rel=1e-12)
+    assert got[1] == pytest.approx(data["lam_fold"], rel=1e-10)
     assert len(runs) == got[2]
     assert set(shifts) == {solver.SHIFT_CAP * data["ops"].sine_basis()[1].min()}
     # GMRES on block elimination by the drift preconditioner throughout: no LU at all
@@ -434,24 +504,54 @@ def test_drift_preconditioner_beats_the_shifted_sine_solve(fold_square24):
         assert drift < shifted, (i, drift, shifted)
 
 
+def test_square_fold_agrees_with_golden_section(fold_square24, monkeypatch):
+    data = fold_square24
+    args = (data["branch"], data["problem"], data["ops"], data["opts"])
+    oracle_calls = _check_fold(*args, data["lam_fold"], data["sigma"])
+    calls, corrector = [], continuation._corrector
+    monkeypatch.setattr(continuation, "_corrector", lambda *a: calls.append(1) or corrector(*a))
+    assert locate_fold(*args) == (data["lam_fold"], data["sigma"])
+    assert 3 * len(calls) <= oracle_calls
+
+
 def test_locate_fold_holds_one_factor(fold_square24, monkeypatch):
     data = fold_square24
     args = (data["branch"], data["problem"], data["ops"], data["opts"])
     sizes = _counting_factor(monkeypatch)
     lam, _ = locate_fold(*args)
-    assert len(sizes) <= 5
+    assert sizes == []
     # the reference search: every corrector step a fresh LU of the bordered matrix
     steps = []
 
     def reference(*corrector_args):
-        got = _reference_corrector(*corrector_args[:8])
+        got = _reference_corrector(*corrector_args)
         steps.append(got[2])
         return got
 
     monkeypatch.setattr(continuation, "_corrector", reference)
     lam_ref, _ = locate_fold(*args)
     assert abs(lam - lam_ref) <= 1e-10 * abs(lam_ref)
-    assert sum(steps) > 10 * len(sizes)
+    assert steps
+
+
+def test_locate_fold_retries_a_rejected_corrector(fold_square24, monkeypatch):
+    # the search's second corrector is rejected; it is retried halfway back
+    # toward the last corrected point and the search lands on the same fold
+    data = fold_square24
+    corrector, offsets = continuation._corrector, []
+
+    def second_rejected(*args):
+        offsets.append(args[7])
+        if len(offsets) == 2:
+            raise continuation._Rejected("corrector_failed")
+        return corrector(*args)
+
+    monkeypatch.setattr(continuation, "_corrector", second_rejected)
+    lam, sigma = locate_fold(data["branch"], data["problem"], data["ops"], data["opts"])
+    assert len(offsets) >= 4
+    assert abs(offsets[2] - offsets[0]) == pytest.approx(0.5 * abs(offsets[1] - offsets[0]))
+    assert abs(lam - data["lam_fold"]) <= 1e-10 * abs(data["lam_fold"])
+    assert abs(sigma - data["sigma"]) <= 10 * data["opts"].ds_min
 
 
 def test_locate_fold_raises_when_the_final_corrector_is_rejected(fold_demo, monkeypatch):
@@ -499,7 +599,7 @@ def test_cube_trace_and_fold_make_no_lu(monkeypatch):
 
     def recorded(*args):
         got = corrector(*args)
-        steps.append((args[:8], got))
+        steps.append((args, got))
         return got
 
     shifts = []
@@ -513,16 +613,20 @@ def test_cube_trace_and_fold_make_no_lu(monkeypatch):
     monkeypatch.setattr(ops, "shifted_sine_solve", recorded_shift)
     branch = trace_branch(problem, -2.0, ops, opts)
     in_trace = len(steps)
-    lam, _ = locate_fold(branch, problem, ops, opts)
+    lam, sigma = locate_fold(branch, problem, ops, opts)
     assert sizes == []
     assert branch.termination == "norm_cap" and branch.folds
     # the shift grows with lambda up to its cap, which the fold lies past
     shift_cap = solver.SHIFT_CAP * ops.sine_basis()[1].min()
     assert lam > shift_cap and max(shifts) == shift_cap
     assert -2.0 < min(shifts) < -1.0
-    assert in_trace > 100 and len(steps) > in_trace + 20
-    for args, got in steps[:in_trace:8] + steps[in_trace::3] + steps[-1:]:
+    # the fold's secant search takes a few corrector solves, each warm-started
+    assert in_trace > 100 and 0 < len(steps) - in_trace <= 10
+    assert all(len(args) == 9 for args, _ in steps[in_trace:])
+    for args, got in steps[:in_trace:8] + steps[in_trace:]:
         _assert_same_step(got, _reference_corrector(*args))
+    monkeypatch.undo()
+    assert 3 * (len(steps) - in_trace) <= _check_fold(branch, problem, ops, opts, lam, sigma)
 
 
 def test_rejected_cube_steps_stop_early_and_make_no_lu(monkeypatch):

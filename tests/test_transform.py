@@ -94,6 +94,21 @@ def test_g_subcritical_power_bound():
             assert np.all(np.abs(gf) <= C * fine ** (1 + r))
 
 
+def test_G_evaluates_each_form_only_where_it_is_used():
+    # the series past |s| = 1e77 would overflow; its value was never used
+    s = np.array([1e100, -1e100, 1.0, 1e-6, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g, G = g_and_G(s, 1.0)
+    assert np.all(np.isfinite(g)) and np.all(np.isfinite(G))
+    m = np.abs(s)
+    lg = np.log1p(m)
+    assert G[0] == G[1] == ((1.0 + m[0]) ** 2 * (2.0 * lg[0] - 1.0) + 1.0) / 4.0
+    assert G[2] == g_and_G(1.0, 1.0)[1]
+    assert G[3] == 1e-12 * (0.5 + 1e-6 * (1.0 / 6.0 + 1e-6 * (-1.0 / 24.0 + 1e-6 / 60.0)))
+    assert G[4] == 0.0
+
+
 def test_g_prime_matches_difference_quotient():
     s = np.linspace(-3, 3, 31)
     eps = 1e-6
@@ -246,6 +261,17 @@ def test_solve_transformed_minimizer_beats_zero():
     value, _ = functional_I(v, problem, ops)
     assert value <= 0.0  # I(v) <= I(0) = 0
     assert np.min(u.values) >= -1e-10
+
+
+def test_solve_transformed_on_a_fine_interval():
+    # at 512 cells the residual of L v cannot get below about eps max(|L| |v|),
+    # above the relative 1e-12 alone; the Euler-Lagrange tolerance allows for it
+    spec = GridSpec(1, ((0.0, 1.0),), (512,))
+    ops = build_operators(spec)
+    problem = make_a3_problem(spec, -1.0, 1.0, 0.2)
+    v, u = solve_transformed(problem, ops)
+    assert np.min(v.values) >= 0.0 and np.max(v.values) > 0.0
+    assert np.max(np.abs(residual_P(u, problem, ops).values)) <= 1e-8
 
 
 def test_solve_transformed_small_h_residual(interval64):
