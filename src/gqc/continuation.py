@@ -13,10 +13,11 @@ continuation degenerates. Each corrector step is one bordered
 a shifted sine solve conjugated by exp(mu u), on 2-D and 3-D grids, with an
 LU for that step alone on a miss; 1-D steps are LU solves.
 
-``locate_fold`` refines a recorded fold by a secant on the lambda
-component of the unit tangent, whose root is the fold (Keller 1977): each
-iterate is one corrector solve, warm-started along the last tangent, and
-one more bordered solve for the tangent there.
+``locate_fold`` refines a recorded fold by ``damped_newton`` on the
+minimally augmented system (Griewank & Reddien 1984): the equation and
+one scalar g(u, lam), from a bordered solve, that vanishes exactly where
+the Jacobian is singular. Each Newton step takes one adjoint solve by the
+transposed Jacobian for g's gradient and one bordered step.
 
 Termination is one of: the sup norm exceeding ``norm_cap`` (read as the
 branch escaping to infinity, with the side classified by the sign of
@@ -57,8 +58,6 @@ CORRECTOR_MIN_STEP = 0.125
 # point (product norm); keeps the tracer from tunneling onto another
 # branch near sharp turns and asymptotes
 MAX_STEP_RATIO = 2.0
-# corrector solves before the fold search gives up
-FOLD_MAX_CORRECTORS = 40
 
 
 @dataclass
@@ -159,12 +158,11 @@ def _bordered_solve(problem: ProblemData, ops: DiscreteOperators, u: np.ndarray,
 
 
 def _corrector(problem: ProblemData, ops: DiscreteOperators, opts: ContinuationOptions,
-               base_lam: float, base_u: np.ndarray, t_lam: float, t_u: np.ndarray, ds: float,
-               start: np.ndarray | None = None) -> tuple[np.ndarray, float, int]:
-    """``damped_newton`` on the bordered system in x = (u, lam) from
-    ``start``, by default the secant predictor; returns (u, lam, Newton
-    steps) or raises ``_Rejected`` (``singular`` when no LU could be made,
-    else ``corrector_failed``).
+               base_lam: float, base_u: np.ndarray, t_lam: float, t_u: np.ndarray, ds: float
+               ) -> tuple[np.ndarray, float, int]:
+    """``damped_newton`` on the bordered system in x = (u, lam) from the
+    secant predictor; returns (u, lam, Newton steps) or raises ``_Rejected``
+    (``singular`` when no LU could be made, else ``corrector_failed``).
 
     The residual is the equation's over its tolerance and the constraint's
     over ``1e-10 (1 + |ds|)``, so both must reach 1 and the Armijo merit
@@ -190,7 +188,7 @@ def _corrector(problem: ProblemData, ops: DiscreteOperators, opts: ContinuationO
         return _bordered_solve(problem, ops, x[:-1], float(x[-1]), cvec, t_lam,
                                -np.append(R, constraint), min(tol, constraint_tol))
 
-    x0 = np.append(base_u + ds * t_u, base_lam + ds * t_lam) if start is None else start
+    x0 = np.append(base_u + ds * t_u, base_lam + ds * t_lam)
     sopts = replace(opts.solve, max_newton=MAX_CORRECTOR, min_step=CORRECTOR_MIN_STEP)
     x, report = damped_newton(x0, residual, step, sopts)
     if not report.converged:
@@ -410,17 +408,6 @@ def analyze_branch(
     return analysis
 
 
-def _parabola_vertex(s0: float, f0: float, s1: float, f1: float, s2: float, f2: float
-                     ) -> float:
-    """The abscissa of the vertex of the parabola through three points; nan
-    when they are collinear."""
-    d10, d12 = s1 - s0, s1 - s2
-    den = d10 * (f1 - f2) - d12 * (f1 - f0)
-    if den == 0.0:
-        return math.nan
-    return s1 - 0.5 * (d10 * d10 * (f1 - f2) - d12 * d12 * (f1 - f0)) / den
-
-
 def locate_fold(
     branch: Branch,
     problem: ProblemData,
@@ -428,91 +415,66 @@ def locate_fold(
     opts: ContinuationOptions | None = None,
     fold_index: int | None = None,
 ) -> tuple[float, float]:
-    """Refine a recorded fold by a secant on the tangent's lambda component.
+    """Locate a recorded fold by ``damped_newton`` on the minimally augmented
+    system (Griewank & Reddien 1984) in x = (u, lam), from the fold point.
 
-    Points near the fold are corrector solutions at an arclength offset
-    sigma along the secant from the point before the fold to the fold
-    point. At each, one more ``_bordered_solve`` of
-    [[J, -c u], [cvec^T, t_lam]] z = (0, ..., 0, 1) gives the tangent
-    z = d(u, lam)/dsigma. The fold is the root of g = z_lam / ||z||, the
-    lambda component of the unit tangent: it has the root of dlam/dsigma
-    but stays within [-1, 1] where the offset turns back past the fold.
-    The secant starts from the fold point (a tangent solve, no corrector)
-    and the vertex of the parabola through the three recorded points'
-    lambdas. It keeps a bracket on which g changes sign and bisects it when
-    an iterate leaves it. Each corrector starts from the last corrected
-    point moved along its tangent; a rejected one is retried halfway back
-    toward that point. The search stops when successive offsets differ by
-    at most ``ds_min`` and returns (fold lambda, arclength offset from the
-    point before the fold). Raises ``SolverError`` when the corrector is
-    rejected within ``ds_min`` of the last corrected point, or after
-    ``FOLD_MAX_CORRECTORS`` corrector solves.
+    Its equations are R(u, lam) = 0 and g(u, lam) = 0, where (v, g) solves
+    [[J, phi], [phi^T, 0]] (v, g) = (0, 1) and phi is the unit secant from
+    the point before the fold to the fold point: g vanishes exactly where J
+    is singular, so the fold needs no bracket. The residual is
+    (R, g (1 + max|L phi|)) over the equation's tolerance, so g must reach
+    that tolerance over 1 + max|L phi|. A step is one ``_bordered_solve``
+    with the border (-c u, grad g): one adjoint solve (w, .) by J^T with the
+    same border and the transposed drift preconditioner gives
+    g_u = 2 sum_k D_k^T (mu w D_k v) and g_lam = w^T (c v). Returns (fold
+    lambda, its arclength offset along the secant from the point before the
+    fold to the fold point); raises ``SolverError`` naming Newton's failure
+    reason when it does not converge. A solve for g whose Jacobian cannot
+    be factored raises ``RuntimeError``, as ``linear_solve`` does.
     """
     opts = opts or ContinuationOptions()
     if fold_index is None:
         if not branch.folds:
             raise ValueError("branch has no recorded folds")
         fold_index = branch.folds[0]
-    if fold_index < 1 or fold_index + 1 >= len(branch.points):
-        raise ValueError("fold index lacks bracketing points")
-    a = branch.points[fold_index - 1]
-    b = branch.points[fold_index + 1]
-    mid = branch.points[fold_index]
-
-    base_energy_sq = ops.energy_product(a.u.values, a.u.values)
-    dl = mid.lam - a.lam
+    if not 1 <= fold_index < len(branch.points):
+        raise ValueError("fold index lacks a point before it")
+    a, mid = branch.points[fold_index - 1], branch.points[fold_index]
+    c, mu, h = problem.c.values, problem.mu.values, problem.h.values
     du = mid.u.values - a.u.values
-    nrm = _product_norm(dl, du, base_energy_sq, ops)
-    t_lam, t_u = dl / nrm, du / nrm
-    cvec = _arclength_row(ops, a.u.values, t_u)
+    phi = du / np.linalg.norm(du)
+    g_scale = 1.0 + float(np.max(np.abs(ops.laplacian @ phi)))
     unit = np.zeros(du.size + 1)
     unit[-1] = 1.0
-    rising = dl > 0.0  # g has this sign before the fold
+    raw: list = []  # the point's residual, Jacobian, (v, g) and tolerance
 
-    def offset(p: BranchPoint) -> float:
-        return t_lam * (p.lam - a.lam) + float(cvec @ (p.u.values - a.u.values))
+    def residual(x: np.ndarray) -> tuple[np.ndarray, float]:
+        u, lam = x[:-1], float(x[-1])
+        R, rscale = residual_with_scale(u, lam * c, mu, h, ops)
+        J = quasilinear_jacobian(u, lam * c, mu, ops)
+        vg = linear_solve(J, unit, 0.0, border=(phi, phi, 0.0),
+                          precondition=drift_preconditioner(ops, u, lam * c, mu, h))
+        tol = opts.solve.tol_residual * (1.0 + rscale)
+        raw[:] = R, J, vg, tol
+        return np.append(R, g_scale * vg[-1]) / tol, 1.0
 
-    def tangent(x: np.ndarray) -> np.ndarray:
-        return _bordered_solve(problem, ops, x[:-1], float(x[-1]), cvec, t_lam, unit, 0.0)
+    def step(x: np.ndarray, *_) -> np.ndarray:
+        u, lam = x[:-1], float(x[-1])
+        R, J, vg, tol = raw
+        w = linear_solve(J.T, unit, 0.0, border=(phi, phi, 0.0),
+                         precondition=drift_preconditioner(ops, u, lam * c, mu, h,
+                                                           transpose=True))[:-1]
+        v = vg[:-1]
+        g_u = 2.0 * sum(D.T @ (mu * w * (D @ v)) for D in ops.gradient)
+        return _bordered_solve(problem, ops, u, lam, g_u, float(w @ (c * v)),
+                               -np.append(R, vg[-1]), tol / g_scale)
 
-    def unit_lam(z: np.ndarray) -> float:
-        return float(z[-1]) / _product_norm(float(z[-1]), z[:-1], base_energy_sq, ops)
-
-    def narrow(sigma: float, g: float) -> None:
-        nonlocal lo, hi
-        if (g > 0.0) == rising:
-            lo = sigma
-        else:
-            hi = sigma
-
-    lo, hi = 0.0, offset(b)
-    s_prev, x_prev = offset(mid), np.append(mid.u.values, mid.lam)
-    sigma = _parabola_vertex(lo, a.lam, s_prev, mid.lam, hi, b.lam)
-    z_prev = tangent(x_prev)
-    g_prev = unit_lam(z_prev)
-    narrow(s_prev, g_prev)
-    for _ in range(FOLD_MAX_CORRECTORS):
-        if not lo <= sigma <= hi:
-            sigma = 0.5 * (lo + hi)
-        try:
-            u, lam, _ = _corrector(problem, ops, opts, a.lam, a.u.values, t_lam, t_u, sigma,
-                                   x_prev + (sigma - s_prev) * z_prev)
-            x = np.append(u, lam)
-            z = tangent(x)
-        except (_Rejected, RuntimeError):
-            back = 0.5 * (sigma + s_prev)
-            if abs(back - sigma) <= opts.ds_min:
-                raise SolverError("corrector rejected at the refined fold, "
-                                  f"arclength offset {sigma:.6g}") from None
-            sigma = back
-            continue
-        g = unit_lam(z)
-        narrow(sigma, g)
-        s_next = sigma - g * (sigma - s_prev) / (g - g_prev) if g != g_prev else math.nan
-        if not lo <= s_next <= hi:
-            s_next = 0.5 * (lo + hi)
-        if abs(s_next - sigma) <= opts.ds_min:
-            return lam, sigma
-        s_prev, x_prev, z_prev, g_prev, sigma = sigma, x, z, g, s_next
-    raise SolverError(f"fold search did not converge in {FOLD_MAX_CORRECTORS} corrector "
-                      f"solves, arclength offset {sigma:.6g}")
+    x, report = damped_newton(np.append(mid.u.values, mid.lam), residual, step, opts.solve)
+    if not report.converged:
+        raise SolverError(f"fold Newton did not converge: {report.failure_reason}")
+    dl = mid.lam - a.lam
+    nrm = _product_norm(dl, du, ops.energy_product(a.u.values, a.u.values), ops)
+    lam = float(x[-1])
+    sigma = dl / nrm * (lam - a.lam) + float(
+        _arclength_row(ops, a.u.values, du / nrm) @ (x[:-1] - a.u.values))
+    return lam, sigma

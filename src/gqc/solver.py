@@ -160,7 +160,8 @@ def damped_newton(
 
 
 def drift_preconditioner(
-    ops: DiscreteOperators, u: np.ndarray, d: np.ndarray, mu: np.ndarray, h: np.ndarray
+    ops: DiscreteOperators, u: np.ndarray, d: np.ndarray, mu: np.ndarray, h: np.ndarray,
+    transpose: bool = False,
 ) -> Callable[[np.ndarray], np.ndarray] | None:
     """An approximate inverse of the Jacobian of  L u - d u - mu |grad u|^2 - h
     at u, as a GMRES preconditioner; None on 1-D grids, whose steps are LU solves.
@@ -173,7 +174,9 @@ def drift_preconditioner(
     eigenvalue, so GMRES is left only V's variation, the drift's where mu
     varies and, off a solution, the identity's defect. mu, d and h enter
     nodewise. The exponent is mu u - max(mu u), which leaves the
-    preconditioner unchanged, floored at ``DRIFT_EXP_FLOOR``.
+    preconditioner unchanged, floored at ``DRIFT_EXP_FLOOR``. With
+    ``transpose`` it is the exact transpose from the same factors and shift,
+    r -> e^{mu u} (L - sigma)^-1 (e^{-mu u} r), for solves by J^T.
     """
     if ops.spec.dim == 1:
         return None
@@ -182,6 +185,8 @@ def drift_preconditioner(
     up, down = np.exp(exponent), np.exp(-exponent)
     sigma = min(float(np.mean(d * (1.0 + mu_u) + mu * h)),
                 SHIFT_CAP * float(ops.sine_basis()[1].min()))
+    if transpose:
+        up, down = down, up
     return lambda r: down * ops.shifted_sine_solve(up * r, sigma)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,7 +17,7 @@ from gqc import (
 )
 from gqc import continuation, grid, solver
 from gqc.grid import factor
-from gqc.solver import quasilinear_jacobian, residual_with_scale
+from gqc.solver import SolveOptions, SolverError, quasilinear_jacobian, residual_with_scale
 
 from conftest import make_problem
 
@@ -86,20 +88,26 @@ def test_branch_step_size_invariant(fold_demo):
             assert cur.s - prev.s <= 2.0 * cur.ds + 1e-12
 
 
+def _counting_linear_solves(monkeypatch):
+    solves = []
+    linear_solve = continuation.linear_solve
+    monkeypatch.setattr(continuation, "linear_solve",
+                        lambda *a, **k: solves.append(1) or linear_solve(*a, **k))
+    return solves
+
+
 def _golden_section_fold(branch, problem, ops, opts):
     """The fold by golden-section search of lambda over the arclength offset
     between the points bracketing it, each lambda a corrector solve from the
-    secant predictor: the search ``locate_fold`` made before its secant."""
+    secant predictor; returns the fold lambda and the search's linear solves."""
     i = branch.folds[0]
     a, mid, b = branch.points[i - 1], branch.points[i], branch.points[i + 1]
     e = ops.energy_product(a.u.values, a.u.values)
     dl, du = mid.lam - a.lam, mid.u.values - a.u.values
     nrm = continuation._product_norm(dl, du, e, ops)
     step = (a.lam, a.u.values, dl / nrm, du / nrm)
-    calls = []
 
     def lam_at(sigma):
-        calls.append(sigma)
         try:
             return continuation._corrector(problem, ops, opts, *step, sigma)[1]
         except continuation._Rejected:
@@ -107,25 +115,27 @@ def _golden_section_fold(branch, problem, ops, opts):
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     lo, hi = 0.0, b.s - a.s
-    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
-    f1, f2 = lam_at(x1), lam_at(x2)
-    while hi - lo > opts.ds_min:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = lam_at(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = lam_at(x2)
-    return lam_at(0.5 * (lo + hi)), len(calls)
+    with pytest.MonkeyPatch.context() as patch:
+        solves = _counting_linear_solves(patch)
+        x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+        f1, f2 = lam_at(x1), lam_at(x2)
+        while hi - lo > opts.ds_min:
+            if f1 >= f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - invphi * (hi - lo)
+                f1 = lam_at(x1)
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + invphi * (hi - lo)
+                f2 = lam_at(x2)
+        return lam_at(0.5 * (lo + hi)), len(solves)
 
 
 def _check_fold(branch, problem, ops, opts, lam, sigma):
     """The located fold against the golden-section oracle and the sampled
     maximum, and the tangent's lambda component there, by a bordered LU;
-    returns the oracle's corrector calls."""
-    lam_ref, oracle_calls = _golden_section_fold(branch, problem, ops, opts)
+    returns the oracle's linear solves."""
+    lam_ref, oracle_solves = _golden_section_fold(branch, problem, ops, opts)
     assert abs(lam - lam_ref) <= 1e-9 * abs(lam_ref)
     top = branch.max_lambda()
     assert lam >= top - 1e-10 * abs(top)
@@ -153,10 +163,10 @@ def _check_fold(branch, problem, ops, opts, lam, sigma):
 
     g, g_mid = dlam(u, lam_at), dlam(mid.u.values, mid.lam)
     assert abs(g) * abs(nrm - sigma) <= opts.ds_min * abs(g_mid - g)
-    return oracle_calls
+    return oracle_solves
 
 
-def test_fold_secant_location(fold_demo):
+def test_fold_location(fold_demo):
     branch, problem, ops, opts = (fold_demo[k] for k in ("branch", "problem", "ops", "opts"))
     lam_fold, sigma = locate_fold(branch, problem, ops, opts)
     _check_fold(branch, problem, ops, opts, lam_fold, sigma)
@@ -284,8 +294,6 @@ def test_empty_branch_analysis_raises():
 
 
 def test_seed_failure_reported(square32):
-    from gqc.solver import SolverError
-
     spec, ops = square32
     problem = make_problem(spec, h="6*pi^2", profile="A2")  # unsolvable at -2
     with pytest.raises(SolverError, match="seed"):
@@ -296,15 +304,12 @@ def test_seed_failure_reported(square32):
 # the block-elimination corrector against the bordered LU it replaces
 
 
-def _reference_corrector(problem, ops, opts, base_lam, base_u, t_lam, t_u, ds, start=None):
+def _reference_corrector(problem, ops, opts, base_lam, base_u, t_lam, t_u, ds):
     """The corrector with every Newton step an LU of the bordered matrix."""
     c, mu, h = problem.c.values, problem.mu.values, problem.h.values
     scale = ops.node_weight / (1.0 + ops.energy_product(base_u, base_u))
     cvec = scale * (ops.laplacian @ t_u)
-    if start is None:
-        lam, u = base_lam + ds * t_lam, base_u + ds * t_u
-    else:
-        lam, u = start[-1], start[:-1]
+    lam, u = base_lam + ds * t_lam, base_u + ds * t_u
     for it in range(1, continuation.MAX_CORRECTOR + 1):
         d = lam * c
         R, rscale = residual_with_scale(u, d, mu, h, ops)
@@ -507,11 +512,21 @@ def test_drift_preconditioner_beats_the_shifted_sine_solve(fold_square24):
 def test_square_fold_agrees_with_golden_section(fold_square24, monkeypatch):
     data = fold_square24
     args = (data["branch"], data["problem"], data["ops"], data["opts"])
-    oracle_calls = _check_fold(*args, data["lam_fold"], data["sigma"])
-    calls, corrector = [], continuation._corrector
-    monkeypatch.setattr(continuation, "_corrector", lambda *a: calls.append(1) or corrector(*a))
+    oracle_solves = _check_fold(*args, data["lam_fold"], data["sigma"])
+    solves = _counting_linear_solves(monkeypatch)
     assert locate_fold(*args) == (data["lam_fold"], data["sigma"])
-    assert 3 * len(calls) <= oracle_calls
+    assert 0 < 3 * len(solves) <= oracle_solves
+
+
+def test_locate_fold_past_the_last_recorded_point(fold_square24):
+    # three rising points, the fold past all of them: Newton on the augmented
+    # system keeps no bracket, so it cannot stop at a bracket end
+    data = fold_square24
+    i = data["branch"].folds[0]
+    cut = replace(data["branch"], points=data["branch"].points[:i], folds=[i - 2])
+    assert np.all(np.diff(cut.lambdas[-3:]) > 0)
+    lam, _ = locate_fold(cut, data["problem"], data["ops"], data["opts"])
+    assert abs(lam - data["lam_fold"]) <= 1e-8 * abs(data["lam_fold"])
 
 
 def test_locate_fold_holds_one_factor(fold_square24, monkeypatch):
@@ -520,51 +535,19 @@ def test_locate_fold_holds_one_factor(fold_square24, monkeypatch):
     sizes = _counting_factor(monkeypatch)
     lam, _ = locate_fold(*args)
     assert sizes == []
-    # the reference search: every corrector step a fresh LU of the bordered matrix
-    steps = []
-
-    def reference(*corrector_args):
-        got = _reference_corrector(*corrector_args)
-        steps.append(got[2])
-        return got
-
-    monkeypatch.setattr(continuation, "_corrector", reference)
-    lam_ref, _ = locate_fold(*args)
-    assert abs(lam - lam_ref) <= 1e-10 * abs(lam_ref)
-    assert steps
+    # every GMRES run misses: each solve is an LU of J or J^T for that call alone
+    monkeypatch.setattr(grid, "gmres", lambda *a: None)
+    solves = _counting_linear_solves(monkeypatch)
+    lam_lu, _ = locate_fold(*args)
+    assert len(sizes) == len(solves) > 0
+    assert abs(lam - lam_lu) <= 1e-10 * abs(lam_lu)
 
 
-def test_locate_fold_retries_a_rejected_corrector(fold_square24, monkeypatch):
-    # the search's second corrector is rejected; it is retried halfway back
-    # toward the last corrected point and the search lands on the same fold
-    data = fold_square24
-    corrector, offsets = continuation._corrector, []
-
-    def second_rejected(*args):
-        offsets.append(args[7])
-        if len(offsets) == 2:
-            raise continuation._Rejected("corrector_failed")
-        return corrector(*args)
-
-    monkeypatch.setattr(continuation, "_corrector", second_rejected)
-    lam, sigma = locate_fold(data["branch"], data["problem"], data["ops"], data["opts"])
-    assert len(offsets) >= 4
-    assert abs(offsets[2] - offsets[0]) == pytest.approx(0.5 * abs(offsets[1] - offsets[0]))
-    assert abs(lam - data["lam_fold"]) <= 1e-10 * abs(data["lam_fold"])
-    assert abs(sigma - data["sigma"]) <= 10 * data["opts"].ds_min
-
-
-def test_locate_fold_raises_when_the_final_corrector_is_rejected(fold_demo, monkeypatch):
-    from gqc.solver import SolveReport, SolverError
-
-    # every corrector's Newton solve stops short of its tolerance
-    def unconverged(x0, residual, step, opts):
-        return x0, SolveReport(False, opts.max_newton, np.inf, [], "max_iter", 1.0)
-
-    monkeypatch.setattr(continuation, "damped_newton", unconverged)
-    with pytest.raises(SolverError, match="arclength offset"):
-        locate_fold(fold_demo["branch"], fold_demo["problem"], fold_demo["ops"],
-                    fold_demo["opts"])
+def test_locate_fold_raises_when_newton_fails(fold_demo):
+    # Newton from the fold point takes more than one step
+    opts = ContinuationOptions(norm_cap=3.0, max_points=400, solve=SolveOptions(max_newton=1))
+    with pytest.raises(SolverError, match="max_iter"):
+        locate_fold(fold_demo["branch"], fold_demo["problem"], fold_demo["ops"], opts)
 
 
 def test_corrector_refactors_after_a_krylov_miss(fold_square24, monkeypatch):
@@ -613,6 +596,7 @@ def test_cube_trace_and_fold_make_no_lu(monkeypatch):
     monkeypatch.setattr(ops, "shifted_sine_solve", recorded_shift)
     branch = trace_branch(problem, -2.0, ops, opts)
     in_trace = len(steps)
+    solves = _counting_linear_solves(monkeypatch)
     lam, sigma = locate_fold(branch, problem, ops, opts)
     assert sizes == []
     assert branch.termination == "norm_cap" and branch.folds
@@ -620,13 +604,13 @@ def test_cube_trace_and_fold_make_no_lu(monkeypatch):
     shift_cap = solver.SHIFT_CAP * ops.sine_basis()[1].min()
     assert lam > shift_cap and max(shifts) == shift_cap
     assert -2.0 < min(shifts) < -1.0
-    # the fold's secant search takes a few corrector solves, each warm-started
-    assert in_trace > 100 and 0 < len(steps) - in_trace <= 10
-    assert all(len(args) == 9 for args, _ in steps[in_trace:])
-    for args, got in steps[:in_trace:8] + steps[in_trace:]:
+    # the fold's Newton takes a few steps of three linear solves and no corrector
+    assert in_trace > 100 and len(steps) == in_trace
+    assert 0 < len(solves) <= 13
+    for args, got in steps[::8]:
         _assert_same_step(got, _reference_corrector(*args))
     monkeypatch.undo()
-    assert 3 * (len(steps) - in_trace) <= _check_fold(branch, problem, ops, opts, lam, sigma)
+    assert 3 * len(solves) <= _check_fold(branch, problem, ops, opts, lam, sigma)
 
 
 def test_rejected_cube_steps_stop_early_and_make_no_lu(monkeypatch):

@@ -190,6 +190,23 @@ def test_drift_preconditioner_inverts_the_conjugated_shifted_laplacian():
     assert np.max(np.abs(lhs - e * r)) <= 1e-10 * np.max(np.abs(e * r))
 
 
+def test_transposed_drift_preconditioner_is_the_exact_transpose():
+    from gqc import GridSpec, build_operators
+
+    spec = GridSpec(2, ((0.0, 1.0), (0.0, 2.0)), (8, 10))
+    ops = build_operators(spec)
+    rng = np.random.default_rng(8)
+    u = rng.standard_normal(spec.n_interior)
+    mu = 1.0 + 0.5 * rng.uniform(size=spec.n_interior)
+    d, h = -2.0 + rng.uniform(size=spec.n_interior), rng.uniform(size=spec.n_interior)
+    eye = np.eye(spec.n_interior)
+    forward = solver.drift_preconditioner(ops, u, d, mu, h)
+    transposed = solver.drift_preconditioner(ops, u, d, mu, h, transpose=True)
+    P = np.column_stack([forward(e) for e in eye])
+    PT = np.column_stack([transposed(e) for e in eye])
+    assert np.max(np.abs(PT - P.T)) <= 1e-14 * np.max(np.abs(P))
+
+
 def test_drift_preconditioner_is_none_in_1d(interval64):
     spec, ops = interval64
     zeros = np.zeros(spec.n_interior)
