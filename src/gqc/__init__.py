@@ -8,6 +8,7 @@ from .conditions import (
     ConditionReport,
     EigenResult,
     ExponentWitness,
+    check_conditions,
     check_ferone_murat,
     check_smallness,
     exponent_margins,
@@ -75,7 +76,7 @@ __all__ = [
     "GridError", "GridFunction", "GridSpec", "ProblemData",
     "SolveOptions", "SolveReport", "SolverError", "TransformError",
     "UniquenessReport", "ValidationReport",
-    "analyze_branch", "build_operators", "check_ferone_murat",
+    "analyze_branch", "build_operators", "check_conditions", "check_ferone_murat",
     "check_smallness", "cole_hopf", "compute_zero_mask", "exponent_margins",
     "find_exponents", "first_eigen", "functional_I",
     "g_and_G", "g_prime", "grad_sq", "load_values_file", "locate_fold",

@@ -35,8 +35,7 @@ import numpy as np
 from .conditions import (
     CONDITION_TAGS,
     EigenError,
-    check_ferone_murat,
-    check_smallness,
+    check_conditions,
     find_exponents,
     first_eigen,
 )
@@ -309,8 +308,7 @@ def cmd_check(cfg: dict, out: Path, payload: dict, quiet: bool) -> int:
         requested = ["H0", "Hc"]
         if problem.spec.dim == 3:
             requested.append("FeroneMurat")
-    reports = [check_ferone_murat(problem) if tag == "FeroneMurat"
-               else check_smallness(problem, tag, ops) for tag in requested]
+    reports = check_conditions(problem, requested, ops)
 
     gamma_entry = None
     try:

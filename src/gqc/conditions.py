@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,9 +28,18 @@ import scipy.sparse.linalg as spla
 from .grid import DiscreteOperators, GridFunction, build_operators, factor, restrict
 from .problem import TAU_C_RELATIVE, ProblemData, compute_zero_mask
 
+# also the order in which check_conditions evaluates them: k1 last
 CONDITION_TAGS = ("H0", "Hc", "H", "FeroneMurat", "k1")
 
-# cap on Lanczos restarts; each restart costs up to 19 solves
+# Lanczos basis size for the one eigenvalue every pencil asks for. Solves to
+# convergence, against 20 (eigsh's default): 13 against 21 on full-box
+# pencils (1-D 64 cells, 32^2-128^2); 19 against 21 on the masked pencils of
+# a 128^2 check whose h changes sign; 25 against 21 (31 at 16^3) on other
+# masked mixed-sign weights; 331 against 132 for the mixed-sign weight of the
+# README's caveat. The count does not fall steadily with the size (11 takes
+# 18 on those 128^2 pencils, 16 takes 17-25), so re-measure before changing it
+EIGEN_NCV = 12
+# cap on Lanczos restarts; each restart costs up to EIGEN_NCV - 1 = 11 solves
 EIGEN_MAX_ITER = 1000
 
 
@@ -97,9 +107,10 @@ def _pencil_top(w: np.ndarray, A: sp.spmatrix, solve) -> tuple[float, np.ndarray
     """Largest eigenpair of the pencil  diag(w) x = nu A x  for SPD A.
 
     Implicitly restarted Lanczos (ARPACK through ``eigsh``) in the
-    A-inner product, with ``solve`` applying A^{-1}. The all-ones start
-    vector and the fixed generator for ARPACK's restart vectors make runs
-    deterministic. Returns (nu, x, number of solves) with x^T A x = 1.
+    A-inner product, with ``solve`` applying A^{-1} and a basis of
+    ``EIGEN_NCV`` vectors. The all-ones start vector and the fixed
+    generator for ARPACK's restart vectors make runs deterministic.
+    Returns (nu, x, number of solves) with x^T A x = 1.
     """
     n = w.size
     if n == 1:  # ARPACK needs two unknowns
@@ -115,7 +126,8 @@ def _pencil_top(w: np.ndarray, A: sp.spmatrix, solve) -> tuple[float, np.ndarray
     Minv = spla.LinearOperator((n, n), matvec=apply_inverse, dtype=float)
     try:
         vals, vecs = spla.eigsh(sp.diags(w), k=1, M=A, Minv=Minv, which="LA",
-                                v0=np.ones(n), maxiter=EIGEN_MAX_ITER, rng=0)
+                                v0=np.ones(n), ncv=min(EIGEN_NCV, n),
+                                maxiter=EIGEN_MAX_ITER, rng=0)
     except spla.ArpackError as exc:
         raise EigenError(f"Lanczos failed after {solves} solves: {exc}") from exc
     return float(vals[0]), vecs[:, 0], solves
@@ -125,8 +137,9 @@ def first_eigen(c: GridFunction, ops: DiscreteOperators) -> EigenResult:
     """Smallest eigenvalue of the weighted Dirichlet problem.
 
     gamma_1 is the reciprocal of the largest eigenvalue of the pencil
-    diag(c) phi = nu L phi, with L inverted by ``ops.sine_solve``;
-    ``iterations`` counts those solves.
+    diag(c) phi = nu L phi, with L inverted by the dense sine basis
+    (``ops.shifted_sine_solve`` with shift 0); ``iterations`` counts those
+    solves.
     """
     ops.check_spec(c)
     cvals = c.values
@@ -135,7 +148,7 @@ def first_eigen(c: GridFunction, ops: DiscreteOperators) -> EigenResult:
     if np.max(cvals, initial=0.0) <= 0.0:
         raise EigenError("weight c vanishes identically; no eigenvalue")
 
-    nu, x, solves = _pencil_top(cvals, ops.laplacian, ops.sine_solve)
+    nu, x, solves = _pencil_top(cvals, ops.laplacian, lambda b: ops.shifted_sine_solve(b, 0.0))
     gamma = 1.0 / nu
     # normalize to unit Dirichlet energy, positive orientation
     phi_vals = x / math.sqrt(ops.energy_product(x, x))
@@ -151,14 +164,18 @@ def weighted_rayleigh_sup(
     mask: np.ndarray | None,
     ops: DiscreteOperators,
     stiffness: sp.spmatrix | None = None,
+    restricted: Callable[[np.ndarray], tuple[sp.spmatrix, Callable]] | None = None,
 ) -> float:
     """Largest nu with  integral(w phi^2) = nu * integral(|grad phi|^2)
     over fields supported on ``mask``.
 
     Returns 0 when w <= 0 on the mask. ``stiffness`` replaces the plain
     Laplacian when the gradient term carries a coefficient. The plain
-    Laplacian on every node is inverted by ``ops.sine_solve``; any other
-    matrix, restricted to the mask, is factored for this call.
+    Laplacian on every node is inverted by the dense sine basis
+    (``ops.shifted_sine_solve`` with shift 0). Any other matrix is
+    restricted to the mask and factored for this call, unless the caller
+    holds them: then ``restricted(mask)`` returns that restricted matrix
+    and a solve by it, and is called only when a pencil is solved.
     """
     wvals = w.values if isinstance(w, GridFunction) else np.asarray(w, dtype=float)
     if mask is None:
@@ -170,7 +187,9 @@ def weighted_rayleigh_sup(
     if np.max(wm, initial=0.0) <= 0.0:
         return 0.0
     if stiffness is None and mask.all():
-        return _pencil_top(wm, ops.laplacian, ops.sine_solve)[0]
+        return _pencil_top(wm, ops.laplacian, lambda b: ops.shifted_sine_solve(b, 0.0))[0]
+    if restricted is not None:
+        return _pencil_top(wm, *restricted(mask))[0]
     Am = restrict(ops.laplacian if stiffness is None else stiffness, mask)
     return _pencil_top(wm, Am, factor(Am).solve)[0]
 
@@ -180,21 +199,10 @@ def _vacuous_report(which: str, note: str) -> ConditionReport:
                            sub_infima=None, note=note)
 
 
-def check_smallness(
-    problem: ProblemData, which: str, ops: DiscreteOperators | None = None
-) -> ConditionReport:
-    """Evaluate one of the smallness conditions H0, Hc, H or k1.
-
-    The margin is 1 - M * nu for the relevant weighted Rayleigh supremum
-    nu (the paired sub-margins for the +/- parts where applicable); the
-    condition holds exactly when the margin is positive. Operators for
-    ``problem.spec`` are built when ``ops`` is omitted.
-    """
-    if which not in ("H0", "Hc", "H", "k1"):
-        raise ValueError(f"unknown smallness condition {which!r}")
-    if ops is None:
-        ops = build_operators(problem.spec)
-
+def _smallness_report(problem: ProblemData, which: str, ops: DiscreteOperators,
+                      restricted: Callable) -> ConditionReport:
+    """H0, Hc, H or k1; ``restricted`` is passed on to ``weighted_rayleigh_sup``
+    for the Laplacian on a mask."""
     if which in ("H0", "Hc"):
         if which == "H0":
             mask = np.ones(problem.spec.n_interior, dtype=bool)
@@ -207,7 +215,9 @@ def check_smallness(
 
         def sub_margin(m: float, w: np.ndarray) -> float:
             # a zero multiplier leaves nothing to weigh
-            return 1.0 if m == 0.0 else 1.0 - m * weighted_rayleigh_sup(w, mask, ops)
+            if m == 0.0:
+                return 1.0
+            return 1.0 - m * weighted_rayleigh_sup(w, mask, ops, restricted=restricted)
 
         sub1 = sub_margin(problem.mu_plus_sup, problem.h_plus)
         sub2 = sub_margin(problem.mu_minus_sup, problem.h_minus)
@@ -225,7 +235,7 @@ def check_smallness(
         note = ""
         if float(np.max(mu_vals) - np.min(mu_vals)) > 1e-12 * (1.0 + abs(mu_const)):
             note = "mu is not constant; its maximum was used"
-        nu = weighted_rayleigh_sup(problem.h.values, mask, ops)
+        nu = weighted_rayleigh_sup(problem.h.values, mask, ops, restricted=restricted)
         margin = 1.0 - mu_const * nu
         return ConditionReport(condition="H", holds=margin > 0.0,
                                infimum_estimate=margin, note=note)
@@ -242,6 +252,61 @@ def check_smallness(
     nu = weighted_rayleigh_sup(problem.h.values, mask, ops, stiffness=stiff)
     margin = 1.0 - nu
     return ConditionReport(condition="k1", holds=margin > 0.0, infimum_estimate=margin)
+
+
+def check_conditions(
+    problem: ProblemData, tags: Sequence[str], ops: DiscreteOperators | None = None
+) -> list[ConditionReport]:
+    """One report per entry of ``tags`` (names from CONDITION_TAGS), in its order.
+
+    The smallness margins are 1 - M * nu for the relevant weighted Rayleigh
+    supremum nu (the paired sub-margins for the +/- parts of H0 and Hc);
+    a condition holds exactly when its margin is positive. Hc weighs its
+    suprema on the zero set of c, and H on that of d = lam c. A mask that
+    covers every node (always for H0; for H when lam = 0) takes the dense
+    sine basis. Otherwise the masks are compared, and one LU of the
+    Laplacian restricted to a mask, made for the first pencil on it, serves
+    every supremum on that mask. That LU is dropped before k1 factors its own
+    stiffness, so at most one LU is alive at a time. Each tag is evaluated
+    once, in CONDITION_TAGS order. Operators for ``problem.spec`` are built
+    when ``ops`` is omitted.
+    """
+    for tag in tags:
+        if tag not in CONDITION_TAGS:
+            raise ValueError(f"unknown condition {tag!r}")
+    if ops is None:
+        ops = build_operators(problem.spec)
+    held = None  # (mask, the Laplacian restricted to it, a solve by that)
+
+    def restricted(mask: np.ndarray) -> tuple[sp.spmatrix, Callable]:
+        nonlocal held
+        if held is None or not np.array_equal(held[0], mask):
+            held = None  # the old factor goes before the new one is made
+            Am = restrict(ops.laplacian, mask)
+            held = (mask, Am, factor(Am).solve)
+        return held[1:]
+
+    reports = {}
+    for tag in CONDITION_TAGS:
+        if tag not in tags:
+            continue
+        if tag == "FeroneMurat":
+            reports[tag] = check_ferone_murat(problem)
+            continue
+        if tag == "k1":
+            held = None  # k1 factors its own stiffness
+        reports[tag] = _smallness_report(problem, tag, ops, restricted)
+    return [reports[tag] for tag in tags]
+
+
+def check_smallness(
+    problem: ProblemData, which: str, ops: DiscreteOperators | None = None
+) -> ConditionReport:
+    """One of the smallness conditions H0, Hc, H or k1, as ``check_conditions``
+    evaluates it."""
+    if which not in ("H0", "Hc", "H", "k1"):
+        raise ValueError(f"unknown smallness condition {which!r}")
+    return check_conditions(problem, [which], ops)[0]
 
 
 def sobolev_constant(dim: int) -> float:

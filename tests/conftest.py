@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,36 @@ def make_problem(spec, c="1", mu="1", h="0", lam=-1.0, profile="A1", p_exponent=
         spec=spec, c=coeff(c), mu=coeff(mu), h=coeff(h),
         lam=lam, profile=profile, p_exponent=p_exponent,
     )
+
+
+class _TrackedLU:
+    """A SuperLU behind an object that takes a weak reference."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, b):
+        return self.lu.solve(b)
+
+
+@pytest.fixture
+def one_lu_at_a_time(monkeypatch):
+    """Every sparse LU first checks, after ``gc.collect()``, that no earlier
+    one is alive. Returns the list of (unknowns, weak reference) per LU."""
+    from gqc import grid
+
+    made = []
+    splu = grid.spla.splu
+
+    def tracked_splu(A, **kw):
+        gc.collect()
+        assert all(ref() is None for _, ref in made), "an earlier LU is still alive"
+        lu = _TrackedLU(splu(A, **kw))
+        made.append((A.shape[0], weakref.ref(lu)))
+        return lu
+
+    monkeypatch.setattr(grid.spla, "splu", tracked_splu)
+    return made
 
 
 def make_a3_problem(spec, d, mu, h):

@@ -383,9 +383,9 @@ def demo_with(tmp_path, demo, **overrides):
 
 # every path to exit 3: (command, demo, config overrides, cli name to make raise, error)
 EXIT3_PATHS = {
-    "check-runtime": ("check", "demo_fig2", {}, "check_smallness",
+    "check-runtime": ("check", "demo_fig2", {}, "check_conditions",
                       RuntimeError("Factor is exactly singular")),
-    "check-eigen": ("check", "demo_fig2", {}, "check_smallness", EigenError("Lanczos failed")),
+    "check-eigen": ("check", "demo_fig2", {}, "check_conditions", EigenError("Lanczos failed")),
     "branch-refine": ("branch", "demo_fig2", {}, "analyze_branch",
                       SolverError("could not refine both solutions")),
     "branch-seed": ("branch", "demo_fig1", {"continuation": {"lambda0": -0.01}}, None, None),
@@ -444,8 +444,9 @@ def test_branch_eigen_failure_writes_null_gamma1(tmp_path, monkeypatch):
 
 
 def test_check_and_eigen_factor_no_full_laplacian(tmp_path, monkeypatch):
-    # H0 and gamma1 invert the full-box Laplacian by sine_solve; Hc, H and
-    # k1 each factor one matrix restricted to the zero set of c
+    # H0 and gamma1 invert the full-box Laplacian by the dense sine basis; Hc
+    # and H share one LU of the Laplacian restricted to the zero set of c, and
+    # k1 factors its own stiffness on that set
     from gqc import grid
 
     n = 24
@@ -461,10 +462,39 @@ def test_check_and_eigen_factor_no_full_laplacian(tmp_path, monkeypatch):
     monkeypatch.setattr(grid.spla, "splu",
                         lambda A, **kw: sizes.append(A.shape[0]) or splu(A, **kw))
     assert main(["check", "--config", cfg, "--out", str(tmp_path / "check"), "--quiet"]) == 0
-    assert len(sizes) == 3 and (n - 1) ** 2 not in sizes
+    assert len(sizes) == 2 and (n - 1) ** 2 not in sizes
     sizes.clear()
     assert main(["eigen", "--config", cfg, "--out", str(tmp_path / "eigen"), "--quiet"]) == 0
     assert sizes == []
+
+
+@pytest.mark.parametrize("lam", [-1.0, 0.0])
+def test_check_holds_one_lu_at_a_time(tmp_path, one_lu_at_a_time, lam):
+    # mu < 0 on the support of c gives Hc two sub-margins, and mu > 0 off it
+    # keeps k1 defined. With lam = -1 the shared LU of the c-zero mask serves
+    # both Hc suprema and H; with lam = 0 the zero set of d = lam c is every
+    # node and H takes the sine basis. Either way the check makes 2 LUs, and
+    # each must be gone when the next is made
+    box = "indicator(1, 0.25, 0.6)*indicator(2, 0.25, 0.6)"
+    cfg = write_config(tmp_path, {
+        "grid": grid_block(n=24),
+        "coefficients": {"c": box, "mu": f"1 + 0.5*x2 - 3*{box}",
+                         "h": "0.3*sin(pi*x1)*sin(pi*x2) - 0.25*sin(2*pi*x1)*sin(pi*x2)"},
+        "lambda": lam,
+        "conditions": ["H0", "Hc", "H", "k1"],
+    })
+    out = tmp_path / "check"
+    assert main(["check", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert len(one_lu_at_a_time) == 2
+    report = strict_json(out / "report.json")
+    hc = report["conditions"][1]
+    assert hc["condition"] == "Hc" and all(m < 1.0 for m in hc["sub_infima"])
+
+    one_lu_at_a_time.clear()
+    h_only = write_config(tmp_path, {**json.loads(Path(cfg).read_text()), "conditions": ["H"]},
+                          name="h.json")
+    assert main(["check", "--config", h_only, "--out", str(tmp_path / "h"), "--quiet"]) == 0
+    assert len(one_lu_at_a_time) == (1 if lam else 0)
 
 
 @pytest.mark.parametrize("key, value", [

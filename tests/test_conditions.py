@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from gqc import (
     GridFunction,
@@ -16,7 +18,7 @@ from gqc import (
 )
 from gqc import conditions
 from gqc.conditions import EigenError
-from gqc.grid import factor
+from gqc.grid import factor, restrict
 
 from conftest import make_problem
 
@@ -35,6 +37,13 @@ def test_first_eigen_square(square64):
     spec, ops = square64
     eig = first_eigen(GridFunction.constant(spec, 1.0), ops)
     assert abs(eig.gamma - 2 * np.pi**2) <= 0.01 * 2 * np.pi**2
+
+
+def test_first_eigen_basis_is_sized_for_one_eigenvalue(square64):
+    # a basis of eigsh's default 20 vectors costs at least 21 solves, however
+    # early the pencil converges; this one converges within 13
+    spec, ops = square64
+    assert first_eigen(GridFunction.constant(spec, 1.0), ops).iterations < 21
 
 
 def test_first_eigen_scale_covariance(interval64):
@@ -113,20 +122,70 @@ def test_rayleigh_matches_eigen_reciprocal(interval64):
 
 @pytest.mark.parametrize("dim, n", [(1, 64), (2, 24), (3, 10)])
 def test_full_box_pencils_match_the_lu_path(dim, n):
-    # gamma1 and a full-mask supremum invert L by sine_solve, not an LU
+    # gamma1 and a full-mask supremum invert L by the dense sine basis, not an LU
     spec = GridSpec(dim, ((0.0, 1.0),) * dim, (n,) * dim)
     ops = build_operators(spec)
     w = 0.5 + spec.interior_points()[:, 0] ** 2
     lu = factor(ops.laplacian)
     nu_ref, _, solves_ref = conditions._pencil_top(w, ops.laplacian, lu.solve)
+    shifts = []
+    ops.shifted_sine_solve = (lambda b, shift, solve=ops.shifted_sine_solve:
+                              shifts.append(shift) or solve(b, shift))
     eig = first_eigen(GridFunction(spec, w), ops)
     assert eig.gamma == pytest.approx(1.0 / nu_ref, rel=1e-12)
-    assert eig.iterations == solves_ref
-    solves = []
-    ops.sine_solve = lambda b, solve=ops.sine_solve: solves.append(1) or solve(b)
+    assert eig.iterations == solves_ref and shifts == [0.0] * solves_ref
+    shifts.clear()
     nu = weighted_rayleigh_sup(w, np.ones(spec.n_interior, dtype=bool), ops)
     assert nu == pytest.approx(nu_ref, rel=1e-12)
-    assert len(solves) == solves_ref
+    assert shifts == [0.0] * solves_ref
+
+
+def _reference_sup(w, A, mask):
+    """The pencil supremum by eigsh's default basis of 20 vectors, with A
+    restricted to the mask and inverted by an LU."""
+    if np.max(w[mask], initial=0.0) <= 0.0:
+        return 0.0
+    Am = restrict(A, mask)
+    lu = factor(Am)
+    n = Am.shape[0]
+    Minv = scipy.sparse.linalg.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    vals = scipy.sparse.linalg.eigsh(scipy.sparse.diags(w[mask]), k=1, M=Am, Minv=Minv,
+                                     which="LA", v0=np.ones(n), ncv=min(20, n), rng=0,
+                                     return_eigenvectors=False)
+    return float(vals[0])
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 24), (3, 10)])
+def test_margins_match_a_default_basis_lu_reference(dim, n):
+    # c on a sub-box, mu < 0 on it (two Hc sub-margins) and > 0 off it, mixed-sign h
+    spec = GridSpec(dim, ((0.0, 1.0),) * dim, (n,) * dim)
+    ops = build_operators(spec)
+    box = "*".join(f"indicator({k + 1}, 0.25, 0.6)" for k in range(dim))
+    problem = make_problem(spec, c=box, mu=f"1 + 0.5*x1 - 3*{box}",
+                           h="3*sin(pi*x1) - 2.5*sin(2*pi*x1)")
+    L, full, off = ops.laplacian, np.ones(spec.n_interior, dtype=bool), problem.c_zero_mask
+    mu = problem.mu.values
+
+    def sub_margins(mask):
+        return tuple(1.0 - m * _reference_sup(w, L, mask) for m, w in (
+            (problem.mu_plus_sup, problem.h_plus), (problem.mu_minus_sup, problem.h_minus)))
+
+    expect = {
+        "H0": sub_margins(full),
+        "Hc": sub_margins(off),
+        "H": (1.0 - np.max(mu) * _reference_sup(problem.h.values, L, off),),
+        # k1 weighs the gradient by 1/mu, with 1 where mu <= 0 (on the support of c)
+        "k1": (1.0 - _reference_sup(problem.h.values,
+                                    ops.weighted_stiffness(1.0 / np.where(mu > 0.0, mu, 1.0)),
+                                    off),),
+    }
+    assert problem.mu_minus_sup > 0.0 and all(m < 1.0 for m in expect["Hc"])
+    for report in conditions.check_conditions(problem, list(expect), ops):
+        got = report.sub_infima if len(expect[report.condition]) == 2 else (
+            report.infimum_estimate,)
+        assert got == pytest.approx(expect[report.condition], rel=1e-12), report.condition
+    gamma_ref = 1.0 / _reference_sup(problem.c.values, L, full)
+    assert first_eigen(problem.c.field, ops).gamma == pytest.approx(gamma_ref, rel=1e-12)
 
 
 def mixed_sign_weight(spec):
@@ -246,6 +305,31 @@ def test_k1_margin(interval64):
     bad = make_problem(spec, c="indicator(1, 0.5, 1.0)", mu="2", h=f"{0.55 * base}")
     assert check_smallness(ok, "k1").holds
     assert not check_smallness(bad, "k1").holds
+
+
+def test_h_mask_apart_from_the_c_zero_mask_gets_its_own_lu(one_lu_at_a_time):
+    # c equals tau_c at one node, which puts it in the zero set of c; after
+    # rounding, lam c lies above the tolerance of d = lam c there, so H's mask
+    # leaves that node out and must not reuse the LU of Hc's mask, which must
+    # be gone before H's is made
+    from gqc.problem import TAU_C_RELATIVE, compute_zero_mask
+
+    spec = GridSpec(2, ((0.0, 1.0), (0.0, 1.0)), (16, 16))
+    ops = build_operators(spec)
+    cmax, lam = 1.4099536636507697, -3.7827345244279926
+    x = spec.interior_points()
+    c = np.where(np.all((x > 0.25) & (x < 0.6), axis=1), cmax, 0.0)
+    c[0] = TAU_C_RELATIVE * cmax
+    problem = make_problem(spec, c=c, mu="1 + 0.5*x2", h="30*sin(pi*x1)*sin(pi*x2)", lam=lam)
+    d = problem.d_values()
+    d_zero = compute_zero_mask(d, TAU_C_RELATIVE * float(np.max(np.abs(d))))
+    m = int(problem.c_zero_mask.sum())
+    assert problem.c_zero_mask[0] and not d_zero[0] and int(d_zero.sum()) == m - 1
+    reports = conditions.check_conditions(problem, ["Hc", "H", "k1"], ops)
+    assert [size for size, _ in one_lu_at_a_time] == [m, m - 1, m]
+    for report in reports:
+        alone = check_smallness(problem, report.condition, ops)
+        assert report.infimum_estimate == alone.infimum_estimate < 1.0
 
 
 def test_smallness_rejects_unknown_tag(interval64):
