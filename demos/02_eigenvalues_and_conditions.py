@@ -13,8 +13,8 @@ from gqc import (
     GridSpec,
     ProblemData,
     build_operators,
+    check_conditions,
     check_ferone_murat,
-    check_smallness,
     find_exponents,
     first_eigen,
     parse_coefficient,
@@ -43,12 +43,12 @@ for dim, n, analytic in ((1, 64, np.pi**2), (2, 64, 2 * np.pi**2)):
 spec = GridSpec(2, ((0.0, 1.0), (0.0, 1.0)), (64, 64))
 print("\nH0 margin for mu = 1, h = const on the unit square:")
 for t in (10.0, 18.0, 19.7, 19.8, 25.0):
-    rep = check_smallness(problem_on(spec, "1", "1", f"{t}"), "H0")
+    rep = check_conditions(problem_on(spec, "1", "1", f"{t}"), ["H0"])[0]
     print(f"  h = {t:5.1f}: margin {rep.infimum_estimate:+.4f}  "
           f"({'holds' if rep.holds else 'fails'})")
 
 # with c positive everywhere the restricted condition is vacuous
-rep = check_smallness(problem_on(spec, "1", "5", "100"), "Hc")
+rep = check_conditions(problem_on(spec, "1", "5", "100"), ["Hc"])[0]
 print(f"\nHc with c > 0 everywhere: holds={rep.holds}  ({rep.note})")
 
 # the product condition on the unit cube: threshold S_3^2 = 5.478

@@ -18,6 +18,7 @@ from gqc import (
     locate_fold,
     parse_coefficient,
     trace_branch,
+    two_solutions,
 )
 from gqc.oracle import reference_continuation
 
@@ -42,20 +43,18 @@ for i, p in enumerate(branch.points):
         tag = "  <- fold" if i in branch.folds else ""
         print(f"{i:>4} {p.lam:>10.4f} {p.sup_norm:>9.4f} {p.h10_norm:>9.4f}{tag}")
 
-lam_half = 0.5 * branch.max_lambda()
-analysis = analyze_branch(branch, gamma1, problem=problem, ops=ops, opts=opts,
-                          two_solution_lambda=lam_half)
+analysis = analyze_branch(branch, gamma1)
 print(f"\ntermination: {branch.termination} at lambda = {branch.points[-1].lam:.4f}")
-print(f"fold abscissa: {analysis.fold_lambda:.5f}  "
+print(f"fold abscissa: {analysis.max_lambda:.5f}  "
       f"(gamma1 = {gamma1:.5f}, margin {analysis.gamma1_margin:.3f})")
 lam_fold, _ = locate_fold(branch, problem, ops, opts)
 print(f"fold refined by Newton on the minimally augmented system: {lam_fold:.6f}")
-pair = analysis.pair
+pair = two_solutions(branch, 0.5 * analysis.max_lambda, problem, ops, opts)
 print(f"two solutions at lambda = {pair.lam:.4f}: "
       f"sup {np.max(np.abs(pair.u_low.values)):.4f} and "
       f"{np.max(np.abs(pair.u_high.values)):.4f}")
 
 ref = reference_continuation(problem, -2.0, ops, norm_cap=3.0)
-rel = abs(ref.max_lambda() - analysis.fold_lambda) / analysis.fold_lambda
+rel = abs(ref.max_lambda() - analysis.max_lambda) / analysis.max_lambda
 print(f"reference tracer fold: {ref.max_lambda():.5f}  "
       f"(relative gap {rel:.2e})")

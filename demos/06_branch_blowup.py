@@ -13,7 +13,7 @@ from gqc import (
     GridSpec,
     ProblemData,
     build_operators,
-    check_smallness,
+    check_conditions,
     first_eigen,
     parse_coefficient,
     trace_branch,
@@ -34,7 +34,7 @@ problem = ProblemData(
 gamma1 = first_eigen(problem.c.field, ops).gamma
 h_sup = float(np.max(problem.h.values))
 print(f"gamma1 = {gamma1:.6f}, h = {h_sup:.6f} = {h_sup/gamma1:.3f} * gamma1")
-rep = check_smallness(problem, "H0")
+rep = check_conditions(problem, ["H0"])[0]
 print(f"H0 margin: {rep.infimum_estimate:+.4f} -> no solution at lambda = 0\n")
 
 print("warm-started solves toward the axis:")

@@ -10,7 +10,6 @@ from .conditions import (
     ExponentWitness,
     check_conditions,
     check_ferone_murat,
-    check_smallness,
     exponent_margins,
     find_exponents,
     first_eigen,
@@ -22,9 +21,11 @@ from .continuation import (
     BranchAnalysis,
     BranchPoint,
     ContinuationOptions,
+    TwoSolutionPair,
     analyze_branch,
     locate_fold,
     trace_branch,
+    two_solutions,
 )
 from .grid import (
     DiscreteOperators,
@@ -75,13 +76,13 @@ __all__ = [
     "DiscreteOperators", "EigenResult", "EnclosureError", "ExponentWitness",
     "GridError", "GridFunction", "GridSpec", "ProblemData",
     "SolveOptions", "SolveReport", "SolverError", "TransformError",
-    "UniquenessReport", "ValidationReport",
+    "TwoSolutionPair", "UniquenessReport", "ValidationReport",
     "analyze_branch", "build_operators", "check_conditions", "check_ferone_murat",
-    "check_smallness", "cole_hopf", "compute_zero_mask", "exponent_margins",
+    "cole_hopf", "compute_zero_mask", "exponent_margins",
     "find_exponents", "first_eigen", "functional_I",
     "g_and_G", "g_prime", "grad_sq", "load_values_file", "locate_fold",
     "monotone_enclosure", "multi_start", "newton_solve", "norms",
     "parse_coefficient", "poisson_solve", "residual_P", "save_values_file",
-    "sobolev_constant", "solve_transformed", "trace_branch",
+    "sobolev_constant", "solve_transformed", "trace_branch", "two_solutions",
     "validate_profile", "weighted_rayleigh_sup",
 ]

@@ -39,7 +39,7 @@ from .conditions import (
     find_exponents,
     first_eigen,
 )
-from .continuation import ContinuationOptions, analyze_branch, trace_branch
+from .continuation import ContinuationOptions, analyze_branch, trace_branch, two_solutions
 from .grid import GridSpec, build_operators, norms
 from .problem import (
     PROFILES,
@@ -383,23 +383,25 @@ def cmd_branch(cfg: dict, out: Path, payload: dict, quiet: bool) -> int:
         gamma1 = None
         payload["eigen"] = {"error": str(exc)}
 
+    analysis = analyze_branch(branch, gamma1)
+    payload.update(analysis.to_dict())
+
     req = cfg["continuation"].get("two_solution_lambda")
     two_lam = None
     if req == "half_fold" and branch.folds and branch.max_lambda() > 0.0:
         two_lam = 0.5 * branch.max_lambda()
     elif isinstance(req, (int, float)):
         two_lam = float(req)
-    try:
-        analysis = analyze_branch(branch, gamma1, problem=problem, ops=ops, opts=copts,
-                                  two_solution_lambda=two_lam)
-    except ValueError as exc:  # the requested pair is undefined on the traced branch
-        payload.update(analyze_branch(branch, gamma1).to_dict(), error=str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    payload.update(analysis.to_dict())
-    if analysis.pair is not None:
-        save_values_file(out / "solution_low.txt", analysis.pair.u_low.values)
-        save_values_file(out / "solution_high.txt", analysis.pair.u_high.values)
+    if two_lam is not None:
+        try:
+            pair = two_solutions(branch, two_lam, problem, ops, copts)
+        except ValueError as exc:  # the requested pair is undefined on the traced branch
+            payload["error"] = str(exc)
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        payload["two_solutions"] = pair.to_dict()
+        save_values_file(out / "solution_low.txt", pair.u_low.values)
+        save_values_file(out / "solution_high.txt", pair.u_high.values)
     _say(
         quiet,
         f"branch: {len(branch.points)} points, termination={branch.termination}, "

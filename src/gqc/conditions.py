@@ -299,16 +299,6 @@ def check_conditions(
     return [reports[tag] for tag in tags]
 
 
-def check_smallness(
-    problem: ProblemData, which: str, ops: DiscreteOperators | None = None
-) -> ConditionReport:
-    """One of the smallness conditions H0, Hc, H or k1, as ``check_conditions``
-    evaluates it."""
-    if which not in ("H0", "Hc", "H", "k1"):
-        raise ValueError(f"unknown smallness condition {which!r}")
-    return check_conditions(problem, [which], ops)[0]
-
-
 def sobolev_constant(dim: int) -> float:
     """Best constant of the embedding into the critical Lebesgue space,
     via the closed form sqrt(pi*N*(N-2)) * (Gamma(N/2)/Gamma(N))^(1/N)."""

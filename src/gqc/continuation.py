@@ -30,7 +30,7 @@ budget running out. Every rejected step is recorded with its reason
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -299,36 +299,47 @@ class TwoSolutionPair:
     def sup_gap(self) -> float:
         return float(np.max(np.abs(self.u_high.values)) - np.max(np.abs(self.u_low.values)))
 
+    def to_dict(self) -> dict:
+        return {
+            "lambda": self.lam,
+            "sup_low": float(np.max(np.abs(self.u_low.values))),
+            "sup_high": float(np.max(np.abs(self.u_high.values))),
+            "sup_gap": self.sup_gap,
+        }
+
 
 @dataclass
 class BranchAnalysis:
     max_lambda: float
-    fold_lambda: float
     fold_index: int | None
     gamma1: float | None  # None when the eigen solve failed
     gamma1_margin: float | None
     blowup_side: str  # left | right | none
     termination: str
-    pair: TwoSolutionPair | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "max_lambda": self.max_lambda,
-            "fold_lambda": self.fold_lambda,
-            "fold_index": self.fold_index,
-            "gamma1": self.gamma1,
-            "gamma1_margin": self.gamma1_margin,
-            "blowup_side": self.blowup_side,
-            "termination": self.termination,
-        }
-        if self.pair is not None:
-            out["two_solutions"] = {
-                "lambda": self.pair.lam,
-                "sup_low": float(np.max(np.abs(self.pair.u_low.values))),
-                "sup_high": float(np.max(np.abs(self.pair.u_high.values))),
-                "sup_gap": self.pair.sup_gap,
-            }
-        return out
+        # the largest sampled lambda is reported as the fold's lambda
+        return {**asdict(self), "fold_lambda": self.max_lambda}
+
+
+def analyze_branch(branch: Branch, gamma1: float | None) -> BranchAnalysis:
+    """Summarize a traced branch: its largest lambda, first fold, margin to
+    ``gamma1`` and the side on which its norm escaped."""
+    if not branch.points:
+        raise ValueError("branch is empty")
+    max_lambda = branch.max_lambda()
+    if branch.termination == "norm_cap":
+        side = "right" if branch.points[-1].lam > 0.0 else "left"
+    else:
+        side = "none"
+    return BranchAnalysis(
+        max_lambda=max_lambda,
+        fold_index=branch.folds[0] if branch.folds else None,
+        gamma1=gamma1,
+        gamma1_margin=None if gamma1 is None else gamma1 - max_lambda,
+        blowup_side=side,
+        termination=branch.termination,
+    )
 
 
 def _bracket_and_refine(
@@ -347,65 +358,40 @@ def _bracket_and_refine(
     return None
 
 
-def analyze_branch(
+def two_solutions(
     branch: Branch,
-    gamma1: float | None,
-    problem: ProblemData | None = None,
-    ops: DiscreteOperators | None = None,
+    lam: float,
+    problem: ProblemData,
+    ops: DiscreteOperators,
     opts: ContinuationOptions | None = None,
-    two_solution_lambda: float | None = None,
-) -> BranchAnalysis:
-    """Summarize a traced branch; optionally refine a two-solution pair.
+) -> TwoSolutionPair:
+    """The two solutions at ``lam`` on either side of a folded branch.
 
-    The two-solution extraction needs the fold: the lower and upper
-    sub-branches on either side of the maximal-lambda point are searched
-    for segments bracketing the requested lambda, and each bracket is
+    The lower and upper sub-branches on either side of the maximal-lambda
+    point are searched for segments bracketing ``lam``, and each bracket is
     refined by a fixed-lambda Newton solve (so actual solutions are
-    returned, not secant interpolants).
+    returned, not secant interpolants). Raises ``ValueError`` when the
+    branch has no fold or ``lam`` lies outside (0, max lambda), and
+    ``SolverError`` when either side cannot be refined.
     """
-    if not branch.points:
-        raise ValueError("branch is empty")
-    lams = branch.lambdas
-    i_max = int(np.argmax(lams))
-    max_lambda = float(lams[i_max])
-    final_lam = branch.points[-1].lam
-    if branch.termination == "norm_cap":
-        side = "right" if final_lam > 0.0 else "left"
-    else:
-        side = "none"
-    analysis = BranchAnalysis(
-        max_lambda=max_lambda,
-        fold_lambda=max_lambda,
-        fold_index=branch.folds[0] if branch.folds else None,
-        gamma1=gamma1,
-        gamma1_margin=None if gamma1 is None else gamma1 - max_lambda,
-        blowup_side=side,
-        termination=branch.termination,
-    )
-    if two_solution_lambda is None:
-        return analysis
-
     if not branch.folds:
         raise ValueError("no fold recorded; two-solution extraction undefined")
-    lam = float(two_solution_lambda)
+    lam = float(lam)
+    max_lambda = branch.max_lambda()
     if not (0.0 < lam < max_lambda):
         raise ValueError(
             f"requested lambda {lam} outside (0, {max_lambda}) spanned by the fold"
         )
-    if problem is None or ops is None:
-        raise ValueError("two-solution refinement needs the problem and operators")
+    i_max = int(np.argmax(branch.lambdas))
     sopts = (opts or ContinuationOptions()).solve
     lower = _bracket_and_refine(branch.points[: i_max + 1], lam, problem, ops, sopts)
     upper = _bracket_and_refine(branch.points[i_max:], lam, problem, ops, sopts)
     if lower is None or upper is None:
         raise SolverError(f"could not refine both solutions at lambda = {lam}")
-    u_a, rep_a = lower
-    u_b, rep_b = upper
+    (u_a, rep_a), (u_b, rep_b) = lower, upper
     if np.max(np.abs(u_a.values)) <= np.max(np.abs(u_b.values)):
-        analysis.pair = TwoSolutionPair(lam, u_a, u_b, rep_a, rep_b)
-    else:
-        analysis.pair = TwoSolutionPair(lam, u_b, u_a, rep_b, rep_a)
-    return analysis
+        return TwoSolutionPair(lam, u_a, u_b, rep_a, rep_b)
+    return TwoSolutionPair(lam, u_b, u_a, rep_b, rep_a)
 
 
 def locate_fold(
@@ -413,10 +399,10 @@ def locate_fold(
     problem: ProblemData,
     ops: DiscreteOperators,
     opts: ContinuationOptions | None = None,
-    fold_index: int | None = None,
 ) -> tuple[float, float]:
-    """Locate a recorded fold by ``damped_newton`` on the minimally augmented
-    system (Griewank & Reddien 1984) in x = (u, lam), from the fold point.
+    """Locate the branch's first recorded fold by ``damped_newton`` on the
+    minimally augmented system (Griewank & Reddien 1984) in x = (u, lam),
+    from the fold point.
 
     Its equations are R(u, lam) = 0 and g(u, lam) = 0, where (v, g) solves
     [[J, phi], [phi^T, 0]] (v, g) = (0, 1) and phi is the unit secant from
@@ -429,17 +415,18 @@ def locate_fold(
     g_u = 2 sum_k D_k^T (mu w D_k v) and g_lam = w^T (c v). Returns (fold
     lambda, its arclength offset along the secant from the point before the
     fold to the fold point); raises ``SolverError`` naming Newton's failure
-    reason when it does not converge. A solve for g whose Jacobian cannot
-    be factored raises ``RuntimeError``, as ``linear_solve`` does.
+    reason when it does not converge, and ``ValueError`` when the branch
+    records no fold or its first fold has no point before it. A solve for
+    g whose Jacobian cannot be factored raises ``RuntimeError``, as
+    ``linear_solve`` does.
     """
     opts = opts or ContinuationOptions()
-    if fold_index is None:
-        if not branch.folds:
-            raise ValueError("branch has no recorded folds")
-        fold_index = branch.folds[0]
-    if not 1 <= fold_index < len(branch.points):
+    if not branch.folds:
+        raise ValueError("branch has no recorded folds")
+    i = branch.folds[0]
+    if not 1 <= i < len(branch.points):
         raise ValueError("fold index lacks a point before it")
-    a, mid = branch.points[fold_index - 1], branch.points[fold_index]
+    a, mid = branch.points[i - 1], branch.points[i]
     c, mu, h = problem.c.values, problem.mu.values, problem.h.values
     du = mid.u.values - a.u.values
     phi = du / np.linalg.norm(du)

@@ -49,6 +49,9 @@ SHIFT_CAP = 0.9
 # ``drift_preconditioner``'s exponents are raised to at least this, so its
 # factors stay within e^+-300 and the vectors GMRES forms from them finite
 DRIFT_EXP_FLOOR = -300.0
+# ``monotone_enclosure`` refuses a solution below its lower or above its upper
+# bound by more than this
+ENCLOSURE_SLACK = 1e-8
 
 
 @dataclass
@@ -263,7 +266,6 @@ def monotone_enclosure(
     problem: ProblemData,
     ops: DiscreteOperators,
     opts: SolveOptions | None = None,
-    slack: float = 1e-8,
 ) -> tuple[GridFunction, GridFunction, GridFunction, SolveReport]:
     """Bracket a solution between a lower and an upper solution.
 
@@ -271,7 +273,7 @@ def monotone_enclosure(
     by h^+; the lower bound is minus the solution of the (sup mu^-, h^-)
     problem. Each bound is one Newton solve from zero. A Newton solve
     from the midpoint then lands between them; the ordering is asserted
-    to ``slack``.
+    to ``ENCLOSURE_SLACK``.
     """
     opts = opts or SolveOptions()
     d = problem.d_values()
@@ -287,7 +289,7 @@ def monotone_enclosure(
     if report.converged:
         lower_gap = float(np.min(u.values - alpha.values))
         upper_gap = float(np.min(beta.values - u.values))
-        if lower_gap < -slack or upper_gap < -slack:
+        if lower_gap < -ENCLOSURE_SLACK or upper_gap < -ENCLOSURE_SLACK:
             node = int(np.argmin(np.minimum(u.values - alpha.values, beta.values - u.values)))
             raise EnclosureError(
                 f"ordering violated at node {node}: "

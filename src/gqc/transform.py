@@ -21,7 +21,7 @@ produces a (nonnegative) solution. The route back is
 u = ln(1 + mu v) / mu.
 
 ``solve_transformed`` decides coercivity once, by the margin of
-``check_smallness(problem, "H")``: where it is not positive it raises
+``check_conditions(problem, ["H"])``: where it is not positive it raises
 ``CoercivityError`` before any descent step. The minimization is an
 energy-preconditioned descent into the Newton basin (each step solves
 with the Laplacian by its sine transform, no LU) followed by Newton on
@@ -46,7 +46,7 @@ import warnings
 
 import numpy as np
 
-from .conditions import check_smallness
+from .conditions import check_conditions
 from .grid import DiscreteOperators, GridFunction, linear_solve
 from .problem import ProblemData, validate_profile
 from .solver import SolveOptions, damped_newton, drift_preconditioner, newton_solve
@@ -243,25 +243,25 @@ def solve_transformed(
     problem: ProblemData,
     ops: DiscreteOperators,
     opts: SolveOptions | None = None,
-    return_details: bool = False,
-):
+) -> tuple[GridFunction, GridFunction]:
     """Minimize the functional, map back, and polish on the quasilinear system.
 
     ``problem`` must satisfy profile A3's clauses (whatever profile it
     declares); otherwise ValueError names the first failed clause. Raises
     ``CoercivityError``, before any descent step, where the smallness
-    condition H fails (margin ``check_smallness(problem, "H", ops)`` at
+    condition H fails (margin ``check_conditions(problem, ["H"], ops)`` at
     most 0), and ``TransformError`` where a step of the route fails.
 
     Returns (v, u): the minimizer of the semilinear functional and the
-    corresponding solution of the discrete quasilinear problem. The
+    corresponding solution of the discrete quasilinear problem, which the
+    polish moves O(h^2) away from ``cole_hopf(v, mu, "inv")``. The
     minimizer is checked to be nonnegative (flipped to |v| with a warning
     if roundoff pushed it below -1e-10, mirroring that the infimum is
     attained at a nonnegative field).
     """
     opts = opts or SolveOptions()
     d, mu, h = _semilinear_data(problem)
-    smallness = check_smallness(problem, "H", ops)
+    smallness = check_conditions(problem, ["H"], ops)[0]
     margin = smallness.infimum_estimate
     if not smallness.holds:
         raise CoercivityError(
@@ -280,20 +280,10 @@ def solve_transformed(
         v = _newton_el(np.abs(v), d, mu, h, ops)
 
     v_fn = GridFunction(problem.spec, v)
-    u_raw = cole_hopf(v_fn, mu, "inv")
-    u_fn, report = newton_solve(problem, u_raw, ops, opts)
+    u_fn, report = newton_solve(problem, cole_hopf(v_fn, mu, "inv"), ops, opts)
     if not report.converged:
         raise TransformError(
             f"quasilinear polish failed: {report.failure_reason} "
             f"(residual {report.final_residual:.3e})"
         )
-    if return_details:
-        el_sup = float(np.max(np.abs(_el_residual(v, d, mu, h, ops)), initial=0.0))
-        details = {
-            "u_raw": u_raw,
-            "el_residual_sup": el_sup,
-            "polish_report": report,
-            "polish_shift_sup": float(np.max(np.abs(u_fn.values - u_raw.values), initial=0.0)),
-        }
-        return v_fn, u_fn, details
     return v_fn, u_fn

@@ -17,8 +17,8 @@ from gqc import (
     GridFunction,
     GridSpec,
     build_operators,
+    check_conditions,
     check_ferone_murat,
-    check_smallness,
     exponent_margins,
     find_exponents,
     first_eigen,
@@ -150,7 +150,7 @@ def test_criterion_6_condition_threshold():
 
         def holds(product):
             problem = make_problem(spec, mu="1", h=f"{product}")
-            return check_smallness(problem, "H0", ops).holds
+            return check_conditions(problem, ["H0"], ops)[0].holds
 
         target = 2 * np.pi**2
         lo, hi = 0.5 * target, 1.5 * target
@@ -183,7 +183,7 @@ def test_criterion_7_ferone_murat_implies_h0():
             problem = make_problem(spec, mu=f"{mu_sup}", h=h_expr)
             if not check_ferone_murat(problem).holds:
                 continue
-            assert check_smallness(problem, "H0", ops).holds, (a, b, w, mu_sup)
+            assert check_conditions(problem, ["H0"], ops)[0].holds, (a, b, w, mu_sup)
             confirmed += 1
         assert confirmed == 20, f"only {confirmed} qualifying instances"
 
@@ -292,7 +292,7 @@ def test_criterion_9_blowup_branch_behavior(tmp_path):
         ops = build_operators(spec)
         problem = make_problem(spec, c="1", mu="1", h="pi^2/150",
                                lam=-1.0, profile="A2")
-        assert not check_smallness(problem, "H0").holds
+        assert not check_conditions(problem, ["H0"])[0].holds
         sups = {}
         u0 = None
         for lam in (-8.0, -4.0, -2.0, -1.0, -0.5, -0.2, -0.1, -0.05, -0.03, -0.02):

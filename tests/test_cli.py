@@ -346,6 +346,16 @@ def test_branch_undefined_two_solution_lambda_keeps_the_analysis(demo, lam, mess
     assert len(rows) - 1 == analysis["points"]
 
 
+@pytest.mark.parametrize("lam, code", [("half_fold", 0), (1000.0, 1)])
+def test_branch_analyzes_the_trace_once(tmp_path, monkeypatch, lam, code):
+    calls = []
+    analyze = cli.analyze_branch
+    monkeypatch.setattr(cli, "analyze_branch", lambda *a: calls.append(a) or analyze(*a))
+    cfg = demo_with(tmp_path, "demo_fig2", continuation={"two_solution_lambda": lam})
+    assert main(["branch", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == code
+    assert len(calls) == 1
+
+
 def test_branch_half_fold_left_of_the_axis(tmp_path):
     # h above gamma1/mu folds the branch at lambda < 0: no pair at half the
     # fold is asked for, and the branch is still written
@@ -386,7 +396,7 @@ EXIT3_PATHS = {
     "check-runtime": ("check", "demo_fig2", {}, "check_conditions",
                       RuntimeError("Factor is exactly singular")),
     "check-eigen": ("check", "demo_fig2", {}, "check_conditions", EigenError("Lanczos failed")),
-    "branch-refine": ("branch", "demo_fig2", {}, "analyze_branch",
+    "branch-refine": ("branch", "demo_fig2", {}, "two_solutions",
                       SolverError("could not refine both solutions")),
     "branch-seed": ("branch", "demo_fig1", {"continuation": {"lambda0": -0.01}}, None, None),
     "eigen-eigen": ("eigen", "demo_fig2", {}, "first_eigen", EigenError("Lanczos failed")),
@@ -419,9 +429,14 @@ def test_failure_exits3_with_error_report(tmp_path, monkeypatch, capsys, case):
     if error is not None:
         assert report["error"] == str(error)
     if case == "branch-refine":
-        # the traced branch is kept although its analysis failed
+        # the traced branch and its summary are kept although the pair failed
         rows = (out / "branch.csv").read_text().strip().splitlines()
         assert len(rows) - 1 == report["points"] > 2
+        ref = json.loads((Path(__file__).parent / "data" / "demo_fig2_analysis.json").read_text())
+        for key in ("termination", "blowup_side"):
+            assert report[key] == ref[key]
+        assert report["max_lambda"] == pytest.approx(ref["max_lambda"], rel=1e-10)
+        assert "two_solutions" not in report
     if case == "solve-newton":
         assert report["converged"] is False
         assert [(a["strategy"], a["failure_reason"]) for a in report["attempts"]] == [

@@ -8,8 +8,8 @@ from gqc import (
     GridFunction,
     GridSpec,
     build_operators,
+    check_conditions,
     check_ferone_murat,
-    check_smallness,
     exponent_margins,
     find_exponents,
     first_eigen,
@@ -218,7 +218,7 @@ def test_h0_holds_for_favorable_signs(square32):
     # mu >= 0 with h <= 0: both weighted suprema vanish
     spec, _ = square32
     problem = make_problem(spec, mu="1", h="0-1")
-    report = check_smallness(problem, "H0")
+    report = check_conditions(problem, ["H0"])[0]
     assert report.holds
     assert report.sub_infima == (1.0, 1.0)
 
@@ -227,7 +227,7 @@ def test_h0_holds_for_mirrored_signs(square32):
     # the mirrored case: mu <= 0 with h >= 0 is equally favorable
     spec, _ = square32
     problem = make_problem(spec, mu="0-1", h="1")
-    report = check_smallness(problem, "H0")
+    report = check_conditions(problem, ["H0"])[0]
     assert report.holds
     assert report.sub_infima == (1.0, 1.0)
 
@@ -237,8 +237,8 @@ def test_h0_threshold_2d_constants(square64):
     threshold = 2 * np.pi**2
     below = make_problem(spec, mu="1", h=f"{0.95 * threshold}")
     above = make_problem(spec, mu="1", h=f"{1.05 * threshold}")
-    assert check_smallness(below, "H0").holds
-    assert not check_smallness(above, "H0").holds
+    assert check_conditions(below, ["H0"])[0].holds
+    assert not check_conditions(above, ["H0"])[0].holds
 
 
 def test_h0_monotone_in_h_scaling(square32):
@@ -246,14 +246,14 @@ def test_h0_monotone_in_h_scaling(square32):
     margins = []
     for t in (1.0, 2.0, 4.0):
         problem = make_problem(spec, mu="1", h=f"{t}*sin(pi*x1)*sin(pi*x2)")
-        margins.append(check_smallness(problem, "H0").infimum_estimate)
+        margins.append(check_conditions(problem, ["H0"])[0].infimum_estimate)
     assert margins[0] > margins[1] > margins[2]
 
 
 def test_hc_vacuous_when_c_positive(square32):
     spec, _ = square32
     problem = make_problem(spec, c="1", mu="5", h="100")
-    report = check_smallness(problem, "Hc")
+    report = check_conditions(problem, ["Hc"])[0]
     assert report.holds and "vacuous" in report.note
 
 
@@ -264,19 +264,19 @@ def test_hc_on_partial_support(interval64):
     threshold = 4 * np.pi**2
     below = make_problem(spec, c="indicator(1, 0.5, 1.0)", mu="1", h=f"{0.9 * threshold}")
     above = make_problem(spec, c="indicator(1, 0.5, 1.0)", mu="1", h=f"{1.1 * threshold}")
-    assert check_smallness(below, "Hc").holds
-    assert not check_smallness(above, "Hc").holds
+    assert check_conditions(below, ["Hc"])[0].holds
+    assert not check_conditions(above, ["Hc"])[0].holds
 
 
 def test_h_uses_zero_set_of_lambda_c(interval64):
     spec, _ = interval64
     problem = make_problem(spec, c="indicator(1, 0.5, 1.0)", mu="1",
                            h="30", lam=-1.0, profile="A5")
-    report = check_smallness(problem, "H")
+    report = check_conditions(problem, ["H"])[0]
     # interval of length 1/2: threshold 4 pi^2 = 39.5 > 30
     assert report.holds
-    report2 = check_smallness(make_problem(spec, c="indicator(1, 0.5, 1.0)",
-                                           mu="1", h="45", lam=-1.0), "H")
+    report2 = check_conditions(make_problem(spec, c="indicator(1, 0.5, 1.0)",
+                                            mu="1", h="45", lam=-1.0), ["H"])[0]
     assert not report2.holds
 
 
@@ -285,15 +285,15 @@ def test_h_at_lambda_zero_matches_h0(interval64):
     # restricted condition coincides with the full-space one
     spec, _ = interval64
     problem = make_problem(spec, c="1", mu="1", h="5", lam=0.0)
-    rH = check_smallness(problem, "H")
-    rH0 = check_smallness(problem, "H0")
+    rH = check_conditions(problem, ["H"])[0]
+    rH0 = check_conditions(problem, ["H0"])[0]
     assert rH.infimum_estimate == pytest.approx(rH0.infimum_estimate, abs=1e-12)
 
 
 def test_h_vacuous_when_d_never_vanishes(interval64):
     spec, _ = interval64
     problem = make_problem(spec, c="1", lam=-1.0, h="100", mu="1")
-    assert check_smallness(problem, "H").holds
+    assert check_conditions(problem, ["H"])[0].holds
 
 
 def test_k1_margin(interval64):
@@ -303,8 +303,8 @@ def test_k1_margin(interval64):
     base = 4 * np.pi**2
     ok = make_problem(spec, c="indicator(1, 0.5, 1.0)", mu="2", h=f"{0.45 * base}")
     bad = make_problem(spec, c="indicator(1, 0.5, 1.0)", mu="2", h=f"{0.55 * base}")
-    assert check_smallness(ok, "k1").holds
-    assert not check_smallness(bad, "k1").holds
+    assert check_conditions(ok, ["k1"])[0].holds
+    assert not check_conditions(bad, ["k1"])[0].holds
 
 
 def test_h_mask_apart_from_the_c_zero_mask_gets_its_own_lu(one_lu_at_a_time):
@@ -328,14 +328,14 @@ def test_h_mask_apart_from_the_c_zero_mask_gets_its_own_lu(one_lu_at_a_time):
     reports = conditions.check_conditions(problem, ["Hc", "H", "k1"], ops)
     assert [size for size, _ in one_lu_at_a_time] == [m, m - 1, m]
     for report in reports:
-        alone = check_smallness(problem, report.condition, ops)
+        alone = check_conditions(problem, [report.condition], ops)[0]
         assert report.infimum_estimate == alone.infimum_estimate < 1.0
 
 
 def test_smallness_rejects_unknown_tag(interval64):
     spec, _ = interval64
     with pytest.raises(ValueError):
-        check_smallness(make_problem(spec), "H7")
+        check_conditions(make_problem(spec), ["H7"])
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +398,7 @@ def test_ferone_murat_implies_h0_small_sample():
         if not fm.holds:
             continue
         tried += 1
-        assert check_smallness(problem, "H0", ops).holds, (a, b, w, mu_sup)
+        assert check_conditions(problem, ["H0"], ops)[0].holds, (a, b, w, mu_sup)
     assert tried >= 5
 
 

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from gqc import (
+    Branch,
     ContinuationOptions,
     GridSpec,
     analyze_branch,
@@ -14,6 +15,7 @@ from gqc import (
     locate_fold,
     residual_P,
     trace_branch,
+    two_solutions,
 )
 from gqc import continuation, grid, solver
 from gqc.grid import factor
@@ -176,12 +178,9 @@ def test_two_solution_extraction(fold_demo):
     branch = fold_demo["branch"]
     problem = fold_demo["problem"]
     ops = fold_demo["ops"]
-    gamma1 = first_eigen(problem.c.field, ops).gamma
     lam = 0.5 * branch.max_lambda()
-    analysis = analyze_branch(branch, gamma1, problem=problem, ops=ops,
-                              opts=fold_demo["opts"], two_solution_lambda=lam)
-    pair = analysis.pair
-    assert pair is not None
+    pair = two_solutions(branch, lam, problem, ops, fold_demo["opts"])
+    assert pair.lam == lam
     assert pair.sup_gap >= 1e-2
     assert np.min(pair.u_low.values) >= -1e-8
     assert np.min(pair.u_high.values) >= -1e-8
@@ -197,11 +196,9 @@ def test_two_solution_errors(fold_demo):
     problem = fold_demo["problem"]
     ops = fold_demo["ops"]
     with pytest.raises(ValueError, match="outside"):
-        analyze_branch(branch, 9.8, problem=problem, ops=ops,
-                       two_solution_lambda=branch.max_lambda() + 1.0)
+        two_solutions(branch, branch.max_lambda() + 1.0, problem, ops)
     with pytest.raises(ValueError, match="outside"):
-        analyze_branch(branch, 9.8, problem=problem, ops=ops,
-                       two_solution_lambda=-0.5)
+        two_solutions(branch, -0.5, problem, ops)
 
 
 def test_no_fold_extraction_raises(interval64):
@@ -209,7 +206,7 @@ def test_no_fold_extraction_raises(interval64):
     problem = make_problem(spec, h="0")
     branch = trace_branch(problem, -1.0, ops, ContinuationOptions(max_points=20))
     with pytest.raises(ValueError, match="fold"):
-        analyze_branch(branch, 9.8, problem=problem, ops=ops, two_solution_lambda=0.5)
+        two_solutions(branch, 0.5, problem, ops)
 
 
 def test_blowup_branch_left_side(blowup_demo):
@@ -241,9 +238,9 @@ def test_branch_with_vanishing_c(interval64):
     spec, ops = interval64
     problem = make_problem(spec, c="indicator(1, 0.5, 1.0)",
                            h="0.2*sin(pi*x1)", profile="A1")
-    from gqc import check_smallness
+    from gqc import check_conditions
 
-    assert check_smallness(problem, "Hc").holds
+    assert check_conditions(problem, ["Hc"])[0].holds
     gamma1 = first_eigen(problem.c.field, ops).gamma
     branch = trace_branch(problem, -2.0, ops,
                           ContinuationOptions(norm_cap=3.0, max_points=300))
@@ -287,8 +284,6 @@ def test_continuation_options_refuse_a_nan_lambda_min():
 
 
 def test_empty_branch_analysis_raises():
-    from gqc.continuation import Branch
-
     with pytest.raises(ValueError):
         analyze_branch(Branch(), 1.0)
 
@@ -548,6 +543,19 @@ def test_locate_fold_raises_when_newton_fails(fold_demo):
     opts = ContinuationOptions(norm_cap=3.0, max_points=400, solve=SolveOptions(max_newton=1))
     with pytest.raises(SolverError, match="max_iter"):
         locate_fold(fold_demo["branch"], fold_demo["problem"], fold_demo["ops"], opts)
+
+
+def test_locate_fold_refuses_a_branch_without_folds(fold_demo):
+    no_fold = replace(fold_demo["branch"], folds=[])
+    with pytest.raises(ValueError, match="no recorded folds"):
+        locate_fold(no_fold, fold_demo["problem"], fold_demo["ops"], fold_demo["opts"])
+
+
+def test_locate_fold_refuses_a_fold_at_the_first_point(fold_demo):
+    # the secant phi runs from the point before the fold, which index 0 lacks
+    branch = Branch(points=fold_demo["branch"].points[:3], folds=[0])
+    with pytest.raises(ValueError, match="lacks a point before it"):
+        locate_fold(branch, fold_demo["problem"], fold_demo["ops"], fold_demo["opts"])
 
 
 def test_corrector_refactors_after_a_krylov_miss(fold_square24, monkeypatch):

@@ -71,9 +71,9 @@ def test_converged_newton_meets_its_tolerance(dim, data):
 def test_enclosure_brackets_the_solution(dim, data):
     problem = data.draw(problems(dim))
     ops = build_operators(problem.spec)
-    slack = 1e-8
-    alpha, beta, u, report = monotone_enclosure(problem, ops, slack=slack)
+    alpha, beta, u, report = monotone_enclosure(problem, ops)
     assume(report.converged)
+    slack = 1e-8  # solver.ENCLOSURE_SLACK
     assert np.all(u.values - alpha.values >= -slack)
     assert np.all(beta.values - u.values >= -slack)
 

@@ -10,11 +10,12 @@ from gqc import (
     GridSpec,
     TransformError,
     build_operators,
-    check_smallness,
+    check_conditions,
     cole_hopf,
     functional_I,
     g_and_G,
     g_prime,
+    newton_solve,
     norms,
     residual_P,
     solve_transformed,
@@ -278,18 +279,18 @@ def test_solve_transformed_small_h_residual(interval64):
     # d == 0 branch: the returned u must satisfy the quasilinear system
     spec, ops = interval64
     problem = make_problem(spec, c="1", mu="1", h="0.1*sin(pi*x1)", lam=0.0)
-    v, u, details = solve_transformed(problem, ops, return_details=True)
+    v, u = solve_transformed(problem, ops)
     resid = residual_P(u, problem, ops)
     assert np.max(np.abs(resid.values)) <= 1e-8
     # the raw transform image differs from the discrete root by O(h^2)
-    assert 0.0 < details["polish_shift_sup"] <= 1e-3
+    assert 0.0 < np.max(np.abs(u.values - cole_hopf(v, 1.0, "inv").values)) <= 1e-3
 
 
 def test_solve_transformed_flips_negative_minimizer(interval64, monkeypatch):
     spec, ops = interval64
     x = spec.axis_coords(0)
     problem = make_a3_problem(spec, -1.0, 1.0, np.sin(np.pi * x))
-    v_true, u_true, details = solve_transformed(problem, ops, return_details=True)
+    v_true, u_true = solve_transformed(problem, ops)
 
     def dipped(*args):
         v = v_true.values.copy()
@@ -299,7 +300,8 @@ def test_solve_transformed_flips_negative_minimizer(interval64, monkeypatch):
     monkeypatch.setattr(transform, "_minimize", dipped)
     with pytest.warns(RuntimeWarning, match="flipping"):
         _, u = solve_transformed(problem, ops)
-    tol = details["polish_report"].tolerance_used
+    # the polish's tolerance at its root, which a Newton solve from the root reports
+    tol = newton_solve(problem, u_true, ops)[1].tolerance_used
     assert np.max(np.abs(u.values - u_true.values)) <= tol
 
 
@@ -312,8 +314,8 @@ def test_solve_transformed_polish_shift_shrinks_with_h():
         ops = build_operators(spec)
         x = spec.axis_coords(0)
         problem = make_a3_problem(spec, -1.0, 1.0, np.sin(np.pi * x))
-        _, _, details = solve_transformed(problem, ops, return_details=True)
-        shifts.append(details["polish_shift_sup"])
+        v, u = solve_transformed(problem, ops)
+        shifts.append(np.max(np.abs(u.values - cole_hopf(v, 1.0, "inv").values)))
     assert 3.0 <= shifts[0] / shifts[1] <= 5.0
     assert 3.0 <= shifts[1] / shifts[2] <= 5.0
 
@@ -360,7 +362,7 @@ def test_solve_transformed_refuses_on_partial_zero_set(square32, monkeypatch):
     spec, ops = square32
     d = np.where(spec.interior_points()[:, 0] > 0.5, -2.0, 0.0)
     problem = make_a3_problem(spec, d, 1.0, 3 * 2 * np.pi**2)
-    margin = check_smallness(problem, "H", ops).infimum_estimate
+    margin = check_conditions(problem, ["H"], ops)[0].infimum_estimate
     assert margin < 0.0
     _refuse_descent(monkeypatch)
     with pytest.raises(CoercivityError, match="smallness condition fails") as err:
@@ -371,7 +373,7 @@ def test_solve_transformed_refuses_on_partial_zero_set(square32, monkeypatch):
 def test_solve_transformed_coercivity_failure_message(square32):
     spec, ops = square32
     problem = make_a3_problem(spec, 0.0, 1.0, 3 * 2 * np.pi**2)
-    margin = check_smallness(problem, "H", ops).infimum_estimate
+    margin = check_conditions(problem, ["H"], ops)[0].infimum_estimate
     assert margin < 0.0
     with pytest.raises(CoercivityError) as err:
         solve_transformed(problem, ops)
