@@ -35,7 +35,7 @@ problem = ProblemData(
 
 opts = ContinuationOptions(norm_cap=3.0, max_points=400)
 branch = trace_branch(problem, -2.0, ops, opts)
-gamma1 = first_eigen(problem.c.field, ops).gamma
+gamma1 = first_eigen(problem.c, ops).gamma
 
 print(f"{'idx':>4} {'lambda':>10} {'sup':>9} {'h10':>9}")
 for i, p in enumerate(branch.points):

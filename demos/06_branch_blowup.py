@@ -31,7 +31,7 @@ problem = ProblemData(
     profile="A2",
 )
 
-gamma1 = first_eigen(problem.c.field, ops).gamma
+gamma1 = first_eigen(problem.c, ops).gamma
 h_sup = float(np.max(problem.h.values))
 print(f"gamma1 = {gamma1:.6f}, h = {h_sup:.6f} = {h_sup/gamma1:.3f} * gamma1")
 rep = check_conditions(problem, ["H0"])[0]

@@ -234,7 +234,7 @@ def load_config(path: str) -> dict:
 
 def _coefficient(entry, spec: GridSpec, base_dir: str) -> CoefficientSpec:
     if isinstance(entry, (int, float)):
-        return CoefficientSpec.from_constant(float(entry), spec)
+        return CoefficientSpec.constant(spec, float(entry))
     if isinstance(entry, str):
         return parse_coefficient(entry, spec)
     path = Path(entry["file"])
@@ -312,7 +312,7 @@ def cmd_check(cfg: dict, out: Path, payload: dict, quiet: bool) -> int:
 
     gamma_entry = None
     try:
-        eig = first_eigen(problem.c.field, ops)
+        eig = first_eigen(problem.c, ops)
         gamma_entry = {"gamma1": eig.gamma, "residual": eig.residual,
                        "iterations": eig.iterations}
     except EigenError as exc:
@@ -378,7 +378,7 @@ def cmd_branch(cfg: dict, out: Path, payload: dict, quiet: bool) -> int:
     payload["folds"] = branch.folds
 
     try:
-        gamma1 = first_eigen(problem.c.field, ops).gamma
+        gamma1 = first_eigen(problem.c, ops).gamma
     except EigenError as exc:
         gamma1 = None
         payload["eigen"] = {"error": str(exc)}
@@ -415,7 +415,7 @@ def cmd_branch(cfg: dict, out: Path, payload: dict, quiet: bool) -> int:
 def cmd_eigen(cfg: dict, out: Path, payload: dict, quiet: bool) -> int:
     problem = build_problem(cfg)
     ops = build_operators(problem.spec)
-    eig = first_eigen(problem.c.field, ops)
+    eig = first_eigen(problem.c, ops)
     payload["gamma1"] = eig.gamma
     payload["residual"] = eig.residual
     payload["iterations"] = eig.iterations

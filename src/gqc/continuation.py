@@ -5,19 +5,17 @@ The branch is parameterized by arclength in the product norm
     ||(dlam, du)||^2 = dlam^2 + ||du||_E^2 / (1 + ||u||_E^2),
 
 whose relative u-scaling keeps steps meaningful while norms grow toward
-the cap. Predictors are secants in that norm; the corrector is
-``solver.damped_newton`` on the bordered system (residual = 0, arclength
-constraint = 0), which stays regular through folds where plain parameter
-continuation degenerates. Each corrector step is one bordered
-``grid.linear_solve``: GMRES preconditioned by ``solver.drift_preconditioner``,
-a shifted sine solve conjugated by exp(mu u), on 2-D and 3-D grids, with an
-LU for that step alone on a miss; 1-D steps are LU solves.
-
-``locate_fold`` refines a recorded fold by ``damped_newton`` on the
-minimally augmented system (Griewank & Reddien 1984): the equation and
-one scalar g(u, lam), from a bordered solve, that vanishes exactly where
-the Jacobian is singular. Each Newton step takes one adjoint solve by the
-transposed Jacobian for g's gradient and one bordered step.
+the cap. Predictors are secants in that norm. The corrector and
+``locate_fold`` are one bordered Newton (``_bordered_newton``): the
+equation plus one scalar row, which stays regular through folds where
+plain parameter continuation degenerates. The corrector's row is the
+arclength constraint; the fold's is the minimally augmented system's
+g(u, lam) (Griewank & Reddien 1984), from a bordered solve, which
+vanishes exactly where the Jacobian is singular. Each Newton step is one
+bordered ``grid.linear_solve``: GMRES preconditioned by
+``solver.drift_preconditioner``, a shifted sine solve conjugated by
+exp(mu u), on 2-D and 3-D grids, with an LU for that step alone on a
+miss; 1-D steps are LU solves.
 
 Termination is one of: the sup norm exceeding ``norm_cap`` (read as the
 branch escaping to infinity, with the side classified by the sign of
@@ -146,51 +144,58 @@ def _arclength_row(ops: DiscreteOperators, base_u: np.ndarray, t_u: np.ndarray) 
     return ops.node_weight / (1.0 + ops.energy_product(base_u, base_u)) * (ops.laplacian @ t_u)
 
 
-def _bordered_solve(problem: ProblemData, ops: DiscreteOperators, u: np.ndarray, lam: float,
-                    cvec: np.ndarray, t_lam: float, rhs: np.ndarray, tol: float) -> np.ndarray:
-    """One ``linear_solve`` of [[J, -c u], [cvec^T, t_lam]] at (u, lam): the
-    Jacobian bordered by dR/dlam = -c u and the arclength row, preconditioned
-    by ``drift_preconditioner`` at that point on 2-D and 3-D grids."""
+def _bordered_newton(problem: ProblemData, ops: DiscreteOperators, sopts: SolveOptions,
+                     x0: np.ndarray, scalar) -> tuple[np.ndarray, SolveReport]:
+    """``damped_newton`` on x = (u, lam) for R(u, lam) = 0 and one scalar
+    equation q(u, lam) = 0.
+
+    ``scalar(u, lam, tol)`` returns (q, q_tol, gradient), and ``gradient()``
+    the row and corner (dq/du, dq/dlam) at that point. The residual is
+    (R / tol, q / q_tol), with tol the equation's tolerance, so both must
+    reach 1 and the Armijo merit weighs both. A step is one ``linear_solve``
+    of [[J, -c u], [row^T, corner]] at the point evaluated last, to
+    min(tol, q_tol), preconditioned by ``drift_preconditioner`` there on 2-D
+    and 3-D grids; 1-D grids keep LU steps, as GMRES took twice as long on a
+    64-cell trace.
+    """
     c, mu, h = problem.c.values, problem.mu.values, problem.h.values
-    return linear_solve(quasilinear_jacobian(u, lam * c, mu, ops), rhs, tol,
-                        border=(-(c * u), cvec, t_lam),
-                        precondition=drift_preconditioner(ops, u, lam * c, mu, h))
+    last: list = []  # the unscaled residual, q, step tolerance and gradient of the last point
+
+    def residual(x: np.ndarray) -> tuple[np.ndarray, float]:
+        u, lam = x[:-1], float(x[-1])
+        R, rscale = residual_with_scale(u, lam * c, mu, h, ops)
+        tol = sopts.tol_residual * (1.0 + rscale)
+        q, q_tol, gradient = scalar(u, lam, tol)
+        last[:] = R, q, min(tol, q_tol), gradient
+        return np.append(R / tol, q / q_tol), 1.0
+
+    def step(x: np.ndarray, *_) -> np.ndarray:
+        u, lam = x[:-1], float(x[-1])
+        R, q, tol, gradient = last
+        row, corner = gradient()
+        return linear_solve(quasilinear_jacobian(u, lam * c, mu, ops), -np.append(R, q), tol,
+                            border=(-(c * u), row, corner),
+                            precondition=drift_preconditioner(ops, u, lam * c, mu, h))
+
+    return damped_newton(x0, residual, step, sopts)
 
 
 def _corrector(problem: ProblemData, ops: DiscreteOperators, opts: ContinuationOptions,
                base_lam: float, base_u: np.ndarray, t_lam: float, t_u: np.ndarray, ds: float
                ) -> tuple[np.ndarray, float, int]:
-    """``damped_newton`` on the bordered system in x = (u, lam) from the
-    secant predictor; returns (u, lam, Newton steps) or raises ``_Rejected``
-    (``singular`` when no LU could be made, else ``corrector_failed``).
-
-    The residual is the equation's over its tolerance and the constraint's
-    over ``1e-10 (1 + |ds|)``, so both must reach 1 and the Armijo merit
-    weighs both. A step is one ``_bordered_solve`` of the raw bordered
-    system at the point evaluated last; 1-D grids keep LU steps, as GMRES
-    took twice as long on a 64-cell trace.
-    """
-    c, mu, h = problem.c.values, problem.mu.values, problem.h.values
+    """``_bordered_newton`` with the arclength constraint, to
+    1e-10 (1 + |ds|), from the secant predictor; returns (u, lam, Newton
+    steps) or raises ``_Rejected`` (``singular`` when no LU could be made,
+    else ``corrector_failed``)."""
     cvec = _arclength_row(ops, base_u, t_u)
-    constraint_tol = 1e-10 * (1.0 + abs(ds))
-    raw: list = []  # the unscaled residual, constraint and tolerance of the last point
 
-    def residual(x: np.ndarray) -> tuple[np.ndarray, float]:
-        u, lam = x[:-1], float(x[-1])
-        R, rscale = residual_with_scale(u, lam * c, mu, h, ops)
-        constraint = t_lam * (lam - base_lam) + float(cvec @ (u - base_u)) - ds
-        tol = opts.solve.tol_residual * (1.0 + rscale)
-        raw[:] = R, constraint, tol
-        return np.append(R / tol, constraint / constraint_tol), 1.0
-
-    def step(x: np.ndarray, *_) -> np.ndarray:
-        R, constraint, tol = raw
-        return _bordered_solve(problem, ops, x[:-1], float(x[-1]), cvec, t_lam,
-                               -np.append(R, constraint), min(tol, constraint_tol))
+    def arclength(u: np.ndarray, lam: float, tol: float):
+        q = t_lam * (lam - base_lam) + float(cvec @ (u - base_u)) - ds
+        return q, 1e-10 * (1.0 + abs(ds)), lambda: (cvec, t_lam)
 
     x0 = np.append(base_u + ds * t_u, base_lam + ds * t_lam)
     sopts = replace(opts.solve, max_newton=MAX_CORRECTOR, min_step=CORRECTOR_MIN_STEP)
-    x, report = damped_newton(x0, residual, step, sopts)
+    x, report = _bordered_newton(problem, ops, sopts, x0, arclength)
     if not report.converged:
         raise _Rejected("singular" if report.failure_reason == "singular"
                         else "corrector_failed")
@@ -203,8 +208,7 @@ def _seed_solution(problem: ProblemData, lam: float, ops: DiscreteOperators,
     u0 = GridFunction(problem.spec, start if start is not None
                       else np.zeros(problem.spec.n_interior))
     u, rep = newton_solve(problem.with_lambda(lam), u0, ops, sopts)
-    if not rep.converged:
-        raise SolverError(f"seed solve failed at lambda = {lam} (newton: {rep.failure_reason})")
+    rep.require(f"seed solve failed at lambda = {lam}")
     return u.values, rep.iterations
 
 
@@ -400,25 +404,23 @@ def locate_fold(
     ops: DiscreteOperators,
     opts: ContinuationOptions | None = None,
 ) -> tuple[float, float]:
-    """Locate the branch's first recorded fold by ``damped_newton`` on the
+    """Locate the branch's first recorded fold by ``_bordered_newton`` on the
     minimally augmented system (Griewank & Reddien 1984) in x = (u, lam),
     from the fold point.
 
-    Its equations are R(u, lam) = 0 and g(u, lam) = 0, where (v, g) solves
+    Its scalar equation is g(u, lam) = 0, where (v, g) solves
     [[J, phi], [phi^T, 0]] (v, g) = (0, 1) and phi is the unit secant from
     the point before the fold to the fold point: g vanishes exactly where J
-    is singular, so the fold needs no bracket. The residual is
-    (R, g (1 + max|L phi|)) over the equation's tolerance, so g must reach
-    that tolerance over 1 + max|L phi|. A step is one ``_bordered_solve``
-    with the border (-c u, grad g): one adjoint solve (w, .) by J^T with the
-    same border and the transposed drift preconditioner gives
-    g_u = 2 sum_k D_k^T (mu w D_k v) and g_lam = w^T (c v). Returns (fold
-    lambda, its arclength offset along the secant from the point before the
-    fold to the fold point); raises ``SolverError`` naming Newton's failure
-    reason when it does not converge, and ``ValueError`` when the branch
-    records no fold or its first fold has no point before it. A solve for
-    g whose Jacobian cannot be factored raises ``RuntimeError``, as
-    ``linear_solve`` does.
+    is singular, so the fold needs no bracket. g must reach the equation's
+    tolerance over 1 + max|L phi|. A step's row takes one adjoint solve
+    (w, .) by J^T with the same border and the transposed drift
+    preconditioner, g_u = 2 sum_k D_k^T (mu w D_k v) and g_lam = w^T (c v).
+    Returns (fold lambda, its arclength offset along the secant from the
+    point before the fold to the fold point); raises ``SolverError`` naming
+    Newton's failure reason and residual when it does not converge, and
+    ``ValueError`` when the branch records no fold or its first fold has no
+    point before it. A solve for g whose Jacobian cannot be factored raises
+    ``RuntimeError``, as ``linear_solve`` does.
     """
     opts = opts or ContinuationOptions()
     if not branch.folds:
@@ -433,32 +435,25 @@ def locate_fold(
     g_scale = 1.0 + float(np.max(np.abs(ops.laplacian @ phi)))
     unit = np.zeros(du.size + 1)
     unit[-1] = 1.0
-    raw: list = []  # the point's residual, Jacobian, (v, g) and tolerance
 
-    def residual(x: np.ndarray) -> tuple[np.ndarray, float]:
-        u, lam = x[:-1], float(x[-1])
-        R, rscale = residual_with_scale(u, lam * c, mu, h, ops)
+    def g(u: np.ndarray, lam: float, tol: float):
         J = quasilinear_jacobian(u, lam * c, mu, ops)
         vg = linear_solve(J, unit, 0.0, border=(phi, phi, 0.0),
                           precondition=drift_preconditioner(ops, u, lam * c, mu, h))
-        tol = opts.solve.tol_residual * (1.0 + rscale)
-        raw[:] = R, J, vg, tol
-        return np.append(R, g_scale * vg[-1]) / tol, 1.0
 
-    def step(x: np.ndarray, *_) -> np.ndarray:
-        u, lam = x[:-1], float(x[-1])
-        R, J, vg, tol = raw
-        w = linear_solve(J.T, unit, 0.0, border=(phi, phi, 0.0),
-                         precondition=drift_preconditioner(ops, u, lam * c, mu, h,
-                                                           transpose=True))[:-1]
-        v = vg[:-1]
-        g_u = 2.0 * sum(D.T @ (mu * w * (D @ v)) for D in ops.gradient)
-        return _bordered_solve(problem, ops, u, lam, g_u, float(w @ (c * v)),
-                               -np.append(R, vg[-1]), tol / g_scale)
+        def gradient() -> tuple[np.ndarray, float]:
+            w = linear_solve(J.T, unit, 0.0, border=(phi, phi, 0.0),
+                             precondition=drift_preconditioner(ops, u, lam * c, mu, h,
+                                                               transpose=True))[:-1]
+            v = vg[:-1]
+            return (2.0 * sum(D.T @ (mu * w * (D @ v)) for D in ops.gradient),
+                    float(w @ (c * v)))
 
-    x, report = damped_newton(np.append(mid.u.values, mid.lam), residual, step, opts.solve)
-    if not report.converged:
-        raise SolverError(f"fold Newton did not converge: {report.failure_reason}")
+        return vg[-1], tol / g_scale, gradient
+
+    x, report = _bordered_newton(problem, ops, opts.solve,
+                                 np.append(mid.u.values, mid.lam), g)
+    report.require("fold Newton did not converge")
     dl = mid.lam - a.lam
     nrm = _product_norm(dl, du, ops.energy_product(a.u.values, a.u.values), ops)
     lam = float(x[-1])

@@ -34,23 +34,11 @@ TAU_C_RELATIVE = 1e-12
 PROFILES = ("A1", "A2", "A3", "A5")
 
 
-@dataclass
-class CoefficientSpec:
-    """A coefficient field: its values at the interior nodes of ``spec``,
-    in lexicographic order, sampled from an expression, a constant or a
-    flat data file.
+class CoefficientSpec(GridFunction):
+    """A coefficient field: a grid function sampled from an expression
+    (``parse_coefficient``), a constant (``constant``), an array or a flat
+    data file.
     """
-
-    spec: GridSpec
-    values: np.ndarray
-
-    @property
-    def field(self) -> GridFunction:
-        return GridFunction(self.spec, self.values)
-
-    @classmethod
-    def from_constant(cls, value: float, spec: GridSpec) -> "CoefficientSpec":
-        return cls.from_values(np.full(spec.n_interior, float(value)), spec)
 
     @classmethod
     def from_values(cls, values, spec: GridSpec) -> "CoefficientSpec":

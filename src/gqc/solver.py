@@ -88,6 +88,12 @@ class SolveReport:
             "step_history": [[float(t), float(r)] for t, r in self.step_history],
         }
 
+    def require(self, what: str, error: type[Exception] = SolverError) -> None:
+        """Raise ``error`` naming ``what``, the failure reason and the final
+        residual unless the solve converged."""
+        if not self.converged:
+            raise error(f"{what}: {self.failure_reason} (residual {self.final_residual:.3e})")
+
 
 def residual_with_scale(
     u: np.ndarray, d: np.ndarray, mu: np.ndarray, h: np.ndarray, ops: DiscreteOperators
@@ -97,12 +103,6 @@ def residual_with_scale(
     lap_u, du, grad_term = ops.laplacian @ u, d * u, mu * grad_sq_values(u, ops)
     scale = float(sum(np.max(np.abs(t), initial=0.0) for t in (lap_u, du, grad_term, h)))
     return lap_u - du - grad_term - h, scale
-
-
-def quasilinear_residual(
-    u: np.ndarray, d: np.ndarray, mu: np.ndarray, h: np.ndarray, ops: DiscreteOperators
-) -> np.ndarray:
-    return residual_with_scale(u, d, mu, h, ops)[0]
 
 
 def quasilinear_jacobian(
@@ -225,7 +225,7 @@ def newton_quasilinear(
 def residual_P(u: GridFunction, problem: ProblemData, ops: DiscreteOperators) -> GridFunction:
     """Nodewise residual  L u - lam c u - mu |grad u|^2 - h."""
     ops.check_spec(u)
-    vals = quasilinear_residual(
+    vals, _ = residual_with_scale(
         u.values, problem.d_values(), problem.mu.values, problem.h.values, ops
     )
     return GridFunction(u.spec, vals)
@@ -254,11 +254,7 @@ def _solve_auxiliary_bound(
     ``SolverError`` with the failure reason when Newton does not converge."""
     mu = np.full(h_part.shape, float(mu_const))
     u, report = newton_quasilinear(np.zeros_like(h_part), d, mu, h_part, ops, opts)
-    if not report.converged:
-        raise SolverError(
-            f"bound solve failed: {report.failure_reason} "
-            f"(residual {report.final_residual:.3e})"
-        )
+    report.require("bound solve failed")
     return u
 
 

@@ -231,11 +231,7 @@ def _newton_el(v: np.ndarray, d: np.ndarray, mu: float, h: np.ndarray,
                 1e-12 * (1.0 + float(np.max(np.abs(ops.laplacian @ x))) + h_sup) + floor)
 
     v, report = damped_newton(v, residual, step, _EL_NEWTON)
-    if not report.converged:
-        raise TransformError(
-            f"Newton failed on the Euler-Lagrange system: {report.failure_reason} "
-            f"(residual {report.final_residual:.3e})"
-        )
+    report.require("Newton failed on the Euler-Lagrange system", TransformError)
     return v
 
 
@@ -281,9 +277,5 @@ def solve_transformed(
 
     v_fn = GridFunction(problem.spec, v)
     u_fn, report = newton_solve(problem, cole_hopf(v_fn, mu, "inv"), ops, opts)
-    if not report.converged:
-        raise TransformError(
-            f"quasilinear polish failed: {report.failure_reason} "
-            f"(residual {report.final_residual:.3e})"
-        )
+    report.require("quasilinear polish failed", TransformError)
     return v_fn, u_fn

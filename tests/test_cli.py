@@ -156,6 +156,19 @@ def test_missing_coefficient_file(tmp_path):
     assert main(["check", "--config", cfg]) == 1
 
 
+def test_coefficient_file_of_the_wrong_length(tmp_path, capsys):
+    (tmp_path / "short.txt").write_text("0\n" * 5)
+    cfg = write_config(
+        tmp_path,
+        {
+            "grid": grid_block(),
+            "coefficients": {"c": "1", "mu": "1", "h": {"file": "short.txt"}},
+        },
+    )
+    assert main(["check", "--config", cfg]) == 1
+    assert "coefficient data has 5 values, grid needs 225" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # check
 
@@ -260,7 +273,7 @@ def test_solve_manufactured_demo_recovers(tmp_path):
 def test_solve_at_eigenvalue_exits3(tmp_path, fold_demo):
     from gqc import first_eigen
 
-    gamma1 = first_eigen(fold_demo["problem"].c.field, fold_demo["ops"]).gamma
+    gamma1 = first_eigen(fold_demo["problem"].c, fold_demo["ops"]).gamma
     cfg = write_config(
         tmp_path,
         {

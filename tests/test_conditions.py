@@ -77,6 +77,17 @@ def test_first_eigen_rejects_degenerate(interval64):
 # weighted Rayleigh suprema
 
 
+def test_coefficients_are_grid_functions(interval64):
+    # a problem's coefficients go to the eigen and Rayleigh solves as they are
+    spec, ops = interval64
+    problem = make_problem(spec, c="1 + x1", h="sin(pi*x1)")
+    assert isinstance(problem.c, GridFunction) and isinstance(problem.h, GridFunction)
+    assert (first_eigen(problem.c, ops).gamma
+            == first_eigen(GridFunction(spec, problem.c.values), ops).gamma)
+    assert (weighted_rayleigh_sup(problem.h, None, ops)
+            == weighted_rayleigh_sup(problem.h.values, None, ops) > 0.0)
+
+
 def test_rayleigh_nonpositive_weight(interval64):
     spec, ops = interval64
     assert weighted_rayleigh_sup(GridFunction.constant(spec, -2.0), None, ops) == 0.0
@@ -185,7 +196,7 @@ def test_margins_match_a_default_basis_lu_reference(dim, n):
             report.infimum_estimate,)
         assert got == pytest.approx(expect[report.condition], rel=1e-12), report.condition
     gamma_ref = 1.0 / _reference_sup(problem.c.values, L, full)
-    assert first_eigen(problem.c.field, ops).gamma == pytest.approx(gamma_ref, rel=1e-12)
+    assert first_eigen(problem.c, ops).gamma == pytest.approx(gamma_ref, rel=1e-12)
 
 
 def mixed_sign_weight(spec):

@@ -91,8 +91,8 @@ def test_dense_eigen_indicator_weight():
     spec = GridSpec(1, ((0.0, 1.0),), (16,))
     ops = build_operators(spec)
     c = parse_coefficient("indicator(1, 0.5, 1.0)", spec)
-    dense = dense_eigen_oracle(c.field, ops)
-    iterative = first_eigen(c.field, ops).gamma
+    dense = dense_eigen_oracle(c, ops)
+    iterative = first_eigen(c, ops).gamma
     assert abs(dense - iterative) <= 1e-8 * dense
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gqc import GridSpec, compute_zero_mask, parse_coefficient, validate_profile
 from gqc.expressions import ExpressionError, parse_expression
+from gqc.grid import GridError
 from gqc.problem import CoefficientSpec, load_values_file, save_values_file
 
 from conftest import make_problem
@@ -233,8 +234,9 @@ def test_coefficient_values_must_be_finite(tmp_path, square8, bad):
         CoefficientSpec.from_file(tmp_path / "bad.txt", square8)
     with pytest.raises(ExpressionError, match="non-finite"):
         make_problem(square8, h=vals)
-    with pytest.raises(ExpressionError, match="non-finite value at node 0"):
-        CoefficientSpec.from_constant(bad, square8)
+    # a constant is held to the grid function's own rule
+    with pytest.raises(GridError, match="non-finite value at node 0"):
+        CoefficientSpec.constant(square8, bad)
 
 
 # ---------------------------------------------------------------------------

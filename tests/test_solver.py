@@ -1,18 +1,23 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gqc import (
     GridFunction,
     SolveOptions,
+    locate_fold,
     monotone_enclosure,
     multi_start,
     newton_solve,
     residual_P,
     solve_transformed,
+    trace_branch,
 )
-from gqc import grid, solver
+from gqc import cli, grid, solver, transform
 from gqc.grid import factor, grad_sq_values
-from gqc.solver import quasilinear_residual, residual_with_scale, solve_cascade
+from gqc.solver import residual_with_scale, solve_cascade
 
 from conftest import make_problem
 
@@ -120,7 +125,8 @@ def test_residual_with_scale_matches_separate_evaluations(square32):
     rng = np.random.default_rng(4)
     u, d, mu, h = (rng.standard_normal(spec.n_interior) for _ in range(4))
     R, scale = residual_with_scale(u, d, mu, h, ops)
-    assert np.array_equal(R, quasilinear_residual(u, d, mu, h, ops))
+    problem = make_problem(spec, c=d, mu=mu, h=h, lam=1.0)
+    assert np.array_equal(R, residual_P(GridFunction(spec, u), problem, ops).values)
     terms = (ops.laplacian @ u, d * u, mu * grad_sq_values(u, ops), h)
     assert np.array_equal(R, terms[0] - terms[1] - terms[2] - h)
     assert scale == sum(np.max(np.abs(t)) for t in terms)
@@ -487,3 +493,51 @@ def test_solve_cascade_is_newton_alone(interval64):
     assert u is None and strategy is None
     assert [a["strategy"] for a in attempts] == ["newton"]
     assert not attempts[0]["converged"]
+
+
+# ---------------------------------------------------------------------------
+# converge or raise: every failed solve names what failed, why, and its residual
+
+
+def _seed_from_demo_fig1(interval64, fold_demo, monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "demos" / "configs" / "demo_fig1.json"
+    problem = cli.build_problem(cli.load_config(path))
+    # no solution at lambda0 = -0.01: the seed's Newton stalls
+    trace_branch(problem, -0.01, grid.build_operators(problem.spec))
+
+
+def _bound(interval64, fold_demo, monkeypatch):
+    spec, ops = interval64
+    monotone_enclosure(make_problem(spec, h="1"), ops, SolveOptions(max_newton=1))
+
+
+def _fold(interval64, fold_demo, monkeypatch):
+    opts = replace(fold_demo["opts"], solve=SolveOptions(max_newton=1))
+    locate_fold(fold_demo["branch"], fold_demo["problem"], fold_demo["ops"], opts)
+
+
+def _polish(interval64, fold_demo, monkeypatch):
+    spec, ops = interval64
+    solve_transformed(make_problem(spec, h="1", profile="A3"), ops, SolveOptions(max_newton=1))
+
+
+def _euler_lagrange(interval64, fold_demo, monkeypatch):
+    spec, ops = interval64
+    monkeypatch.setattr(transform, "_EL_NEWTON", SolveOptions(max_newton=1))
+    solve_transformed(make_problem(spec, h="1", profile="A3"), ops)
+
+
+@pytest.mark.parametrize("fail, error, message", [
+    (_seed_from_demo_fig1, solver.SolverError,
+     r"^seed solve failed at lambda = -0\.01: line_search_stall \(residual 8\.521e-02\)$"),
+    (_bound, solver.SolverError, r"^bound solve failed: max_iter \(residual "),
+    (_fold, solver.SolverError, r"^fold Newton did not converge: max_iter \(residual "),
+    (_polish, transform.TransformError, r"^quasilinear polish failed: max_iter \(residual "),
+    (_euler_lagrange, transform.TransformError,
+     r"^Newton failed on the Euler-Lagrange system: max_iter \(residual "),
+], ids=["seed", "bound", "fold", "polish", "euler_lagrange"])
+def test_a_failed_solve_raises_its_reason_and_residual(fail, error, message, interval64,
+                                                       fold_demo, monkeypatch):
+    with pytest.raises(error, match=message) as raised:
+        fail(interval64, fold_demo, monkeypatch)
+    assert type(raised.value) is error
