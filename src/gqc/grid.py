@@ -10,6 +10,12 @@ consumes:
 * ``gradient``: per-axis central differences; at nodes adjacent to the
   boundary the stencil uses the (zero) boundary value, which keeps it
   second order for fields that genuinely vanish on the boundary.
+
+  Both are stored by diagonals (scipy's DIA format), as are the Jacobians
+  ``DiscreteOperators.linearized`` builds from them: a product by one is a
+  pass over 2d+1 diagonals. The Laplacian and the Jacobians are
+  ``Stencil`` matrices, which an LU receives as the CSC of the Laplacian's
+  nonzero pattern.
 * ``edge_diffs``: per-axis forward differences on the edge (staggered)
   grid, including the two boundary edges. These factor the Laplacian as
   sum_i E_i^T E_i and carry the energy inner product.
@@ -32,6 +38,7 @@ between calls.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -164,20 +171,6 @@ class GridFunction:
         return GridFunction(self.spec, self.values.copy())
 
 
-def _second_difference_1d(m: int, h: float) -> sp.csr_matrix:
-    # (1/h^2) tridiag(-1, 2, -1): -d^2/dx^2 with eliminated zero boundary
-    main = np.full(m, 2.0 / h**2)
-    off = np.full(m - 1, -1.0 / h**2)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
-
-
-def _central_difference_1d(m: int, h: float) -> sp.csr_matrix:
-    # (1/2h) tridiag(-1, 0, 1); rows next to the boundary keep only the
-    # interior entry because the boundary value 0 is substituted
-    off = np.full(m - 1, 1.0 / (2.0 * h))
-    return sp.diags([-off, off], [-1, 1], format="csr")
-
-
 def _edge_difference_1d(m: int, h: float) -> sp.csr_matrix:
     # (m+1) x m forward differences over all edges including the two that
     # touch the boundary; E^T E reproduces the second-difference matrix
@@ -188,13 +181,72 @@ def _kron_chain(mats: Sequence[sp.spmatrix]) -> sp.csr_matrix:
     return reduce(lambda a, b: sp.kron(a, b, format="csr"), mats).tocsr()
 
 
+class Stencil(sp.dia_matrix):
+    """A matrix on a grid's (2d+1)-point pattern, stored by diagonals.
+
+    ``data[i, j]`` holds A[j - offsets[i], j], as in any DIA matrix, and is
+    zero where the stencil would wrap around a grid line. ``tocsc`` (what
+    ``factor`` hands the LU) and ``transpose`` gather the diagonals into the
+    CSC of the nonzero pattern of the diagonals a ``Stencil`` is constructed
+    with, which keeps no such zero: one ``np.take``, where scipy's
+    conversion goes through CSR. ``offsets`` must be sorted and the pattern
+    symmetric, as the Laplacian's are.
+    """
+
+    def __init__(self, data: np.ndarray, offsets: np.ndarray):
+        n = data.shape[1]
+        super().__init__((data, offsets), shape=(n, n))
+        # these diagonals until the first gather replaces them by the CSC of
+        # their pattern and the positions in data of its entries and of its
+        # transpose's; shared with every copy ``_with_data`` makes
+        self._csc = [data]
+
+    def _gathered(self, transpose: bool) -> sp.csc_matrix:
+        if len(self._csc) == 1:
+            self._csc[:] = _csc_positions(self._csc[0], self.offsets)
+        csc, *positions = self._csc
+        return _with_data(csc, np.take(self.data, positions[transpose]))
+
+    def tocsc(self, copy: bool = False) -> sp.csc_matrix:
+        return self._gathered(False)
+
+    def transpose(self, axes=None, copy: bool = False) -> sp.csc_matrix:
+        return self._gathered(True)
+
+
+def _csc_positions(data: np.ndarray, offsets: np.ndarray
+                   ) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
+    """The CSC of the nonzeros of the square DIA matrix (data, offsets), with
+    the flat positions in ``data`` of its entries and, the pattern being
+    symmetric, of its transpose's."""
+    n = data.shape[1]
+    csc = sp.dia_matrix((data, offsets), shape=(n, n)).tocsc()
+    csc.sort_indices()
+    rows = csc.indices
+    cols = np.repeat(np.arange(n), np.diff(csc.indptr))
+
+    def positions(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return np.searchsorted(offsets, c - r) * n + c  # of A[r, c]
+
+    return csc, positions(rows, cols), positions(cols, rows)
+
+
+def _with_data(A: sp.spmatrix, data: np.ndarray) -> sp.spmatrix:
+    """A shallow copy of ``A`` with new values: it shares A's index arrays,
+    and skips the checks of scipy's constructors, which cost more than the
+    gathers of a 1-D Jacobian."""
+    out = copy.copy(A)
+    out.data = data
+    return out
+
+
 def factor(A: sp.spmatrix) -> spla.SuperLU:
     """Sparse LU of ``A``, the one factorization every gqc solve goes through.
 
     Columns are ordered by minimum degree on the pattern of A^T + A, which
-    suits the structurally symmetric matrices gqc assembles. ``spla.splu``
-    is looked up at each call, so a wrapper installed on it sees every
-    factorization.
+    suits the structurally symmetric matrices gqc assembles; a ``Stencil``
+    arrives as the CSC of its nonzero pattern. ``spla.splu`` is looked up at
+    each call, so a wrapper installed on it sees every factorization.
     """
     return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A")
 
@@ -207,24 +259,28 @@ def factor(A: sp.spmatrix) -> spla.SuperLU:
 # the first step from ``multi_start``'s noise starts. First steps from 2-D noise
 # starts miss
 KRYLOV_MAX_ITER = 20
-# a Krylov solve stops at max(KRYLOV_RTOL |b|, KRYLOV_TOL_SHARE * tol) in
-# the 2-norm of its residual, tol being the sup-norm tolerance the caller
-# enforces on the residual the solve corrects. 1e-6 changed the Newton
-# iteration counts of a 48^2 branch point, 1e-9 changed none; without the
-# tol share a solve whose b is near tol stalls on the rounding floor of A x
+# a Krylov solve stops at max(rtol |b|, KRYLOV_TOL_SHARE * tol) in the 2-norm
+# of its residual, tol being the sup-norm tolerance the caller enforces on the
+# residual the solve corrects. KRYLOV_RTOL is the default rtol, kept by Newton
+# at fixed lambda, by the fold's g and adjoint solves (tol = 0) and by the
+# transform's Newton; the bordered Newton steps of the corrector and the fold
+# pass ``continuation.BORDERED_KRYLOV_RTOL``. Without the tol share a solve
+# whose b is near tol stalls on the rounding floor of A x
 KRYLOV_RTOL = 1e-9
 KRYLOV_TOL_SHARE = 1e-3
 
 
 def gmres(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    precondition: Callable[[np.ndarray], np.ndarray],
+    matvec: Callable[[np.ndarray, np.ndarray], None],
+    precondition: Callable[[np.ndarray, np.ndarray], None],
     b: np.ndarray,
     target: float,
     max_iter: int,
 ) -> np.ndarray | None:
     """Right-preconditioned GMRES from x = 0, without restarts.
 
+    ``precondition(v, out)`` and ``matvec(z, out)`` write their result into
+    ``out``: the rows of the Krylov basis, so an iteration copies no vector.
     Returns x with |b - A x| <= ``target`` (2-norm, checked on the true
     residual), or None when ``max_iter`` iterations do not get there or a
     value turns non-finite. Arnoldi orthogonalizes by classical
@@ -244,8 +300,9 @@ def gmres(
     g[0] = beta
     V[0] = b / beta
     for j in range(max_iter):
-        Z[j] = precondition(V[j])
-        w = matvec(Z[j])
+        precondition(V[j], Z[j])
+        w = V[j + 1]  # orthogonalized and normalized in place
+        matvec(Z[j], w)
         h = V[: j + 1] @ w
         w -= h @ V[: j + 1]
         h2 = V[: j + 1] @ w
@@ -256,7 +313,7 @@ def gmres(
             return None
         H[j + 1, j] = hn
         if hn > 0.0:
-            V[j + 1] = w / hn
+            w /= hn
         for i in range(j):
             a, c = H[i, j], H[i + 1, j]
             H[i, j] = cs[i] * a + sn[i] * c
@@ -274,7 +331,9 @@ def gmres(
             for i in range(k - 1, -1, -1):
                 y[i] = (g[i] - H[i, i + 1:k] @ y[i + 1:]) / H[i, i]
             x = y @ Z[:k]
-            res = float(np.linalg.norm(b - matvec(x)))
+            ax = V[0]  # the basis is spent
+            matvec(x, ax)
+            res = float(np.linalg.norm(b - ax))
             return x if res <= target else None
     return None
 
@@ -285,6 +344,7 @@ def linear_solve(
     tol: float,
     border: tuple[np.ndarray, np.ndarray, float] | None = None,
     precondition: Callable[[np.ndarray], np.ndarray] | None = None,
+    rtol: float | None = None,
 ) -> np.ndarray:
     """x with M x = b, for a caller that enforces the sup-norm tolerance
     ``tol`` on the residual this solve corrects; the one place that chooses
@@ -293,57 +353,68 @@ def linear_solve(
     M is A or, with ``border = (col, row, corner)``, the bordered matrix
     [[A, col], [row^T, corner]], whose b and x are one entry longer. With a
     ``precondition`` (an approximate solve by A), GMRES runs for up to
-    ``KRYLOV_MAX_ITER`` iterations; on a miss, or without one, A is factored
-    by ``factor`` for this call alone and M solved directly. A bordered
-    system is preconditioned, and solved directly, by block elimination with
-    a solve by A (``_block_elimination``); a direct solve takes one step of
-    iterative refinement against the bordered residual, which keeps it
-    accurate where A is nearly singular, as at a fold. ``gmres`` and
-    ``factor`` are looked up at each call. A ``RuntimeError`` propagates when
-    A cannot be factored or when the Schur scalar of a bordered solve is
-    zero or not finite.
+    ``KRYLOV_MAX_ITER`` iterations, to max(rtol |b|, ``KRYLOV_TOL_SHARE``
+    tol), rtol defaulting to ``KRYLOV_RTOL``; on a miss, or without one, A
+    is factored by ``factor`` for this call alone and M solved directly. A
+    bordered system is preconditioned, and solved directly, by block
+    elimination with a solve by A (``_block_elimination``); a direct solve
+    takes one step of iterative refinement against the bordered residual,
+    which keeps it accurate where A is nearly singular, as at a fold.
+    ``gmres`` and ``factor`` are looked up at each call. A ``RuntimeError``
+    propagates when A cannot be factored or when the Schur scalar of a
+    bordered solve is zero or not finite.
     """
     if border is None:
-        def matvec(v: np.ndarray) -> np.ndarray:
-            return A @ v
+        def matvec(v: np.ndarray, out: np.ndarray) -> None:
+            np.copyto(out, A @ v)
 
         def inverse(solve):
-            return solve
+            return lambda r, out: np.copyto(out, solve(r))
     else:
         col, row, corner = border
 
-        def matvec(x: np.ndarray) -> np.ndarray:
-            return np.append(A @ x[:-1] + x[-1] * col, row @ x[:-1] + corner * x[-1])
+        def matvec(x: np.ndarray, out: np.ndarray) -> None:
+            np.add(A @ x[:-1], x[-1] * col, out=out[:-1])
+            out[-1] = row @ x[:-1] + corner * x[-1]
 
         def inverse(solve):
             return _block_elimination(solve, col, row, corner)
 
     if precondition is not None:
-        target = max(KRYLOV_RTOL * float(np.linalg.norm(b)), KRYLOV_TOL_SHARE * tol)
+        rtol = KRYLOV_RTOL if rtol is None else rtol
+        target = max(rtol * float(np.linalg.norm(b)), KRYLOV_TOL_SHARE * tol)
         x = gmres(matvec, inverse(precondition), b, target, KRYLOV_MAX_ITER)
         if x is not None:
             return x
-    direct = inverse(factor(A).solve)
-    x = direct(b)
-    return x if border is None else x + direct(b - matvec(x))
+    solve = factor(A).solve
+    if border is None:
+        return solve(b)
+    direct = inverse(solve)
+    x, dx = np.empty_like(b), np.empty_like(b)
+    direct(b, x)
+    matvec(x, dx)
+    direct(b - dx, dx)
+    return x + dx
 
 
 def _block_elimination(
     solve: Callable[[np.ndarray], np.ndarray], col: np.ndarray, row: np.ndarray, corner: float,
-) -> Callable[[np.ndarray], np.ndarray]:
+) -> Callable[[np.ndarray, np.ndarray], None]:
     """The inverse of [[A, col], [row^T, corner]] from ``solve``, a solve by
-    A (Keller's bordering lemma): the last entry follows from the Schur
-    scalar corner - row.A^-1 col, the others by one more solve. Raises
+    A (Keller's bordering lemma), as ``inverse(r, out)``, which writes into
+    ``out``: the last entry follows from the Schur scalar
+    corner - row.A^-1 col, the others by one more solve. Raises
     ``RuntimeError`` when that scalar is zero or not finite."""
     w = solve(col)
     schur = corner - float(row @ w)
     if not (math.isfinite(schur) and schur != 0.0):
         raise RuntimeError(f"bordered system: Schur scalar {schur!r}")
 
-    def inverse(r: np.ndarray) -> np.ndarray:
+    def inverse(r: np.ndarray, out: np.ndarray) -> None:
         v = solve(r[:-1])
         dl = (r[-1] - float(row @ v)) / schur
-        return np.append(v - dl * w, dl)
+        np.subtract(v, dl * w, out=out[:-1])
+        out[-1] = dl
 
     return inverse
 
@@ -386,34 +457,44 @@ def _sine_weights(spec: GridSpec) -> np.ndarray:
 class DiscreteOperators:
     """Assembled Dirichlet operators and quadrature for one GridSpec.
 
-    Immutable after construction apart from the index arrays that
-    ``linearized`` builds on its first call and the eigenvalue arrays that
-    ``sine_solve`` and ``sine_basis`` build on theirs; it holds no
-    factorization. ``sine_solve`` and ``shifted_sine_solve`` invert the
-    full-box Laplacian, shifted for the latter, without an LU.
+    ``laplacian`` is a ``Stencil`` and each ``gradient`` a DIA matrix, both
+    stored by diagonals; ``linearized`` builds Jacobians on the Laplacian's
+    pattern from them. Immutable after construction apart from the
+    eigenvalue arrays that ``sine_solve`` and ``sine_basis`` build on their
+    first call and the index arrays of the Laplacian's pattern that the
+    first LU of a ``Stencil`` builds; it holds no factorization. ``sine_solve`` and
+    ``shifted_sine_solve`` invert the full-box Laplacian, shifted for the
+    latter, without an LU.
     """
 
     def __init__(self, spec: GridSpec):
         self.spec = spec
-        shape = spec.interior_shape
-        hs = spec.spacing
-        lap_parts = []
+        n = spec.n_interior
+        nodes = np.arange(n)
+        center = 0.0
+        lap = {}  # offset -> diagonal
         grads = []
         edges = []
-        for axis in range(spec.dim):
-            m, h = shape[axis], hs[axis]
-            lap_parts.append(_lift_axis_operator(spec, axis, _second_difference_1d(m, h)))
-            grads.append(_lift_axis_operator(spec, axis, _central_difference_1d(m, h)))
+        for axis, (m, h) in enumerate(zip(spec.interior_shape, spec.spacing)):
+            s = math.prod(spec.interior_shape[axis + 1:])  # the axis's node stride
+            k = nodes // s % m
+            # the diagonal +s holds A[j - s, j] and -s holds A[j + s, j]: a
+            # coupling exists unless node j is first, or last, on its grid line
+            first, last = k == 0, k == m - 1
+            center = center + 2.0 / h**2
+            lap[s] = np.where(first, 0.0, -1.0 / h**2)
+            lap[-s] = np.where(last, 0.0, -1.0 / h**2)
+            off = 1.0 / (2.0 * h)  # central differences; a boundary neighbour is 0
+            grads.append(sp.dia_matrix(
+                (np.array([np.where(last, 0.0, -off), np.where(first, 0.0, off)]), [-s, s]),
+                shape=(n, n)))
             edges.append(_lift_axis_operator(spec, axis, _edge_difference_1d(m, h)))
-        lap = lap_parts[0]
-        for part in lap_parts[1:]:
-            lap = (lap + part).tocsr()
-        lap.sum_duplicates()
-        self.laplacian: sp.csr_matrix = lap
-        self.gradient: tuple[sp.csr_matrix, ...] = tuple(grads)
+        lap[0] = np.full(n, center)
+        offsets = np.array(sorted(lap))
+        self.laplacian = Stencil(np.array([lap[k] for k in offsets]), offsets)
+        self.gradient: tuple[sp.dia_matrix, ...] = tuple(grads)
         self.edge_diffs: tuple[sp.csr_matrix, ...] = tuple(edges)
         self.node_weight: float = spec.node_weight
-        self._lin_pattern = None  # (Laplacian in CSC, diagonal slots, per-axis slots)
         self._sine_weights = None  # scaled inverse eigenvalues of the Laplacian
         self._sine_basis = None  # per-axis orthonormal DST-I matrices, eigenvalues
 
@@ -460,30 +541,23 @@ class DiscreteOperators:
             y = y.reshape(Q.shape[0], -1).T @ Q
         return y.ravel()
 
-    def linearized(self, reaction: np.ndarray, drift: Sequence[np.ndarray]) -> sp.csc_matrix:
+    def linearized(self, reaction: np.ndarray, drift: Sequence[np.ndarray]) -> Stencil:
         """The matrix of  v -> L v - reaction v - sum_k drift[k] D_k v.
 
-        Filled into the CSC pattern of the Laplacian, which holds every
-        entry of the diagonal and of the gradients: L_ii - reaction_i on
-        the diagonal and L_ij - drift[k]_i (D_k)_ij off it, each rounded
-        once, the values that summing ``sp.diags`` products gives.
+        Built by diagonals on the Laplacian's pattern: L_ii - reaction_i on
+        the main one, L_ij - drift[k]_i (D_k)_ij on axis k's two, each
+        rounded once, the values that summing ``sp.diags`` products gives.
         """
-        if self._lin_pattern is None:
-            lap = self.laplacian.tocsc()
-            rows = lap.indices
-            cols = np.repeat(np.arange(lap.shape[1]), np.diff(lap.indptr))
-            axes = []
-            for D in self.gradient:
-                vals = np.asarray(D[rows, cols]).ravel()
-                slots = np.flatnonzero(vals)
-                axes.append((slots, rows[slots], vals[slots]))
-            self._lin_pattern = (lap, np.flatnonzero(rows == cols), tuple(axes))
-        lap, diag, axes = self._lin_pattern
-        data = lap.data.copy()
-        data[diag] -= reaction
-        for (slots, rows, vals), b in zip(axes, drift):
-            data[slots] -= b[rows] * vals
-        return sp.csc_matrix((data, lap.indices, lap.indptr), shape=lap.shape)
+        # the offsets run -s_0, ..., -s_(d-1), 0, s_(d-1), ..., s_0, s_k being
+        # axis k's node stride, which falls with k
+        d = self.spec.dim
+        data = self.laplacian.data.copy()
+        data[d] -= reaction
+        for axis, (D, b) in enumerate(zip(self.gradient, drift)):
+            s = D.offsets[1]
+            data[2 * d - axis, s:] -= b[:-s] * D.data[1, s:]  # column j, row j - s
+            data[axis, :-s] -= b[s:] * D.data[0, :-s]  # column j, row j + s
+        return _with_data(self.laplacian, data)
 
     def check_spec(self, u: GridFunction) -> None:
         if u.spec != self.spec:

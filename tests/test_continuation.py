@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -460,14 +461,53 @@ def test_square_trace_with_its_seed_solves_makes_no_lu(fold_square24, monkeypatc
     assert sizes == []
 
 
+def test_krylov_targets_per_caller(fold_square24, monkeypatch):
+    # a bordered Newton step, the corrector's or the fold's, stops GMRES at
+    # 1e-6 |b| (or at its tolerance's share); Newton at fixed lambda (seeds,
+    # two_solutions) and the fold's g and adjoint solves keep 1e-9 |b|
+    data = fold_square24
+    problem, ops, opts = data["problem"], data["ops"], data["opts"]
+    ratios = {}
+    gmres = grid.gmres
+
+    def recorded(matvec, precondition, b, target, max_iter):
+        names, frame = [], sys._getframe(2)  # from the caller of linear_solve out
+        while frame is not None:
+            names.append(frame.f_code.co_qualname)
+            frame = frame.f_back
+        job = next(name for name in names
+                   if name in ("_corrector", "locate_fold", "_seed_solution", "two_solutions"))
+        ratios.setdefault((names[0], job), []).append(target / np.linalg.norm(b))
+        return gmres(matvec, precondition, b, target, max_iter)
+
+    monkeypatch.setattr(grid, "gmres", recorded)
+    branch = trace_branch(problem, -2.0, ops, opts)
+    two_solutions(branch, 0.5 * branch.max_lambda(), problem, ops, opts)
+    locate_fold(branch, problem, ops, opts)
+    assert set(ratios) == {
+        ("_bordered_newton.<locals>.step", "_corrector"),
+        ("_bordered_newton.<locals>.step", "locate_fold"),
+        ("newton_quasilinear.<locals>.step", "_seed_solution"),
+        ("newton_quasilinear.<locals>.step", "two_solutions"),
+        ("locate_fold.<locals>.g", "locate_fold"),
+        ("locate_fold.<locals>.g.<locals>.gradient", "locate_fold"),
+    }
+    for (caller, job), got in ratios.items():
+        rtol = 1e-6 if caller.startswith("_bordered_newton") else 1e-9
+        if caller.startswith("locate_fold"):  # tol = 0: no floor
+            assert got == pytest.approx([rtol] * len(got), rel=1e-12), (caller, job)
+        else:
+            assert min(got) == pytest.approx(rtol, rel=1e-12), (caller, job)
+
+
 def _bordered_gmres_iterations(J, border, b, solve):
     """GMRES iterations to 1e-9 |b| on the bordered J, preconditioned by block
     elimination with ``solve``."""
     col, row, corner = border
     solves = []
 
-    def matvec(x):
-        return np.append(J @ x[:-1] + x[-1] * col, row @ x[:-1] + corner * x[-1])
+    def matvec(x, out):
+        out[:] = np.append(J @ x[:-1] + x[-1] * col, row @ x[:-1] + corner * x[-1])
 
     def counted(r):
         solves.append(1)
