@@ -35,11 +35,17 @@ CONDITION_TAGS = ("H0", "Hc", "H", "FeroneMurat", "k1")
 # convergence, against 20 (eigsh's default): 13 against 21 on full-box
 # pencils (1-D 64 cells, 32^2-128^2); 19 against 21 on the masked pencils of
 # a 128^2 check whose h changes sign; 25 against 21 (31 at 16^3) on other
-# masked mixed-sign weights; 331 against 132 for the mixed-sign weight of the
-# README's caveat. The count does not fall steadily with the size (11 takes
-# 18 on those 128^2 pencils, 16 takes 17-25), so re-measure before changing it
+# masked mixed-sign weights. The count does not fall steadily with the size
+# (11 takes 18 on those 128^2 pencils, 16 takes 17-25), so re-measure before
+# changing it
 EIGEN_NCV = 12
-# cap on Lanczos restarts; each restart costs up to EIGEN_NCV - 1 = 11 solves
+# restarts of that first pass; a pencil it leaves unconverged is solved again
+# from the start with EIGEN_RETRY_NCV vectors. Every pencil above converges
+# within 2 restarts; the mixed-sign weight of the README's caveat takes 163
+# solves over both passes, where 12 vectors alone take 331 and 20 take 132
+EIGEN_FIRST_MAX_ITER = 3
+EIGEN_RETRY_NCV = 20
+# cap on the second pass's restarts; each costs up to EIGEN_RETRY_NCV - 1 solves
 EIGEN_MAX_ITER = 1000
 
 
@@ -107,10 +113,12 @@ def _pencil_top(w: np.ndarray, A: sp.spmatrix, solve) -> tuple[float, np.ndarray
     """Largest eigenpair of the pencil  diag(w) x = nu A x  for SPD A.
 
     Implicitly restarted Lanczos (ARPACK through ``eigsh``) in the
-    A-inner product, with ``solve`` applying A^{-1} and a basis of
-    ``EIGEN_NCV`` vectors. The all-ones start vector and the fixed
-    generator for ARPACK's restart vectors make runs deterministic.
-    Returns (nu, x, number of solves) with x^T A x = 1.
+    A-inner product, with ``solve`` applying A^{-1}: a basis of
+    ``EIGEN_NCV`` vectors for up to ``EIGEN_FIRST_MAX_ITER`` restarts, then,
+    if that has not converged, one of ``EIGEN_RETRY_NCV`` vectors for up to
+    ``EIGEN_MAX_ITER``. The all-ones start vector and the fixed generator
+    for ARPACK's restart vectors make runs deterministic. Returns (nu, x,
+    number of solves over both passes) with x^T A x = 1.
     """
     n = w.size
     if n == 1:  # ARPACK needs two unknowns
@@ -124,13 +132,17 @@ def _pencil_top(w: np.ndarray, A: sp.spmatrix, solve) -> tuple[float, np.ndarray
         return solve(x)
 
     Minv = spla.LinearOperator((n, n), matvec=apply_inverse, dtype=float)
-    try:
-        vals, vecs = spla.eigsh(sp.diags(w), k=1, M=A, Minv=Minv, which="LA",
-                                v0=np.ones(n), ncv=min(EIGEN_NCV, n),
-                                maxiter=EIGEN_MAX_ITER, rng=0)
-    except spla.ArpackError as exc:
-        raise EigenError(f"Lanczos failed after {solves} solves: {exc}") from exc
-    return float(vals[0]), vecs[:, 0], solves
+    for ncv, max_iter in ((EIGEN_NCV, EIGEN_FIRST_MAX_ITER), (EIGEN_RETRY_NCV, EIGEN_MAX_ITER)):
+        try:
+            vals, vecs = spla.eigsh(sp.diags(w), k=1, M=A, Minv=Minv, which="LA",
+                                    v0=np.ones(n), ncv=min(ncv, n), maxiter=max_iter, rng=0)
+            return float(vals[0]), vecs[:, 0], solves
+        except spla.ArpackNoConvergence as exc:
+            error = exc
+        except spla.ArpackError as exc:
+            error = exc
+            break
+    raise EigenError(f"Lanczos failed after {solves} solves: {error}") from error
 
 
 def first_eigen(c: GridFunction, ops: DiscreteOperators) -> EigenResult:

@@ -15,7 +15,7 @@ vanishes exactly where the Jacobian is singular. Each Newton step is one
 bordered ``grid.linear_solve``: GMRES preconditioned by
 ``solver.drift_preconditioner``, a shifted sine solve conjugated by
 exp(mu u), on 2-D and 3-D grids, with an LU for that step alone on a
-miss; 1-D steps are LU solves.
+miss; 1-D steps are solves by LAPACK's tridiagonal LU.
 
 Termination is one of: the sup norm exceeding ``norm_cap`` (read as the
 branch escaping to infinity, with the side classified by the sign of
@@ -161,26 +161,35 @@ def _bordered_newton(problem: ProblemData, ops: DiscreteOperators, sopts: SolveO
     of [[J, -c u], [row^T, corner]] at the point evaluated last, to
     min(tol, q_tol) with the Krylov target ``BORDERED_KRYLOV_RTOL``,
     preconditioned by ``drift_preconditioner`` there on 2-D and 3-D grids;
-    1-D grids keep LU steps, as GMRES took twice as long on a 64-cell trace.
+    1-D grids keep LU steps (``grid.factor``'s tridiagonal LU), as GMRES took
+    twice as long on a 64-cell trace. A point's d = lam c, residual and
+    scalar equation are evaluated once, and its step reuses them.
     """
     c, mu, h = problem.c.values, problem.mu.values, problem.h.values
-    last: list = []  # the unscaled residual, q, step tolerance and gradient of the last point
+    rhs = np.empty(c.size + 1)  # a step's right-hand side, -(R, q)
+    last: list = []  # d = lam c, unscaled residual, q, step tolerance, gradient of the last point
 
     def residual(x: np.ndarray) -> tuple[np.ndarray, float]:
         u, lam = x[:-1], float(x[-1])
-        R, rscale = residual_with_scale(u, lam * c, mu, h, ops)
+        d = lam * c
+        R, rscale = residual_with_scale(u, d, mu, h, ops)
         tol = sopts.tol_residual * (1.0 + rscale)
         q, q_tol, gradient = scalar(u, lam, tol)
-        last[:] = R, q, min(tol, q_tol), gradient
-        return np.append(R / tol, q / q_tol), 1.0
+        last[:] = d, R, q, min(tol, q_tol), gradient
+        scaled = np.empty_like(rhs)
+        np.divide(R, tol, out=scaled[:-1])
+        scaled[-1] = q / q_tol
+        return scaled, 1.0
 
     def step(x: np.ndarray, *_) -> np.ndarray:
-        u, lam = x[:-1], float(x[-1])
-        R, q, tol, gradient = last
+        u = x[:-1]
+        d, R, q, tol, gradient = last
         row, corner = gradient()
-        return linear_solve(quasilinear_jacobian(u, lam * c, mu, ops), -np.append(R, q), tol,
+        np.negative(R, out=rhs[:-1])
+        rhs[-1] = -q
+        return linear_solve(quasilinear_jacobian(u, d, mu, ops), rhs, tol,
                             border=(-(c * u), row, corner),
-                            precondition=drift_preconditioner(ops, u, lam * c, mu, h),
+                            precondition=drift_preconditioner(ops, u, d, mu, h),
                             rtol=BORDERED_KRYLOV_RTOL)
 
     return damped_newton(x0, residual, step, sopts)
@@ -421,6 +430,8 @@ def locate_fold(
     tolerance over 1 + max|L phi|. A step's row takes one adjoint solve
     (w, .) by J^T with the same border and the transposed drift
     preconditioner, g_u = 2 sum_k D_k^T (mu w D_k v) and g_lam = w^T (c v).
+    On a 1-D grid g's solves are by the tridiagonal LU of J, and the adjoint
+    solve by SuperLU's of J^T, a CSC matrix (two LUs on the folded family).
     Returns (fold lambda, its arclength offset along the secant from the
     point before the fold to the fold point); raises ``SolverError`` naming
     Newton's failure reason and residual when it does not converge, and
@@ -443,13 +454,14 @@ def locate_fold(
     unit[-1] = 1.0
 
     def g(u: np.ndarray, lam: float, tol: float):
-        J = quasilinear_jacobian(u, lam * c, mu, ops)
+        d = lam * c
+        J = quasilinear_jacobian(u, d, mu, ops)
         vg = linear_solve(J, unit, 0.0, border=(phi, phi, 0.0),
-                          precondition=drift_preconditioner(ops, u, lam * c, mu, h))
+                          precondition=drift_preconditioner(ops, u, d, mu, h))
 
         def gradient() -> tuple[np.ndarray, float]:
             w = linear_solve(J.T, unit, 0.0, border=(phi, phi, 0.0),
-                             precondition=drift_preconditioner(ops, u, lam * c, mu, h,
+                             precondition=drift_preconditioner(ops, u, d, mu, h,
                                                                transpose=True))[:-1]
             v = vg[:-1]
             return (2.0 * sum(D.T @ (mu * w * (D @ v)) for D in ops.gradient),

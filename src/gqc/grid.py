@@ -14,8 +14,9 @@ consumes:
   Both are stored by diagonals (scipy's DIA format), as are the Jacobians
   ``DiscreteOperators.linearized`` builds from them: a product by one is a
   pass over 2d+1 diagonals. The Laplacian and the Jacobians are
-  ``Stencil`` matrices, which an LU receives as the CSC of the Laplacian's
-  nonzero pattern.
+  ``Stencil`` matrices. On a 1-D grid they are tridiagonal, and ``factor``
+  hands their three diagonals to LAPACK's tridiagonal LU; otherwise
+  SuperLU receives the CSC of the Laplacian's nonzero pattern.
 * ``edge_diffs``: per-axis forward differences on the edge (staggered)
   grid, including the two boundary edges. These factor the Laplacian as
   sum_i E_i^T E_i and carry the energy inner product.
@@ -32,8 +33,8 @@ discrete operators the solvers use.
 
 ``linear_solve`` is the one linear solve of every Newton and continuation
 step: GMRES with the caller's preconditioner and, on a miss or without one,
-a sparse LU (``factor``) made for that call alone. No factorization is held
-between calls.
+an LU (``factor``: tridiagonal in 1-D, SuperLU otherwise) made for that call
+alone. No factorization is held between calls.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 
 class GridError(ValueError):
@@ -186,7 +188,7 @@ class Stencil(sp.dia_matrix):
 
     ``data[i, j]`` holds A[j - offsets[i], j], as in any DIA matrix, and is
     zero where the stencil would wrap around a grid line. ``tocsc`` (what
-    ``factor`` hands the LU) and ``transpose`` gather the diagonals into the
+    ``factor`` hands SuperLU) and ``transpose`` gather the diagonals into the
     CSC of the nonzero pattern of the diagonals a ``Stencil`` is constructed
     with, which keeps no such zero: one ``np.take``, where scipy's
     conversion goes through CSR. ``offsets`` must be sorted and the pattern
@@ -240,14 +242,36 @@ def _with_data(A: sp.spmatrix, data: np.ndarray) -> sp.spmatrix:
     return out
 
 
-def factor(A: sp.spmatrix) -> spla.SuperLU:
-    """Sparse LU of ``A``, the one factorization every gqc solve goes through.
+class TridiagonalLU:
+    """LAPACK's LU with partial pivoting of a tridiagonal ``Stencil``
+    (``dgttrf``), solved by ``dgttrs``: SuperLU's ``solve(b)`` without its
+    column ordering or the CSC gather. Raises ``RuntimeError`` on a zero
+    pivot, as SuperLU does on an exactly singular matrix."""
 
-    Columns are ordered by minimum degree on the pattern of A^T + A, which
+    def __init__(self, A: Stencil):
+        # data[0, j] holds A[j + 1, j], data[2, j] holds A[j - 1, j]; dgttrf
+        # works on copies, so A keeps its values
+        *self._lu, info = lapack.dgttrf(A.data[0, :-1], A.data[1], A.data[2, 1:])
+        if info > 0:
+            raise RuntimeError(f"Factor is exactly singular: zero pivot in row {info}")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return lapack.dgttrs(*self._lu, b)[0]
+
+
+def factor(A: sp.spmatrix) -> spla.SuperLU | TridiagonalLU:
+    """LU of ``A``, the one factorization every gqc solve goes through.
+
+    A ``Stencil`` with three diagonals (the Laplacian and every Jacobian of
+    a 1-D grid) takes ``TridiagonalLU``. Any other matrix takes SuperLU,
+    its columns ordered by minimum degree on the pattern of A^T + A, which
     suits the structurally symmetric matrices gqc assembles; a ``Stencil``
-    arrives as the CSC of its nonzero pattern. ``spla.splu`` is looked up at
-    each call, so a wrapper installed on it sees every factorization.
+    arrives as the CSC of its nonzero pattern. ``spla.splu`` and LAPACK's
+    routines are looked up at each call, so a wrapper installed on one sees
+    every factorization it makes.
     """
+    if isinstance(A, Stencil) and A.offsets.size == 3:
+        return TridiagonalLU(A)
     return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A")
 
 
@@ -462,7 +486,7 @@ class DiscreteOperators:
     pattern from them. Immutable after construction apart from the
     eigenvalue arrays that ``sine_solve`` and ``sine_basis`` build on their
     first call and the index arrays of the Laplacian's pattern that the
-    first LU of a ``Stencil`` builds; it holds no factorization. ``sine_solve`` and
+    first SuperLU of a ``Stencil`` builds; it holds no factorization. ``sine_solve`` and
     ``shifted_sine_solve`` invert the full-box Laplacian, shifted for the
     latter, without an LU.
     """
@@ -498,8 +522,8 @@ class DiscreteOperators:
         self._sine_weights = None  # scaled inverse eigenvalues of the Laplacian
         self._sine_basis = None  # per-axis orthonormal DST-I matrices, eigenvalues
 
-    def lap_solver(self) -> spla.SuperLU:
-        """A fresh sparse LU factorization of the Laplacian; nothing keeps it."""
+    def lap_solver(self) -> spla.SuperLU | TridiagonalLU:
+        """A fresh LU factorization of the Laplacian by ``factor``; nothing keeps it."""
         return factor(self.laplacian)
 
     def sine_solve(self, b: np.ndarray) -> np.ndarray:

@@ -101,7 +101,8 @@ def residual_with_scale(
     """The residual L u - d u - mu |grad u|^2 - h at u and the magnitude of
     those competing terms, to which the residual tolerance is relative."""
     lap_u, du, grad_term = ops.laplacian @ u, d * u, mu * grad_sq_values(u, ops)
-    scale = float(sum(np.max(np.abs(t), initial=0.0) for t in (lap_u, du, grad_term, h)))
+    scale = float(np.abs(lap_u).max() + np.abs(du).max() + np.abs(grad_term).max()
+                  + np.abs(h).max())
     return lap_u - du - grad_term - h, scale
 
 

@@ -214,6 +214,20 @@ def test_rayleigh_mixed_sign_weight_matches_dense(interval64):
     assert weighted_rayleigh_sup(w, None, ops) == pytest.approx(dense, rel=1e-8)
 
 
+def test_mixed_sign_pencil_restarts_with_a_larger_basis(interval64):
+    # the README's caveat: one 12-vector pass took 331 solves, and the 20-vector
+    # second pass after a capped first one takes fewer, to the same eigenvalue;
+    # a full-box pencil still converges within the first pass, in 13 solves
+    spec, ops = interval64
+    solve = lambda b: ops.shifted_sine_solve(b, 0.0)  # noqa: E731
+    w = mixed_sign_weight(spec)
+    nu, _, solves = conditions._pencil_top(w, ops.laplacian, solve)
+    dense = scipy.linalg.eigh(np.diag(w), ops.laplacian.toarray(), eigvals_only=True)[-1]
+    assert solves < 331
+    assert nu == pytest.approx(dense, rel=1e-10)
+    assert conditions._pencil_top(np.ones(spec.n_interior), ops.laplacian, solve)[2] == 13
+
+
 def test_rayleigh_nonconvergence_raises(interval64, monkeypatch):
     spec, ops = interval64
     monkeypatch.setattr(conditions, "EIGEN_MAX_ITER", 1)

@@ -715,6 +715,37 @@ def test_corrector_shift_is_the_mean_of_minus_v(monkeypatch):
     assert 0 < first and shifts[first] == _drift_shift(ops, problem, *step)
 
 
+@pytest.mark.parametrize("dim, n, steps, gmres_its", [(1, 64, 120, 0), (2, 48, 189, 787)])
+def test_folded_family_counts(dim, n, steps, gmres_its, monkeypatch):
+    # the folded family's Newton steps over the trace's points, seeds included,
+    # and the GMRES iterations of the trace and its located fold, pinned: a
+    # cheaper evaluation of the bordered Newton's points must keep the
+    # algorithm. No corrector step makes a SuperLU factorization: 2-D steps
+    # are GMRES runs, 1-D steps tridiagonal LUs
+    spec = GridSpec(dim, ((0.0, 1.0),) * dim, (n,) * dim)
+    ops = build_operators(spec)
+    h = "*".join(f"sin(pi*x{k + 1})" for k in range(dim))
+    problem = make_problem(spec, h=f"0.1*{h}", profile="A2")
+    opts = ContinuationOptions(norm_cap=3.0, max_points=400)
+    iterations, superlu = [], []
+    gmres, splu = grid.gmres, spla.splu
+
+    def counted(matvec, precondition, b, target, max_iter):
+        return gmres(matvec, lambda v, out: iterations.append(1) or precondition(v, out),
+                     b, target, max_iter)
+
+    monkeypatch.setattr(grid, "gmres", counted)
+    monkeypatch.setattr(spla, "splu", lambda A, **kw: superlu.append(A.shape[0]) or splu(A, **kw))
+    branch = trace_branch(problem, -2.0, ops, opts)
+    assert sum(p.newton_iters for p in branch.points) == steps
+    assert branch.termination == "norm_cap" and branch.folds
+    assert superlu == []
+    locate_fold(branch, problem, ops, opts)
+    assert len(iterations) == gmres_its
+    if dim == 2:
+        assert superlu == []
+
+
 def test_one_dimensional_branch_never_takes_the_krylov_path(fold_demo, monkeypatch):
     def refused(*args):
         raise AssertionError("Krylov path taken on a 1-D grid")

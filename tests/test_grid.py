@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 import gqc
 from gqc import (
@@ -18,7 +19,7 @@ from gqc import (
 )
 from gqc import grid
 from gqc.grid import factor
-from gqc.solver import quasilinear_jacobian
+from gqc.solver import SolveOptions, damped_newton, quasilinear_jacobian
 
 
 def test_invalid_specs_rejected():
@@ -317,14 +318,16 @@ def _diags_jacobian(u, d, mu, ops):
     (((0.0, 1.0), (0.0, 2.0), (0.5, 1.0)), (8, 10, 6)),
 ])
 def test_linearized_jacobian_matches_diags_assembly(bounds, n, monkeypatch):
-    # the CSC that ``factor`` hands the LU is the sp.diags assembly's, entry
+    # the CSC that ``factor`` hands SuperLU is the sp.diags assembly's, entry
     # for entry and without the zeros of the storage by diagonals; so is that
-    # of the transpose, and products by either agree to rounding
+    # of the transpose, and products by either agree to rounding. A 1-D
+    # Jacobian goes to LAPACK's tridiagonal LU instead, as its three diagonals
     spec = GridSpec(len(n), bounds, n)
     ops = build_operators(spec)
     received = []
-    splu = spla.splu
+    splu, dgttrf = spla.splu, lapack.dgttrf
     monkeypatch.setattr(spla, "splu", lambda A, **kw: received.append(A) or splu(A, **kw))
+    monkeypatch.setattr(lapack, "dgttrf", lambda *diags: received.append(diags) or dgttrf(*diags))
     rng = np.random.default_rng(sum(n))
     x = spec.interior_points()
     mu = 1.0 + 0.5 * np.sin(3.0 * x[:, 0]) + rng.uniform(-0.1, 0.1, spec.n_interior)
@@ -338,10 +341,104 @@ def test_linearized_jacobian_matches_diags_assembly(bounds, n, monkeypatch):
         for A, R in ((got, ref), (got.T, ref.T.tocsc())):
             factor(A)
             lu_input = received.pop()
-            assert np.array_equal(lu_input.indptr, R.indptr)
-            assert np.array_equal(lu_input.indices, R.indices)
-            assert np.array_equal(lu_input.data, R.data)
+            assert not received
+            # the transpose is a CSC, which SuperLU factors in 1-D too
+            assert isinstance(lu_input, tuple) == (spec.dim == 1 and A is got)
+            if isinstance(lu_input, tuple):
+                for diagonal, k in zip(lu_input, (-1, 0, 1)):
+                    assert np.array_equal(diagonal, R.diagonal(k))
+            else:
+                assert np.array_equal(lu_input.indptr, R.indptr)
+                assert np.array_equal(lu_input.indices, R.indices)
+                assert np.array_equal(lu_input.data, R.data)
             assert np.max(np.abs(A @ v - R @ v)) <= 1e-15 * np.max(np.abs(R @ v))
+
+
+def _random_1d_jacobian(spec, ops, seed, smooth=True):
+    """A nonsymmetric 1-D Jacobian, at a random sum of three sines or, not
+    ``smooth``, at nodal noise (whose drift dominates), with random d and mu."""
+    rng = np.random.default_rng(seed)
+    x = spec.axis_coords(0)
+    if smooth:
+        u = sum(rng.uniform(-1.0, 1.0) * np.sin(k * np.pi * x) for k in (1, 2, 3))
+    else:
+        u = rng.uniform(-1.0, 1.0, x.size)
+    d = rng.uniform(-5.0, 5.0, x.size)
+    mu = rng.uniform(-2.0, 2.0, x.size)
+    return quasilinear_jacobian(u, d, mu, ops), rng.standard_normal(x.size)
+
+
+@pytest.mark.parametrize("n", [4, 64])
+def test_tridiagonal_factor_matches_splu_and_a_dense_solve(n):
+    # a 1-D Jacobian or Laplacian is factored by LAPACK's tridiagonal LU, not
+    # SuperLU; these have condition numbers up to about 5e3
+    spec = GridSpec(1, ((0.0, 1.0),), (n,))
+    ops = build_operators(spec)
+    for seed in range(5):
+        J, b = _random_1d_jacobian(spec, ops, seed)
+        assert not np.allclose(J.toarray(), J.toarray().T)
+        for A in (J, ops.laplacian):
+            lu = factor(A)
+            assert isinstance(lu, grid.TridiagonalLU)
+            x = lu.solve(b)
+            for ref in (spla.splu(sp.csc_matrix(A)).solve(b), np.linalg.solve(A.toarray(), b)):
+                assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_tridiagonal_factor_is_backward_stable():
+    # on ill-conditioned Jacobians (drift from nodal noise) the solve errs only
+    # as the conditioning allows: its residual is at rounding level
+    spec = GridSpec(1, ((0.0, 1.0),), (257,))
+    ops = build_operators(spec)
+    for seed in range(5):
+        J, b = _random_1d_jacobian(spec, ops, seed, smooth=False)
+        x = factor(J).solve(b)
+        dense = J.toarray()
+        assert np.linalg.norm(dense @ x - b) <= 1e-15 * np.linalg.norm(dense, 2) * np.linalg.norm(x)
+
+
+def test_tridiagonal_zero_pivot_is_singular():
+    # A[:, 0] = 0: the first pivot is zero, whatever the row exchanges
+    spec = GridSpec(1, ((0.0, 1.0),), (16,))
+    ops = build_operators(spec)
+    A = ops.linearized(np.zeros(spec.n_interior), [np.zeros(spec.n_interior)])
+    A.data[:, 0] = 0.0
+    with pytest.raises(RuntimeError, match="exactly singular"):
+        factor(A)
+    b = np.ones(spec.n_interior)
+
+    def residual(x):
+        return A @ x - b, 1e-10
+
+    def step(x, R, tol):
+        return grid.linear_solve(A, -R, tol)
+
+    _, report = damped_newton(np.zeros_like(b), residual, step, SolveOptions())
+    assert not report.converged and report.failure_reason == "singular"
+
+
+@pytest.mark.parametrize("near_fold", [False, True])
+def test_one_dimensional_bordered_solve_matches_a_dense_solve(near_fold):
+    # block elimination by the tridiagonal LU plus one refinement step, against
+    # the dense bordered matrix. Near a fold, J's smallest eigenvalue is 1e-9
+    # times L's and the border is its eigenvector: the bordered matrix is regular
+    spec = GridSpec(1, ((0.0, 1.0),), (64,))
+    ops = build_operators(spec)
+    J, b = _random_1d_jacobian(spec, ops, 7)
+    rng = np.random.default_rng(8)
+    col, row = rng.standard_normal((2, spec.n_interior))
+    corner = 0.3
+    if near_fold:
+        gamma, phi = np.linalg.eigh(ops.laplacian.toarray())
+        J = ops.linearized(np.full(spec.n_interior, gamma[0] * (1.0 - 1e-9)),
+                           [np.zeros(spec.n_interior)])
+        col = row = phi[:, 0]
+        corner = 0.0
+    rhs = np.append(b, 0.7)
+    M = np.block([[J.toarray(), col[:, None]], [row[None, :], np.array([[corner]])]])
+    ref = np.linalg.solve(M, rhs)
+    x = grid.linear_solve(J, rhs, 0.0, border=(col, row, corner))
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def _nearby_jacobians(spec, ops, step=0.02):
