@@ -23,7 +23,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grid import DiscreteOperators, GridFunction, build_operators, factor, restrict
 from .problem import TAU_C_RELATIVE, ProblemData, compute_zero_mask
@@ -31,22 +30,16 @@ from .problem import TAU_C_RELATIVE, ProblemData, compute_zero_mask
 # also the order in which check_conditions evaluates them: k1 last
 CONDITION_TAGS = ("H0", "Hc", "H", "FeroneMurat", "k1")
 
-# Lanczos basis size for the one eigenvalue every pencil asks for. Solves to
-# convergence, against 20 (eigsh's default): 13 against 21 on full-box
-# pencils (1-D 64 cells, 32^2-128^2); 19 against 21 on the masked pencils of
-# a 128^2 check whose h changes sign; 25 against 21 (31 at 16^3) on other
-# masked mixed-sign weights. The count does not fall steadily with the size
-# (11 takes 18 on those 128^2 pencils, 16 takes 17-25), so re-measure before
-# changing it
-EIGEN_NCV = 12
-# restarts of that first pass; a pencil it leaves unconverged is solved again
-# from the start with EIGEN_RETRY_NCV vectors. Every pencil above converges
-# within 2 restarts; the mixed-sign weight of the README's caveat takes 163
-# solves over both passes, where 12 vectors alone take 331 and 20 take 132
-EIGEN_FIRST_MAX_ITER = 3
-EIGEN_RETRY_NCV = 20
-# cap on the second pass's restarts; each costs up to EIGEN_RETRY_NCV - 1 solves
-EIGEN_MAX_ITER = 1000
+# Lanczos basis for the one eigenvalue every pencil asks for: EIGEN_BASIS
+# vectors, of which a full basis keeps the top EIGEN_KEEP Ritz vectors when it
+# restarts. Full-box pencils (1-D 64 cells, 32^2-128^2) converge within 7-9
+# solves and never restart; the hard mixed-sign weight of the README's caveat
+# restarts often. The basis is stored without A times it: 40 vectors that
+# also kept A V raised check-2d's peak RSS by 7 %
+EIGEN_BASIS = 24
+EIGEN_KEEP = 6
+# solves after which a pencil that has not converged raises EigenError
+EIGEN_MAX_SOLVES = 20000
 
 
 class EigenError(RuntimeError):
@@ -112,37 +105,52 @@ class ExponentWitness:
 def _pencil_top(w: np.ndarray, A: sp.spmatrix, solve) -> tuple[float, np.ndarray, int]:
     """Largest eigenpair of the pencil  diag(w) x = nu A x  for SPD A.
 
-    Implicitly restarted Lanczos (ARPACK through ``eigsh``) in the
-    A-inner product, with ``solve`` applying A^{-1}: a basis of
-    ``EIGEN_NCV`` vectors for up to ``EIGEN_FIRST_MAX_ITER`` restarts, then,
-    if that has not converged, one of ``EIGEN_RETRY_NCV`` vectors for up to
-    ``EIGEN_MAX_ITER``. The all-ones start vector and the fixed generator
-    for ARPACK's restart vectors make runs deterministic. Returns (nu, x,
-    number of solves over both passes) with x^T A x = 1.
+    Thick-restart Lanczos (Wu & Simon 2000) on A^{-1} diag(w), which is
+    self-adjoint in the A-inner product, from the all-ones vector, with
+    ``solve`` applying A^{-1}. The projected matrix is V^T diag(w) V for the
+    A-orthonormal basis V, and each new vector is orthogonalized against
+    the basis twice: by that column, then by one product with A. It stops
+    when the top Ritz pair's residual ``beta |s_last|`` is within 1e-10 of
+    |nu|, when the Krylov space is invariant (beta at rounding level) or
+    when the basis spans every unknown; a full basis restarts on its top
+    ``EIGEN_KEEP`` Ritz vectors. Raises ``EigenError`` after
+    ``EIGEN_MAX_SOLVES`` solves. Returns (nu, x, number of solves) with
+    x^T A x = 1.
     """
     n = w.size
-    if n == 1:  # ARPACK needs two unknowns
-        a = float(A[0, 0])
-        return float(w[0]) / a, np.array([1.0 / math.sqrt(a)]), 0
-    solves = 0
-
-    def apply_inverse(x: np.ndarray) -> np.ndarray:
-        nonlocal solves
-        solves += 1
-        return solve(x)
-
-    Minv = spla.LinearOperator((n, n), matvec=apply_inverse, dtype=float)
-    for ncv, max_iter in ((EIGEN_NCV, EIGEN_FIRST_MAX_ITER), (EIGEN_RETRY_NCV, EIGEN_MAX_ITER)):
-        try:
-            vals, vecs = spla.eigsh(sp.diags(w), k=1, M=A, Minv=Minv, which="LA",
-                                    v0=np.ones(n), ncv=min(ncv, n), maxiter=max_iter, rng=0)
-            return float(vals[0]), vecs[:, 0], solves
-        except spla.ArpackNoConvergence as exc:
-            error = exc
-        except spla.ArpackError as exc:
-            error = exc
-            break
-    raise EigenError(f"Lanczos failed after {solves} solves: {error}") from error
+    m = min(EIGEN_BASIS, n)
+    V = np.empty((m, n))  # A-orthonormal basis, one vector per row
+    H = np.zeros((m, m))  # V^T diag(w) V
+    v = np.ones(n)
+    v /= math.sqrt(v @ (A @ v))
+    j = solves = 0
+    while True:
+        V[j] = v
+        wv = w * v
+        H[j, :j + 1] = H[:j + 1, j] = V[:j + 1] @ wv
+        theta, S = np.linalg.eigh(H[:j + 1, :j + 1])
+        beta = 0.0  # when the basis spans every unknown
+        if j + 1 < n:
+            if solves == EIGEN_MAX_SOLVES:
+                raise EigenError(f"Lanczos did not converge in {solves} solves")
+            z = solve(wv)
+            solves += 1
+            z -= H[:j + 1, j] @ V[:j + 1]
+            Az = A @ z
+            coef = V[:j + 1] @ Az
+            z -= coef @ V[:j + 1]
+            beta = math.sqrt(max(z @ Az - coef @ coef, 0.0))
+        if (beta <= 1e-14 * np.max(np.abs(theta))
+                or beta * abs(S[-1, -1]) <= 1e-10 * abs(theta[-1])):
+            x = S[:, -1] @ V[:j + 1]
+            return float(theta[-1]), x / math.sqrt(x @ (A @ x)), solves
+        v = z / beta
+        j += 1
+        if j == m:
+            V[:EIGEN_KEEP] = S[:, -EIGEN_KEEP:].T @ V
+            H[:] = 0.0
+            np.fill_diagonal(H[:EIGEN_KEEP, :EIGEN_KEEP], theta[-EIGEN_KEEP:])
+            j = EIGEN_KEEP
 
 
 def first_eigen(c: GridFunction, ops: DiscreteOperators) -> EigenResult:

@@ -27,6 +27,7 @@ budget running out. Every rejected step is recorded with its reason
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field, replace
 
@@ -154,28 +155,31 @@ def _bordered_newton(problem: ProblemData, ops: DiscreteOperators, sopts: SolveO
     """``damped_newton`` on x = (u, lam) for R(u, lam) = 0 and one scalar
     equation q(u, lam) = 0.
 
-    ``scalar(u, lam, tol)`` returns (q, q_tol, gradient), and ``gradient()``
-    the row and corner (dq/du, dq/dlam) at that point. The residual is
-    (R / tol, q / q_tol), with tol the equation's tolerance, so both must
-    reach 1 and the Armijo merit weighs both. A step is one ``linear_solve``
-    of [[J, -c u], [row^T, corner]] at the point evaluated last, to
-    min(tol, q_tol) with the Krylov target ``BORDERED_KRYLOV_RTOL``,
+    ``scalar(u, lam, tol, jacobian)`` returns (q, q_tol, gradient), and
+    ``gradient()`` the row and corner (dq/du, dq/dlam) at that point;
+    ``jacobian()`` is R's Jacobian there, assembled on its first call. The
+    residual is (R / tol, q / q_tol), with tol the equation's tolerance, so
+    both must reach 1 and the Armijo merit weighs both. A step is one
+    ``linear_solve`` of [[J, -c u], [row^T, corner]] at the point evaluated
+    last, to min(tol, q_tol) with the Krylov target ``BORDERED_KRYLOV_RTOL``,
     preconditioned by ``drift_preconditioner`` there on 2-D and 3-D grids;
     1-D grids keep LU steps (``grid.factor``'s tridiagonal LU), as GMRES took
-    twice as long on a 64-cell trace. A point's d = lam c, residual and
-    scalar equation are evaluated once, and its step reuses them.
+    twice as long on a 64-cell trace. A point's d = lam c, residual, scalar
+    equation and Jacobian are evaluated once, and its step reuses them.
     """
     c, mu, h = problem.c.values, problem.mu.values, problem.h.values
     rhs = np.empty(c.size + 1)  # a step's right-hand side, -(R, q)
-    last: list = []  # d = lam c, unscaled residual, q, step tolerance, gradient of the last point
+    # d = lam c, unscaled residual, q, step tolerance, gradient and Jacobian of the last point
+    last: list = []
 
     def residual(x: np.ndarray) -> tuple[np.ndarray, float]:
         u, lam = x[:-1], float(x[-1])
         d = lam * c
         R, rscale = residual_with_scale(u, d, mu, h, ops)
         tol = sopts.tol_residual * (1.0 + rscale)
-        q, q_tol, gradient = scalar(u, lam, tol)
-        last[:] = d, R, q, min(tol, q_tol), gradient
+        jacobian = functools.cache(lambda: quasilinear_jacobian(u, d, mu, ops))
+        q, q_tol, gradient = scalar(u, lam, tol, jacobian)
+        last[:] = d, R, q, min(tol, q_tol), gradient, jacobian
         scaled = np.empty_like(rhs)
         np.divide(R, tol, out=scaled[:-1])
         scaled[-1] = q / q_tol
@@ -183,11 +187,11 @@ def _bordered_newton(problem: ProblemData, ops: DiscreteOperators, sopts: SolveO
 
     def step(x: np.ndarray, *_) -> np.ndarray:
         u = x[:-1]
-        d, R, q, tol, gradient = last
+        d, R, q, tol, gradient, jacobian = last
         row, corner = gradient()
         np.negative(R, out=rhs[:-1])
         rhs[-1] = -q
-        return linear_solve(quasilinear_jacobian(u, d, mu, ops), rhs, tol,
+        return linear_solve(jacobian(), rhs, tol,
                             border=(-(c * u), row, corner),
                             precondition=drift_preconditioner(ops, u, d, mu, h),
                             rtol=BORDERED_KRYLOV_RTOL)
@@ -204,7 +208,7 @@ def _corrector(problem: ProblemData, ops: DiscreteOperators, opts: ContinuationO
     else ``corrector_failed``)."""
     cvec = _arclength_row(ops, base_u, t_u)
 
-    def arclength(u: np.ndarray, lam: float, tol: float):
+    def arclength(u: np.ndarray, lam: float, tol: float, _jacobian):
         q = t_lam * (lam - base_lam) + float(cvec @ (u - base_u)) - ds
         return q, 1e-10 * (1.0 + abs(ds)), lambda: (cvec, t_lam)
 
@@ -453,9 +457,9 @@ def locate_fold(
     unit = np.zeros(du.size + 1)
     unit[-1] = 1.0
 
-    def g(u: np.ndarray, lam: float, tol: float):
+    def g(u: np.ndarray, lam: float, tol: float, jacobian):
         d = lam * c
-        J = quasilinear_jacobian(u, d, mu, ops)
+        J = jacobian()
         vg = linear_solve(J, unit, 0.0, border=(phi, phi, 0.0),
                           precondition=drift_preconditioner(ops, u, d, mu, h))
 

@@ -3,6 +3,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gqc import (
     GridFunction,
@@ -19,6 +21,7 @@ from gqc import (
 from gqc import conditions
 from gqc.conditions import EigenError
 from gqc.grid import factor, restrict
+from gqc.oracle import dense_eigen_oracle
 
 from conftest import make_problem
 
@@ -214,25 +217,84 @@ def test_rayleigh_mixed_sign_weight_matches_dense(interval64):
     assert weighted_rayleigh_sup(w, None, ops) == pytest.approx(dense, rel=1e-8)
 
 
-def test_mixed_sign_pencil_restarts_with_a_larger_basis(interval64):
-    # the README's caveat: one 12-vector pass took 331 solves, and the 20-vector
-    # second pass after a capped first one takes fewer, to the same eigenvalue;
-    # a full-box pencil still converges within the first pass, in 13 solves
+def test_mixed_sign_pencil_restarts_on_its_top_ritz_vectors(interval64):
+    # the README's caveat: the basis fills and restarts on its top Ritz vectors
+    # (65 solves; test_mixed_sign_bump_matches_dense checks the value), while a
+    # full-box pencil converges in 7 solves without a restart
     spec, ops = interval64
     solve = lambda b: ops.shifted_sine_solve(b, 0.0)  # noqa: E731
-    w = mixed_sign_weight(spec)
-    nu, _, solves = conditions._pencil_top(w, ops.laplacian, solve)
+    solves = conditions._pencil_top(mixed_sign_weight(spec), ops.laplacian, solve)[2]
+    assert solves > conditions.EIGEN_BASIS
+    assert conditions._pencil_top(np.ones(spec.n_interior), ops.laplacian, solve)[2] == 7
+
+
+@pytest.mark.parametrize("dim, n, arpack_solves", [(1, 64, 163), (2, 32, 432), (3, 12, 5842)])
+def test_mixed_sign_bump_matches_dense(dim, n, arpack_solves):
+    # the bump along x1 on every dimension, against the dense pencil and
+    # ARPACK's solve counts on the same pencils
+    spec = GridSpec(dim, ((0.0, 1.0),) * dim, (n,) * dim)
+    ops = build_operators(spec)
+    w = -1.0 + 1.1 * np.exp(-((spec.interior_points()[:, 0] - 0.3) ** 2) / 0.01)
+    nu, _, solves = conditions._pencil_top(w, ops.laplacian,
+                                           lambda b: ops.shifted_sine_solve(b, 0.0))
     dense = scipy.linalg.eigh(np.diag(w), ops.laplacian.toarray(), eigvals_only=True)[-1]
-    assert solves < 331
     assert nu == pytest.approx(dense, rel=1e-10)
-    assert conditions._pencil_top(np.ones(spec.n_interior), ops.laplacian, solve)[2] == 13
+    assert solves < arpack_solves
+
+
+def test_pencil_vector_has_unit_energy(square32):
+    # x^T A x = 1 on the sine-basis path and on a masked LU path
+    spec, ops = square32
+    w = -1.0 + 1.1 * np.exp(-((spec.interior_points()[:, 0] - 0.3) ** 2) / 0.01)
+    mask = spec.interior_points()[:, 1] > 0.4
+    Am = restrict(ops.laplacian, mask)
+    for A, weight, solve in ((ops.laplacian, w, lambda b: ops.shifted_sine_solve(b, 0.0)),
+                             (Am, w[mask], factor(Am).solve)):
+        _, x, _ = conditions._pencil_top(weight, A, solve)
+        assert x @ (A @ x) == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pencil_on_an_exhausted_krylov_space(n):
+    # a basis of every unknown gives the exact top eigenvalue; the last
+    # vector needs no solve
+    A = scipy.sparse.diags([-1.0, 2.5, -1.0], [-1, 0, 1], shape=(n, n), format="csc")
+    w = np.array([0.7, -1.3, 0.4])[:n]
+    nu, x, solves = conditions._pencil_top(w, A, factor(A).solve)
+    dense = scipy.linalg.eigh(np.diag(w), A.toarray(), eigvals_only=True)[-1]
+    assert nu == pytest.approx(dense, rel=1e-12)
+    assert solves == n - 1
+    assert np.linalg.norm(w * x - nu * (A @ x)) <= 1e-12 * abs(nu)
 
 
 def test_rayleigh_nonconvergence_raises(interval64, monkeypatch):
+    # the mixed-sign weight takes 65 solves; a cap of 30 stops it
     spec, ops = interval64
-    monkeypatch.setattr(conditions, "EIGEN_MAX_ITER", 1)
-    with pytest.raises(EigenError):
+    monkeypatch.setattr(conditions, "EIGEN_MAX_SOLVES", 30)
+    with pytest.raises(EigenError, match="in 30 solves"):
         weighted_rayleigh_sup(mixed_sign_weight(spec), None, ops)
+
+
+@st.composite
+def mixed_sign_pencils(draw):
+    dim = draw(st.integers(1, 3))
+    # at most 256 interior nodes, the dense oracle's limit
+    cells = {1: 257, 2: 17, 3: 7}[dim]
+    spec = GridSpec(dim, ((0.0, 1.0),) * dim,
+                    tuple(draw(st.integers(4, cells)) for _ in range(dim)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.standard_normal(spec.n_interior) + draw(st.floats(-2.0, 0.5))
+    assume(np.max(w) > 0.0 > np.min(w))
+    return spec, w
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(pencil=mixed_sign_pencils())
+def test_pencil_top_matches_the_dense_oracle(pencil):
+    spec, w = pencil
+    ops = build_operators(spec)
+    nu = weighted_rayleigh_sup(w, None, ops)
+    assert nu == pytest.approx(1.0 / dense_eigen_oracle(GridFunction(spec, w), ops), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

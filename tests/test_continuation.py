@@ -578,6 +578,20 @@ def test_locate_fold_holds_one_factor(fold_square24, monkeypatch):
     assert abs(lam - lam_lu) <= 1e-10 * abs(lam_lu)
 
 
+@pytest.mark.parametrize("which", ["fold_demo", "fold_square24"])
+def test_locate_fold_assembles_one_jacobian_per_point(which, request, monkeypatch):
+    # g's bordered solve and the Newton step at the same (u, lam) share one
+    # assembly: one Jacobian per evaluated point, at least one step taken
+    data = request.getfixturevalue(which)
+    jacobians, points = [], []
+    monkeypatch.setattr(continuation, "quasilinear_jacobian",
+                        lambda *a: jacobians.append(1) or quasilinear_jacobian(*a))
+    monkeypatch.setattr(continuation, "residual_with_scale",
+                        lambda *a: points.append(1) or residual_with_scale(*a))
+    locate_fold(data["branch"], data["problem"], data["ops"], data["opts"])
+    assert len(jacobians) == len(points) > 1
+
+
 def test_locate_fold_raises_when_newton_fails(fold_demo):
     # Newton from the fold point takes more than one step
     opts = ContinuationOptions(norm_cap=3.0, max_points=400, solve=SolveOptions(max_newton=1))
