@@ -155,9 +155,10 @@ def _bordered_newton(problem: ProblemData, ops: DiscreteOperators, sopts: SolveO
     """``damped_newton`` on x = (u, lam) for R(u, lam) = 0 and one scalar
     equation q(u, lam) = 0.
 
-    ``scalar(u, lam, tol, jacobian)`` returns (q, q_tol, gradient), and
-    ``gradient()`` the row and corner (dq/du, dq/dlam) at that point;
-    ``jacobian()`` is R's Jacobian there, assembled on its first call. The
+    ``scalar(u, lam, tol, jacobian, precondition)`` returns (q, q_tol,
+    gradient), and ``gradient()`` the row and corner (dq/du, dq/dlam) at that
+    point; ``jacobian()`` is R's Jacobian there and ``precondition()`` its
+    ``drift_preconditioner``, each built on its first call. The
     residual is (R / tol, q / q_tol), with tol the equation's tolerance, so
     both must reach 1 and the Armijo merit weighs both. A step is one
     ``linear_solve`` of [[J, -c u], [row^T, corner]] at the point evaluated
@@ -165,11 +166,13 @@ def _bordered_newton(problem: ProblemData, ops: DiscreteOperators, sopts: SolveO
     preconditioned by ``drift_preconditioner`` there on 2-D and 3-D grids;
     1-D grids keep LU steps (``grid.factor``'s tridiagonal LU), as GMRES took
     twice as long on a 64-cell trace. A point's d = lam c, residual, scalar
-    equation and Jacobian are evaluated once, and its step reuses them.
+    equation, Jacobian and preconditioner are evaluated once, and its step
+    reuses them.
     """
     c, mu, h = problem.c.values, problem.mu.values, problem.h.values
     rhs = np.empty(c.size + 1)  # a step's right-hand side, -(R, q)
-    # d = lam c, unscaled residual, q, step tolerance, gradient and Jacobian of the last point
+    # unscaled residual, q, step tolerance, gradient, Jacobian and
+    # preconditioner of the last point
     last: list = []
 
     def residual(x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -178,23 +181,21 @@ def _bordered_newton(problem: ProblemData, ops: DiscreteOperators, sopts: SolveO
         R, rscale = residual_with_scale(u, d, mu, h, ops)
         tol = sopts.tol_residual * (1.0 + rscale)
         jacobian = functools.cache(lambda: quasilinear_jacobian(u, d, mu, ops))
-        q, q_tol, gradient = scalar(u, lam, tol, jacobian)
-        last[:] = d, R, q, min(tol, q_tol), gradient, jacobian
+        precondition = functools.cache(lambda: drift_preconditioner(ops, u, d, mu, h))
+        q, q_tol, gradient = scalar(u, lam, tol, jacobian, precondition)
+        last[:] = R, q, min(tol, q_tol), gradient, jacobian, precondition
         scaled = np.empty_like(rhs)
         np.divide(R, tol, out=scaled[:-1])
         scaled[-1] = q / q_tol
         return scaled, 1.0
 
     def step(x: np.ndarray, *_) -> np.ndarray:
-        u = x[:-1]
-        d, R, q, tol, gradient, jacobian = last
+        R, q, tol, gradient, jacobian, precondition = last
         row, corner = gradient()
         np.negative(R, out=rhs[:-1])
         rhs[-1] = -q
-        return linear_solve(jacobian(), rhs, tol,
-                            border=(-(c * u), row, corner),
-                            precondition=drift_preconditioner(ops, u, d, mu, h),
-                            rtol=BORDERED_KRYLOV_RTOL)
+        return linear_solve(jacobian(), rhs, tol, border=(-(c * x[:-1]), row, corner),
+                            precondition=precondition(), rtol=BORDERED_KRYLOV_RTOL)
 
     return damped_newton(x0, residual, step, sopts)
 
@@ -208,7 +209,7 @@ def _corrector(problem: ProblemData, ops: DiscreteOperators, opts: ContinuationO
     else ``corrector_failed``)."""
     cvec = _arclength_row(ops, base_u, t_u)
 
-    def arclength(u: np.ndarray, lam: float, tol: float, _jacobian):
+    def arclength(u: np.ndarray, lam: float, tol: float, *_):
         q = t_lam * (lam - base_lam) + float(cvec @ (u - base_u)) - ds
         return q, 1e-10 * (1.0 + abs(ds)), lambda: (cvec, t_lam)
 
@@ -431,9 +432,11 @@ def locate_fold(
     [[J, phi], [phi^T, 0]] (v, g) = (0, 1) and phi is the unit secant from
     the point before the fold to the fold point: g vanishes exactly where J
     is singular, so the fold needs no bracket. g must reach the equation's
-    tolerance over 1 + max|L phi|. A step's row takes one adjoint solve
-    (w, .) by J^T with the same border and the transposed drift
-    preconditioner, g_u = 2 sum_k D_k^T (mu w D_k v) and g_lam = w^T (c v).
+    tolerance over 1 + max|L phi|. g's solve takes the point's Jacobian and
+    drift preconditioner, which the step at that point reuses. A step's row
+    takes one adjoint solve (w, .) by J^T with the same border and the
+    transposed drift preconditioner, g_u = 2 sum_k D_k^T (mu w D_k v) and
+    g_lam = w^T (c v).
     On a 1-D grid g's solves are by the tridiagonal LU of J, and the adjoint
     solve by SuperLU's of J^T, a CSC matrix (two LUs on the folded family).
     Returns (fold lambda, its arclength offset along the secant from the
@@ -457,15 +460,13 @@ def locate_fold(
     unit = np.zeros(du.size + 1)
     unit[-1] = 1.0
 
-    def g(u: np.ndarray, lam: float, tol: float, jacobian):
-        d = lam * c
+    def g(u: np.ndarray, lam: float, tol: float, jacobian, precondition):
         J = jacobian()
-        vg = linear_solve(J, unit, 0.0, border=(phi, phi, 0.0),
-                          precondition=drift_preconditioner(ops, u, d, mu, h))
+        vg = linear_solve(J, unit, 0.0, border=(phi, phi, 0.0), precondition=precondition())
 
         def gradient() -> tuple[np.ndarray, float]:
             w = linear_solve(J.T, unit, 0.0, border=(phi, phi, 0.0),
-                             precondition=drift_preconditioner(ops, u, d, mu, h,
+                             precondition=drift_preconditioner(ops, u, lam * c, mu, h,
                                                                transpose=True))[:-1]
             v = vg[:-1]
             return (2.0 * sum(D.T @ (mu * w * (D @ v)) for D in ops.gradient),

@@ -34,7 +34,10 @@ discrete operators the solvers use.
 ``linear_solve`` is the one linear solve of every Newton and continuation
 step: GMRES with the caller's preconditioner and, on a miss or without one,
 an LU (``factor``: tridiagonal in 1-D, SuperLU otherwise) made for that call
-alone. No factorization is held between calls.
+alone. No factorization is held between calls. A bordered system's GMRES
+run is preconditioned block lower-triangularly, one application of the
+caller's preconditioner per iteration; its direct solve is block
+elimination by the LU.
 """
 
 from __future__ import annotations
@@ -276,9 +279,10 @@ def factor(A: sp.spmatrix) -> spla.SuperLU | TridiagonalLU:
 
 
 # GMRES iterations before a solve counts as a miss and A is factored for that
-# call alone. With ``solver.drift_preconditioner`` corrector steps take 1-8
-# (mostly 3-7) along 48^2 and 24^3 branches to sup u = 3, and 2-D Newton steps
-# from zero 1-5; 3-D Newton steps with the Laplacian inverse
+# call alone. With ``solver.drift_preconditioner`` under the border
+# preconditioner, corrector steps take 1-6 (mostly 2-5) along 48^2 and 24^3
+# branches to sup u = 3 and the fold's g and adjoint solves 6, and 2-D Newton
+# steps from zero 1-5; 3-D Newton steps with the Laplacian inverse
 # (``DiscreteOperators.sine_solve``) take up to 6 from smooth starts and 9-14 on
 # the first step from ``multi_start``'s noise starts. First steps from 2-D noise
 # starts miss
@@ -309,56 +313,60 @@ def gmres(
     residual), or None when ``max_iter`` iterations do not get there or a
     value turns non-finite. Arnoldi orthogonalizes by classical
     Gram-Schmidt applied twice; Givens rotations track the residual norm.
+    The Hessenberg columns, the rotations and the back-substitution are
+    Python floats: at a few dozen entries numpy's per-element cost exceeds
+    the arithmetic.
     """
-    beta = float(np.linalg.norm(b))
+    beta = math.sqrt(float(b @ b))
     if beta <= target:
         return np.zeros_like(b)
-    if not np.isfinite(beta):
+    if not math.isfinite(beta):
         return None
     V = np.empty((max_iter + 1, b.size))
     Z = np.empty((max_iter, b.size))
-    H = np.zeros((max_iter + 1, max_iter))
-    cs = np.zeros(max_iter)
-    sn = np.zeros(max_iter)
-    g = np.zeros(max_iter + 1)
-    g[0] = beta
-    V[0] = b / beta
+    R: list[list[float]] = []  # the rotated Hessenberg columns, upper triangular
+    cs: list[float] = []
+    sn: list[float] = []
+    g = [beta]
+    np.divide(b, beta, out=V[0])
     for j in range(max_iter):
         precondition(V[j], Z[j])
         w = V[j + 1]  # orthogonalized and normalized in place
         matvec(Z[j], w)
-        h = V[: j + 1] @ w
-        w -= h @ V[: j + 1]
-        h2 = V[: j + 1] @ w
-        w -= h2 @ V[: j + 1]
-        H[: j + 1, j] = h + h2
-        hn = float(np.linalg.norm(w))
-        if not np.isfinite(hn):
+        basis = V[: j + 1]
+        h = basis @ w
+        w -= h @ basis
+        h2 = basis @ w
+        w -= h2 @ basis
+        col = (h + h2).tolist()
+        hn = math.sqrt(float(w @ w))
+        if not math.isfinite(hn):
             return None
-        H[j + 1, j] = hn
         if hn > 0.0:
             w /= hn
         for i in range(j):
-            a, c = H[i, j], H[i + 1, j]
-            H[i, j] = cs[i] * a + sn[i] * c
-            H[i + 1, j] = cs[i] * c - sn[i] * a
-        r = math.hypot(H[j, j], hn)
+            a, c = col[i], col[i + 1]
+            col[i] = cs[i] * a + sn[i] * c
+            col[i + 1] = cs[i] * c - sn[i] * a
+        r = math.hypot(col[j], hn)
         if r == 0.0:
             return None
-        cs[j], sn[j] = H[j, j] / r, hn / r
-        H[j, j], H[j + 1, j] = r, 0.0
-        g[j + 1] = -sn[j] * g[j]
+        cs.append(col[j] / r)
+        sn.append(hn / r)
+        col[j] = r
+        R.append(col)
+        g.append(-sn[j] * g[j])
         g[j] *= cs[j]
         if abs(g[j + 1]) <= target:
             k = j + 1
-            y = np.zeros(k)
+            y = [0.0] * k
             for i in range(k - 1, -1, -1):
-                y[i] = (g[i] - H[i, i + 1:k] @ y[i + 1:]) / H[i, i]
-            x = y @ Z[:k]
+                y[i] = (g[i] - sum(R[m][i] * y[m] for m in range(i + 1, k))) / R[i][i]
+            x = np.array(y) @ Z[:k]
             ax = V[0]  # the basis is spent
             matvec(x, ax)
-            res = float(np.linalg.norm(b - ax))
-            return x if res <= target else None
+            ax -= b
+            return x if math.sqrt(float(ax @ ax)) <= target else None
     return None
 
 
@@ -376,24 +384,23 @@ def linear_solve(
 
     M is A or, with ``border = (col, row, corner)``, the bordered matrix
     [[A, col], [row^T, corner]], whose b and x are one entry longer. With a
-    ``precondition`` (an approximate solve by A), GMRES runs for up to
+    ``precondition`` P^-1 (an approximate solve by A), GMRES runs for up to
     ``KRYLOV_MAX_ITER`` iterations, to max(rtol |b|, ``KRYLOV_TOL_SHARE``
     tol), rtol defaulting to ``KRYLOV_RTOL``; on a miss, or without one, A
     is factored by ``factor`` for this call alone and M solved directly. A
-    bordered system is preconditioned, and solved directly, by block
-    elimination with a solve by A (``_block_elimination``); a direct solve
-    takes one step of iterative refinement against the bordered residual,
-    which keeps it accurate where A is nearly singular, as at a fold.
-    ``gmres`` and ``factor`` are looked up at each call. A ``RuntimeError``
-    propagates when A cannot be factored or when the Schur scalar of a
-    bordered solve is zero or not finite.
+    bordered system is preconditioned by the block lower-triangular
+    [[P, 0], [row^T, corner]] ([[P, 0], [0, 1]] when corner is 0), one
+    application of P^-1 per GMRES iteration and none for ``col``. It is
+    solved directly by block elimination (``_block_elimination``) and one
+    step of iterative refinement against the bordered residual, which keeps
+    it accurate where A is nearly singular, as at a fold. ``gmres`` and
+    ``factor`` are looked up at each call. A ``RuntimeError`` propagates
+    when A cannot be factored or when the Schur scalar of a direct bordered
+    solve is zero or not finite.
     """
     if border is None:
         def matvec(v: np.ndarray, out: np.ndarray) -> None:
             np.copyto(out, A @ v)
-
-        def inverse(solve):
-            return lambda r, out: np.copyto(out, solve(r))
     else:
         col, row, corner = border
 
@@ -401,19 +408,25 @@ def linear_solve(
             np.add(A @ x[:-1], x[-1] * col, out=out[:-1])
             out[-1] = row @ x[:-1] + corner * x[-1]
 
-        def inverse(solve):
-            return _block_elimination(solve, col, row, corner)
-
     if precondition is not None:
+        if border is None:
+            def apply(r: np.ndarray, out: np.ndarray) -> None:
+                np.copyto(out, precondition(r))
+        else:
+            def apply(r: np.ndarray, out: np.ndarray) -> None:
+                z = out[:-1]
+                np.copyto(z, precondition(r[:-1]))
+                out[-1] = (r[-1] - float(row @ z)) / corner if corner else r[-1]
+
         rtol = KRYLOV_RTOL if rtol is None else rtol
-        target = max(rtol * float(np.linalg.norm(b)), KRYLOV_TOL_SHARE * tol)
-        x = gmres(matvec, inverse(precondition), b, target, KRYLOV_MAX_ITER)
+        target = max(rtol * math.sqrt(float(b @ b)), KRYLOV_TOL_SHARE * tol)
+        x = gmres(matvec, apply, b, target, KRYLOV_MAX_ITER)
         if x is not None:
             return x
     solve = factor(A).solve
     if border is None:
         return solve(b)
-    direct = inverse(solve)
+    direct = _block_elimination(solve, col, row, corner)
     x, dx = np.empty_like(b), np.empty_like(b)
     direct(b, x)
     matvec(x, dx)
@@ -427,7 +440,8 @@ def _block_elimination(
     """The inverse of [[A, col], [row^T, corner]] from ``solve``, a solve by
     A (Keller's bordering lemma), as ``inverse(r, out)``, which writes into
     ``out``: the last entry follows from the Schur scalar
-    corner - row.A^-1 col, the others by one more solve. Raises
+    corner - row.A^-1 col, the others by one more solve. ``linear_solve``'s
+    direct path; its Krylov path needs no solve for ``col``. Raises
     ``RuntimeError`` when that scalar is zero or not finite."""
     w = solve(col)
     schur = corner - float(row @ w)
@@ -463,6 +477,15 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     return np.moveaxis(-0.5 * np.fft.rfft(odd, axis=-1).imag[..., 1:m + 1], -1, 0)
 
 
+def _sine_products(y: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """y on the index block, a flat vector or an array in C order, times the
+    orthonormal DST-I matrix of each axis (``DiscreteOperators.sine_basis``):
+    each product moves the first axis last, so d of them restore the order."""
+    for Q in mats:
+        y = y.reshape(Q.shape[0], -1).T @ Q
+    return y
+
+
 def _sine_eigenvalues(spec: GridSpec) -> np.ndarray:
     """The Laplacian's eigenvalues on the index block; that of the sine mode
     (j_1, ..., j_d) is sum_k (2 - 2 cos(j_k pi / (m_k + 1))) / h_k^2, summed
@@ -486,9 +509,9 @@ class DiscreteOperators:
     pattern from them. Immutable after construction apart from the
     eigenvalue arrays that ``sine_solve`` and ``sine_basis`` build on their
     first call and the index arrays of the Laplacian's pattern that the
-    first SuperLU of a ``Stencil`` builds; it holds no factorization. ``sine_solve`` and
-    ``shifted_sine_solve`` invert the full-box Laplacian, shifted for the
-    latter, without an LU.
+    first SuperLU of a ``Stencil`` builds; it holds no factorization. ``sine_solve``,
+    ``shifted_sine_solve`` and ``shifted_sine_solver`` invert the full-box
+    Laplacian, shifted for the latter two, without an LU.
     """
 
     def __init__(self, spec: GridSpec):
@@ -557,13 +580,16 @@ class DiscreteOperators:
         ``sine_basis`` along each axis (fast diagonalization, O(m^(d+1)) per
         solve); ``shift`` must not be an eigenvalue of L."""
         mats, eig = self.sine_basis()
-        y = b
-        for Q in mats:  # each product moves the first axis last: d of them restore the order
-            y = y.reshape(Q.shape[0], -1).T @ Q
-        y = y.reshape(eig.shape) / (eig - shift)
-        for Q in mats:
-            y = y.reshape(Q.shape[0], -1).T @ Q
-        return y.ravel()
+        return _sine_products(_sine_products(b, mats).reshape(eig.shape) / (eig - shift),
+                              mats).ravel()
+
+    def shifted_sine_solver(self, shift: float) -> Callable[[np.ndarray], np.ndarray]:
+        """``shifted_sine_solve`` with ``shift`` fixed, for many solves: 1 / (eig - shift)
+        is formed here, so a solve is the 2d per-axis products and one scaling."""
+        mats, eig = self.sine_basis()
+        scale = 1.0 / (eig - shift)
+        return lambda b: _sine_products(_sine_products(b, mats).reshape(eig.shape) * scale,
+                                        mats).ravel()
 
     def linearized(self, reaction: np.ndarray, drift: Sequence[np.ndarray]) -> Stencil:
         """The matrix of  v -> L v - reaction v - sum_k drift[k] D_k v.

@@ -173,25 +173,30 @@ def drift_preconditioner(
     At a solution u with constant mu the Jacobian is
     e^{-mu u} (L + V) e^{mu u} with V = -d (1 + mu u) - mu h (the identity
     behind the Cole-Hopf transform). The preconditioner is
-    r -> e^{-mu u} (L - sigma)^-1 (e^{mu u} r) by ``ops.shifted_sine_solve``,
-    with sigma the mean of -V capped at ``SHIFT_CAP`` times L's smallest
-    eigenvalue, so GMRES is left only V's variation, the drift's where mu
-    varies and, off a solution, the identity's defect. mu, d and h enter
-    nodewise. The exponent is mu u - max(mu u), which leaves the
-    preconditioner unchanged, floored at ``DRIFT_EXP_FLOOR``. With
-    ``transpose`` it is the exact transpose from the same factors and shift,
-    r -> e^{mu u} (L - sigma)^-1 (e^{-mu u} r), for solves by J^T.
+    r -> e^{-mu u} (L - sigma)^-1 (e^{mu u} r) by
+    ``ops.shifted_sine_solver(sigma)``, with sigma the mean of -V capped at
+    ``SHIFT_CAP`` times L's smallest eigenvalue, so GMRES is left only V's
+    variation, the drift's where mu varies and, off a solution, the
+    identity's defect. mu, d and h enter nodewise. The exponent is
+    mu u - max(mu u), which leaves the preconditioner unchanged, floored at
+    ``DRIFT_EXP_FLOOR``. The factors, the shift and 1 / (eig - sigma) are
+    formed here, once per point: an application is the per-axis sine
+    products and two scalings. With ``transpose`` it is the exact transpose
+    from the same factors and shift, r -> e^{mu u} (L - sigma)^-1 (e^{-mu u} r),
+    for solves by J^T.
     """
     if ops.spec.dim == 1:
         return None
     mu_u = mu * u
     exponent = np.maximum(mu_u - np.max(mu_u), DRIFT_EXP_FLOOR)
     up, down = np.exp(exponent), np.exp(-exponent)
+    # the sine eigenvalues rise along every axis: the first is the smallest
     sigma = min(float(np.mean(d * (1.0 + mu_u) + mu * h)),
-                SHIFT_CAP * float(ops.sine_basis()[1].min()))
+                SHIFT_CAP * float(ops.sine_basis()[1].flat[0]))
     if transpose:
         up, down = down, up
-    return lambda r: down * ops.shifted_sine_solve(up * r, sigma)
+    solve = ops.shifted_sine_solver(sigma)
+    return lambda r: down * solve(up * r)
 
 
 def newton_quasilinear(

@@ -365,20 +365,21 @@ def test_corrector_matches_bordered_lu(fold_square24, monkeypatch):
     args = (data["problem"], data["ops"], data["opts"])
     sizes = _counting_factor(monkeypatch)
     shifts = []
-    shifted_solve = data["ops"].shifted_sine_solve
-    monkeypatch.setattr(data["ops"], "shifted_sine_solve",
-                        lambda r, shift: shifts.append(shift) or shifted_solve(r, shift))
+    shifted_solver = data["ops"].shifted_sine_solver
+    monkeypatch.setattr(data["ops"], "shifted_sine_solver",
+                        lambda shift: shifts.append(shift) or shifted_solver(shift))
     runs = _counting_gmres(monkeypatch)
     step, ds = _ordinary_step(data)
     got = continuation._corrector(*args, *step, ds)
     _assert_same_step(got, _reference_corrector(*args, *step, ds))
     assert len(runs) == got[2]
     # the shift is the mean of d (1 + mu u) + mu h at each Newton step, from the
-    # predictor's on; five times the step takes two
+    # predictor's on, and each step builds its preconditioner once; five times
+    # the step takes two
     shifts.clear()
     got = continuation._corrector(*args, *step, 5 * ds)
     assert shifts[0] == _drift_shift(data["ops"], data["problem"], *step, 5 * ds)
-    assert len(set(shifts)) == got[2] > 1
+    assert len(set(shifts)) == len(shifts) == got[2] > 1
     # at the located fold the Jacobian is nearly singular, and the shift is capped
     step, sigma = data["fold_step"], data["sigma"]
     shifts.clear()
@@ -388,7 +389,8 @@ def test_corrector_matches_bordered_lu(fold_square24, monkeypatch):
     assert got[1] == pytest.approx(data["lam_fold"], rel=1e-10)
     assert len(runs) == got[2]
     assert set(shifts) == {solver.SHIFT_CAP * data["ops"].sine_basis()[1].min()}
-    # GMRES on block elimination by the drift preconditioner throughout: no LU at all
+    # GMRES preconditioned by the drift preconditioner and the border throughout:
+    # no LU at all
     assert sizes == []
     J = quasilinear_jacobian(got[0], got[1] * data["problem"].c.values,
                              data["problem"].mu.values, data["ops"]).toarray()
@@ -500,25 +502,23 @@ def test_krylov_targets_per_caller(fold_square24, monkeypatch):
             assert min(got) == pytest.approx(rtol, rel=1e-12), (caller, job)
 
 
-def _bordered_gmres_iterations(J, border, b, solve):
-    """GMRES iterations to 1e-9 |b| on the bordered J, preconditioned by block
-    elimination with ``solve``."""
-    col, row, corner = border
+def _bordered_gmres_iterations(J, border, b, solve, monkeypatch):
+    """GMRES iterations of ``linear_solve`` to 1e-9 |b| on the bordered J,
+    its border preconditioner built on ``solve``; up to 100, and no miss."""
     solves = []
 
-    def matvec(x, out):
-        out[:] = np.append(J @ x[:-1] + x[-1] * col, row @ x[:-1] + corner * x[-1])
+    def missed(A):
+        raise AssertionError("GMRES missed")
 
-    def counted(r):
-        solves.append(1)
-        return solve(r)
+    with monkeypatch.context() as patch:
+        patch.setattr(grid, "KRYLOV_MAX_ITER", 100)
+        patch.setattr(grid, "factor", missed)
+        grid.linear_solve(J, b, 0.0, border=border,
+                          precondition=lambda r: solves.append(1) or solve(r))
+    return len(solves)
 
-    precondition = grid._block_elimination(counted, col, row, corner)
-    assert grid.gmres(matvec, precondition, b, 1e-9 * np.linalg.norm(b), 100) is not None
-    return len(solves) - 1  # one solve, of col, sets the elimination up
 
-
-def test_drift_preconditioner_beats_the_shifted_sine_solve(fold_square24):
+def test_drift_preconditioner_beats_the_shifted_sine_solve(fold_square24, monkeypatch):
     # bordered Jacobians as the tracer forms them, on the lower branch, at the
     # fold and on the upper branch
     data = fold_square24
@@ -537,10 +537,11 @@ def test_drift_preconditioner_beats_the_shifted_sine_solve(fold_square24):
         J = quasilinear_jacobian(u, lam * c, mu, ops)
         b = rng.standard_normal(u.size + 1)
         drift = _bordered_gmres_iterations(
-            J, border, b, solver.drift_preconditioner(ops, u, lam * c, mu, h))
+            J, border, b, solver.drift_preconditioner(ops, u, lam * c, mu, h), monkeypatch)
         shifted = _bordered_gmres_iterations(
             J, border, b,
-            lambda r: ops.shifted_sine_solve(r, min(lam * float(np.mean(c)), shift_cap)))
+            lambda r: ops.shifted_sine_solve(r, min(lam * float(np.mean(c)), shift_cap)),
+            monkeypatch)
         assert drift < shifted, (i, drift, shifted)
 
 
@@ -581,15 +582,22 @@ def test_locate_fold_holds_one_factor(fold_square24, monkeypatch):
 @pytest.mark.parametrize("which", ["fold_demo", "fold_square24"])
 def test_locate_fold_assembles_one_jacobian_per_point(which, request, monkeypatch):
     # g's bordered solve and the Newton step at the same (u, lam) share one
-    # assembly: one Jacobian per evaluated point, at least one step taken
+    # assembly and one drift preconditioner: one of each per evaluated point,
+    # at least one step taken
     data = request.getfixturevalue(which)
-    jacobians, points = [], []
+    jacobians, points, preconditioners = [], [], []
     monkeypatch.setattr(continuation, "quasilinear_jacobian",
                         lambda *a: jacobians.append(1) or quasilinear_jacobian(*a))
+    drift = solver.drift_preconditioner
+    monkeypatch.setattr(continuation, "drift_preconditioner",
+                        lambda *a, transpose=False: preconditioners.append(transpose)
+                        or drift(*a, transpose=transpose))
     monkeypatch.setattr(continuation, "residual_with_scale",
                         lambda *a: points.append(1) or residual_with_scale(*a))
     locate_fold(data["branch"], data["problem"], data["ops"], data["opts"])
     assert len(jacobians) == len(points) > 1
+    # each step's adjoint solve builds the transposed preconditioner
+    assert preconditioners.count(False) == len(points) > preconditioners.count(True) > 0
 
 
 def test_locate_fold_raises_when_newton_fails(fold_demo):
@@ -648,14 +656,14 @@ def test_cube_trace_and_fold_make_no_lu(monkeypatch):
         return got
 
     shifts = []
-    shifted_solve = ops.shifted_sine_solve
+    shifted_solver = ops.shifted_sine_solver
 
-    def recorded_shift(r, shift):
+    def recorded_shift(shift):
         shifts.append(shift)
-        return shifted_solve(r, shift)
+        return shifted_solver(shift)
 
     monkeypatch.setattr(continuation, "_corrector", recorded)
-    monkeypatch.setattr(ops, "shifted_sine_solve", recorded_shift)
+    monkeypatch.setattr(ops, "shifted_sine_solver", recorded_shift)
     branch = trace_branch(problem, -2.0, ops, opts)
     in_trace = len(steps)
     solves = _counting_linear_solves(monkeypatch)
@@ -718,44 +726,56 @@ def test_corrector_shift_is_the_mean_of_minus_v(monkeypatch):
     problem = make_problem(spec, c="1 + 0.5*sin(pi*x1)", mu="1 + 0.3*x2",
                            h="0.1*sin(pi*x1)*sin(pi*x2/2)", profile="A2")
     calls, shifts = [], []
-    corrector, shifted_solve = continuation._corrector, ops.shifted_sine_solve
+    corrector, shifted_solver = continuation._corrector, ops.shifted_sine_solver
     # the seed solves shift too: keep where the first corrector call's shifts start
     monkeypatch.setattr(continuation, "_corrector",
                         lambda *args: calls.append((len(shifts), args[3:8])) or corrector(*args))
-    monkeypatch.setattr(ops, "shifted_sine_solve",
-                        lambda r, shift: shifts.append(shift) or shifted_solve(r, shift))
+    monkeypatch.setattr(ops, "shifted_sine_solver",
+                        lambda shift: shifts.append(shift) or shifted_solver(shift))
     trace_branch(problem, -2.0, ops, ContinuationOptions(max_points=3))
     first, step = calls[0]
     assert 0 < first and shifts[first] == _drift_shift(ops, problem, *step)
 
 
-@pytest.mark.parametrize("dim, n, steps, gmres_its", [(1, 64, 120, 0), (2, 48, 189, 787)])
-def test_folded_family_counts(dim, n, steps, gmres_its, monkeypatch):
+@pytest.mark.parametrize("dim, n, steps, gmres_its, trace_applications, fold_applications",
+                         [(1, 64, 120, 0, 0, 0), (2, 48, 189, 792, 737, 55)])
+def test_folded_family_counts(dim, n, steps, gmres_its, trace_applications, fold_applications,
+                              monkeypatch):
     # the folded family's Newton steps over the trace's points, seeds included,
-    # and the GMRES iterations of the trace and its located fold, pinned: a
-    # cheaper evaluation of the bordered Newton's points must keep the
-    # algorithm. No corrector step makes a SuperLU factorization: 2-D steps
-    # are GMRES runs, 1-D steps tridiagonal LUs
+    # the GMRES iterations of the trace and its located fold, and the drift
+    # preconditioner's applications in each, pinned: a cheaper evaluation of
+    # the bordered Newton's points must keep the algorithm. Each GMRES
+    # iteration applies the preconditioner once, and nothing else applies it.
+    # No corrector step makes a SuperLU factorization: 2-D steps are GMRES
+    # runs, 1-D steps tridiagonal LUs
     spec = GridSpec(dim, ((0.0, 1.0),) * dim, (n,) * dim)
     ops = build_operators(spec)
     h = "*".join(f"sin(pi*x{k + 1})" for k in range(dim))
     problem = make_problem(spec, h=f"0.1*{h}", profile="A2")
     opts = ContinuationOptions(norm_cap=3.0, max_points=400)
-    iterations, superlu = [], []
-    gmres, splu = grid.gmres, spla.splu
+    iterations, applications, superlu = [], [], []
+    gmres, splu, drift = grid.gmres, spla.splu, solver.drift_preconditioner
 
     def counted(matvec, precondition, b, target, max_iter):
         return gmres(matvec, lambda v, out: iterations.append(1) or precondition(v, out),
                      b, target, max_iter)
 
+    def counted_drift(*args, **kwargs):
+        precondition = drift(*args, **kwargs)
+        return precondition and (lambda r: applications.append(1) or precondition(r))
+
     monkeypatch.setattr(grid, "gmres", counted)
     monkeypatch.setattr(spla, "splu", lambda A, **kw: superlu.append(A.shape[0]) or splu(A, **kw))
+    for module in (solver, continuation):
+        monkeypatch.setattr(module, "drift_preconditioner", counted_drift)
     branch = trace_branch(problem, -2.0, ops, opts)
     assert sum(p.newton_iters for p in branch.points) == steps
     assert branch.termination == "norm_cap" and branch.folds
     assert superlu == []
+    assert len(applications) == trace_applications
     locate_fold(branch, problem, ops, opts)
     assert len(iterations) == gmres_its
+    assert len(applications) == trace_applications + fold_applications
     if dim == 2:
         assert superlu == []
 

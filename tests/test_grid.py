@@ -503,6 +503,75 @@ def test_bordered_solve_with_a_zero_schur_scalar_raises():
                           border=(e1, e1, 1.0))
 
 
+def _bordered_case(spec, ops, corner):
+    """A Jacobian, a border with ``corner``, the bordered matrix assembled
+    by ``sp.bmat``, a right side and the LU of a nearby Jacobian."""
+    J0, J1, b = _nearby_jacobians(spec, ops)
+    rng = np.random.default_rng(11)
+    col, row = rng.standard_normal((2, spec.n_interior))
+    M = sp.bmat([[J1, col[:, None]], [row[None, :], np.array([[corner]])]], format="csc")
+    return J1, (col, row, corner), M, np.append(b, 0.7), factor(J0).solve
+
+
+@pytest.mark.parametrize("corner", [1.0, 1e-2, 1e-8, 0.0])
+def test_bordered_krylov_path_meets_its_target(square32, monkeypatch, corner):
+    # one GMRES run, preconditioned by [[P, 0], [row^T, corner]] ([[P, 0], [0, 1]]
+    # at corner 0), meets its target against the assembled bordered matrix and
+    # agrees with the direct path to that target
+    spec, ops = square32
+    J, border, M, rhs, solve = _bordered_case(spec, ops, corner)
+    calls = _counted(monkeypatch)
+    x = grid.linear_solve(J, rhs, 0.0, border=border, precondition=solve)
+    assert calls == ["gmres"]
+    target = grid.KRYLOV_RTOL * np.linalg.norm(rhs)
+    assert np.linalg.norm(rhs - M @ x) <= target
+    ref = grid.linear_solve(J, rhs, 0.0, border=border)
+    assert calls == ["gmres", "lu"]
+    assert np.linalg.norm(M @ (x - ref)) <= 2.0 * target
+    assert np.linalg.norm(x - ref) <= 1e-6 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("corner", [1.0, 1e-2, 1e-8, 0.0])
+def test_bordered_krylov_path_preconditions_once_per_iteration(square32, monkeypatch, corner):
+    # no application for the border column: one per GMRES iteration, each on
+    # the u part of a Krylov vector
+    spec, ops = square32
+    J, border, _, rhs, solve = _bordered_case(spec, ops, corner)
+    applied, iterations = [], []
+    gmres = grid.gmres
+
+    def counted(matvec, precondition, b, target, max_iter):
+        return gmres(matvec, lambda v, out: iterations.append(1) or precondition(v, out),
+                     b, target, max_iter)
+
+    monkeypatch.setattr(grid, "gmres", counted)
+    grid.linear_solve(J, rhs, 0.0, border=border,
+                      precondition=lambda r: applied.append(r.copy()) or solve(r))
+    assert len(applied) == len(iterations) > 0
+    assert not any(np.array_equal(r, border[0]) for r in applied)
+
+
+@pytest.mark.parametrize("corner", [1.0, 1e-2, 1e-8, 0.0])
+def test_bordered_direct_path_is_block_elimination_with_refinement(square32, monkeypatch,
+                                                                   corner):
+    # without a preconditioner: one LU of A and three solves by it, for the
+    # border column, the right side and the refinement step's residual
+    spec, ops = square32
+    J, border, M, rhs, _ = _bordered_case(spec, ops, corner)
+    solved = []
+    factor_ = grid.factor
+
+    def counted(A):
+        lu = factor_(A)
+        return type("Counted", (), {"solve": lambda self, r: solved.append(1) or lu.solve(r)})()
+
+    monkeypatch.setattr(grid, "factor", counted)
+    x = grid.linear_solve(J, rhs, 0.0, border=border)
+    assert len(solved) == 3
+    ref = spla.splu(M).solve(rhs)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def _sine_preconditioned_case(spec, ops):
     """A 3-D Jacobian near the Laplacian, the first one of a Newton solve
     from zero, and a right side."""
@@ -595,10 +664,10 @@ def test_shifted_sine_solve_matches_the_shifted_laplacian(bounds, n):
         assert np.max(np.abs(ops.shifted_sine_solve(b, 0.0) - ref)) <= 1e-12 * np.max(np.abs(ref))
         for shift in (-5.0, 0.0, 0.5 * lam_min, 0.9 * lam_min):
             ref = spla.spsolve((ops.laplacian - shift * sp.identity(spec.n_interior)).tocsc(), b)
-            got = ops.shifted_sine_solve(b, shift)
-            assert got.shape == b.shape
             cond = (lam_max - shift) / (lam_min - shift)
-            assert np.max(np.abs(got - ref)) <= 1e-15 * cond * np.max(np.abs(ref))
+            for got in (ops.shifted_sine_solve(b, shift), ops.shifted_sine_solver(shift)(b)):
+                assert got.shape == b.shape
+                assert np.max(np.abs(got - ref)) <= 1e-15 * cond * np.max(np.abs(ref))
 
 
 def test_sine_basis_diagonalizes_the_laplacian():
