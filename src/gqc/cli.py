@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -453,7 +454,11 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call of a process
+    and reused, as building it costs over ten parses: ``parse_args`` returns
+    a fresh namespace each time and keeps no state of its own."""
     parser = argparse.ArgumentParser(
         prog="gqc",
         description="Solvers and branch continuation for the quadratic-gradient "
@@ -466,7 +471,11 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--quiet", action="store_true")
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

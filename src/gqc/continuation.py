@@ -27,7 +27,6 @@ budget running out. Every rejected step is recorded with its reason
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass, field, replace
 
@@ -150,6 +149,22 @@ def _arclength_row(ops: DiscreteOperators, base_u: np.ndarray, t_u: np.ndarray) 
     return ops.node_weight / (1.0 + ops.energy_product(base_u, base_u)) * (ops.laplacian @ t_u)
 
 
+class _Once:
+    """``make()`` on the first call, its result after: the lazy slot for one
+    point's Jacobian or preconditioner, cheaper than ``functools.cache``,
+    whose wrapper copies a function's metadata at each of the many points."""
+
+    __slots__ = ("make", "value")
+
+    def __init__(self, make):
+        self.make = make
+
+    def __call__(self):
+        if self.make is not None:
+            self.value, self.make = self.make(), None
+        return self.value
+
+
 def _bordered_newton(problem: ProblemData, ops: DiscreteOperators, sopts: SolveOptions,
                      x0: np.ndarray, scalar) -> tuple[np.ndarray, SolveReport]:
     """``damped_newton`` on x = (u, lam) for R(u, lam) = 0 and one scalar
@@ -180,8 +195,8 @@ def _bordered_newton(problem: ProblemData, ops: DiscreteOperators, sopts: SolveO
         d = lam * c
         R, rscale = residual_with_scale(u, d, mu, h, ops)
         tol = sopts.tol_residual * (1.0 + rscale)
-        jacobian = functools.cache(lambda: quasilinear_jacobian(u, d, mu, ops))
-        precondition = functools.cache(lambda: drift_preconditioner(ops, u, d, mu, h))
+        jacobian = _Once(lambda: quasilinear_jacobian(u, d, mu, ops))
+        precondition = _Once(lambda: drift_preconditioner(ops, u, d, mu, h))
         q, q_tol, gradient = scalar(u, lam, tol, jacobian, precondition)
         last[:] = R, q, min(tol, q_tol), gradient, jacobian, precondition
         scaled = np.empty_like(rhs)

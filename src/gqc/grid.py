@@ -13,7 +13,9 @@ consumes:
 
   Both are stored by diagonals (scipy's DIA format), as are the Jacobians
   ``DiscreteOperators.linearized`` builds from them: a product by one is a
-  pass over 2d+1 diagonals. The Laplacian and the Jacobians are
+  pass over 2d+1 diagonals. They are ``DiaMatrix`` matrices, whose product
+  with a float vector calls scipy's compiled DIA kernel directly, without
+  the dispatch of scipy's ``@``; the Laplacian and the Jacobians are
   ``Stencil`` matrices. On a 1-D grid they are tridiagonal, and ``factor``
   hands their three diagonals to LAPACK's tridiagonal LU; otherwise
   SuperLU receives the CSC of the Laplacian's nonzero pattern.
@@ -52,6 +54,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
+# private, but it is the kernel that scipy's own dia_matrix @ vector calls, with
+# these arguments (``_dia_base._matmul_vector``); CI runs the tests, which
+# compare both products byte for byte, on scipy 1.16, the oldest release
+# pyproject.toml admits
+from scipy.sparse._sparsetools import dia_matvec
 
 
 class GridError(ValueError):
@@ -186,15 +193,50 @@ def _kron_chain(mats: Sequence[sp.spmatrix]) -> sp.csr_matrix:
     return reduce(lambda a, b: sp.kron(a, b, format="csr"), mats).tocsr()
 
 
-class Stencil(sp.dia_matrix):
+_FLOAT64 = np.dtype(np.float64)
+
+
+class DiaMatrix(sp.dia_matrix):
+    """A DIA matrix whose product with a 1-D, C-contiguous float64 vector
+    skips scipy's operator dispatch, which on a small grid costs several
+    times the product itself.
+
+    ``A @ x`` then zeroes a fresh vector and adds A x into it by
+    ``dia_matvec``, the compiled kernel scipy's own ``@`` ends in, so the
+    result is bit-identical to scipy's; ``product_into`` does the same in a
+    vector the caller holds. Any other operand (a 2-D array, a strided
+    view, an integer vector, a sparse matrix) takes ``sp.dia_matrix``'s
+    ``@``.
+    """
+
+    def __matmul__(self, other):
+        if (type(other) is np.ndarray and other.dtype is _FLOAT64
+                and self.data.dtype is _FLOAT64 and other.shape == (self.shape[1],)
+                and other.flags.c_contiguous):
+            out = np.empty(self.shape[0])
+            self.product_into(other, out)
+            return out
+        return sp.dia_matrix.__matmul__(self, other)
+
+    def product_into(self, x: np.ndarray, out: np.ndarray) -> None:
+        """``out[:] = A @ x`` for float64 vectors ``x`` and ``out`` (``out``
+        C-contiguous), bit-identical to ``@``, without a temporary."""
+        out.fill(0.0)
+        m, n = self.shape
+        dia_matvec(m, n, len(self.offsets), self.data.shape[1], self.offsets, self.data,
+                   x, out)
+
+
+class Stencil(DiaMatrix):
     """A matrix on a grid's (2d+1)-point pattern, stored by diagonals.
 
     ``data[i, j]`` holds A[j - offsets[i], j], as in any DIA matrix, and is
-    zero where the stencil would wrap around a grid line. ``tocsc`` (what
-    ``factor`` hands SuperLU) and ``transpose`` gather the diagonals into the
-    CSC of the nonzero pattern of the diagonals a ``Stencil`` is constructed
-    with, which keeps no such zero: one ``np.take``, where scipy's
-    conversion goes through CSR. ``offsets`` must be sorted and the pattern
+    zero where the stencil would wrap around a grid line. A product by a
+    float vector calls scipy's compiled DIA kernel (``DiaMatrix``).
+    ``tocsc`` (what ``factor`` hands SuperLU) and ``transpose`` gather the
+    diagonals into the CSC of the nonzero pattern of the diagonals a
+    ``Stencil`` is constructed with, which keeps no such zero: one
+    ``np.take``, where scipy's conversion goes through CSR. ``offsets`` must be sorted and the pattern
     symmetric, as the Laplacian's are.
     """
 
@@ -393,19 +435,27 @@ def linear_solve(
     application of P^-1 per GMRES iteration and none for ``col``. It is
     solved directly by block elimination (``_block_elimination``) and one
     step of iterative refinement against the bordered residual, which keeps
-    it accurate where A is nearly singular, as at a fold. ``gmres`` and
-    ``factor`` are looked up at each call. A ``RuntimeError`` propagates
-    when A cannot be factored or when the Schur scalar of a direct bordered
-    solve is zero or not finite.
+    it accurate where A is nearly singular, as at a fold. A float64
+    ``DiaMatrix`` A writes its products straight into the Krylov basis
+    (``DiaMatrix.product_into``). ``gmres`` and ``factor`` are looked up at
+    each call. A ``RuntimeError`` propagates when A cannot be factored or
+    when the Schur scalar of a direct bordered solve is zero or not finite.
     """
-    if border is None:
-        def matvec(v: np.ndarray, out: np.ndarray) -> None:
+    if isinstance(A, DiaMatrix) and A.dtype == np.float64:
+        product = A.product_into
+    else:
+        def product(v: np.ndarray, out: np.ndarray) -> None:
             np.copyto(out, A @ v)
+    if border is None:
+        matvec = product
     else:
         col, row, corner = border
 
         def matvec(x: np.ndarray, out: np.ndarray) -> None:
-            np.add(A @ x[:-1], x[-1] * col, out=out[:-1])
+            # A x first, then x[-1] col added to it: summing A x onto x[-1] col
+            # instead rounds differently
+            product(x[:-1], out[:-1])
+            out[:-1] += x[-1] * col
             out[-1] = row @ x[:-1] + corner * x[-1]
 
     if precondition is not None:
@@ -504,9 +554,9 @@ def _sine_weights(spec: GridSpec) -> np.ndarray:
 class DiscreteOperators:
     """Assembled Dirichlet operators and quadrature for one GridSpec.
 
-    ``laplacian`` is a ``Stencil`` and each ``gradient`` a DIA matrix, both
-    stored by diagonals; ``linearized`` builds Jacobians on the Laplacian's
-    pattern from them. Immutable after construction apart from the
+    ``laplacian`` is a ``Stencil`` and each ``gradient`` a ``DiaMatrix``,
+    both stored by diagonals; ``linearized`` builds Jacobians on the
+    Laplacian's pattern from them. Immutable after construction apart from the
     eigenvalue arrays that ``sine_solve`` and ``sine_basis`` build on their
     first call and the index arrays of the Laplacian's pattern that the
     first SuperLU of a ``Stencil`` builds; it holds no factorization. ``sine_solve``,
@@ -532,14 +582,14 @@ class DiscreteOperators:
             lap[s] = np.where(first, 0.0, -1.0 / h**2)
             lap[-s] = np.where(last, 0.0, -1.0 / h**2)
             off = 1.0 / (2.0 * h)  # central differences; a boundary neighbour is 0
-            grads.append(sp.dia_matrix(
+            grads.append(DiaMatrix(
                 (np.array([np.where(last, 0.0, -off), np.where(first, 0.0, off)]), [-s, s]),
                 shape=(n, n)))
             edges.append(_lift_axis_operator(spec, axis, _edge_difference_1d(m, h)))
         lap[0] = np.full(n, center)
         offsets = np.array(sorted(lap))
         self.laplacian = Stencil(np.array([lap[k] for k in offsets]), offsets)
-        self.gradient: tuple[sp.dia_matrix, ...] = tuple(grads)
+        self.gradient: tuple[DiaMatrix, ...] = tuple(grads)
         self.edge_diffs: tuple[sp.csr_matrix, ...] = tuple(edges)
         self.node_weight: float = spec.node_weight
         self._sine_weights = None  # scaled inverse eigenvalues of the Laplacian

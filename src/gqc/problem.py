@@ -80,9 +80,9 @@ def parse_coefficient(text: str, spec: GridSpec) -> CoefficientSpec:
 
 def save_values_file(path: str | Path, values: np.ndarray) -> None:
     """Write a flat values file, one value per interior node, full precision."""
-    # the bytes np.savetxt(fmt="%.17g") writes, formatted in one pass
-    flat = np.asarray(values, dtype=float).ravel(order="C").tolist()
-    Path(path).write_bytes("".join("%.17g\n" % v for v in flat).encode())
+    # the bytes np.savetxt(fmt="%.17g") writes, formatted by one % operation
+    flat = tuple(np.asarray(values, dtype=float).ravel(order="C").tolist())
+    Path(path).write_bytes((("%.17g\n" * len(flat)) % flat).encode())
 
 
 def load_values_file(path: str | Path, spec: GridSpec) -> GridFunction:

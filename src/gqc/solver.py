@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
-from .grid import DiscreteOperators, GridFunction, grad_sq_values, linear_solve
+from .grid import DiscreteOperators, GridFunction, Stencil, grad_sq_values, linear_solve
 from .problem import ProblemData
 
 
@@ -108,7 +107,7 @@ def residual_with_scale(
 
 def quasilinear_jacobian(
     u: np.ndarray, d: np.ndarray, mu: np.ndarray, ops: DiscreteOperators
-) -> sp.csc_matrix:
+) -> Stencil:
     return ops.linearized(d, [2.0 * mu * (D @ u) for D in ops.gradient])
 
 

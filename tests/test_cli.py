@@ -607,3 +607,25 @@ def test_seed_override_lands_in_report(tmp_path):
     out = tmp_path / "out"
     main(["solve", "--config", cfg, "--out", str(out), "--quiet", "--seed", "11"])
     assert json.loads((out / "report.json").read_text())["seed"] == 11
+
+
+def test_consecutive_calls_carry_no_state(tmp_path, capsys):
+    # the parser is built once per process; a second call with another
+    # command, without --quiet or --seed, gets their defaults back
+    cfg = write_config(
+        tmp_path,
+        {"grid": grid_block(dim=1, n=16), "coefficients": {"c": "1", "mu": "1", "h": "0"},
+         "lambda": -1.0, "seed": 7},
+    )
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["solve", "--config", cfg, "--out", str(first), "--quiet",
+                 "--seed", "11"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["eigen", "--config", cfg, "--out", str(second)]) == 0
+    assert "gamma1 = " in capsys.readouterr().out
+    assert json.loads((first / "report.json").read_text())["seed"] == 11
+    report = json.loads((second / "report.json").read_text())
+    assert report["command"] == "eigen" and report["seed"] == 7
+    assert not (second / "solution.txt").exists()
+    assert main(["eigen", "--out", str(second)]) == 1  # --config is required again
+    assert main([]) == 1

@@ -531,6 +531,28 @@ def test_bordered_krylov_path_meets_its_target(square32, monkeypatch, corner):
     assert np.linalg.norm(x - ref) <= 1e-6 * np.linalg.norm(ref)
 
 
+def test_bordered_krylov_matvec_is_the_product_then_the_border(square32, monkeypatch):
+    # A x is formed first and x[-1] col added to it, the rounding of
+    # np.add(A @ x[:-1], x[-1] * col)
+    spec, ops = square32
+    J, border, _, rhs, solve = _bordered_case(spec, ops, 0.3)
+    col, row, corner = border
+    matvecs = []
+    gmres = grid.gmres
+
+    def recorded(matvec, precondition, b, target, max_iter):
+        matvecs.append(matvec)
+        return gmres(matvec, precondition, b, target, max_iter)
+
+    monkeypatch.setattr(grid, "gmres", recorded)
+    grid.linear_solve(J, rhs, 0.0, border=border, precondition=solve)
+    x = np.random.default_rng(4).standard_normal(spec.n_interior + 1)
+    out = np.empty_like(x)
+    matvecs[0](x, out)
+    assert out[:-1].tobytes() == np.add(J @ x[:-1], x[-1] * col).tobytes()
+    assert out[-1] == row @ x[:-1] + corner * x[-1]
+
+
 @pytest.mark.parametrize("corner", [1.0, 1e-2, 1e-8, 0.0])
 def test_bordered_krylov_path_preconditions_once_per_iteration(square32, monkeypatch, corner):
     # no application for the border column: one per GMRES iteration, each on
@@ -690,3 +712,60 @@ def test_gmres_meets_its_target_or_returns_none():
     assert np.linalg.norm(b - A @ x) <= 1e-10
     assert grid.gmres(*args, 2) is None
     assert np.array_equal(grid.gmres(*args[:3], 1e3, 0), np.zeros(30))
+
+
+def _counted_kernel(monkeypatch) -> list:
+    """Calls of ``grid.dia_matvec``, the DIA kernel ``DiaMatrix`` calls
+    directly; scipy's own ``@`` reaches its kernel by another name."""
+    calls = []
+    kernel = grid.dia_matvec
+    monkeypatch.setattr(grid, "dia_matvec", lambda *args: calls.append(1) or kernel(*args))
+    return calls
+
+
+@pytest.mark.parametrize("bounds, n", [
+    (((0.0, 1.0),), (17,)),
+    (((0.0, 1.0), (-1.0, 2.0)), (9, 12)),
+    (((0.0, 1.0),) * 3, (6, 7, 5)),
+])
+def test_dia_product_is_scipys_bit_for_bit(bounds, n, monkeypatch):
+    # the Laplacian, each gradient and a Jacobian take the direct kernel call
+    # and give the bytes of scipy's own @
+    spec = GridSpec(len(n), bounds, n)
+    ops = build_operators(spec)
+    rng = np.random.default_rng(8)
+    u, d, mu = rng.standard_normal((3, spec.n_interior))
+    mats = [ops.laplacian, *ops.gradient, quasilinear_jacobian(u, d, mu, ops)]
+    assert all(isinstance(A, grid.DiaMatrix) for A in mats)
+    calls = _counted_kernel(monkeypatch)
+    for A in mats:
+        x = rng.standard_normal(spec.n_interior) * 10.0 ** rng.integers(-8, 8, spec.n_interior)
+        ref = sp.dia_matrix.__matmul__(A, x)
+        assert (A @ x).tobytes() == ref.tobytes()
+        out = np.full_like(x, np.nan)
+        A.product_into(x, out)
+        assert out.tobytes() == ref.tobytes()
+    assert len(calls) == 2 * len(mats)
+
+
+def test_dia_product_falls_back_to_scipy(square32, monkeypatch):
+    # 2-D arrays, strided views, integer vectors and sparse operands take
+    # sp.dia_matrix's @, with its results
+    spec, ops = square32
+    L, m = ops.laplacian, spec.n_interior
+    rng = np.random.default_rng(9)
+    block = rng.standard_normal((m, 3))
+    strided = rng.standard_normal(2 * m)[::2]
+    integers = np.arange(m)
+    calls = _counted_kernel(monkeypatch)
+    for x in (block, block[:, :1], strided, integers):
+        y = L @ x
+        assert y.shape == x.shape and y.dtype == np.float64
+        assert np.array_equal(y, sp.dia_matrix.__matmul__(L, x))
+    S = L @ sp.identity(m, format="csr")
+    assert sp.issparse(S) and np.array_equal(S.toarray(), L.toarray())
+    assert calls == []
+    assert np.array_equal(L @ integers, L @ integers.astype(float))
+    assert np.array_equal(L @ strided, L @ strided.copy())
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        L @ np.ones(m + 1)

@@ -214,6 +214,11 @@ def test_values_file_matches_savetxt_bytes(tmp_path):
     np.savetxt(tmp_path / "ref.txt", vals, fmt="%.17g")
     save_values_file(tmp_path / "ours.txt", vals.reshape(-1, 5))
     assert (tmp_path / "ours.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+    # an empty array writes an empty file, as savetxt does
+    np.savetxt(tmp_path / "ref_empty.txt", np.zeros(0), fmt="%.17g")
+    save_values_file(tmp_path / "ours_empty.txt", np.zeros(0))
+    assert (tmp_path / "ours_empty.txt").read_bytes() == b""
+    assert (tmp_path / "ref_empty.txt").read_bytes() == b""
 
 
 def test_values_file_count_mismatch(tmp_path, square8):
