@@ -16,7 +16,10 @@ Exit codes: 0 success, 1 usage, config or expression error, 2 a requested
 condition fails, 3 a solve or another numerical step failed (any
 ``RuntimeError``). ``main`` writes the command's report (analysis.json for
 ``branch``, report.json for the others) on exits 0, 2 and 3; on exit 3 it
-carries ``error``, and exit 1 writes none. Reports embed the sha256 of the
+carries ``error``. Exit 1 writes none, except when ``branch``'s requested
+two-solution lambda turns out undefined only after the trace: then
+branch.csv and analysis.json, with the trace's analysis and ``error``, are
+written. Reports embed the sha256 of the
 canonical config and the seed, so a run is reproducible from its report.
 """
 

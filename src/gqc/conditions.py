@@ -158,7 +158,7 @@ def first_eigen(c: GridFunction, ops: DiscreteOperators) -> EigenResult:
 
     gamma_1 is the reciprocal of the largest eigenvalue of the pencil
     diag(c) phi = nu L phi, with L inverted by the dense sine basis
-    (``ops.shifted_sine_solve`` with shift 0); ``iterations`` counts those
+    (``ops.shifted_sine_solver(0.0)``); ``iterations`` counts those
     solves.
     """
     ops.check_spec(c)
@@ -168,7 +168,7 @@ def first_eigen(c: GridFunction, ops: DiscreteOperators) -> EigenResult:
     if np.max(cvals, initial=0.0) <= 0.0:
         raise EigenError("weight c vanishes identically; no eigenvalue")
 
-    nu, x, solves = _pencil_top(cvals, ops.laplacian, lambda b: ops.shifted_sine_solve(b, 0.0))
+    nu, x, solves = _pencil_top(cvals, ops.laplacian, ops.shifted_sine_solver(0.0))
     gamma = 1.0 / nu
     # normalize to unit Dirichlet energy, positive orientation
     phi_vals = x / math.sqrt(ops.energy_product(x, x))
@@ -192,7 +192,7 @@ def weighted_rayleigh_sup(
     Returns 0 when w <= 0 on the mask. ``stiffness`` replaces the plain
     Laplacian when the gradient term carries a coefficient. The plain
     Laplacian on every node is inverted by the dense sine basis
-    (``ops.shifted_sine_solve`` with shift 0). Any other matrix is
+    (``ops.shifted_sine_solver(0.0)``). Any other matrix is
     restricted to the mask and factored for this call, unless the caller
     holds them: then ``restricted(mask)`` returns that restricted matrix
     and a solve by it, and is called only when a pencil is solved.
@@ -207,7 +207,7 @@ def weighted_rayleigh_sup(
     if np.max(wm, initial=0.0) <= 0.0:
         return 0.0
     if stiffness is None and mask.all():
-        return _pencil_top(wm, ops.laplacian, lambda b: ops.shifted_sine_solve(b, 0.0))[0]
+        return _pencil_top(wm, ops.laplacian, ops.shifted_sine_solver(0.0))[0]
     if restricted is not None:
         return _pencil_top(wm, *restricted(mask))[0]
     Am = restrict(ops.laplacian if stiffness is None else stiffness, mask)

@@ -452,8 +452,8 @@ def locate_fold(
     takes one adjoint solve (w, .) by J^T with the same border and the
     transposed drift preconditioner, g_u = 2 sum_k D_k^T (mu w D_k v) and
     g_lam = w^T (c v).
-    On a 1-D grid g's solves are by the tridiagonal LU of J, and the adjoint
-    solve by SuperLU's of J^T, a CSC matrix (two LUs on the folded family).
+    J^T is a ``Stencil`` like J, so on a 1-D grid both g's solves and the
+    adjoint solves are by tridiagonal LUs, and no SuperLU is made.
     Returns (fold lambda, its arclength offset along the secant from the
     point before the fold to the fold point); raises ``SolverError`` naming
     Newton's failure reason and residual when it does not converge, and

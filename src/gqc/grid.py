@@ -6,7 +6,9 @@ module assembles the standard second-order operators every other module
 consumes:
 
 * ``laplacian``: the (2d+1)-point stencil for -lap with Dirichlet
-  elimination, symmetric positive definite.
+  elimination, symmetric positive definite; it is
+  ``weighted_stiffness(a)``, the stiffness of -div(a grad) on the same
+  stencil, at a = 1.
 * ``gradient``: per-axis central differences; at nodes adjacent to the
   boundary the stencil uses the (zero) boundary value, which keeps it
   second order for fields that genuinely vanish on the boundary.
@@ -15,13 +17,11 @@ consumes:
   ``DiscreteOperators.linearized`` builds from them: a product by one is a
   pass over 2d+1 diagonals. They are ``DiaMatrix`` matrices, whose product
   with a float vector calls scipy's compiled DIA kernel directly, without
-  the dispatch of scipy's ``@``; the Laplacian and the Jacobians are
-  ``Stencil`` matrices. On a 1-D grid they are tridiagonal, and ``factor``
-  hands their three diagonals to LAPACK's tridiagonal LU; otherwise
-  SuperLU receives the CSC of the Laplacian's nonzero pattern.
-* ``edge_diffs``: per-axis forward differences on the edge (staggered)
-  grid, including the two boundary edges. These factor the Laplacian as
-  sum_i E_i^T E_i and carry the energy inner product.
+  the dispatch of scipy's ``@``; the Laplacian, the stiffness matrices, the
+  Jacobians and their transposes are ``Stencil`` matrices. On a 1-D grid
+  they are tridiagonal, and ``factor`` hands their three diagonals to
+  LAPACK's tridiagonal LU; otherwise SuperLU receives scipy's CSC of their
+  nonzeros.
 * midpoint quadrature: each interior node weighs prod(h_i); the missing
   boundary band makes integrals of non-vanishing fields low by O(1/n),
   which is documented and not compensated.
@@ -47,8 +47,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from functools import reduce
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -113,18 +112,12 @@ class GridSpec:
 
     @property
     def n_interior(self) -> int:
-        out = 1
-        for m in self.interior_shape:
-            out *= m
-        return out
+        return math.prod(self.interior_shape)
 
     @property
     def node_weight(self) -> float:
         """Midpoint quadrature weight prod(h_i), identical for every node."""
-        out = 1.0
-        for h in self.spacing:
-            out *= h
-        return out
+        return math.prod(self.spacing)
 
     def axis_coords(self, axis: int) -> np.ndarray:
         lo, _ = self.bounds[axis]
@@ -183,16 +176,6 @@ class GridFunction:
         return GridFunction(self.spec, self.values.copy())
 
 
-def _edge_difference_1d(m: int, h: float) -> sp.csr_matrix:
-    # (m+1) x m forward differences over all edges including the two that
-    # touch the boundary; E^T E reproduces the second-difference matrix
-    return sp.diags([1.0 / h, -1.0 / h], [0, -1], shape=(m + 1, m), format="csr")
-
-
-def _kron_chain(mats: Sequence[sp.spmatrix]) -> sp.csr_matrix:
-    return reduce(lambda a, b: sp.kron(a, b, format="csr"), mats).tocsr()
-
-
 _FLOAT64 = np.dtype(np.float64)
 
 
@@ -232,56 +215,32 @@ class Stencil(DiaMatrix):
 
     ``data[i, j]`` holds A[j - offsets[i], j], as in any DIA matrix, and is
     zero where the stencil would wrap around a grid line. A product by a
-    float vector calls scipy's compiled DIA kernel (``DiaMatrix``).
-    ``tocsc`` (what ``factor`` hands SuperLU) and ``transpose`` gather the
-    diagonals into the CSC of the nonzero pattern of the diagonals a
-    ``Stencil`` is constructed with, which keeps no such zero: one
-    ``np.take``, where scipy's conversion goes through CSR. ``offsets`` must be sorted and the pattern
-    symmetric, as the Laplacian's are.
+    float vector calls scipy's compiled DIA kernel (``DiaMatrix``). The
+    transpose is a ``Stencil`` too; scipy's would be a plain DIA matrix
+    with unsorted offsets. ``offsets`` must be sorted and symmetric, as the
+    Laplacian's are.
     """
 
     def __init__(self, data: np.ndarray, offsets: np.ndarray):
         n = data.shape[1]
         super().__init__((data, offsets), shape=(n, n))
-        # these diagonals until the first gather replaces them by the CSC of
-        # their pattern and the positions in data of its entries and of its
-        # transpose's; shared with every copy ``_with_data`` makes
-        self._csc = [data]
 
-    def _gathered(self, transpose: bool) -> sp.csc_matrix:
-        if len(self._csc) == 1:
-            self._csc[:] = _csc_positions(self._csc[0], self.offsets)
-        csc, *positions = self._csc
-        return _with_data(csc, np.take(self.data, positions[transpose]))
-
-    def tocsc(self, copy: bool = False) -> sp.csc_matrix:
-        return self._gathered(False)
-
-    def transpose(self, axes=None, copy: bool = False) -> sp.csc_matrix:
-        return self._gathered(True)
-
-
-def _csc_positions(data: np.ndarray, offsets: np.ndarray
-                   ) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
-    """The CSC of the nonzeros of the square DIA matrix (data, offsets), with
-    the flat positions in ``data`` of its entries and, the pattern being
-    symmetric, of its transpose's."""
-    n = data.shape[1]
-    csc = sp.dia_matrix((data, offsets), shape=(n, n)).tocsc()
-    csc.sort_indices()
-    rows = csc.indices
-    cols = np.repeat(np.arange(n), np.diff(csc.indptr))
-
-    def positions(r: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return np.searchsorted(offsets, c - r) * n + c  # of A[r, c]
-
-    return csc, positions(rows, cols), positions(cols, rows)
+    def transpose(self, axes=None, copy: bool = False) -> Stencil:
+        # A^T[j - k, j] = A[j, j - k]: the diagonal at offset k is that at -k
+        # shifted by k; the k entries shifted in lie outside the matrix
+        data = np.zeros_like(self.data)
+        for out, diagonal, k in zip(data, self.data[::-1], self.offsets):
+            if k >= 0:
+                out[k:] = diagonal[:out.size - k]
+            else:
+                out[:k] = diagonal[-k:]
+        return _with_data(self, data)
 
 
 def _with_data(A: sp.spmatrix, data: np.ndarray) -> sp.spmatrix:
     """A shallow copy of ``A`` with new values: it shares A's index arrays,
-    and skips the checks of scipy's constructors, which cost more than the
-    gathers of a 1-D Jacobian."""
+    and skips the checks of scipy's constructors, which cost more than
+    building a 1-D Jacobian."""
     out = copy.copy(A)
     out.data = data
     return out
@@ -290,7 +249,7 @@ def _with_data(A: sp.spmatrix, data: np.ndarray) -> sp.spmatrix:
 class TridiagonalLU:
     """LAPACK's LU with partial pivoting of a tridiagonal ``Stencil``
     (``dgttrf``), solved by ``dgttrs``: SuperLU's ``solve(b)`` without its
-    column ordering or the CSC gather. Raises ``RuntimeError`` on a zero
+    column ordering or a CSC conversion. Raises ``RuntimeError`` on a zero
     pivot, as SuperLU does on an exactly singular matrix."""
 
     def __init__(self, A: Stencil):
@@ -307,11 +266,11 @@ class TridiagonalLU:
 def factor(A: sp.spmatrix) -> spla.SuperLU | TridiagonalLU:
     """LU of ``A``, the one factorization every gqc solve goes through.
 
-    A ``Stencil`` with three diagonals (the Laplacian and every Jacobian of
-    a 1-D grid) takes ``TridiagonalLU``. Any other matrix takes SuperLU,
-    its columns ordered by minimum degree on the pattern of A^T + A, which
-    suits the structurally symmetric matrices gqc assembles; a ``Stencil``
-    arrives as the CSC of its nonzero pattern. ``spla.splu`` and LAPACK's
+    A ``Stencil`` with three diagonals (the Laplacian, every Jacobian of a
+    1-D grid and their transposes) takes ``TridiagonalLU``. Any other matrix
+    takes SuperLU as scipy's CSC of its nonzeros, its columns ordered by
+    minimum degree on the pattern of A^T + A, which suits the structurally
+    symmetric matrices gqc assembles. ``spla.splu`` and LAPACK's
     routines are looked up at each call, so a wrapper installed on one sees
     every factorization it makes.
     """
@@ -507,13 +466,6 @@ def _block_elimination(
     return inverse
 
 
-def _lift_axis_operator(spec: GridSpec, axis: int, op1d: sp.spmatrix) -> sp.csr_matrix:
-    shape = spec.interior_shape
-    factors: list[sp.spmatrix] = [sp.identity(m, format="csr") for m in shape]
-    factors[axis] = op1d
-    return _kron_chain(factors)
-
-
 def _dst1(x: np.ndarray) -> np.ndarray:
     """DST-I along the last axis, y_k = sum_j x_j sin(pi j k / (m + 1)) for
     j, k = 1..m, returned with that axis moved first; d calls on a d-axis
@@ -525,6 +477,17 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     odd[..., 1:m + 1] = x
     odd[..., m + 2:] = -x[..., ::-1]
     return np.moveaxis(-0.5 * np.fft.rfft(odd, axis=-1).imag[..., 1:m + 1], -1, 0)
+
+
+def _grid_lines(spec: GridSpec) -> Iterator[tuple[int, float, np.ndarray, np.ndarray]]:
+    """Per axis: its node stride s, its spacing h, and the masks of the nodes
+    first and last on their grid line along it. A node j couples to j - s
+    unless it is first, and to j + s unless it is last."""
+    nodes = np.arange(spec.n_interior)
+    for axis, (m, h) in enumerate(zip(spec.interior_shape, spec.spacing)):
+        s = math.prod(spec.interior_shape[axis + 1:])
+        k = nodes // s % m
+        yield s, h, k == 0, k == m - 1
 
 
 def _sine_products(y: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -558,39 +521,22 @@ class DiscreteOperators:
     both stored by diagonals; ``linearized`` builds Jacobians on the
     Laplacian's pattern from them. Immutable after construction apart from the
     eigenvalue arrays that ``sine_solve`` and ``sine_basis`` build on their
-    first call and the index arrays of the Laplacian's pattern that the
-    first SuperLU of a ``Stencil`` builds; it holds no factorization. ``sine_solve``,
-    ``shifted_sine_solve`` and ``shifted_sine_solver`` invert the full-box
-    Laplacian, shifted for the latter two, without an LU.
+    first call; it holds no factorization. ``sine_solve`` and
+    ``shifted_sine_solver`` invert the full-box Laplacian, shifted for the
+    latter, without an LU.
     """
 
     def __init__(self, spec: GridSpec):
         self.spec = spec
         n = spec.n_interior
-        nodes = np.arange(n)
-        center = 0.0
-        lap = {}  # offset -> diagonal
         grads = []
-        edges = []
-        for axis, (m, h) in enumerate(zip(spec.interior_shape, spec.spacing)):
-            s = math.prod(spec.interior_shape[axis + 1:])  # the axis's node stride
-            k = nodes // s % m
-            # the diagonal +s holds A[j - s, j] and -s holds A[j + s, j]: a
-            # coupling exists unless node j is first, or last, on its grid line
-            first, last = k == 0, k == m - 1
-            center = center + 2.0 / h**2
-            lap[s] = np.where(first, 0.0, -1.0 / h**2)
-            lap[-s] = np.where(last, 0.0, -1.0 / h**2)
+        for s, h, first, last in _grid_lines(spec):
             off = 1.0 / (2.0 * h)  # central differences; a boundary neighbour is 0
             grads.append(DiaMatrix(
                 (np.array([np.where(last, 0.0, -off), np.where(first, 0.0, off)]), [-s, s]),
                 shape=(n, n)))
-            edges.append(_lift_axis_operator(spec, axis, _edge_difference_1d(m, h)))
-        lap[0] = np.full(n, center)
-        offsets = np.array(sorted(lap))
-        self.laplacian = Stencil(np.array([lap[k] for k in offsets]), offsets)
+        self.laplacian = self.weighted_stiffness(np.ones(n))
         self.gradient: tuple[DiaMatrix, ...] = tuple(grads)
-        self.edge_diffs: tuple[sp.csr_matrix, ...] = tuple(edges)
         self.node_weight: float = spec.node_weight
         self._sine_weights = None  # scaled inverse eigenvalues of the Laplacian
         self._sine_basis = None  # per-axis orthonormal DST-I matrices, eigenvalues
@@ -625,17 +571,12 @@ class DiscreteOperators:
             self._sine_basis = (tuple(mats), _sine_eigenvalues(self.spec))
         return self._sine_basis
 
-    def shifted_sine_solve(self, b: np.ndarray, shift: float) -> np.ndarray:
-        """x with (L - shift) x = b for the full-box Laplacian L, by the matrices of
-        ``sine_basis`` along each axis (fast diagonalization, O(m^(d+1)) per
-        solve); ``shift`` must not be an eigenvalue of L."""
-        mats, eig = self.sine_basis()
-        return _sine_products(_sine_products(b, mats).reshape(eig.shape) / (eig - shift),
-                              mats).ravel()
-
     def shifted_sine_solver(self, shift: float) -> Callable[[np.ndarray], np.ndarray]:
-        """``shifted_sine_solve`` with ``shift`` fixed, for many solves: 1 / (eig - shift)
-        is formed here, so a solve is the 2d per-axis products and one scaling."""
+        """The solve b -> x with (L - shift) x = b for the full-box Laplacian L,
+        by the matrices of ``sine_basis`` along each axis (fast
+        diagonalization, O(m^(d+1)) per solve); ``shift`` must not be an
+        eigenvalue of L. 1 / (eig - shift) is formed here, so a solve is the
+        2d per-axis products and one scaling."""
         mats, eig = self.sine_basis()
         scale = 1.0 / (eig - shift)
         return lambda b: _sine_products(_sine_products(b, mats).reshape(eig.shape) * scale,
@@ -667,19 +608,30 @@ class DiscreteOperators:
         """Discrete H^1_0 inner product: node_weight * a^T L b."""
         return float(self.node_weight * (a @ (self.laplacian @ b)))
 
-    def weighted_stiffness(self, coeff: np.ndarray) -> sp.csr_matrix:
-        """Stiffness matrix for -div(a grad .) with nodal coefficient a.
+    def weighted_stiffness(self, coeff: np.ndarray) -> Stencil:
+        """Stiffness matrix for -div(a grad .) with nodal coefficient a, built
+        by diagonals: u^T A u sums a_e (u_p - u_q)^2 / h^2 over the grid's
+        edges, u being 0 at a boundary end.
 
         Edge coefficients are arithmetic means of the adjacent node values;
-        boundary edges take the single interior node value.
+        boundary edges take the single interior node value. At a = 1 it is
+        the Laplacian.
         """
-        coeff = np.asarray(coeff, dtype=float)
-        parts = []
-        for E in self.edge_diffs:
-            adj = (E != 0).astype(float)  # edge-node adjacency
-            vals = (adj @ coeff) / (adj @ np.ones(coeff.size))
-            parts.append((E.T @ sp.diags(vals) @ E).tocsr())
-        return reduce(lambda a, b: (a + b).tocsr(), parts)
+        a = np.asarray(coeff, dtype=float)
+        center = 0.0
+        diagonals = {}  # offset -> diagonal
+        for s, h, first, last in _grid_lines(self.spec):
+            mean = 0.5 * (a[:-s] + a[s:])  # of the edge from node j to j + s
+            below, above = a.copy(), a.copy()  # the edges to nodes j - s and j + s
+            below[s:] = np.where(first[s:], a[s:], mean)
+            above[:-s] = np.where(last[:-s], a[:-s], mean)
+            center = center + (below + above) / h**2
+            # the diagonal +s holds A[j - s, j] and -s holds A[j + s, j]
+            diagonals[s] = np.where(first, 0.0, -below / h**2)
+            diagonals[-s] = np.where(last, 0.0, -above / h**2)
+        diagonals[0] = center
+        offsets = np.array(sorted(diagonals))
+        return Stencil(np.array([diagonals[k] for k in offsets]), offsets)
 
 
 def restrict(mat: sp.spmatrix, mask: np.ndarray) -> sp.csc_matrix:

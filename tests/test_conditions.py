@@ -136,22 +136,29 @@ def test_rayleigh_matches_eigen_reciprocal(interval64):
 
 @pytest.mark.parametrize("dim, n", [(1, 64), (2, 24), (3, 10)])
 def test_full_box_pencils_match_the_lu_path(dim, n):
-    # gamma1 and a full-mask supremum invert L by the dense sine basis, not an LU
+    # gamma1 and a full-mask supremum invert L by the dense sine basis, not an
+    # LU, through one solver per pencil
     spec = GridSpec(dim, ((0.0, 1.0),) * dim, (n,) * dim)
     ops = build_operators(spec)
     w = 0.5 + spec.interior_points()[:, 0] ** 2
     lu = factor(ops.laplacian)
     nu_ref, _, solves_ref = conditions._pencil_top(w, ops.laplacian, lu.solve)
-    shifts = []
-    ops.shifted_sine_solve = (lambda b, shift, solve=ops.shifted_sine_solve:
-                              shifts.append(shift) or solve(b, shift))
+    shifts, solves = [], []
+
+    def solver(shift, make=ops.shifted_sine_solver):
+        shifts.append(shift)
+        solve = make(shift)
+        return lambda b: solves.append(b) or solve(b)
+
+    ops.shifted_sine_solver = solver
     eig = first_eigen(GridFunction(spec, w), ops)
     assert eig.gamma == pytest.approx(1.0 / nu_ref, rel=1e-12)
-    assert eig.iterations == solves_ref and shifts == [0.0] * solves_ref
+    assert eig.iterations == solves_ref == len(solves) and shifts == [0.0]
     shifts.clear()
+    solves.clear()
     nu = weighted_rayleigh_sup(w, np.ones(spec.n_interior, dtype=bool), ops)
     assert nu == pytest.approx(nu_ref, rel=1e-12)
-    assert shifts == [0.0] * solves_ref
+    assert len(solves) == solves_ref and shifts == [0.0]
 
 
 def _reference_sup(w, A, mask):
@@ -222,7 +229,7 @@ def test_mixed_sign_pencil_restarts_on_its_top_ritz_vectors(interval64):
     # (65 solves; test_mixed_sign_bump_matches_dense checks the value), while a
     # full-box pencil converges in 7 solves without a restart
     spec, ops = interval64
-    solve = lambda b: ops.shifted_sine_solve(b, 0.0)  # noqa: E731
+    solve = ops.shifted_sine_solver(0.0)
     solves = conditions._pencil_top(mixed_sign_weight(spec), ops.laplacian, solve)[2]
     assert solves > conditions.EIGEN_BASIS
     assert conditions._pencil_top(np.ones(spec.n_interior), ops.laplacian, solve)[2] == 7
@@ -235,8 +242,7 @@ def test_mixed_sign_bump_matches_dense(dim, n, arpack_solves):
     spec = GridSpec(dim, ((0.0, 1.0),) * dim, (n,) * dim)
     ops = build_operators(spec)
     w = -1.0 + 1.1 * np.exp(-((spec.interior_points()[:, 0] - 0.3) ** 2) / 0.01)
-    nu, _, solves = conditions._pencil_top(w, ops.laplacian,
-                                           lambda b: ops.shifted_sine_solve(b, 0.0))
+    nu, _, solves = conditions._pencil_top(w, ops.laplacian, ops.shifted_sine_solver(0.0))
     dense = scipy.linalg.eigh(np.diag(w), ops.laplacian.toarray(), eigvals_only=True)[-1]
     assert nu == pytest.approx(dense, rel=1e-10)
     assert solves < arpack_solves
@@ -248,7 +254,7 @@ def test_pencil_vector_has_unit_energy(square32):
     w = -1.0 + 1.1 * np.exp(-((spec.interior_points()[:, 0] - 0.3) ** 2) / 0.01)
     mask = spec.interior_points()[:, 1] > 0.4
     Am = restrict(ops.laplacian, mask)
-    for A, weight, solve in ((ops.laplacian, w, lambda b: ops.shifted_sine_solve(b, 0.0)),
+    for A, weight, solve in ((ops.laplacian, w, ops.shifted_sine_solver(0.0)),
                              (Am, w[mask], factor(Am).solve)):
         _, x, _ = conditions._pencil_top(weight, A, solve)
         assert x @ (A @ x) == pytest.approx(1.0, abs=1e-13)

@@ -539,8 +539,7 @@ def test_drift_preconditioner_beats_the_shifted_sine_solve(fold_square24, monkey
         drift = _bordered_gmres_iterations(
             J, border, b, solver.drift_preconditioner(ops, u, lam * c, mu, h), monkeypatch)
         shifted = _bordered_gmres_iterations(
-            J, border, b,
-            lambda r: ops.shifted_sine_solve(r, min(lam * float(np.mean(c)), shift_cap)),
+            J, border, b, ops.shifted_sine_solver(min(lam * float(np.mean(c)), shift_cap)),
             monkeypatch)
         assert drift < shifted, (i, drift, shifted)
 
@@ -746,8 +745,8 @@ def test_folded_family_counts(dim, n, steps, gmres_its, trace_applications, fold
     # preconditioner's applications in each, pinned: a cheaper evaluation of
     # the bordered Newton's points must keep the algorithm. Each GMRES
     # iteration applies the preconditioner once, and nothing else applies it.
-    # No corrector step makes a SuperLU factorization: 2-D steps are GMRES
-    # runs, 1-D steps tridiagonal LUs
+    # Neither a corrector step nor the fold makes a SuperLU factorization: 2-D
+    # steps are GMRES runs, 1-D steps and adjoint solves tridiagonal LUs
     spec = GridSpec(dim, ((0.0, 1.0),) * dim, (n,) * dim)
     ops = build_operators(spec)
     h = "*".join(f"sin(pi*x{k + 1})" for k in range(dim))
@@ -776,8 +775,7 @@ def test_folded_family_counts(dim, n, steps, gmres_its, trace_applications, fold
     locate_fold(branch, problem, ops, opts)
     assert len(iterations) == gmres_its
     assert len(applications) == trace_applications + fold_applications
-    if dim == 2:
-        assert superlu == []
+    assert superlu == []
 
 
 def test_one_dimensional_branch_never_takes_the_krylov_path(fold_demo, monkeypatch):

@@ -80,14 +80,39 @@ def test_laplacian_annihilates_affine_away_from_boundary():
     assert np.max(interior) <= 1e-9 * 4.0 / spec.spacing[0] ** 2
 
 
-def test_edge_factorization_matches_laplacian():
-    spec = GridSpec(2, ((0.0, 1.0), (0.0, 3.0)), (8, 12))
-    ops = build_operators(spec)
-    total = None
-    for E in ops.edge_diffs:
-        part = (E.T @ E).tocsr()
-        total = part if total is None else total + part
-    assert abs(total - ops.laplacian).max() <= 1e-10 * ops.laplacian.tocsr().max()
+@pytest.mark.parametrize("dim, bounds, n", [
+    (1, ((0.0, 1.0),), (9,)),
+    (2, ((0.0, 1.0), (0.0, 3.0)), (8, 12)),
+    (2, ((0.0, 30.0), (0.0, 30.0)), (32, 32)),
+    (3, ((0.0, 1.0), (0.0, 2.0), (0.0, 1.5)), (4, 6, 5)),
+])
+def test_laplacian_is_the_textbook_stencil_bit_for_bit(dim, bounds, n):
+    # the stencil assembled node by node, 2/h^2 summed over the axes in order
+    # on the diagonal and -1/h^2 to each interior neighbour, stored by
+    # diagonals with zeros where the stencil would wrap around a grid line
+    spec = GridSpec(dim, bounds, n)
+    L = build_operators(spec).laplacian
+    shape = spec.interior_shape
+    index = np.arange(spec.n_interior).reshape(shape)
+    ref = np.zeros((spec.n_interior, spec.n_interior))
+    for node in np.ndindex(*shape):
+        center = 0.0
+        for axis, h in enumerate(spec.spacing):
+            center = center + 2.0 / h**2
+            for step in (-1, 1):
+                k = node[axis] + step
+                if 0 <= k < shape[axis]:
+                    ref[index[node], index[node[:axis] + (k,) + node[axis + 1:]]] = -1.0 / h**2
+        ref[index[node], index[node]] = center
+    strides = [int(np.prod(shape[axis + 1:])) for axis in range(dim)]
+    assert L.offsets.tolist() == sorted(strides + [0] + [-s for s in strides])
+    cols = np.arange(spec.n_interior)
+    for k, diagonal in zip(L.offsets, L.data):
+        rows = cols - k
+        inside = (rows >= 0) & (rows < spec.n_interior)
+        want = np.zeros(spec.n_interior)
+        want[inside] = ref[rows[inside], cols[inside]]
+        assert diagonal.tobytes() == want.tobytes()
 
 
 def _dense_weighted_stiffness(spec, coeff):
@@ -125,7 +150,8 @@ def test_weighted_stiffness_matches_dense_edge_sum(dim, bounds, n):
     K = ops.weighted_stiffness(coeff)
     assert np.max(np.abs(K.toarray() - ref)) <= 1e-13 * np.max(np.abs(ref))
     ones = ops.weighted_stiffness(np.ones(spec.n_interior))
-    assert abs(ones - ops.laplacian).max() <= 1e-13 * ops.laplacian.tocsr().max()
+    assert np.array_equal(ones.offsets, ops.laplacian.offsets)
+    assert ones.data.tobytes() == ops.laplacian.data.tobytes()
 
 
 def test_grad_sq_zero_field(interval64):
@@ -321,7 +347,8 @@ def test_linearized_jacobian_matches_diags_assembly(bounds, n, monkeypatch):
     # the CSC that ``factor`` hands SuperLU is the sp.diags assembly's, entry
     # for entry and without the zeros of the storage by diagonals; so is that
     # of the transpose, and products by either agree to rounding. A 1-D
-    # Jacobian goes to LAPACK's tridiagonal LU instead, as its three diagonals
+    # Jacobian and its transpose go to LAPACK's tridiagonal LU instead, as
+    # their three diagonals
     spec = GridSpec(len(n), bounds, n)
     ops = build_operators(spec)
     received = []
@@ -338,12 +365,17 @@ def test_linearized_jacobian_matches_diags_assembly(bounds, n, monkeypatch):
     for u in (smooth, rng.uniform(-1.0, 1.0, spec.n_interior), np.zeros(spec.n_interior)):
         got = quasilinear_jacobian(u, d, mu, ops)
         ref = _diags_jacobian(u, d, mu, ops)
+        # the transpose is a Stencil on the same pattern, exactly the dense
+        # transpose, and transposing it again restores every stored value
+        T = got.T
+        assert isinstance(T, grid.Stencil) and np.array_equal(T.offsets, got.offsets)
+        assert np.array_equal(T.toarray(), got.toarray().T)
+        assert T.T.data.tobytes() == got.data.tobytes()
         for A, R in ((got, ref), (got.T, ref.T.tocsc())):
             factor(A)
             lu_input = received.pop()
             assert not received
-            # the transpose is a CSC, which SuperLU factors in 1-D too
-            assert isinstance(lu_input, tuple) == (spec.dim == 1 and A is got)
+            assert isinstance(lu_input, tuple) == (spec.dim == 1)
             if isinstance(lu_input, tuple):
                 for diagonal, k in zip(lu_input, (-1, 0, 1)):
                     assert np.array_equal(diagonal, R.diagonal(k))
@@ -638,7 +670,7 @@ def test_linear_solve_takes_each_calls_preconditioner(monkeypatch):
     J, b = _sine_preconditioned_case(spec, ops)
     calls = _counted(monkeypatch)
     for shift in (0.0, -2.0):
-        x = grid.linear_solve(J, b, 0.0, precondition=lambda v: ops.shifted_sine_solve(v, shift))
+        x = grid.linear_solve(J, b, 0.0, precondition=ops.shifted_sine_solver(shift))
         assert np.linalg.norm(b - J @ x) <= grid.KRYLOV_RTOL * np.linalg.norm(b)
     assert calls == ["gmres", "gmres"]
     # no preconditioner on this call: A is factored and solved directly
@@ -683,13 +715,14 @@ def test_shifted_sine_solve_matches_the_shifted_laplacian(bounds, n):
     for b in (rng.standard_normal(spec.n_interior), np.ones(spec.n_interior)):
         # the FFT transform is the reference at shift 0
         ref = ops.sine_solve(b)
-        assert np.max(np.abs(ops.shifted_sine_solve(b, 0.0) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        got = ops.shifted_sine_solver(0.0)(b)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         for shift in (-5.0, 0.0, 0.5 * lam_min, 0.9 * lam_min):
             ref = spla.spsolve((ops.laplacian - shift * sp.identity(spec.n_interior)).tocsc(), b)
             cond = (lam_max - shift) / (lam_min - shift)
-            for got in (ops.shifted_sine_solve(b, shift), ops.shifted_sine_solver(shift)(b)):
-                assert got.shape == b.shape
-                assert np.max(np.abs(got - ref)) <= 1e-15 * cond * np.max(np.abs(ref))
+            got = ops.shifted_sine_solver(shift)(b)
+            assert got.shape == b.shape
+            assert np.max(np.abs(got - ref)) <= 1e-15 * cond * np.max(np.abs(ref))
 
 
 def test_sine_basis_diagonalizes_the_laplacian():
