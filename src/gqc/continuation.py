@@ -5,7 +5,10 @@ The branch is parameterized by arclength in the product norm
     ||(dlam, du)||^2 = dlam^2 + ||du||_E^2 / (1 + ||u||_E^2),
 
 whose relative u-scaling keeps steps meaningful while norms grow toward
-the cap. Predictors are secants in that norm. The corrector and
+the cap. The tangent is the secant through the last two points in that
+norm. Each corrector starts from the quadratic through the last three
+points, a Lagrange polynomial in their arclengths (``_predictor``), or from
+the secant where that start is not safe. The corrector and
 ``locate_fold`` are one bordered Newton (``_bordered_newton``): the
 equation plus one scalar row, which stays regular through folds where
 plain parameter continuation degenerates. The corrector's row is the
@@ -54,8 +57,8 @@ MAX_CORRECTOR = 12
 CORRECTOR_MIN_STEP = 0.125
 # the relative Krylov target of a bordered Newton step (``grid.linear_solve``'s
 # rtol, against the default ``grid.KRYLOV_RTOL = 1e-9``): the folded family's
-# traces take as many Newton steps as at 1e-9 (189 at 48^2, 187 at 128^2, 120
-# on 64 cells), with about a fifth fewer GMRES iterations
+# traces take as many Newton steps as at 1e-9 (149 at 48^2, 150 at 128^2, 193
+# at 24^3, 108 on 64 cells), with about a fifth fewer GMRES iterations
 BORDERED_KRYLOV_RTOL = 1e-6
 # accepted steps must stay within this multiple of ds from the base
 # point (product norm); keeps the tracer from tunneling onto another
@@ -215,22 +218,52 @@ def _bordered_newton(problem: ProblemData, ops: DiscreteOperators, sopts: SolveO
     return damped_newton(x0, residual, step, sopts)
 
 
+def _predictor(points: list[BranchPoint], ds: float, t_lam: float, t_u: np.ndarray,
+               retry: bool, problem: ProblemData, ops: DiscreteOperators) -> np.ndarray:
+    """The corrector's start x = (u, lam) for a step of ``ds`` from the last
+    point: the quadratic through the last three points, a Lagrange polynomial
+    in their arclengths s evaluated at s + ds (Allgower & Georg 1990, ch. 6).
+
+    The secant start base + ds t stays in three cases: fewer than three points
+    exist; the last step tried from this base was rejected (``retry``: from
+    the quadratic, a retried 16^3 step of the folded family took 5 Newton
+    steps to fail its line search, against at most 4 from the secant); or the
+    quadratic's u loses central differences' Z-matrix pattern:
+    the Jacobian's drift 2 mu D_k u has a cell Peclet number above 1,
+    max_k |mu D_k u| h_k > 1, and an off-diagonal entry turns positive. That
+    is where boundary layers form (the README's caveat), and GMRES runs from
+    quadratic starts there miss.
+    """
+    cur = points[-1]
+    if not retry and len(points) >= 3:
+        a, b = points[-3], points[-2]
+        s = cur.s + ds
+        weights = ((s - b.s) * (s - cur.s) / ((a.s - b.s) * (a.s - cur.s)),
+                   (s - a.s) * (s - cur.s) / ((b.s - a.s) * (b.s - cur.s)),
+                   (s - a.s) * (s - b.s) / ((cur.s - a.s) * (cur.s - b.s)))
+        u = sum(w * p.u.values for w, p in zip(weights, (a, b, cur)))
+        mu = problem.mu.values
+        if all(float(np.max(np.abs(mu * (D @ u)))) * hk <= 1.0
+               for D, hk in zip(ops.gradient, ops.spec.spacing)):
+            return np.append(u, sum(w * p.lam for w, p in zip(weights, (a, b, cur))))
+    return np.append(cur.u.values + ds * t_u, cur.lam + ds * t_lam)
+
+
 def _corrector(problem: ProblemData, ops: DiscreteOperators, opts: ContinuationOptions,
-               base_lam: float, base_u: np.ndarray, t_lam: float, t_u: np.ndarray, ds: float
-               ) -> tuple[np.ndarray, float, int]:
+               base_lam: float, base_u: np.ndarray, t_lam: float, t_u: np.ndarray, ds: float,
+               start: np.ndarray) -> tuple[np.ndarray, float, int]:
     """``_bordered_newton`` with the arclength constraint, to
-    1e-10 (1 + |ds|), from the secant predictor; returns (u, lam, Newton
-    steps) or raises ``_Rejected`` (``singular`` when no LU could be made,
-    else ``corrector_failed``)."""
+    1e-10 (1 + |ds|), from ``start`` = (u, lam), ``_predictor``'s; returns
+    (u, lam, Newton steps) or raises ``_Rejected`` (``singular`` when no LU
+    could be made, else ``corrector_failed``)."""
     cvec = _arclength_row(ops, base_u, t_u)
 
     def arclength(u: np.ndarray, lam: float, tol: float, *_):
         q = t_lam * (lam - base_lam) + float(cvec @ (u - base_u)) - ds
         return q, 1e-10 * (1.0 + abs(ds)), lambda: (cvec, t_lam)
 
-    x0 = np.append(base_u + ds * t_u, base_lam + ds * t_lam)
     sopts = replace(opts.solve, max_newton=MAX_CORRECTOR, min_step=CORRECTOR_MIN_STEP)
-    x, report = _bordered_newton(problem, ops, sopts, x0, arclength)
+    x, report = _bordered_newton(problem, ops, sopts, start, arclength)
     if not report.converged:
         raise _Rejected("singular" if report.failure_reason == "singular"
                         else "corrector_failed")
@@ -279,6 +312,7 @@ def trace_branch(
     branch.points.append(_make_point(lam0 + dlam, u1, s1, it1, dlam, problem, ops))
 
     ds = opts.ds0
+    retry = False  # the last step tried from cur was rejected
     while True:
         prev, cur = branch.points[-2], branch.points[-1]
         if cur.sup_norm > opts.norm_cap:
@@ -297,9 +331,10 @@ def trace_branch(
         nrm = _product_norm(dl, du, base_energy_sq, ops)
         t_lam, t_u = dl / nrm, du / nrm
 
+        start = _predictor(branch.points, ds, t_lam, t_u, retry, problem, ops)
         try:
             u_new, lam_new, iters = _corrector(problem, ops, opts, cur.lam, cur.u.values,
-                                               t_lam, t_u, ds)
+                                               t_lam, t_u, ds, start)
             step_norm = _product_norm(lam_new - cur.lam, u_new - cur.u.values,
                                       base_energy_sq, ops)
             if step_norm > MAX_STEP_RATIO * ds:
@@ -307,6 +342,7 @@ def trace_branch(
                 raise _Rejected("step_too_long")
         except _Rejected as exc:
             branch.rejections.append((cur.s, ds, str(exc)))
+            retry = True
             ds *= 0.5
             if ds < opts.ds_min:
                 branch.termination = "step_floor"
@@ -315,6 +351,7 @@ def trace_branch(
         branch.points.append(
             _make_point(lam_new, u_new, cur.s + step_norm, iters, ds, problem, ops)
         )
+        retry = False
         n = len(branch.points)
         if n >= 3:
             d1 = branch.points[-1].lam - branch.points[-2].lam

@@ -112,7 +112,7 @@ def _golden_section_fold(branch, problem, ops, opts):
 
     def lam_at(sigma):
         try:
-            return continuation._corrector(problem, ops, opts, *step, sigma)[1]
+            return _secant_corrector(problem, ops, opts, *step, sigma)[1]
         except continuation._Rejected:
             return -np.inf
 
@@ -150,8 +150,7 @@ def _check_fold(branch, problem, ops, opts, lam, sigma):
     nrm = continuation._product_norm(dl, du, e, ops)
     t_lam, t_u = dl / nrm, du / nrm
     # the corrector meets its tolerances at the located offset, on the located lambda
-    u, lam_at, _ = continuation._corrector(problem, ops, opts, a.lam, a.u.values, t_lam, t_u,
-                                           sigma)
+    u, lam_at, _ = _secant_corrector(problem, ops, opts, a.lam, a.u.values, t_lam, t_u, sigma)
     assert abs(lam_at - lam) <= 1e-10 * abs(lam)
     # dlam/dsigma, the tangent's lambda component, at the fold and at the fold
     # point: by their secant the located offset lies within ds_min of its root
@@ -300,12 +299,23 @@ def test_seed_failure_reported(square32):
 # the block-elimination corrector against the bordered LU it replaces
 
 
-def _reference_corrector(problem, ops, opts, base_lam, base_u, t_lam, t_u, ds):
-    """The corrector with every Newton step an LU of the bordered matrix."""
+def _secant_start(base_lam, base_u, t_lam, t_u, ds):
+    return np.append(base_u + ds * t_u, base_lam + ds * t_lam)
+
+
+def _secant_corrector(*args):
+    """``_corrector`` from the secant start base + ds t."""
+    return continuation._corrector(*args, _secant_start(*args[3:8]))
+
+
+def _reference_corrector(problem, ops, opts, base_lam, base_u, t_lam, t_u, ds, start=None):
+    """The corrector with every Newton step an LU of the bordered matrix, from
+    ``start`` = (u, lam), or from the secant when it is None."""
     c, mu, h = problem.c.values, problem.mu.values, problem.h.values
     scale = ops.node_weight / (1.0 + ops.energy_product(base_u, base_u))
     cvec = scale * (ops.laplacian @ t_u)
-    lam, u = base_lam + ds * t_lam, base_u + ds * t_u
+    x = _secant_start(base_lam, base_u, t_lam, t_u, ds) if start is None else start
+    lam, u = float(x[-1]), x[:-1]
     for it in range(1, continuation.MAX_CORRECTOR + 1):
         d = lam * c
         R, rscale = residual_with_scale(u, d, mu, h, ops)
@@ -370,21 +380,27 @@ def test_corrector_matches_bordered_lu(fold_square24, monkeypatch):
                         lambda shift: shifts.append(shift) or shifted_solver(shift))
     runs = _counting_gmres(monkeypatch)
     step, ds = _ordinary_step(data)
-    got = continuation._corrector(*args, *step, ds)
+    got = _secant_corrector(*args, *step, ds)
     _assert_same_step(got, _reference_corrector(*args, *step, ds))
     assert len(runs) == got[2]
+    # from the quadratic through points 2-4 the two agree as well
+    start = continuation._predictor(data["branch"].points[2:5], ds, *step[2:], False,
+                                    data["problem"], data["ops"])
+    assert not np.array_equal(start, _secant_start(*step, ds))
+    _assert_same_step(continuation._corrector(*args, *step, ds, start),
+                      _reference_corrector(*args, *step, ds, start))
     # the shift is the mean of d (1 + mu u) + mu h at each Newton step, from the
     # predictor's on, and each step builds its preconditioner once; five times
     # the step takes two
     shifts.clear()
-    got = continuation._corrector(*args, *step, 5 * ds)
+    got = _secant_corrector(*args, *step, 5 * ds)
     assert shifts[0] == _drift_shift(data["ops"], data["problem"], *step, 5 * ds)
     assert len(set(shifts)) == len(shifts) == got[2] > 1
     # at the located fold the Jacobian is nearly singular, and the shift is capped
     step, sigma = data["fold_step"], data["sigma"]
     shifts.clear()
     runs.clear()
-    got = continuation._corrector(*args, *step, sigma)
+    got = _secant_corrector(*args, *step, sigma)
     _assert_same_step(got, _reference_corrector(*args, *step, sigma))
     assert got[1] == pytest.approx(data["lam_fold"], rel=1e-10)
     assert len(runs) == got[2]
@@ -402,8 +418,7 @@ def test_bordered_solve_at_fold_matches_lu(fold_square24, monkeypatch):
     data = fold_square24
     problem, ops = data["problem"], data["ops"]
     base_lam, base_u, t_lam, t_u = data["fold_step"]
-    u, lam, _ = continuation._corrector(problem, ops, data["opts"], *data["fold_step"],
-                                        data["sigma"])
+    u, lam, _ = _secant_corrector(problem, ops, data["opts"], *data["fold_step"], data["sigma"])
     c = problem.c.values
     J = quasilinear_jacobian(u, lam * c, problem.mu.values, ops)
     row = ops.laplacian @ t_u
@@ -435,7 +450,7 @@ def test_bordered_step_is_singular_when_jacobian_factor_fails(fold_square24, mon
     for step, ds in (_ordinary_step(data), (data["fold_step"], data["sigma"])):
         sizes.clear()
         with pytest.raises(continuation._Rejected, match="^singular$"):
-            continuation._corrector(*args, *step, ds)
+            _secant_corrector(*args, *step, ds)
         # the first Newton step tried J once; no bordered matrix was factored
         assert sizes == [n]
 
@@ -623,17 +638,17 @@ def test_corrector_refactors_after_a_krylov_miss(fold_square24, monkeypatch):
     data = fold_square24
     args = (data["problem"], data["ops"], data["opts"])
     step, ds = _ordinary_step(data)
-    shifted = continuation._corrector(*args, *step, ds)
+    shifted = _secant_corrector(*args, *step, ds)
     # every GMRES run misses, and each miss makes one LU for its step alone
     with monkeypatch.context() as patch:
         patch.setattr(grid, "gmres", lambda *a: None)
         sizes, runs = _counting_factor(patch), _counting_gmres(patch)
-        got = continuation._corrector(*args, *step, ds)
+        got = _secant_corrector(*args, *step, ds)
     _assert_same_step(got, shifted)
     assert len(sizes) == len(runs) == got[2]
     # no LU outlives its step: the next call is GMRES throughout again
     sizes, runs = _counting_factor(monkeypatch), _counting_gmres(monkeypatch)
-    again = continuation._corrector(*args, *step, ds)
+    again = _secant_corrector(*args, *step, ds)
     _assert_same_step(again, shifted)
     assert (sizes, len(runs)) == ([], again[2])
 
@@ -736,16 +751,132 @@ def test_corrector_shift_is_the_mean_of_minus_v(monkeypatch):
     assert 0 < first and shifts[first] == _drift_shift(ops, problem, *step)
 
 
+# ---------------------------------------------------------------------------
+# the corrector's start: the quadratic through the last three points
+
+
+@pytest.fixture(scope="module")
+def rectangle():
+    spec = GridSpec(2, ((0.0, 1.0), (0.0, 2.0)), (8, 12))
+    return spec, build_operators(spec), make_problem(spec, mu="1 + 0.3*x2", profile="A2")
+
+
+def _points(spec, arclengths, u_of, lam_of):
+    return [continuation.BranchPoint(lam=lam_of(s), u=grid.GridFunction(spec, u_of(s)),
+                                     sup_norm=0.0, h10_norm=0.0, s=s, newton_iters=0)
+            for s in arclengths]
+
+
+def _secant(points, ds, t_lam, t_u):
+    return _secant_start(points[-1].lam, points[-1].u.values, t_lam, t_u, ds)
+
+
+def test_predictor_reproduces_a_quadratic(rectangle):
+    spec, ops, problem = rectangle
+    rng = np.random.default_rng(5)
+    a, b, c = (0.01 * rng.standard_normal(spec.n_interior) for _ in range(3))
+    points = _points(spec, (0.0, 0.13, 0.41), lambda s: a + s * b + s * s * c,
+                     lambda s: -1.0 + 0.7 * s - 0.3 * s * s)
+    ds, t_u = 0.27, rng.standard_normal(spec.n_interior)
+    x = continuation._predictor(points, ds, 0.5, t_u, False, problem, ops)
+    s = 0.41 + ds
+    want = np.append(a + s * b + s * s * c, -1.0 + 0.7 * s - 0.3 * s * s)
+    assert np.max(np.abs(x - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case", ["two_points", "retry", "z_pattern_lost"])
+def test_predictor_keeps_the_secant(rectangle, case):
+    # the start is base + ds t, byte for byte, with fewer than three points,
+    # after a rejected step from the same base, and where the quadratic's u
+    # gives the Jacobian a positive off-diagonal entry
+    spec, ops, problem = rectangle
+    rng = np.random.default_rng(6)
+    a, b, c = (0.01 * rng.standard_normal(spec.n_interior) for _ in range(3))
+    if case == "z_pattern_lost":  # max_k |mu D_k u| h_k about 2 at s = 0.68
+        c = 200.0 * c
+    points = _points(spec, (0.0, 0.13, 0.41), lambda s: a + s * b + s * s * c,
+                     lambda s: -1.0 + 0.7 * s - 0.3 * s * s)
+    ds, t_lam, t_u = 0.27, 0.5, rng.standard_normal(spec.n_interior)
+    secant = _secant(points, ds, t_lam, t_u).tobytes()
+    given = points[1:] if case == "two_points" else points
+    assert continuation._predictor(given, ds, t_lam, t_u, case == "retry", problem,
+                                   ops).tobytes() == secant
+    if case != "z_pattern_lost":  # else the three points start from the quadratic
+        assert continuation._predictor(points, ds, t_lam, t_u, False, problem,
+                                       ops).tobytes() != secant
+
+
+def test_predictor_keeps_the_secant_exactly_where_the_z_pattern_is_lost(rectangle):
+    # three points at one u: the quadratic start is that u, and it falls back to
+    # the secant exactly when the Jacobian's drift 2 mu D_k u gives an
+    # off-diagonal entry the wrong sign, at max_k |mu D_k u| h_k = 1
+    spec, ops, problem = rectangle
+    mu = problem.mu.values
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(spec.n_interior)
+    v /= max(float(np.max(np.abs(mu * (D @ v)))) * hk
+             for D, hk in zip(ops.gradient, spec.spacing))
+    t_u = np.zeros(spec.n_interior)
+    for scale in (0.5, 0.99, 1.01, 2.0):
+        points = _points(spec, (0.0, 0.2, 0.3), lambda s: scale * v, lambda s: s)
+        x = continuation._predictor(points, 0.1, 0.5, t_u, False, problem, ops)
+        J = quasilinear_jacobian(scale * v, np.zeros(spec.n_interior), mu, ops).toarray()
+        signed = (J - np.diag(np.diag(J)) > 0.0).any()
+        secant = x.tobytes() == _secant(points, 0.1, 0.5, t_u).tobytes()
+        assert secant == signed == (scale > 1.0), scale
+
+
+@pytest.mark.parametrize("which, u_rtol", [("fold_square24", 5e-10), ("cube12", 1e-8)])
+def test_quadratic_and_secant_starts_reach_the_same_point(which, u_rtol, request, monkeypatch):
+    # every corrector call of the trace that started from the quadratic, again
+    # from the secant: the same point within the corrector's tolerances. Newton
+    # stops once the residual is inside its tolerance, so from two starts it
+    # stops at two points inside it: on 12^3, 18 of 114 calls differ by more
+    # than 5e-10 in u, by 6.1e-9 at most, just past the fold, where the
+    # quadratic start stopped at a residual of 0.94 tol and the secant start,
+    # one step later, at 3e-5 tol
+    if which == "cube12":
+        spec = GridSpec(3, ((0.0, 1.0),) * 3, (12, 12, 12))
+        ops = build_operators(spec)
+        problem = make_problem(spec, h="0.1*sin(pi*x1)*sin(pi*x2)*sin(pi*x3)", profile="A2")
+        opts = ContinuationOptions(norm_cap=3.0, max_points=400)
+    else:
+        data = request.getfixturevalue(which)
+        problem, ops, opts = data["problem"], data["ops"], data["opts"]
+    calls = []
+    corrector = continuation._corrector
+
+    def recorded(*args):
+        got = corrector(*args)
+        calls.append((args, got))
+        return got
+
+    monkeypatch.setattr(continuation, "_corrector", recorded)
+    branch = trace_branch(problem, -2.0, ops, opts)
+    monkeypatch.undo()
+    assert branch.rejections and branch.folds
+    quadratic = [(args, got) for args, got in calls
+                 if not np.array_equal(args[-1], _secant_start(*args[3:8]))]
+    assert len(quadratic) > 0.9 * len(calls)
+    for args, (u, lam, _) in quadratic:
+        u_ref, lam_ref, _ = _secant_corrector(*args[:-1])
+        assert abs(lam - lam_ref) <= 5e-10 * abs(lam_ref)
+        assert np.max(np.abs(u - u_ref)) <= u_rtol * np.max(np.abs(u_ref))
+
+
 @pytest.mark.parametrize("dim, n, steps, gmres_its, trace_applications, fold_applications",
-                         [(1, 64, 120, 0, 0, 0), (2, 48, 189, 792, 737, 55)])
+                         [(1, 64, 108, 0, 0, 0), (2, 48, 149, 654, 599, 55),
+                          (3, 12, 197, 938, 870, 55)], ids=["1-64", "2-48", "3-12"])
 def test_folded_family_counts(dim, n, steps, gmres_its, trace_applications, fold_applications,
                               monkeypatch):
     # the folded family's Newton steps over the trace's points, seeds included,
     # the GMRES iterations of the trace and its located fold, and the drift
     # preconditioner's applications in each, pinned: a cheaper evaluation of
     # the bordered Newton's points must keep the algorithm. Each GMRES
-    # iteration applies the preconditioner once, and nothing else applies it.
-    # Neither a corrector step nor the fold makes a SuperLU factorization: 2-D
+    # iteration applies its preconditioner once, and nothing else applies the
+    # drift preconditioner; 3-D seed solves take the sine solve instead, so
+    # their 13 iterations on 12^3 apply no drift preconditioner. Neither a
+    # corrector step nor the fold makes a SuperLU factorization: 2-D and 3-D
     # steps are GMRES runs, 1-D steps and adjoint solves tridiagonal LUs
     spec = GridSpec(dim, ((0.0, 1.0),) * dim, (n,) * dim)
     ops = build_operators(spec)
