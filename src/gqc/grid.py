@@ -21,7 +21,14 @@ consumes:
   Jacobians and their transposes are ``Stencil`` matrices. On a 1-D grid
   they are tridiagonal, and ``factor`` hands their three diagonals to
   LAPACK's tridiagonal LU; otherwise SuperLU receives scipy's CSC of their
-  nonzeros.
+  nonzeros. ``factor`` imports ``scipy.linalg`` (LAPACK) and
+  ``scipy.sparse.linalg`` (SuperLU) at the first LU that needs each, not
+  at import. 2-D and 3-D Newton and corrector steps factor only when GMRES
+  misses, and the full-box eigen solves are sine solves, so ``gqc
+  branch``, ``solve`` and ``eigen`` on the shipped 2-D demo configs and
+  ``check`` on all three load neither. A 1-D branch loads LAPACK, and a
+  ``check`` of Hc, H or k1 where c vanishes on part of the box loads
+  SuperLU.
 * midpoint quadrature: each interior node weighs prod(h_i); the missing
   boundary band makes integrals of non-vanishing fields low by O(1/n),
   which is documented and not compensated.
@@ -47,17 +54,18 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 # private, but it is the kernel that scipy's own dia_matrix @ vector calls, with
 # these arguments (``_dia_base._matmul_vector``); CI runs the tests, which
 # compare both products byte for byte, on scipy 1.16, the oldest release
 # pyproject.toml admits
 from scipy.sparse._sparsetools import dia_matvec
+
+if TYPE_CHECKING:
+    from scipy.sparse.linalg import SuperLU
 
 
 class GridError(ValueError):
@@ -253,6 +261,8 @@ class TridiagonalLU:
     pivot, as SuperLU does on an exactly singular matrix."""
 
     def __init__(self, A: Stencil):
+        from scipy.linalg import lapack
+
         # data[0, j] holds A[j + 1, j], data[2, j] holds A[j - 1, j]; dgttrf
         # works on copies, so A keeps its values
         *self._lu, info = lapack.dgttrf(A.data[0, :-1], A.data[1], A.data[2, 1:])
@@ -260,22 +270,27 @@ class TridiagonalLU:
             raise RuntimeError(f"Factor is exactly singular: zero pivot in row {info}")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        from scipy.linalg import lapack
+
         return lapack.dgttrs(*self._lu, b)[0]
 
 
-def factor(A: sp.spmatrix) -> spla.SuperLU | TridiagonalLU:
+def factor(A: sp.spmatrix) -> SuperLU | TridiagonalLU:
     """LU of ``A``, the one factorization every gqc solve goes through.
 
     A ``Stencil`` with three diagonals (the Laplacian, every Jacobian of a
     1-D grid and their transposes) takes ``TridiagonalLU``. Any other matrix
     takes SuperLU as scipy's CSC of its nonzeros, its columns ordered by
     minimum degree on the pattern of A^T + A, which suits the structurally
-    symmetric matrices gqc assembles. ``spla.splu`` and LAPACK's
-    routines are looked up at each call, so a wrapper installed on one sees
-    every factorization it makes.
+    symmetric matrices gqc assembles. ``scipy.sparse.linalg.splu`` and
+    LAPACK's routines are imported and looked up at each call, so a wrapper
+    installed on one sees every factorization it makes, and a process that
+    makes no LU of a kind never loads its module.
     """
     if isinstance(A, Stencil) and A.offsets.size == 3:
         return TridiagonalLU(A)
+    import scipy.sparse.linalg as spla
+
     return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A")
 
 
@@ -541,7 +556,7 @@ class DiscreteOperators:
         self._sine_weights = None  # scaled inverse eigenvalues of the Laplacian
         self._sine_basis = None  # per-axis orthonormal DST-I matrices, eigenvalues
 
-    def lap_solver(self) -> spla.SuperLU | TridiagonalLU:
+    def lap_solver(self) -> SuperLU | TridiagonalLU:
         """A fresh LU factorization of the Laplacian by ``factor``; nothing keeps it."""
         return factor(self.laplacian)
 

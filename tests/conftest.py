@@ -1,9 +1,14 @@
 import gc
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gqc
 from gqc import (
     ContinuationOptions,
     GridSpec,
@@ -30,6 +35,22 @@ def make_problem(spec, c="1", mu="1", h="0", lam=-1.0, profile="A1", p_exponent=
     )
 
 
+def fresh_cli(args):
+    """``gqc.cli.main(args)`` in a fresh interpreter that imports gqc from
+    this checkout. Returns its exit code and which of ``scipy.linalg``
+    (LAPACK) and ``scipy.sparse.linalg`` (SuperLU) it loaded; ``args``
+    should hold ``--quiet``, as the module names are its last stdout line
+    (None if it printed none)."""
+    src = str(Path(gqc.__file__).resolve().parent.parent)
+    code = ("import sys; from gqc.cli import main; code = main(sys.argv[1:]); "
+            "print(*(m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules)); "
+            "sys.exit(code)")
+    run = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    lines = run.stdout.splitlines()
+    return run.returncode, lines[-1].split() if lines else None
+
+
 class _TrackedLU:
     """A SuperLU behind an object that takes a weak reference."""
 
@@ -44,10 +65,10 @@ class _TrackedLU:
 def one_lu_at_a_time(monkeypatch):
     """Every sparse LU first checks, after ``gc.collect()``, that no earlier
     one is alive. Returns the list of (unknowns, weak reference) per LU."""
-    from gqc import grid
+    import scipy.sparse.linalg as spla
 
     made = []
-    splu = grid.spla.splu
+    splu = spla.splu
 
     def tracked_splu(A, **kw):
         gc.collect()
@@ -56,7 +77,7 @@ def one_lu_at_a_time(monkeypatch):
         made.append((A.shape[0], weakref.ref(lu)))
         return lu
 
-    monkeypatch.setattr(grid.spla, "splu", tracked_splu)
+    monkeypatch.setattr(spla, "splu", tracked_splu)
     return made
 
 

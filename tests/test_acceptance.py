@@ -32,7 +32,7 @@ from gqc.cli import main as cli_main
 from gqc.oracle import dense_eigen_oracle, fd_gradient_check, reference_continuation
 from gqc.solver import solve_cascade
 
-from conftest import make_a3_problem, make_problem
+from conftest import fresh_cli, make_a3_problem, make_problem
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -214,12 +214,8 @@ def assert_close_json(got, ref, path="$"):
         assert got == ref, path
 
 
-@pytest.mark.parametrize("demo", ["demo_fig1", "demo_fig2"])
-def test_demo_branch_artifacts_match_golden(demo, tmp_path):
-    # the demos' branch artifacts as the committed golden files record them
-    out = tmp_path / demo
-    assert cli_main(["branch", "--config", str(DEMO_DIR / f"{demo}.json"),
-                     "--out", str(out), "--quiet"]) == 0
+def assert_demo_matches_golden(out, demo):
+    """A demo's branch artifacts in ``out`` as the committed golden files record them."""
     assert_branch_matches_reference(out / "branch.csv", f"{demo}_branch.csv")
     ref = json.loads((DATA_DIR / f"{demo}_analysis.json").read_text())
     assert_close_json(json.loads((out / "analysis.json").read_text()), ref)
@@ -229,6 +225,23 @@ def test_demo_branch_artifacts_match_golden(demo, tmp_path):
         got, want = np.loadtxt(out / name), np.loadtxt(DATA_DIR / f"{demo}_{name}")
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+
+
+@pytest.mark.parametrize("demo", ["demo_fig1", "demo_fig2"])
+def test_demo_branch_artifacts_match_golden(demo, tmp_path):
+    out = tmp_path / demo
+    assert cli_main(["branch", "--config", str(DEMO_DIR / f"{demo}.json"),
+                     "--out", str(out), "--quiet"]) == 0
+    assert_demo_matches_golden(out, demo)
+
+
+def test_fresh_1d_branch_loads_lapack_alone_and_matches_golden(tmp_path):
+    # 1-D steps factor by LAPACK's tridiagonal LU, imported at the first one;
+    # the tests import it themselves, so only a fresh process tests that import
+    out = tmp_path / "demo_fig2"
+    assert fresh_cli(["branch", "--config", str(DEMO_DIR / "demo_fig2.json"),
+                      "--out", str(out), "--quiet"]) == (0, ["scipy.linalg"])
+    assert_demo_matches_golden(out, "demo_fig2")
 
 
 def test_criterion_8_fold_branch_behavior(tmp_path):

@@ -12,6 +12,8 @@ from gqc.cli import main
 from gqc.conditions import EigenError
 from gqc.solver import SolverError
 
+from conftest import fresh_cli
+
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
@@ -47,6 +49,40 @@ def test_cli_import_leaves_jsonschema_out():
     # configs are checked by cli._schema_error; jsonschema and its
     # referencing stack would add about 0.06 s to every CLI start
     assert not cli_import_loads_any("jsonschema", "referencing")
+
+
+def test_cli_import_leaves_scipy_lu_and_lapack_out():
+    # grid.factor imports SuperLU (scipy.sparse.linalg) and LAPACK
+    # (scipy.linalg) at its first LU of each kind; on import they would add
+    # 0.05-0.1 s and 10 MB to every CLI start
+    assert not cli_import_loads_any("scipy.sparse.linalg", "scipy.linalg")
+
+
+@pytest.mark.parametrize("command, demo", [("branch", "demo_fig1"), ("solve", "demo_manufactured"),
+                                           ("eigen", "demo_fig1")])
+def test_fresh_2d_demo_commands_load_no_lu(tmp_path, command, demo):
+    # 2-D Newton and corrector steps are GMRES runs and gamma1 is a sine
+    # solve, so these commands factor nothing. The tests import both scipy
+    # modules themselves, so only a fresh process tests the deferred imports
+    assert fresh_cli([command, "--config", str(DEMO_DIR / f"{demo}.json"),
+                      "--out", str(tmp_path), "--quiet"]) == (0, [])
+
+
+def test_fresh_masked_check_loads_superlu_and_matches_in_process(tmp_path):
+    # Hc and H factor the Laplacian restricted to the zero set of c and k1
+    # its stiffness there: SuperLU's first import is inside this run
+    cfg = write_config(tmp_path, {
+        "grid": grid_block(n=32),
+        "coefficients": {"c": "indicator(1,0.25,0.6)*indicator(2,0.25,0.6)", "mu": "1+0.5*x2",
+                         "h": "0.3*sin(pi*x1)*sin(pi*x1) - 0.25*sin(pi*x2)*sin(pi*x1)"},
+        "conditions": ["H0", "Hc", "H", "k1"],
+    })
+    code, loaded = fresh_cli(["check", "--config", cfg, "--out", str(tmp_path / "fresh"), "--quiet"])
+    assert code == 0 and "scipy.sparse.linalg" in loaded
+    assert main(["check", "--config", cfg, "--out", str(tmp_path / "here"), "--quiet"]) == 0
+    report = (tmp_path / "fresh" / "report.json").read_bytes()
+    assert report == (tmp_path / "here" / "report.json").read_bytes()
+    assert all(c["holds"] for c in json.loads(report)["conditions"])
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +511,7 @@ def test_check_and_eigen_factor_no_full_laplacian(tmp_path, monkeypatch):
     # H0 and gamma1 invert the full-box Laplacian by the dense sine basis; Hc
     # and H share one LU of the Laplacian restricted to the zero set of c, and
     # k1 factors its own stiffness on that set
-    from gqc import grid
+    import scipy.sparse.linalg as spla
 
     n = 24
     cfg = write_config(tmp_path, {
@@ -486,8 +522,8 @@ def test_check_and_eigen_factor_no_full_laplacian(tmp_path, monkeypatch):
         "conditions": ["H0", "Hc", "H", "k1"],
     })
     sizes = []
-    splu = grid.spla.splu
-    monkeypatch.setattr(grid.spla, "splu",
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu",
                         lambda A, **kw: sizes.append(A.shape[0]) or splu(A, **kw))
     assert main(["check", "--config", cfg, "--out", str(tmp_path / "check"), "--quiet"]) == 0
     assert len(sizes) == 2 and (n - 1) ** 2 not in sizes

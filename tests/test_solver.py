@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from gqc import (
     GridFunction,
@@ -242,8 +243,8 @@ def test_3d_cascade_enclosure_and_multi_start_make_no_lu(monkeypatch):
     problem = make_problem(spec, mu="0.5 + 0.25*sin(pi*x1)",
                            h="1.1*(1 + 0.4*sin(pi*x2)*cos(0.5*pi*x3))", lam=-3.6)
     lus = []
-    splu = grid.spla.splu
-    monkeypatch.setattr(grid.spla, "splu", lambda A, **kw: lus.append(A.shape[0]) or splu(A, **kw))
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda A, **kw: lus.append(A.shape[0]) or splu(A, **kw))
     for lam in (-3.6, -2.2, -0.9):
         _, strategy, _ = solve_cascade(problem.with_lambda(lam), ops)
         assert strategy == "newton"
