@@ -9,16 +9,13 @@ the cap. The tangent is the secant through the last two points in that
 norm. Each corrector starts from the quadratic through the last three
 points, a Lagrange polynomial in their arclengths (``_predictor``), or from
 the secant where that start is not safe. The corrector and
-``locate_fold`` are one bordered Newton (``_bordered_newton``): the
-equation plus one scalar row, which stays regular through folds where
-plain parameter continuation degenerates. The corrector's row is the
-arclength constraint; the fold's is the minimally augmented system's
-g(u, lam) (Griewank & Reddien 1984), from a bordered solve, which
-vanishes exactly where the Jacobian is singular. Each Newton step is one
-bordered ``grid.linear_solve``: GMRES preconditioned by
-``solver.drift_preconditioner``, a shifted sine solve conjugated by
-exp(mu u), on 2-D and 3-D grids, with an LU for that step alone on a
-miss; 1-D steps are solves by LAPACK's tridiagonal LU.
+``locate_fold`` are one bordered Newton (``_bordered_newton``) on the
+problem's ``solver.QuasilinearSystem`` in (u, lam), which this module never
+writes out, plus one scalar row; it stays regular through folds where plain
+parameter continuation degenerates. The corrector's row is the arclength
+constraint; the fold's is the minimally augmented system's g(u, lam)
+(Griewank & Reddien 1984), from a bordered solve, which vanishes exactly
+where the Jacobian is singular.
 
 Termination is one of: the sup norm exceeding ``norm_cap`` (read as the
 branch escaping to infinity, with the side classified by the sign of
@@ -38,14 +35,12 @@ import numpy as np
 from .grid import DiscreteOperators, GridFunction, linear_solve
 from .problem import ProblemData
 from .solver import (
+    QuasilinearSystem,
     SolveOptions,
     SolveReport,
     SolverError,
     damped_newton,
-    drift_preconditioner,
-    newton_solve,
-    quasilinear_jacobian,
-    residual_with_scale,
+    newton_quasilinear,
 )
 
 # step growth after an accepted step whose corrector took at most 4 iterations
@@ -153,9 +148,8 @@ def _arclength_row(ops: DiscreteOperators, base_u: np.ndarray, t_u: np.ndarray) 
 
 
 class _Once:
-    """``make()`` on the first call, its result after: the lazy slot for one
-    point's Jacobian or preconditioner, cheaper than ``functools.cache``,
-    whose wrapper copies a function's metadata at each of the many points."""
+    """``make()`` on the first call, its result after: a point's lazy Jacobian
+    or preconditioner, cheaper than ``functools.cache``."""
 
     __slots__ = ("make", "value")
 
@@ -168,38 +162,31 @@ class _Once:
         return self.value
 
 
-def _bordered_newton(problem: ProblemData, ops: DiscreteOperators, sopts: SolveOptions,
-                     x0: np.ndarray, scalar) -> tuple[np.ndarray, SolveReport]:
-    """``damped_newton`` on x = (u, lam) for R(u, lam) = 0 and one scalar
-    equation q(u, lam) = 0.
+def _bordered_newton(system: QuasilinearSystem, sopts: SolveOptions, x0: np.ndarray, scalar
+                     ) -> tuple[np.ndarray, SolveReport]:
+    """``damped_newton`` on x = (u, lam) for the system's R(u, lam) = 0 and
+    one scalar equation q(u, lam) = 0.
 
     ``scalar(u, lam, tol, jacobian, precondition)`` returns (q, q_tol,
-    gradient), and ``gradient()`` the row and corner (dq/du, dq/dlam) at that
-    point; ``jacobian()`` is R's Jacobian there and ``precondition()`` its
-    ``drift_preconditioner``, each built on its first call. The
-    residual is (R / tol, q / q_tol), with tol the equation's tolerance, so
-    both must reach 1 and the Armijo merit weighs both. A step is one
-    ``linear_solve`` of [[J, -c u], [row^T, corner]] at the point evaluated
-    last, to min(tol, q_tol) with the Krylov target ``BORDERED_KRYLOV_RTOL``,
-    preconditioned by ``drift_preconditioner`` there on 2-D and 3-D grids;
-    1-D grids keep LU steps (``grid.factor``'s tridiagonal LU), as GMRES took
-    twice as long on a 64-cell trace. A point's d = lam c, residual, scalar
-    equation, Jacobian and preconditioner are evaluated once, and its step
-    reuses them.
+    gradient), and ``gradient()`` the row and corner (dq/du, dq/dlam) there;
+    ``jacobian()`` and ``precondition()`` are the system's at that point,
+    each built on its first call. The residual is (R / tol, q / q_tol), tol
+    being the equation's tolerance, so the Armijo merit weighs both. A step
+    is one ``linear_solve`` of [[J, R_lam], [row^T, corner]], R_lam being
+    ``system.d_p``, at the point evaluated last, whose evaluations it reuses,
+    to min(tol, q_tol) with the Krylov target ``BORDERED_KRYLOV_RTOL``. The
+    system's preconditioner is None on 1-D grids, whose steps are LU solves.
     """
-    c, mu, h = problem.c.values, problem.mu.values, problem.h.values
-    rhs = np.empty(c.size + 1)  # a step's right-hand side, -(R, q)
-    # unscaled residual, q, step tolerance, gradient, Jacobian and
-    # preconditioner of the last point
+    rhs = np.empty(x0.size)  # a step's right-hand side, -(R, q)
+    # R, q, step tolerance, gradient, Jacobian and preconditioner of the last point
     last: list = []
 
     def residual(x: np.ndarray) -> tuple[np.ndarray, float]:
         u, lam = x[:-1], float(x[-1])
-        d = lam * c
-        R, rscale = residual_with_scale(u, d, mu, h, ops)
+        R, rscale = system.residual(u, lam)
         tol = sopts.tol_residual * (1.0 + rscale)
-        jacobian = _Once(lambda: quasilinear_jacobian(u, d, mu, ops))
-        precondition = _Once(lambda: drift_preconditioner(ops, u, d, mu, h))
+        jacobian = _Once(lambda: system.jacobian(u, lam))
+        precondition = _Once(lambda: system.preconditioner(u, lam))
         q, q_tol, gradient = scalar(u, lam, tol, jacobian, precondition)
         last[:] = R, q, min(tol, q_tol), gradient, jacobian, precondition
         scaled = np.empty_like(rhs)
@@ -212,14 +199,15 @@ def _bordered_newton(problem: ProblemData, ops: DiscreteOperators, sopts: SolveO
         row, corner = gradient()
         np.negative(R, out=rhs[:-1])
         rhs[-1] = -q
-        return linear_solve(jacobian(), rhs, tol, border=(-(c * x[:-1]), row, corner),
+        return linear_solve(jacobian(), rhs, tol,
+                            border=(system.d_p(x[:-1], float(x[-1])), row, corner),
                             precondition=precondition(), rtol=BORDERED_KRYLOV_RTOL)
 
     return damped_newton(x0, residual, step, sopts)
 
 
 def _predictor(points: list[BranchPoint], ds: float, t_lam: float, t_u: np.ndarray,
-               retry: bool, problem: ProblemData, ops: DiscreteOperators) -> np.ndarray:
+               retry: bool, system: QuasilinearSystem) -> np.ndarray:
     """The corrector's start x = (u, lam) for a step of ``ds`` from the last
     point: the quadratic through the last three points, a Lagrange polynomial
     in their arclengths s evaluated at s + ds (Allgower & Georg 1990, ch. 6).
@@ -228,11 +216,9 @@ def _predictor(points: list[BranchPoint], ds: float, t_lam: float, t_u: np.ndarr
     exist; the last step tried from this base was rejected (``retry``: from
     the quadratic, a retried 16^3 step of the folded family took 5 Newton
     steps to fail its line search, against at most 4 from the secant); or the
-    quadratic's u loses central differences' Z-matrix pattern:
-    the Jacobian's drift 2 mu D_k u has a cell Peclet number above 1,
-    max_k |mu D_k u| h_k > 1, and an off-diagonal entry turns positive. That
-    is where boundary layers form (the README's caveat), and GMRES runs from
-    quadratic starts there miss.
+    quadratic's u loses central differences' Z-matrix pattern
+    (``system.keeps_z_pattern``). Boundary layers form there, and GMRES from
+    quadratic starts misses.
     """
     cur = points[-1]
     if not retry and len(points) >= 3:
@@ -242,42 +228,37 @@ def _predictor(points: list[BranchPoint], ds: float, t_lam: float, t_u: np.ndarr
                    (s - a.s) * (s - cur.s) / ((b.s - a.s) * (b.s - cur.s)),
                    (s - a.s) * (s - b.s) / ((cur.s - a.s) * (cur.s - b.s)))
         u = sum(w * p.u.values for w, p in zip(weights, (a, b, cur)))
-        mu = problem.mu.values
-        if all(float(np.max(np.abs(mu * (D @ u)))) * hk <= 1.0
-               for D, hk in zip(ops.gradient, ops.spec.spacing)):
+        if system.keeps_z_pattern(u):
             return np.append(u, sum(w * p.lam for w, p in zip(weights, (a, b, cur))))
     return np.append(cur.u.values + ds * t_u, cur.lam + ds * t_lam)
 
 
-def _corrector(problem: ProblemData, ops: DiscreteOperators, opts: ContinuationOptions,
+def _corrector(system: QuasilinearSystem, opts: ContinuationOptions,
                base_lam: float, base_u: np.ndarray, t_lam: float, t_u: np.ndarray, ds: float,
                start: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """``_bordered_newton`` with the arclength constraint, to
+    """``_bordered_newton`` on ``system`` with the arclength constraint, to
     1e-10 (1 + |ds|), from ``start`` = (u, lam), ``_predictor``'s; returns
     (u, lam, Newton steps) or raises ``_Rejected`` (``singular`` when no LU
     could be made, else ``corrector_failed``)."""
-    cvec = _arclength_row(ops, base_u, t_u)
+    cvec = _arclength_row(system.ops, base_u, t_u)
 
     def arclength(u: np.ndarray, lam: float, tol: float, *_):
         q = t_lam * (lam - base_lam) + float(cvec @ (u - base_u)) - ds
         return q, 1e-10 * (1.0 + abs(ds)), lambda: (cvec, t_lam)
 
     sopts = replace(opts.solve, max_newton=MAX_CORRECTOR, min_step=CORRECTOR_MIN_STEP)
-    x, report = _bordered_newton(problem, ops, sopts, start, arclength)
+    x, report = _bordered_newton(system, sopts, start, arclength)
     if not report.converged:
         raise _Rejected("singular" if report.failure_reason == "singular"
                         else "corrector_failed")
     return x[:-1], float(x[-1]), report.iterations
 
 
-def _seed_solution(problem: ProblemData, lam: float, ops: DiscreteOperators,
-                   sopts: SolveOptions, start: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, int]:
-    u0 = GridFunction(problem.spec, start if start is not None
-                      else np.zeros(problem.spec.n_interior))
-    u, rep = newton_solve(problem.with_lambda(lam), u0, ops, sopts)
+def _seed_solution(system: QuasilinearSystem, lam: float, sopts: SolveOptions,
+                   start: np.ndarray) -> tuple[np.ndarray, int]:
+    u, rep = newton_quasilinear(system, start, lam, sopts)
     rep.require(f"seed solve failed at lambda = {lam}")
-    return u.values, rep.iterations
+    return u, rep.iterations
 
 
 def trace_branch(
@@ -292,15 +273,16 @@ def trace_branch(
     """
     opts = opts or ContinuationOptions()
     branch = Branch(family=f"dim={problem.spec.dim}, n={problem.spec.n}")
+    system = QuasilinearSystem.of(problem, ops)
 
-    u0, it0 = _seed_solution(problem, lam0, ops, opts.solve)
+    u0, it0 = _seed_solution(system, lam0, opts.solve, np.zeros(problem.spec.n_interior))
     branch.points.append(_make_point(lam0, u0, 0.0, it0, 0.0, problem, ops))
 
     # second seed point by a short parameter step
     dlam = min(opts.ds0, 0.1 * (1.0 + abs(lam0)))
     while True:
         try:
-            u1, it1 = _seed_solution(problem, lam0 + dlam, ops, opts.solve, start=u0)
+            u1, it1 = _seed_solution(system, lam0 + dlam, opts.solve, u0)
             break
         except SolverError:
             dlam *= 0.5
@@ -331,9 +313,9 @@ def trace_branch(
         nrm = _product_norm(dl, du, base_energy_sq, ops)
         t_lam, t_u = dl / nrm, du / nrm
 
-        start = _predictor(branch.points, ds, t_lam, t_u, retry, problem, ops)
+        start = _predictor(branch.points, ds, t_lam, t_u, retry, system)
         try:
-            u_new, lam_new, iters = _corrector(problem, ops, opts, cur.lam, cur.u.values,
+            u_new, lam_new, iters = _corrector(system, opts, cur.lam, cur.u.values,
                                                t_lam, t_u, ds, start)
             step_norm = _product_norm(lam_new - cur.lam, u_new - cur.u.values,
                                       base_energy_sq, ops)
@@ -419,18 +401,16 @@ def analyze_branch(branch: Branch, gamma1: float | None) -> BranchAnalysis:
 
 
 def _bracket_and_refine(
-    points: list[BranchPoint], lam: float, problem: ProblemData,
-    ops: DiscreteOperators, sopts: SolveOptions,
+    points: list[BranchPoint], lam: float, system: QuasilinearSystem, sopts: SolveOptions,
 ) -> tuple[GridFunction, SolveReport] | None:
     for a, b in zip(points[:-1], points[1:]):
         lo, hi = min(a.lam, b.lam), max(a.lam, b.lam)
         if lo <= lam <= hi and hi > lo:
             frac = (lam - a.lam) / (b.lam - a.lam)
             start = a.u.values + frac * (b.u.values - a.u.values)
-            prob = problem.with_lambda(lam)
-            u, rep = newton_solve(prob, GridFunction(problem.spec, start), ops, sopts)
+            u, rep = newton_quasilinear(system, start, lam, sopts)
             if rep.converged:
-                return u, rep
+                return GridFunction(a.u.spec, u), rep
     return None
 
 
@@ -460,8 +440,9 @@ def two_solutions(
         )
     i_max = int(np.argmax(branch.lambdas))
     sopts = (opts or ContinuationOptions()).solve
-    lower = _bracket_and_refine(branch.points[: i_max + 1], lam, problem, ops, sopts)
-    upper = _bracket_and_refine(branch.points[i_max:], lam, problem, ops, sopts)
+    system = QuasilinearSystem.of(problem, ops)
+    lower = _bracket_and_refine(branch.points[: i_max + 1], lam, system, sopts)
+    upper = _bracket_and_refine(branch.points[i_max:], lam, system, sopts)
     if lower is None or upper is None:
         raise SolverError(f"could not refine both solutions at lambda = {lam}")
     (u_a, rep_a), (u_b, rep_b) = lower, upper
@@ -485,18 +466,17 @@ def locate_fold(
     the point before the fold to the fold point: g vanishes exactly where J
     is singular, so the fold needs no bracket. g must reach the equation's
     tolerance over 1 + max|L phi|. g's solve takes the point's Jacobian and
-    drift preconditioner, which the step at that point reuses. A step's row
-    takes one adjoint solve (w, .) by J^T with the same border and the
-    transposed drift preconditioner, g_u = 2 sum_k D_k^T (mu w D_k v) and
-    g_lam = w^T (c v).
-    J^T is a ``Stencil`` like J, so on a 1-D grid both g's solves and the
-    adjoint solves are by tridiagonal LUs, and no SuperLU is made.
+    preconditioner, which the step there reuses. A step's row takes one
+    adjoint solve (w, .) by J^T (a tridiagonal ``Stencil`` in 1-D, like J)
+    with the same border and the transposed preconditioner: (g_u, g_lam) is
+    minus the system's ``jacobian_du`` and ``jacobian_dp`` of w and v.
+
     Returns (fold lambda, its arclength offset along the secant from the
     point before the fold to the fold point); raises ``SolverError`` naming
-    Newton's failure reason and residual when it does not converge, and
+    Newton's failure reason and residual when it does not converge,
     ``ValueError`` when the branch records no fold or its first fold has no
-    point before it. A solve for g whose Jacobian cannot be factored raises
-    ``RuntimeError``, as ``linear_solve`` does.
+    point before it, and ``RuntimeError``, as ``linear_solve`` does, when a
+    Jacobian for g cannot be factored.
     """
     opts = opts or ContinuationOptions()
     if not branch.folds:
@@ -505,7 +485,7 @@ def locate_fold(
     if not 1 <= i < len(branch.points):
         raise ValueError("fold index lacks a point before it")
     a, mid = branch.points[i - 1], branch.points[i]
-    c, mu, h = problem.c.values, problem.mu.values, problem.h.values
+    system = QuasilinearSystem.of(problem, ops)
     du = mid.u.values - a.u.values
     phi = du / np.linalg.norm(du)
     g_scale = 1.0 + float(np.max(np.abs(ops.laplacian @ phi)))
@@ -518,16 +498,13 @@ def locate_fold(
 
         def gradient() -> tuple[np.ndarray, float]:
             w = linear_solve(J.T, unit, 0.0, border=(phi, phi, 0.0),
-                             precondition=drift_preconditioner(ops, u, lam * c, mu, h,
-                                                               transpose=True))[:-1]
+                             precondition=system.preconditioner(u, lam, transpose=True))[:-1]
             v = vg[:-1]
-            return (2.0 * sum(D.T @ (mu * w * (D @ v)) for D in ops.gradient),
-                    float(w @ (c * v)))
+            return -system.jacobian_du(u, lam, w, v), -system.jacobian_dp(u, lam, w, v)
 
         return vg[-1], tol / g_scale, gradient
 
-    x, report = _bordered_newton(problem, ops, opts.solve,
-                                 np.append(mid.u.values, mid.lam), g)
+    x, report = _bordered_newton(system, opts.solve, np.append(mid.u.values, mid.lam), g)
     report.require("fold Newton did not converge")
     dl = mid.lam - a.lam
     nrm = _product_norm(dl, du, ops.energy_product(a.u.values, a.u.values), ops)

@@ -13,22 +13,12 @@ consumes:
   boundary the stencil uses the (zero) boundary value, which keeps it
   second order for fields that genuinely vanish on the boundary.
 
-  Both are stored by diagonals (scipy's DIA format), as are the Jacobians
-  ``DiscreteOperators.linearized`` builds from them: a product by one is a
-  pass over 2d+1 diagonals. They are ``DiaMatrix`` matrices, whose product
-  with a float vector calls scipy's compiled DIA kernel directly, without
-  the dispatch of scipy's ``@``; the Laplacian, the stiffness matrices, the
-  Jacobians and their transposes are ``Stencil`` matrices. On a 1-D grid
-  they are tridiagonal, and ``factor`` hands their three diagonals to
-  LAPACK's tridiagonal LU; otherwise SuperLU receives scipy's CSC of their
-  nonzeros. ``factor`` imports ``scipy.linalg`` (LAPACK) and
-  ``scipy.sparse.linalg`` (SuperLU) at the first LU that needs each, not
-  at import. 2-D and 3-D Newton and corrector steps factor only when GMRES
-  misses, and the full-box eigen solves are sine solves, so ``gqc
-  branch``, ``solve`` and ``eigen`` on the shipped 2-D demo configs and
-  ``check`` on all three load neither. A 1-D branch loads LAPACK, and a
-  ``check`` of Hc, H or k1 where c vanishes on part of the box loads
-  SuperLU.
+  Both are ``Stencil`` matrices, stored by diagonals (scipy's DIA format),
+  as are the stiffness matrices, the Jacobians that
+  ``DiscreteOperators.linearized`` builds from them and every transpose. On
+  a 1-D grid the Laplacian and the Jacobians are tridiagonal, and
+  ``factor`` hands them to LAPACK's tridiagonal LU; otherwise to SuperLU.
+  ``factor`` loads each at the first LU that needs it, not at import.
 * midpoint quadrature: each interior node weighs prod(h_i); the missing
   boundary band makes integrals of non-vanishing fields low by O(1/n),
   which is documented and not compensated.
@@ -42,11 +32,7 @@ discrete operators the solvers use.
 
 ``linear_solve`` is the one linear solve of every Newton and continuation
 step: GMRES with the caller's preconditioner and, on a miss or without one,
-an LU (``factor``: tridiagonal in 1-D, SuperLU otherwise) made for that call
-alone. No factorization is held between calls. A bordered system's GMRES
-run is preconditioned block lower-triangularly, one application of the
-caller's preconditioner per iteration; its direct solve is block
-elimination by the LU.
+an LU made for that call alone. No factorization is held between calls.
 """
 
 from __future__ import annotations
@@ -187,18 +173,23 @@ class GridFunction:
 _FLOAT64 = np.dtype(np.float64)
 
 
-class DiaMatrix(sp.dia_matrix):
-    """A DIA matrix whose product with a 1-D, C-contiguous float64 vector
-    skips scipy's operator dispatch, which on a small grid costs several
-    times the product itself.
+class Stencil(sp.dia_matrix):
+    """A square matrix on a grid's (2d+1)-point pattern or part of it (the
+    Laplacian, a Jacobian, a gradient), stored by diagonals: ``data[i, j]``
+    holds A[j - offsets[i], j], zero where the stencil would wrap around a
+    grid line, and ``offsets`` are sorted and symmetric. The transpose is a
+    ``Stencil`` too; scipy's would be a DIA matrix with unsorted offsets.
 
-    ``A @ x`` then zeroes a fresh vector and adds A x into it by
-    ``dia_matvec``, the compiled kernel scipy's own ``@`` ends in, so the
-    result is bit-identical to scipy's; ``product_into`` does the same in a
-    vector the caller holds. Any other operand (a 2-D array, a strided
-    view, an integer vector, a sparse matrix) takes ``sp.dia_matrix``'s
-    ``@``.
+    A product with a 1-D, C-contiguous float64 vector skips scipy's operator
+    dispatch, which on a small grid costs several times the product itself:
+    ``A @ x`` zeroes a fresh vector and adds A x into it by ``dia_matvec``,
+    the compiled kernel scipy's own ``@`` ends in, so the result is
+    bit-identical to scipy's; ``product_into`` does the same in a vector the
+    caller holds. Any other operand takes ``sp.dia_matrix``'s ``@``.
     """
+
+    def __init__(self, data: np.ndarray, offsets: np.ndarray):
+        super().__init__((data, offsets), shape=(data.shape[1],) * 2)
 
     def __matmul__(self, other):
         if (type(other) is np.ndarray and other.dtype is _FLOAT64
@@ -216,22 +207,6 @@ class DiaMatrix(sp.dia_matrix):
         m, n = self.shape
         dia_matvec(m, n, len(self.offsets), self.data.shape[1], self.offsets, self.data,
                    x, out)
-
-
-class Stencil(DiaMatrix):
-    """A matrix on a grid's (2d+1)-point pattern, stored by diagonals.
-
-    ``data[i, j]`` holds A[j - offsets[i], j], as in any DIA matrix, and is
-    zero where the stencil would wrap around a grid line. A product by a
-    float vector calls scipy's compiled DIA kernel (``DiaMatrix``). The
-    transpose is a ``Stencil`` too; scipy's would be a plain DIA matrix
-    with unsorted offsets. ``offsets`` must be sorted and symmetric, as the
-    Laplacian's are.
-    """
-
-    def __init__(self, data: np.ndarray, offsets: np.ndarray):
-        n = data.shape[1]
-        super().__init__((data, offsets), shape=(n, n))
 
     def transpose(self, axes=None, copy: bool = False) -> Stencil:
         # A^T[j - k, j] = A[j, j - k]: the diagonal at offset k is that at -k
@@ -295,21 +270,17 @@ def factor(A: sp.spmatrix) -> SuperLU | TridiagonalLU:
 
 
 # GMRES iterations before a solve counts as a miss and A is factored for that
-# call alone. With ``solver.drift_preconditioner`` under the border
-# preconditioner, corrector steps take 1-6 (mostly 2-5) along 48^2 and 24^3
-# branches to sup u = 3 and the fold's g and adjoint solves 6, and 2-D Newton
-# steps from zero 1-5; 3-D Newton steps with the Laplacian inverse
-# (``DiscreteOperators.sine_solve``) take up to 6 from smooth starts and 9-14 on
-# the first step from ``multi_start``'s noise starts. First steps from 2-D noise
-# starts miss
+# call alone. With the drift preconditioner, corrector steps take 1-6 along
+# 48^2 and 24^3 branches to sup u = 3, the fold's solves 6 and 2-D Newton steps
+# from zero 1-5; 3-D Newton steps by ``sine_solve`` take up to 6 from smooth
+# starts and 9-14 from ``multi_start``'s noise starts. 2-D noise starts miss
 KRYLOV_MAX_ITER = 20
 # a Krylov solve stops at max(rtol |b|, KRYLOV_TOL_SHARE * tol) in the 2-norm
 # of its residual, tol being the sup-norm tolerance the caller enforces on the
-# residual the solve corrects. KRYLOV_RTOL is the default rtol, kept by Newton
-# at fixed lambda, by the fold's g and adjoint solves (tol = 0) and by the
-# transform's Newton; the bordered Newton steps of the corrector and the fold
-# pass ``continuation.BORDERED_KRYLOV_RTOL``. Without the tol share a solve
-# whose b is near tol stalls on the rounding floor of A x
+# residual the solve corrects. KRYLOV_RTOL is the default rtol, which only
+# bordered Newton steps override (``continuation.BORDERED_KRYLOV_RTOL``).
+# Without the tol share a solve whose b is near tol stalls on the rounding
+# floor of A x
 KRYLOV_RTOL = 1e-9
 KRYLOV_TOL_SHARE = 1e-3
 
@@ -410,12 +381,12 @@ def linear_solve(
     solved directly by block elimination (``_block_elimination``) and one
     step of iterative refinement against the bordered residual, which keeps
     it accurate where A is nearly singular, as at a fold. A float64
-    ``DiaMatrix`` A writes its products straight into the Krylov basis
-    (``DiaMatrix.product_into``). ``gmres`` and ``factor`` are looked up at
+    ``Stencil`` A writes its products straight into the Krylov basis
+    (``Stencil.product_into``). ``gmres`` and ``factor`` are looked up at
     each call. A ``RuntimeError`` propagates when A cannot be factored or
     when the Schur scalar of a direct bordered solve is zero or not finite.
     """
-    if isinstance(A, DiaMatrix) and A.dtype == np.float64:
+    if isinstance(A, Stencil) and A.dtype == np.float64:
         product = A.product_into
     else:
         def product(v: np.ndarray, out: np.ndarray) -> None:
@@ -532,26 +503,23 @@ def _sine_weights(spec: GridSpec) -> np.ndarray:
 class DiscreteOperators:
     """Assembled Dirichlet operators and quadrature for one GridSpec.
 
-    ``laplacian`` is a ``Stencil`` and each ``gradient`` a ``DiaMatrix``,
-    both stored by diagonals; ``linearized`` builds Jacobians on the
-    Laplacian's pattern from them. Immutable after construction apart from the
-    eigenvalue arrays that ``sine_solve`` and ``sine_basis`` build on their
-    first call; it holds no factorization. ``sine_solve`` and
-    ``shifted_sine_solver`` invert the full-box Laplacian, shifted for the
-    latter, without an LU.
+    ``laplacian`` and each ``gradient`` are ``Stencil`` matrices;
+    ``linearized`` builds Jacobians on the Laplacian's pattern from them.
+    Immutable after construction apart from the eigenvalue arrays that
+    ``sine_solve`` and ``sine_basis`` build on their first call; it holds no
+    factorization. ``sine_solve`` and ``shifted_sine_solver`` invert the
+    full-box Laplacian, shifted for the latter, without an LU.
     """
 
     def __init__(self, spec: GridSpec):
         self.spec = spec
-        n = spec.n_interior
         grads = []
         for s, h, first, last in _grid_lines(spec):
             off = 1.0 / (2.0 * h)  # central differences; a boundary neighbour is 0
-            grads.append(DiaMatrix(
-                (np.array([np.where(last, 0.0, -off), np.where(first, 0.0, off)]), [-s, s]),
-                shape=(n, n)))
-        self.laplacian = self.weighted_stiffness(np.ones(n))
-        self.gradient: tuple[DiaMatrix, ...] = tuple(grads)
+            grads.append(Stencil(np.array([np.where(last, 0.0, -off), np.where(first, 0.0, off)]),
+                                 np.array([-s, s])))
+        self.laplacian = self.weighted_stiffness(np.ones(spec.n_interior))
+        self.gradient: tuple[Stencil, ...] = tuple(grads)
         self.node_weight: float = spec.node_weight
         self._sine_weights = None  # scaled inverse eigenvalues of the Laplacian
         self._sine_basis = None  # per-axis orthonormal DST-I matrices, eigenvalues

@@ -1,22 +1,20 @@
 """Nonlinear solvers for the quadratic-gradient equation with general mu(x).
 
-Every equation handled here has the shape
+Every equation handled here is a ``QuasilinearSystem``,
 
-    L u - d(x) u - mu(x) |grad u|^2 - h(x) = 0
+    R(u, p) = L u - p c(x) u - mu(x) |grad u|^2 - h(x) = 0,
 
-with the assembled Dirichlet Laplacian L: the parameterized problem uses
-d = lam * c, and the auxiliary bound problems use d = lam * c with
-constant mu. One damped Newton core serves both; the Jacobian linearizes
-the quadratic gradient term exactly, 2 * diag(mu * D_i u) * D_i with the
-same one-sided boundary stencils, which preserves quadratic local
-convergence.
+with the assembled Dirichlet Laplacian L: the problem's at p = lam, and the
+enclosure's bound problems. The system owns the equation (its residual, its
+exact Jacobian, its derivative in p, its preconditioner and the second
+derivatives a fold needs); every Newton routine, here and in
+``continuation``, takes a system, and ``damped_newton`` is the one Newton
+loop under all of them.
 
 Convergence is declared on the sup norm of the residual relative to the
-magnitude of the equation's terms: near large-amplitude solutions the
-gradient term reaches 1e7 and float64 cancellation floors the achievable
-absolute residual around 1e-9, so a purely absolute tolerance would brand
-correct solutions as failures. The effective tolerance actually enforced
-is recorded in the report.
+magnitude of the equation's terms (near large solutions the gradient term
+reaches 1e7 and cancellation floors the absolute residual around 1e-9); the
+tolerance enforced is recorded in the report.
 """
 
 from __future__ import annotations
@@ -111,6 +109,54 @@ def quasilinear_jacobian(
     return ops.linearized(d, [2.0 * mu * (D @ u) for D in ops.gradient])
 
 
+class QuasilinearSystem:
+    """R(u, p) = L u - p c u - mu |grad u|^2 - h on the grid of ``ops``, for
+    nodal c, mu and h; each member forms p c itself.
+
+    ``residual`` is (R, scale), scale being the magnitude of R's terms, to
+    which tolerances are relative. ``jacobian`` is dR/du, whose gradient term
+    2 diag(mu D_k u) D_k is exact (quadratic local convergence), ``d_p`` is
+    dR/dp = -c u and ``preconditioner`` is ``drift_preconditioner`` at p c.
+    A fold needs ``jacobian_du(u, p, w, v)``, the gradient in u of
+    w.J(u, p) v, and ``jacobian_dp``, its derivative in p. The members call
+    ``residual_with_scale``, ``quasilinear_jacobian`` and
+    ``drift_preconditioner`` by their module names.
+    """
+
+    def __init__(self, ops: DiscreteOperators, c: np.ndarray, mu: np.ndarray, h: np.ndarray):
+        self.ops, self.c, self.mu, self.h = ops, c, mu, h
+
+    @classmethod
+    def of(cls, problem: ProblemData, ops: DiscreteOperators) -> QuasilinearSystem:
+        """The problem's system, whose parameter is lam."""
+        return cls(ops, problem.c.values, problem.mu.values, problem.h.values)
+
+    def residual(self, u: np.ndarray, p: float) -> tuple[np.ndarray, float]:
+        return residual_with_scale(u, p * self.c, self.mu, self.h, self.ops)
+
+    def jacobian(self, u: np.ndarray, p: float) -> Stencil:
+        return quasilinear_jacobian(u, p * self.c, self.mu, self.ops)
+
+    def d_p(self, u: np.ndarray, p: float) -> np.ndarray:
+        return -(self.c * u)
+
+    def preconditioner(self, u: np.ndarray, p: float, transpose: bool = False
+                       ) -> Callable[[np.ndarray], np.ndarray] | None:
+        return drift_preconditioner(self.ops, u, p * self.c, self.mu, self.h, transpose=transpose)
+
+    def jacobian_du(self, u: np.ndarray, p: float, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return -2.0 * sum(D.T @ (self.mu * w * (D @ v)) for D in self.ops.gradient)
+
+    def jacobian_dp(self, u: np.ndarray, p: float, w: np.ndarray, v: np.ndarray) -> float:
+        return -float(w @ (self.c * v))
+
+    def keeps_z_pattern(self, u: np.ndarray) -> bool:
+        """Whether J at u keeps central differences' Z-matrix sign pattern: the
+        drift 2 mu D_k u has a cell Peclet number max_k |mu D_k u| h_k <= 1."""
+        return all(float(np.max(np.abs(self.mu * (D @ u)))) * hk <= 1.0
+                   for D, hk in zip(self.ops.gradient, self.ops.spec.spacing))
+
+
 def damped_newton(
     x0: np.ndarray,
     residual: Callable[[np.ndarray], tuple[np.ndarray, float]],
@@ -178,11 +224,10 @@ def drift_preconditioner(
     variation, the drift's where mu varies and, off a solution, the
     identity's defect. mu, d and h enter nodewise. The exponent is
     mu u - max(mu u), which leaves the preconditioner unchanged, floored at
-    ``DRIFT_EXP_FLOOR``. The factors, the shift and 1 / (eig - sigma) are
-    formed here, once per point: an application is the per-axis sine
-    products and two scalings. With ``transpose`` it is the exact transpose
-    from the same factors and shift, r -> e^{mu u} (L - sigma)^-1 (e^{-mu u} r),
-    for solves by J^T.
+    ``DRIFT_EXP_FLOOR``. All of it is formed once per point, so an
+    application is the per-axis sine products and two scalings. With
+    ``transpose`` it is the exact transpose, r -> e^{mu u} (L - sigma)^-1
+    (e^{-mu u} r), for solves by J^T.
     """
     if ops.spec.dim == 1:
         return None
@@ -198,29 +243,33 @@ def drift_preconditioner(
     return lambda r: down * solve(up * r)
 
 
-def newton_quasilinear(
-    u0: np.ndarray,
-    d: np.ndarray,
-    mu: np.ndarray,
-    h: np.ndarray,
-    ops: DiscreteOperators,
-    opts: SolveOptions,
-) -> tuple[np.ndarray, SolveReport]:
-    """``damped_newton`` on  L u - d u - mu |grad u|^2 - h = 0."""
+def newton_at(system, u0: np.ndarray, p: float, opts: SolveOptions,
+              precondition: Callable | None = None, floor: Callable | None = None
+              ) -> tuple[np.ndarray, SolveReport]:
+    """``damped_newton`` on a system's R(u, p) = 0 at fixed p, to
+    ``opts.tol_residual`` (1 + scale) plus ``floor(u)`` when given. A step is
+    one ``linear_solve`` by ``system.jacobian``, preconditioned by
+    ``precondition`` or else by ``system.preconditioner`` at its point."""
 
     def residual(u: np.ndarray) -> tuple[np.ndarray, float]:
-        R, scale = residual_with_scale(u, d, mu, h, ops)
-        return R, opts.tol_residual * (1.0 + scale)
+        R, scale = system.residual(u, p)
+        tol = opts.tol_residual * (1.0 + scale)
+        return R, tol if floor is None else tol + floor(u)
 
     def step(u: np.ndarray, R: np.ndarray, tol: float) -> np.ndarray:
-        # 3-D steps keep the Laplacian inverse (the drift preconditioner misses
-        # on the first steps from ``multi_start``'s noise starts there)
-        precondition = (ops.sine_solve if ops.spec.dim == 3
-                        else drift_preconditioner(ops, u, d, mu, h))
-        return linear_solve(quasilinear_jacobian(u, d, mu, ops), -R, tol,
-                            precondition=precondition)
+        return linear_solve(system.jacobian(u, p), -R, tol,
+                            precondition=precondition or system.preconditioner(u, p))
 
     return damped_newton(u0, residual, step, opts)
+
+
+def newton_quasilinear(
+    system: QuasilinearSystem, u0: np.ndarray, p: float, opts: SolveOptions
+) -> tuple[np.ndarray, SolveReport]:
+    """``newton_at`` on a ``QuasilinearSystem``. 3-D steps take ``ops.sine_solve``:
+    the drift preconditioner misses on first steps from noise starts there."""
+    ops = system.ops
+    return newton_at(system, u0, p, opts, ops.sine_solve if ops.spec.dim == 3 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +279,8 @@ def newton_quasilinear(
 def residual_P(u: GridFunction, problem: ProblemData, ops: DiscreteOperators) -> GridFunction:
     """Nodewise residual  L u - lam c u - mu |grad u|^2 - h."""
     ops.check_spec(u)
-    vals, _ = residual_with_scale(
-        u.values, problem.d_values(), problem.mu.values, problem.h.values, ops
-    )
-    return GridFunction(u.spec, vals)
+    R, _ = QuasilinearSystem.of(problem, ops).residual(u.values, problem.lam)
+    return GridFunction(u.spec, R)
 
 
 def newton_solve(
@@ -244,9 +291,8 @@ def newton_solve(
 ) -> tuple[GridFunction, SolveReport]:
     opts = opts or SolveOptions()
     ops.check_spec(u0)
-    vals, report = newton_quasilinear(
-        u0.values, problem.d_values(), problem.mu.values, problem.h.values, ops, opts
-    )
+    vals, report = newton_quasilinear(QuasilinearSystem.of(problem, ops), u0.values, problem.lam,
+                                      opts)
     return GridFunction(u0.spec, vals), report
 
 
@@ -255,10 +301,11 @@ def _solve_auxiliary_bound(
     opts: SolveOptions,
 ) -> np.ndarray:
     """Newton from zero on  L u = d u + mu_const |grad u|^2 + h_part,  the
-    bound problem of ``monotone_enclosure`` (d <= 0, h_part >= 0). Raises
-    ``SolverError`` with the failure reason when Newton does not converge."""
-    mu = np.full(h_part.shape, float(mu_const))
-    u, report = newton_quasilinear(np.zeros_like(h_part), d, mu, h_part, ops, opts)
+    bound problem of ``monotone_enclosure`` (d <= 0, h_part >= 0), as the
+    system with c = d at p = 1. Raises ``SolverError`` with the failure
+    reason when Newton does not converge."""
+    system = QuasilinearSystem(ops, d, np.full(h_part.shape, float(mu_const)), h_part)
+    u, report = newton_quasilinear(system, np.zeros_like(h_part), 1.0, opts)
     report.require("bound solve failed")
     return u
 

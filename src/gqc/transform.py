@@ -24,12 +24,10 @@ u = ln(1 + mu v) / mu.
 ``check_conditions(problem, ["H"])``: where it is not positive it raises
 ``CoercivityError`` before any descent step. The minimization is an
 energy-preconditioned descent into the Newton basin (each step solves
-with the Laplacian by its sine transform, no LU) followed by Newton on
-the Euler-Lagrange system. If roundoff leaves the minimizer slightly
-negative, it is replaced by |v| and Newton runs again. Both Newton runs
-use the damped core of ``solver`` and raise ``TransformError`` unless
-they reach a relative residual of 1e-12 plus the roundoff of L v; so does
-a descent that blows up or runs out of steps.
+with the Laplacian by its sine transform, no LU) followed by
+``solver.newton_at`` on the ``EulerLagrangeSystem``, again on |v| if
+roundoff leaves the minimizer slightly negative. A failed Newton run, and
+a descent that blows up or runs out of steps, raise ``TransformError``.
 
 Discrete caveat: central stencils do not commute with the pointwise
 change of variables, so the image of the minimizer solves the discrete
@@ -43,16 +41,18 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
+from typing import Callable
 
 import numpy as np
 
 from .conditions import check_conditions
-from .grid import DiscreteOperators, GridFunction, linear_solve
+from .grid import DiscreteOperators, GridFunction, Stencil
 from .problem import ProblemData, validate_profile
-from .solver import SolveOptions, damped_newton, drift_preconditioner, newton_solve
+from .solver import SolveOptions, drift_preconditioner, newton_at, newton_solve
 
-# the Euler-Lagrange solves keep their own caps, apart from the caller's options
-_EL_NEWTON = SolveOptions(max_newton=60, min_step=1e-10)
+# the Euler-Lagrange solves keep their own tolerance and caps, apart from the
+# caller's options
+_EL_NEWTON = SolveOptions(tol_residual=1e-12, max_newton=60, min_step=1e-10)
 
 # cap on the descent steps that bring the minimizer into the Newton basin
 DESCENT_MAX_ITER = 2000
@@ -124,9 +124,51 @@ def cole_hopf(field: GridFunction, mu: float, direction: str) -> GridFunction:
     raise ValueError(f"direction must be 'fwd' or 'inv', got {direction!r}")
 
 
-def _semilinear_data(problem: ProblemData) -> tuple[np.ndarray, float, np.ndarray]:
-    """(d, mu, h) of the semilinear problem, after checking profile A3's
-    clauses; a failure raises ValueError naming the first failed clause."""
+class EulerLagrangeSystem:
+    """R(v, p) = L v - mu h v - p c g(v) - h on the grid of ``ops``, mu a
+    positive constant: the Euler-Lagrange system of ``functional``, I at
+    d = p c, whose gradient is node_weight R.
+
+    ``residual`` is (R, max|L v| + sup|h|). ``jacobian``, L - (mu h + p c
+    g'(v)), has no drift term, so ``preconditioner`` is the shifted sine
+    solve, ``drift_preconditioner`` with that reaction and mu = h = 0.
+    ``roundoff_floor(v)`` = eps max(|L| |v|) is the rounding floor of L v.
+    """
+
+    def __init__(self, ops: DiscreteOperators, c: np.ndarray, mu: float, h: np.ndarray):
+        self.ops, self.c, self.mu, self.h = ops, c, mu, h
+        self.h_sup = float(np.max(np.abs(h), initial=0.0))
+        self._abs_lap = abs(ops.laplacian)
+
+    def residual(self, v: np.ndarray, p: float) -> tuple[np.ndarray, float]:
+        lap_v = self.ops.laplacian @ v
+        g, _ = g_and_G(v, self.mu)
+        return (lap_v - self.mu * self.h * v - p * self.c * g - self.h,
+                float(np.max(np.abs(lap_v), initial=0.0)) + self.h_sup)
+
+    def _reaction(self, v: np.ndarray, p: float) -> np.ndarray:
+        return self.mu * self.h + p * self.c * g_prime(v, self.mu)
+
+    def jacobian(self, v: np.ndarray, p: float) -> Stencil:
+        return self.ops.linearized(self._reaction(v, p), ())
+
+    def preconditioner(self, v: np.ndarray, p: float) -> Callable[[np.ndarray], np.ndarray] | None:
+        return drift_preconditioner(self.ops, v, self._reaction(v, p), 0.0, 0.0)
+
+    def roundoff_floor(self, v: np.ndarray) -> float:
+        return np.finfo(float).eps * float(np.max(self._abs_lap @ np.abs(v)))
+
+    def functional(self, v: np.ndarray, p: float) -> float:
+        ops, w = self.ops, self.ops.node_weight
+        _, G = g_and_G(v, self.mu)
+        quad_part = 0.5 * (ops.energy_product(v, v) - self.mu * w * float(np.sum(self.h * v**2)))
+        return quad_part - w * float(np.sum(p * self.c * G)) - w * float(np.sum(self.h * v))
+
+
+def _semilinear_system(problem: ProblemData, ops: DiscreteOperators) -> EulerLagrangeSystem:
+    """The semilinear problem's system, whose parameter is lam, after checking
+    profile A3's clauses; a failure raises ValueError naming the first failed
+    clause."""
     failures = validate_profile(dataclasses.replace(problem, profile="A3")).failures()
     if failures:
         bad = failures[0]
@@ -134,21 +176,8 @@ def _semilinear_data(problem: ProblemData) -> tuple[np.ndarray, float, np.ndarra
         detail = f" ({bad.detail})" if bad.detail else ""
         raise ValueError(f"the transform route needs profile A3: "
                          f"{bad.clause!r} fails{where}{detail}")
-    return problem.d_values(), float(np.max(problem.mu.values)), problem.h.values
-
-
-def _el_residual(v: np.ndarray, d: np.ndarray, mu: float, h: np.ndarray,
-                 ops: DiscreteOperators) -> np.ndarray:
-    g, _ = g_and_G(v, mu)
-    return ops.laplacian @ v - mu * h * v - d * g - h
-
-
-def _functional_value(vals: np.ndarray, d: np.ndarray, mu: float, h: np.ndarray,
-                      ops: DiscreteOperators) -> float:
-    w = ops.node_weight
-    _, G = g_and_G(vals, mu)
-    quad_part = 0.5 * (ops.energy_product(vals, vals) - mu * w * float(np.sum(h * vals**2)))
-    return quad_part - w * float(np.sum(d * G)) - w * float(np.sum(h * vals))
+    return EulerLagrangeSystem(ops, problem.c.values, float(np.max(problem.mu.values)),
+                               problem.h.values)
 
 
 def functional_I(
@@ -162,33 +191,31 @@ def functional_I(
     ops.check_spec(v)
     if problem.spec != v.spec:
         raise ValueError("problem lives on a different grid")
-    d, mu, h = _semilinear_data(problem)
-    grad = ops.node_weight * _el_residual(v.values, d, mu, h, ops)
-    return _functional_value(v.values, d, mu, h, ops), GridFunction(v.spec, grad)
+    system = _semilinear_system(problem, ops)
+    R, _ = system.residual(v.values, problem.lam)
+    return system.functional(v.values, problem.lam), GridFunction(v.spec, ops.node_weight * R)
 
 
-def _minimize(
-    d: np.ndarray, mu: float, h: np.ndarray, ops: DiscreteOperators, held: str
-) -> np.ndarray:
+def _minimize(system: EulerLagrangeSystem, lam: float, held: str) -> np.ndarray:
     """Energy-preconditioned descent into the basin, then Newton on the
-    Euler-Lagrange system. ``held`` says why the functional is coercive;
-    a blow-up names it, as the failure is the descent's."""
-    w = ops.node_weight
-    blow_up = 1e12 * (1.0 + float(np.max(np.abs(h), initial=0.0)))
-    v = np.zeros(ops.spec.n_interior)
-    val = _functional_value(v, d, mu, h, ops)
-    coarse_tol = 1e-3 * (1.0 + float(np.max(np.abs(h), initial=0.0)))
+    Euler-Lagrange system at p = lam. ``held`` says why the functional is
+    coercive; a blow-up names it, as the failure is the descent's."""
+    w = system.ops.node_weight
+    blow_up = 1e12 * (1.0 + system.h_sup)
+    v = np.zeros(system.c.size)
+    val = system.functional(v, lam)
+    coarse_tol = 1e-3 * (1.0 + system.h_sup)
     for _ in range(DESCENT_MAX_ITER):
-        F = _el_residual(v, d, mu, h, ops)
+        F, _ = system.residual(v, lam)
         if float(np.max(np.abs(F), initial=0.0)) <= coarse_tol:
             break
-        direction = -ops.sine_solve(F)
+        direction = -system.ops.sine_solve(F)
         slope = w * float(F @ direction)  # negative along a descent direction
         t = 1.0
         accepted = False
         while t >= 1e-14:
             trial = v + t * direction
-            trial_val = _functional_value(trial, d, mu, h, ops)
+            trial_val = system.functional(trial, lam)
             if np.isfinite(trial_val) and trial_val <= val + 1e-4 * t * slope:
                 accepted = True
                 break
@@ -204,33 +231,13 @@ def _minimize(
         raise TransformError(
             f"descent did not reach the Newton basin in {DESCENT_MAX_ITER} steps"
         )
-    return _newton_el(v, d, mu, h, ops)
+    return _newton_el(system, v, lam)
 
 
-def _newton_el(v: np.ndarray, d: np.ndarray, mu: float, h: np.ndarray,
-               ops: DiscreteOperators) -> np.ndarray:
-    """Damped Newton on the Euler-Lagrange system, to a relative 1e-12 plus
-    the roundoff floor of L v, eps max(|L| |v|), which grows as n^2 and
-    passes the relative 1e-12 near 512 cells in 1-D.
-
-    The Jacobian L - (mu h + d g'(v)) has no drift term, so the drift
-    preconditioner with mu = h = 0, the shifted sine solve, preconditions
-    its steps on 2-D and 3-D grids; 1-D steps are LU solves."""
-    h_sup = float(np.max(np.abs(h), initial=0.0))
-
-    def step(x: np.ndarray, R: np.ndarray, tol: float) -> np.ndarray:
-        reaction = mu * h + d * g_prime(x, mu)
-        return linear_solve(ops.linearized(reaction, ()), -R, tol,
-                            precondition=drift_preconditioner(ops, x, reaction, 0.0, 0.0))
-
-    abs_lap = abs(ops.laplacian)
-
-    def residual(x: np.ndarray) -> tuple[np.ndarray, float]:
-        floor = np.finfo(float).eps * float(np.max(abs_lap @ np.abs(x)))
-        return (_el_residual(x, d, mu, h, ops),
-                1e-12 * (1.0 + float(np.max(np.abs(ops.laplacian @ x))) + h_sup) + floor)
-
-    v, report = damped_newton(v, residual, step, _EL_NEWTON)
+def _newton_el(system: EulerLagrangeSystem, v: np.ndarray, lam: float) -> np.ndarray:
+    """``newton_at`` on the Euler-Lagrange system at p = lam, to a relative
+    1e-12 plus ``system.roundoff_floor``, which passes it near 512 cells in 1-D."""
+    v, report = newton_at(system, v, lam, _EL_NEWTON, floor=system.roundoff_floor)
     report.require("Newton failed on the Euler-Lagrange system", TransformError)
     return v
 
@@ -256,7 +263,7 @@ def solve_transformed(
     attained at a nonnegative field).
     """
     opts = opts or SolveOptions()
-    d, mu, h = _semilinear_data(problem)
+    system = _semilinear_system(problem, ops)
     smallness = check_conditions(problem, ["H"], ops)[0]
     margin = smallness.infimum_estimate
     if not smallness.holds:
@@ -266,16 +273,16 @@ def solve_transformed(
         )
     held = "d < 0 everywhere" if smallness.note.startswith("vacuous") else f"margin {margin:.3e}"
 
-    v = _minimize(d, mu, h, ops, held)
+    v = _minimize(system, problem.lam, held)
     if float(np.min(v, initial=0.0)) < -1e-10:
         warnings.warn(
             f"minimizer dipped to {float(np.min(v)):.3e}; flipping to |v|",
             RuntimeWarning,
             stacklevel=2,
         )
-        v = _newton_el(np.abs(v), d, mu, h, ops)
+        v = _newton_el(system, np.abs(v), problem.lam)
 
     v_fn = GridFunction(problem.spec, v)
-    u_fn, report = newton_solve(problem, cole_hopf(v_fn, mu, "inv"), ops, opts)
+    u_fn, report = newton_solve(problem, cole_hopf(v_fn, system.mu, "inv"), ops, opts)
     report.require("quasilinear polish failed", TransformError)
     return v_fn, u_fn

@@ -18,8 +18,6 @@ from gqc import (
     trace_branch,
 )
 
-DEMO_DIR = None  # set lazily below
-
 
 def make_problem(spec, c="1", mu="1", h="0", lam=-1.0, profile="A1", p_exponent=2.0):
     def coeff(src):

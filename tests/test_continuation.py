@@ -20,7 +20,13 @@ from gqc import (
 )
 from gqc import continuation, grid, solver
 from gqc.grid import factor
-from gqc.solver import SolveOptions, SolverError, quasilinear_jacobian, residual_with_scale
+from gqc.solver import (
+    QuasilinearSystem,
+    SolveOptions,
+    SolverError,
+    quasilinear_jacobian,
+    residual_with_scale,
+)
 
 from conftest import make_problem
 
@@ -109,10 +115,11 @@ def _golden_section_fold(branch, problem, ops, opts):
     dl, du = mid.lam - a.lam, mid.u.values - a.u.values
     nrm = continuation._product_norm(dl, du, e, ops)
     step = (a.lam, a.u.values, dl / nrm, du / nrm)
+    system = QuasilinearSystem.of(problem, ops)
 
     def lam_at(sigma):
         try:
-            return _secant_corrector(problem, ops, opts, *step, sigma)[1]
+            return _secant_corrector(system, opts, *step, sigma)[1]
         except continuation._Rejected:
             return -np.inf
 
@@ -150,7 +157,8 @@ def _check_fold(branch, problem, ops, opts, lam, sigma):
     nrm = continuation._product_norm(dl, du, e, ops)
     t_lam, t_u = dl / nrm, du / nrm
     # the corrector meets its tolerances at the located offset, on the located lambda
-    u, lam_at, _ = _secant_corrector(problem, ops, opts, a.lam, a.u.values, t_lam, t_u, sigma)
+    u, lam_at, _ = _secant_corrector(QuasilinearSystem.of(problem, ops), opts, a.lam, a.u.values,
+                                     t_lam, t_u, sigma)
     assert abs(lam_at - lam) <= 1e-10 * abs(lam)
     # dlam/dsigma, the tangent's lambda component, at the fold and at the fold
     # point: by their secant the located offset lies within ds_min of its root
@@ -305,13 +313,14 @@ def _secant_start(base_lam, base_u, t_lam, t_u, ds):
 
 def _secant_corrector(*args):
     """``_corrector`` from the secant start base + ds t."""
-    return continuation._corrector(*args, _secant_start(*args[3:8]))
+    return continuation._corrector(*args, _secant_start(*args[2:7]))
 
 
-def _reference_corrector(problem, ops, opts, base_lam, base_u, t_lam, t_u, ds, start=None):
+def _reference_corrector(system, opts, base_lam, base_u, t_lam, t_u, ds, start=None):
     """The corrector with every Newton step an LU of the bordered matrix, from
-    ``start`` = (u, lam), or from the secant when it is None."""
-    c, mu, h = problem.c.values, problem.mu.values, problem.h.values
+    ``start`` = (u, lam), or from the secant when it is None. It reads only
+    the system's ops, c, mu and h, and none of its members."""
+    ops, c, mu, h = system.ops, system.c, system.mu, system.h
     scale = ops.node_weight / (1.0 + ops.energy_product(base_u, base_u))
     cvec = scale * (ops.laplacian @ t_u)
     x = _secant_start(base_lam, base_u, t_lam, t_u, ds) if start is None else start
@@ -349,7 +358,7 @@ def fold_square24():
     dl, du = mid.lam - a.lam, mid.u.values - a.u.values
     nrm = continuation._product_norm(dl, du, e, ops)
     return {"ops": ops, "problem": problem, "opts": opts, "branch": branch,
-            "sigma": sigma, "lam_fold": lam_fold,
+            "system": QuasilinearSystem.of(problem, ops), "sigma": sigma, "lam_fold": lam_fold,
             "fold_step": (a.lam, a.u.values, dl / nrm, du / nrm)}
 
 
@@ -372,7 +381,7 @@ def _assert_same_step(got, ref):
 
 def test_corrector_matches_bordered_lu(fold_square24, monkeypatch):
     data = fold_square24
-    args = (data["problem"], data["ops"], data["opts"])
+    args = (data["system"], data["opts"])
     sizes = _counting_factor(monkeypatch)
     shifts = []
     shifted_solver = data["ops"].shifted_sine_solver
@@ -385,7 +394,7 @@ def test_corrector_matches_bordered_lu(fold_square24, monkeypatch):
     assert len(runs) == got[2]
     # from the quadratic through points 2-4 the two agree as well
     start = continuation._predictor(data["branch"].points[2:5], ds, *step[2:], False,
-                                    data["problem"], data["ops"])
+                                    data["system"])
     assert not np.array_equal(start, _secant_start(*step, ds))
     _assert_same_step(continuation._corrector(*args, *step, ds, start),
                       _reference_corrector(*args, *step, ds, start))
@@ -418,7 +427,7 @@ def test_bordered_solve_at_fold_matches_lu(fold_square24, monkeypatch):
     data = fold_square24
     problem, ops = data["problem"], data["ops"]
     base_lam, base_u, t_lam, t_u = data["fold_step"]
-    u, lam, _ = _secant_corrector(problem, ops, data["opts"], *data["fold_step"], data["sigma"])
+    u, lam, _ = _secant_corrector(data["system"], data["opts"], *data["fold_step"], data["sigma"])
     c = problem.c.values
     J = quasilinear_jacobian(u, lam * c, problem.mu.values, ops)
     row = ops.laplacian @ t_u
@@ -436,7 +445,7 @@ def test_bordered_solve_at_fold_matches_lu(fold_square24, monkeypatch):
 
 def test_bordered_step_is_singular_when_jacobian_factor_fails(fold_square24, monkeypatch):
     data = fold_square24
-    args = (data["problem"], data["ops"], data["opts"])
+    args = (data["system"], data["opts"])
     n = data["problem"].spec.n_interior
     sizes = []
 
@@ -504,8 +513,8 @@ def test_krylov_targets_per_caller(fold_square24, monkeypatch):
     assert set(ratios) == {
         ("_bordered_newton.<locals>.step", "_corrector"),
         ("_bordered_newton.<locals>.step", "locate_fold"),
-        ("newton_quasilinear.<locals>.step", "_seed_solution"),
-        ("newton_quasilinear.<locals>.step", "two_solutions"),
+        ("newton_at.<locals>.step", "_seed_solution"),
+        ("newton_at.<locals>.step", "two_solutions"),
         ("locate_fold.<locals>.g", "locate_fold"),
         ("locate_fold.<locals>.g.<locals>.gradient", "locate_fold"),
     }
@@ -600,13 +609,13 @@ def test_locate_fold_assembles_one_jacobian_per_point(which, request, monkeypatc
     # at least one step taken
     data = request.getfixturevalue(which)
     jacobians, points, preconditioners = [], [], []
-    monkeypatch.setattr(continuation, "quasilinear_jacobian",
+    monkeypatch.setattr(solver, "quasilinear_jacobian",
                         lambda *a: jacobians.append(1) or quasilinear_jacobian(*a))
     drift = solver.drift_preconditioner
-    monkeypatch.setattr(continuation, "drift_preconditioner",
+    monkeypatch.setattr(solver, "drift_preconditioner",
                         lambda *a, transpose=False: preconditioners.append(transpose)
                         or drift(*a, transpose=transpose))
-    monkeypatch.setattr(continuation, "residual_with_scale",
+    monkeypatch.setattr(solver, "residual_with_scale",
                         lambda *a: points.append(1) or residual_with_scale(*a))
     locate_fold(data["branch"], data["problem"], data["ops"], data["opts"])
     assert len(jacobians) == len(points) > 1
@@ -636,7 +645,7 @@ def test_locate_fold_refuses_a_fold_at_the_first_point(fold_demo):
 
 def test_corrector_refactors_after_a_krylov_miss(fold_square24, monkeypatch):
     data = fold_square24
-    args = (data["problem"], data["ops"], data["opts"])
+    args = (data["system"], data["opts"])
     step, ds = _ordinary_step(data)
     shifted = _secant_corrector(*args, *step, ds)
     # every GMRES run misses, and each miss makes one LU for its step alone
@@ -743,7 +752,7 @@ def test_corrector_shift_is_the_mean_of_minus_v(monkeypatch):
     corrector, shifted_solver = continuation._corrector, ops.shifted_sine_solver
     # the seed solves shift too: keep where the first corrector call's shifts start
     monkeypatch.setattr(continuation, "_corrector",
-                        lambda *args: calls.append((len(shifts), args[3:8])) or corrector(*args))
+                        lambda *args: calls.append((len(shifts), args[2:7])) or corrector(*args))
     monkeypatch.setattr(ops, "shifted_sine_solver",
                         lambda shift: shifts.append(shift) or shifted_solver(shift))
     trace_branch(problem, -2.0, ops, ContinuationOptions(max_points=3))
@@ -778,7 +787,7 @@ def test_predictor_reproduces_a_quadratic(rectangle):
     points = _points(spec, (0.0, 0.13, 0.41), lambda s: a + s * b + s * s * c,
                      lambda s: -1.0 + 0.7 * s - 0.3 * s * s)
     ds, t_u = 0.27, rng.standard_normal(spec.n_interior)
-    x = continuation._predictor(points, ds, 0.5, t_u, False, problem, ops)
+    x = continuation._predictor(points, ds, 0.5, t_u, False, QuasilinearSystem.of(problem, ops))
     s = 0.41 + ds
     want = np.append(a + s * b + s * s * c, -1.0 + 0.7 * s - 0.3 * s * s)
     assert np.max(np.abs(x - want)) <= 1e-14 * np.max(np.abs(want))
@@ -799,11 +808,12 @@ def test_predictor_keeps_the_secant(rectangle, case):
     ds, t_lam, t_u = 0.27, 0.5, rng.standard_normal(spec.n_interior)
     secant = _secant(points, ds, t_lam, t_u).tobytes()
     given = points[1:] if case == "two_points" else points
-    assert continuation._predictor(given, ds, t_lam, t_u, case == "retry", problem,
-                                   ops).tobytes() == secant
+    system = QuasilinearSystem.of(problem, ops)
+    assert continuation._predictor(given, ds, t_lam, t_u, case == "retry",
+                                   system).tobytes() == secant
     if case != "z_pattern_lost":  # else the three points start from the quadratic
-        assert continuation._predictor(points, ds, t_lam, t_u, False, problem,
-                                       ops).tobytes() != secant
+        assert continuation._predictor(points, ds, t_lam, t_u, False,
+                                       system).tobytes() != secant
 
 
 def test_predictor_keeps_the_secant_exactly_where_the_z_pattern_is_lost(rectangle):
@@ -819,7 +829,8 @@ def test_predictor_keeps_the_secant_exactly_where_the_z_pattern_is_lost(rectangl
     t_u = np.zeros(spec.n_interior)
     for scale in (0.5, 0.99, 1.01, 2.0):
         points = _points(spec, (0.0, 0.2, 0.3), lambda s: scale * v, lambda s: s)
-        x = continuation._predictor(points, 0.1, 0.5, t_u, False, problem, ops)
+        x = continuation._predictor(points, 0.1, 0.5, t_u, False,
+                                    QuasilinearSystem.of(problem, ops))
         J = quasilinear_jacobian(scale * v, np.zeros(spec.n_interior), mu, ops).toarray()
         signed = (J - np.diag(np.diag(J)) > 0.0).any()
         secant = x.tobytes() == _secant(points, 0.1, 0.5, t_u).tobytes()
@@ -856,7 +867,7 @@ def test_quadratic_and_secant_starts_reach_the_same_point(which, u_rtol, request
     monkeypatch.undo()
     assert branch.rejections and branch.folds
     quadratic = [(args, got) for args, got in calls
-                 if not np.array_equal(args[-1], _secant_start(*args[3:8]))]
+                 if not np.array_equal(args[-1], _secant_start(*args[2:7]))]
     assert len(quadratic) > 0.9 * len(calls)
     for args, (u, lam, _) in quadratic:
         u_ref, lam_ref, _ = _secant_corrector(*args[:-1])
@@ -896,8 +907,7 @@ def test_folded_family_counts(dim, n, steps, gmres_its, trace_applications, fold
 
     monkeypatch.setattr(grid, "gmres", counted)
     monkeypatch.setattr(spla, "splu", lambda A, **kw: superlu.append(A.shape[0]) or splu(A, **kw))
-    for module in (solver, continuation):
-        monkeypatch.setattr(module, "drift_preconditioner", counted_drift)
+    monkeypatch.setattr(solver, "drift_preconditioner", counted_drift)
     branch = trace_branch(problem, -2.0, ops, opts)
     assert sum(p.newton_iters for p in branch.points) == steps
     assert branch.termination == "norm_cap" and branch.folds

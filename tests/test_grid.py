@@ -748,7 +748,7 @@ def test_gmres_meets_its_target_or_returns_none():
 
 
 def _counted_kernel(monkeypatch) -> list:
-    """Calls of ``grid.dia_matvec``, the DIA kernel ``DiaMatrix`` calls
+    """Calls of ``grid.dia_matvec``, the DIA kernel ``Stencil`` calls
     directly; scipy's own ``@`` reaches its kernel by another name."""
     calls = []
     kernel = grid.dia_matvec
@@ -769,7 +769,7 @@ def test_dia_product_is_scipys_bit_for_bit(bounds, n, monkeypatch):
     rng = np.random.default_rng(8)
     u, d, mu = rng.standard_normal((3, spec.n_interior))
     mats = [ops.laplacian, *ops.gradient, quasilinear_jacobian(u, d, mu, ops)]
-    assert all(isinstance(A, grid.DiaMatrix) for A in mats)
+    assert all(isinstance(A, grid.Stencil) for A in mats)
     calls = _counted_kernel(monkeypatch)
     for A in mats:
         x = rng.standard_normal(spec.n_interior) * 10.0 ** rng.integers(-8, 8, spec.n_interior)
@@ -779,6 +779,19 @@ def test_dia_product_is_scipys_bit_for_bit(bounds, n, monkeypatch):
         A.product_into(x, out)
         assert out.tobytes() == ref.tobytes()
     assert len(calls) == 2 * len(mats)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 24), (3, 10)])
+def test_gradient_transposes_give_scipys_products_bit_for_bit(dim, n):
+    # the fold's contractions multiply by D_k^T: the Stencil transpose is the
+    # dense transpose, and its products are the bytes of scipy's own transpose's
+    spec = GridSpec(dim, ((0.0, 1.0),) * dim, (n,) * dim)
+    ops = build_operators(spec)
+    x = np.random.default_rng(dim).standard_normal(spec.n_interior)
+    for D in ops.gradient:
+        T = D.T
+        assert isinstance(T, grid.Stencil) and np.array_equal(T.toarray(), D.toarray().T)
+        assert (T @ x).tobytes() == (sp.dia_matrix.transpose(D) @ x).tobytes()
 
 
 def test_dia_product_falls_back_to_scipy(square32, monkeypatch):

@@ -133,6 +133,61 @@ def test_residual_with_scale_matches_separate_evaluations(square32):
     assert scale == sum(np.max(np.abs(t)) for t in terms)
 
 
+def _system_case(dim, n):
+    from gqc import GridSpec, build_operators
+
+    spec = GridSpec(dim, ((0.0, 1.0),) * dim, (n,) * dim)
+    ops = build_operators(spec)
+    x = f"x{dim}"
+    return spec, ops, make_problem(spec, c="1 + 0.5*x1", mu=f"1 + 0.3*{x}", h=f"0.2 + {x}")
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 24), (3, 10)])
+def test_quasilinear_system_derivatives_match_differences_of_its_residual(dim, n):
+    # R is quadratic in u and bilinear in (p, u), so central differences of R
+    # have no truncation error at any step: they give J delta and dR/dp, and
+    # the mixed second differences the fold's contractions w.R_uu[v, delta]
+    # and w.R_up[v], to the rounding of R's terms (their magnitude is scale)
+    spec, ops, problem = _system_case(dim, n)
+    system = solver.QuasilinearSystem.of(problem, ops)
+    rng = np.random.default_rng(dim)
+    u, v, w, delta = (rng.standard_normal(spec.n_interior) for _ in range(4))
+    p, eps = 3.0, 0.5
+    tol = 1e-13 * system.residual(u, p)[1]
+
+    def R(x, q=p):
+        return system.residual(x, q)[0]
+
+    fd = (R(u + eps * delta) - R(u - eps * delta)) / (2 * eps)
+    assert np.max(np.abs(fd - system.jacobian(u, p) @ delta)) <= tol
+    fd = (R(u, p + eps) - R(u, p - eps)) / (2 * eps)
+    assert np.max(np.abs(fd - system.d_p(u, p))) <= tol
+
+    def mixed(shift, dp=0.0):
+        return sum(sign_v * sign_s * R(u + sign_v * eps * v + sign_s * eps * shift,
+                                       p + sign_s * dp)
+                   for sign_v in (1, -1) for sign_s in (1, -1)) / (4 * eps * eps)
+
+    contraction = system.jacobian_du(u, p, w, v)
+    for delta in rng.standard_normal((3, spec.n_interior)):
+        assert abs(contraction @ delta - w @ mixed(delta)) <= tol * np.abs(w).sum()
+    fd = w @ mixed(np.zeros(spec.n_interior), dp=eps)
+    assert abs(system.jacobian_dp(u, p, w, v) - fd) <= tol * np.abs(w).sum()
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 24), (3, 10)])
+def test_euler_lagrange_jacobian_matches_differences_of_its_residual(dim, n):
+    # g(v) is smooth away from v = 0, so v stays positive along the differences
+    spec, ops, problem = _system_case(dim, n)
+    system = transform.EulerLagrangeSystem(ops, problem.c.values, 0.7, problem.h.values)
+    rng = np.random.default_rng(dim)
+    v = 0.5 + rng.uniform(size=spec.n_interior)
+    delta, p, eps = rng.standard_normal(spec.n_interior), -2.0, 1e-5
+    fd = (system.residual(v + eps * delta, p)[0] - system.residual(v - eps * delta, p)[0])
+    J_delta = system.jacobian(v, p) @ delta
+    assert np.max(np.abs(fd / (2 * eps) - J_delta)) <= 1e-8 * np.max(np.abs(J_delta))
+
+
 @pytest.mark.parametrize("dim, n", [(2, 32), (3, 14)])
 def test_newton_reuses_the_first_lu(dim, n, monkeypatch):
     from gqc import GridSpec, build_operators
@@ -524,7 +579,7 @@ def _polish(interval64, fold_demo, monkeypatch):
 
 def _euler_lagrange(interval64, fold_demo, monkeypatch):
     spec, ops = interval64
-    monkeypatch.setattr(transform, "_EL_NEWTON", SolveOptions(max_newton=1))
+    monkeypatch.setattr(transform, "_EL_NEWTON", replace(transform._EL_NEWTON, max_newton=1))
     solve_transformed(make_problem(spec, h="1", profile="A3"), ops)
 
 
