@@ -153,13 +153,35 @@ def _pencil_top(w: np.ndarray, A: sp.spmatrix, solve) -> tuple[float, np.ndarray
             j = EIGEN_KEEP
 
 
+class _Pencils:
+    """The matrix and solve of every pencil on ``ops``: the Laplacian, or
+    ``stiffness``, on a node mask. ``on(mask)`` inverts the Laplacian on
+    every node by the dense sine basis, and any other pencil by an LU of the
+    matrix restricted to the mask, made at the first pencil on that mask,
+    kept for later ones on it and dropped before another mask's is made.
+    """
+
+    def __init__(self, ops: DiscreteOperators, stiffness: sp.spmatrix | None = None):
+        self.ops = ops
+        self.matrix = ops.laplacian if stiffness is None else stiffness
+        self.held = None  # (mask, the matrix restricted to it, a solve by that)
+
+    def on(self, mask: np.ndarray) -> tuple[sp.spmatrix, Callable[[np.ndarray], np.ndarray]]:
+        if self.matrix is self.ops.laplacian and mask.all():
+            return self.matrix, self.ops.shifted_sine_solver(0.0)
+        if self.held is None or not np.array_equal(self.held[0], mask):
+            self.held = None  # the old factor goes before the new one is made
+            Am = restrict(self.matrix, mask)
+            self.held = (mask, Am, factor(Am).solve)
+        return self.held[1:]
+
+
 def first_eigen(c: GridFunction, ops: DiscreteOperators) -> EigenResult:
     """Smallest eigenvalue of the weighted Dirichlet problem.
 
     gamma_1 is the reciprocal of the largest eigenvalue of the pencil
-    diag(c) phi = nu L phi, with L inverted by the dense sine basis
-    (``ops.shifted_sine_solver(0.0)``); ``iterations`` counts those
-    solves.
+    diag(c) phi = nu L phi on every node, which ``_Pencils`` inverts by the
+    dense sine basis; ``iterations`` counts those solves.
     """
     ops.check_spec(c)
     cvals = c.values
@@ -168,7 +190,7 @@ def first_eigen(c: GridFunction, ops: DiscreteOperators) -> EigenResult:
     if np.max(cvals, initial=0.0) <= 0.0:
         raise EigenError("weight c vanishes identically; no eigenvalue")
 
-    nu, x, solves = _pencil_top(cvals, ops.laplacian, ops.shifted_sine_solver(0.0))
+    nu, x, solves = _pencil_top(cvals, *_Pencils(ops).on(np.ones(cvals.size, dtype=bool)))
     gamma = 1.0 / nu
     # normalize to unit Dirichlet energy, positive orientation
     phi_vals = x / math.sqrt(ops.energy_product(x, x))
@@ -183,21 +205,21 @@ def weighted_rayleigh_sup(
     w: GridFunction | np.ndarray,
     mask: np.ndarray | None,
     ops: DiscreteOperators,
-    stiffness: sp.spmatrix | None = None,
-    restricted: Callable[[np.ndarray], tuple[sp.spmatrix, Callable]] | None = None,
+    pencils: _Pencils | None = None,
 ) -> float:
     """Largest nu with  integral(w phi^2) = nu * integral(|grad phi|^2)
     over fields supported on ``mask``.
 
-    Returns 0 when w <= 0 on the mask. ``stiffness`` replaces the plain
-    Laplacian when the gradient term carries a coefficient. The plain
-    Laplacian on every node is inverted by the dense sine basis
-    (``ops.shifted_sine_solver(0.0)``). Any other matrix is
-    restricted to the mask and factored for this call, unless the caller
-    holds them: then ``restricted(mask)`` returns that restricted matrix
-    and a solve by it, and is called only when a pencil is solved.
+    Returns 0 when w <= 0 on the mask; raises ``ValueError`` naming the
+    first node where w is not finite. The matrix and its solve come from
+    ``pencils``, which may hold a masked LU between calls or a stiffness
+    whose gradient term carries a coefficient; by default a ``_Pencils`` of
+    the plain Laplacian made for this call.
     """
     wvals = w.values if isinstance(w, GridFunction) else np.asarray(w, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(wvals))
+    if bad.size:
+        raise ValueError(f"weight is not finite at node {int(bad[0])}")
     if mask is None:
         mask = np.ones(wvals.size, dtype=bool)
     mask = np.asarray(mask, dtype=bool)
@@ -206,72 +228,33 @@ def weighted_rayleigh_sup(
     wm = wvals[mask]
     if np.max(wm, initial=0.0) <= 0.0:
         return 0.0
-    if stiffness is None and mask.all():
-        return _pencil_top(wm, ops.laplacian, ops.shifted_sine_solver(0.0))[0]
-    if restricted is not None:
-        return _pencil_top(wm, *restricted(mask))[0]
-    Am = restrict(ops.laplacian if stiffness is None else stiffness, mask)
-    return _pencil_top(wm, Am, factor(Am).solve)[0]
+    return _pencil_top(wm, *(pencils or _Pencils(ops)).on(mask))[0]
 
 
-def _vacuous_report(which: str, note: str) -> ConditionReport:
-    return ConditionReport(condition=which, holds=True, infimum_estimate=1.0,
-                           sub_infima=None, note=note)
-
-
-def _smallness_report(problem: ProblemData, which: str, ops: DiscreteOperators,
-                      restricted: Callable) -> ConditionReport:
-    """H0, Hc, H or k1; ``restricted`` is passed on to ``weighted_rayleigh_sup``
-    for the Laplacian on a mask."""
-    if which in ("H0", "Hc"):
-        if which == "H0":
-            mask = np.ones(problem.spec.n_interior, dtype=bool)
-        else:
-            mask = problem.c_zero_mask
-            if not mask.any():
-                return _vacuous_report(
-                    "Hc", "vacuous: the discrete support of c covers every node"
-                )
-
-        def sub_margin(m: float, w: np.ndarray) -> float:
-            # a zero multiplier leaves nothing to weigh
-            if m == 0.0:
-                return 1.0
-            return 1.0 - m * weighted_rayleigh_sup(w, mask, ops, restricted=restricted)
-
-        sub1 = sub_margin(problem.mu_plus_sup, problem.h_plus)
-        sub2 = sub_margin(problem.mu_minus_sup, problem.h_minus)
-        margin = min(sub1, sub2)
-        return ConditionReport(condition=which, holds=margin > 0.0,
-                               infimum_estimate=margin, sub_infima=(sub1, sub2))
-
+def _smallness(problem: ProblemData, which: str, ops: DiscreteOperators
+               ) -> tuple[np.ndarray, sp.spmatrix | None, list[tuple[float, np.ndarray]], str]:
+    """H0, Hc, H or k1 as a node mask, its stiffness (None for the
+    Laplacian), the (multiplier M, weight w) pairs it weighs and a note."""
+    halves = [(problem.mu_plus_sup, problem.h_plus), (problem.mu_minus_sup, problem.h_minus)]
+    if which == "H0":
+        return np.ones(problem.spec.n_interior, dtype=bool), None, halves, ""
+    if which == "Hc":
+        return problem.c_zero_mask, None, halves, ""
+    mu_vals = problem.mu.values
     if which == "H":
         d = problem.d_values()
         mask = compute_zero_mask(d, TAU_C_RELATIVE * float(np.max(np.abs(d), initial=0.0)))
-        if not mask.any():
-            return _vacuous_report("H", "vacuous: the zero-order coefficient never vanishes")
-        mu_vals = problem.mu.values
         mu_const = float(np.max(mu_vals))
         note = ""
         if float(np.max(mu_vals) - np.min(mu_vals)) > 1e-12 * (1.0 + abs(mu_const)):
             note = "mu is not constant; its maximum was used"
-        nu = weighted_rayleigh_sup(problem.h.values, mask, ops, restricted=restricted)
-        margin = 1.0 - mu_const * nu
-        return ConditionReport(condition="H", holds=margin > 0.0,
-                               infimum_estimate=margin, note=note)
-
+        return mask, None, [(mu_const, problem.h.values)], note
     # k1: gradient term weighted by 1/mu over the c-zero mask
     mask = problem.c_zero_mask
-    if not mask.any():
-        return _vacuous_report("k1", "vacuous: the discrete support of c covers every node")
-    mu_vals = problem.mu.values
-    if float(np.min(mu_vals[mask])) <= 0.0:
+    if np.any(mu_vals[mask] <= 0.0):
         raise ValueError("k1 needs mu >= mu1 > 0 on the set where c vanishes")
     inv_mu = 1.0 / np.where(mu_vals > 0.0, mu_vals, 1.0)
-    stiff = ops.weighted_stiffness(inv_mu)
-    nu = weighted_rayleigh_sup(problem.h.values, mask, ops, stiffness=stiff)
-    margin = 1.0 - nu
-    return ConditionReport(condition="k1", holds=margin > 0.0, infimum_estimate=margin)
+    return mask, ops.weighted_stiffness(inv_mu), [(1.0, problem.h.values)], ""
 
 
 def check_conditions(
@@ -279,33 +262,24 @@ def check_conditions(
 ) -> list[ConditionReport]:
     """One report per entry of ``tags`` (names from CONDITION_TAGS), in its order.
 
-    The smallness margins are 1 - M * nu for the relevant weighted Rayleigh
-    supremum nu (the paired sub-margins for the +/- parts of H0 and Hc);
-    a condition holds exactly when its margin is positive. Hc weighs its
-    suprema on the zero set of c, and H on that of d = lam c. A mask that
-    covers every node (always for H0; for H when lam = 0) takes the dense
-    sine basis. Otherwise the masks are compared, and one LU of the
-    Laplacian restricted to a mask, made for the first pencil on it, serves
-    every supremum on that mask. That LU is dropped before k1 factors its own
-    stiffness, so at most one LU is alive at a time. Each tag is evaluated
-    once, in CONDITION_TAGS order. Operators for ``problem.spec`` are built
-    when ``ops`` is omitted.
+    A smallness condition weighs (multiplier M, weight w) pairs on a node
+    mask: H0 (sup mu+, h+) and (sup mu-, h-) on every node, Hc the same on
+    the zero set of c, H (max mu, h) on that of d = lam c, and k1 (1, h) on
+    the zero set of c against -div((1/mu) grad). Its margin is the least
+    1 - M * nu(w) over the pairs (a pair with M = 0 counts 1; H0's and Hc's
+    two are its ``sub_infima``), nu the weighted Rayleigh supremum on the
+    mask. It holds when the margin is positive, and vacuously on an empty
+    mask. One ``_Pencils`` serves every Laplacian supremum of a check; k1,
+    last in CONDITION_TAGS order, gets its own, so at most one LU is alive
+    at a time. Operators for ``problem.spec`` are built when ``ops`` is
+    omitted.
     """
     for tag in tags:
         if tag not in CONDITION_TAGS:
             raise ValueError(f"unknown condition {tag!r}")
     if ops is None:
         ops = build_operators(problem.spec)
-    held = None  # (mask, the Laplacian restricted to it, a solve by that)
-
-    def restricted(mask: np.ndarray) -> tuple[sp.spmatrix, Callable]:
-        nonlocal held
-        if held is None or not np.array_equal(held[0], mask):
-            held = None  # the old factor goes before the new one is made
-            Am = restrict(ops.laplacian, mask)
-            held = (mask, Am, factor(Am).solve)
-        return held[1:]
-
+    pencils = _Pencils(ops)
     reports = {}
     for tag in CONDITION_TAGS:
         if tag not in tags:
@@ -313,9 +287,19 @@ def check_conditions(
         if tag == "FeroneMurat":
             reports[tag] = check_ferone_murat(problem)
             continue
-        if tag == "k1":
-            held = None  # k1 factors its own stiffness
-        reports[tag] = _smallness_report(problem, tag, ops, restricted)
+        mask, stiffness, pairs, note = _smallness(problem, tag, ops)
+        if not mask.any():
+            never = ("the zero-order coefficient never vanishes" if tag == "H"
+                     else "the discrete support of c covers every node")
+            reports[tag] = ConditionReport(tag, True, 1.0, note="vacuous: " + never)
+            continue
+        if stiffness is not None:
+            pencils = _Pencils(ops, stiffness)
+        subs = tuple(1.0 if m == 0.0 else 1.0 - m * weighted_rayleigh_sup(w, mask, ops, pencils)
+                     for m, w in pairs)
+        margin = min(subs)
+        reports[tag] = ConditionReport(tag, margin > 0.0, margin,
+                                       subs if len(subs) > 1 else None, note)
     return [reports[tag] for tag in tags]
 
 

@@ -661,7 +661,7 @@ def norms(u: GridFunction, ops: DiscreteOperators, p: float = 2.0) -> NormReport
     low by O(1/n) for fields that do not vanish at the boundary.
     """
     ops.check_spec(u)
-    if p < 1.0:
+    if not p >= 1.0:  # NaN fails too
         raise ValueError(f"p must be >= 1, got {p}")
     w = ops.node_weight
     vals = u.values

@@ -113,6 +113,8 @@ class ProblemData:
                 raise GridError(f"coefficient {name} sampled on a different grid")
         if self.profile not in PROFILES:
             raise ValueError(f"profile must be one of {PROFILES}, got {self.profile!r}")
+        if not np.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam}")
         if not self.p_exponent > self.spec.dim / 2.0:  # NaN fails too
             raise ValueError(
                 f"p_exponent must exceed dim/2 = {self.spec.dim / 2.0}, got {self.p_exponent}"

@@ -126,6 +126,18 @@ def test_rayleigh_empty_mask(interval64):
                               np.zeros(spec.n_interior, dtype=bool), ops)
 
 
+def test_rayleigh_rejects_a_non_finite_weight(interval64):
+    # named before the pencil is solved, where Lanczos would fail to converge
+    spec, ops = interval64
+    w = np.ones(spec.n_interior)
+    w[7] = np.nan
+    with pytest.raises(ValueError, match="not finite at node 7"):
+        weighted_rayleigh_sup(w, None, ops)
+    w[7] = -np.inf
+    with pytest.raises(ValueError, match="not finite at node 7"):
+        weighted_rayleigh_sup(w, spec.axis_coords(0) > 0.5, ops)
+
+
 def test_rayleigh_matches_eigen_reciprocal(interval64):
     spec, ops = interval64
     c = GridFunction.constant(spec, 1.0)
@@ -423,6 +435,22 @@ def test_h_mask_apart_from_the_c_zero_mask_gets_its_own_lu(one_lu_at_a_time):
     for report in reports:
         alone = check_conditions(problem, [report.condition], ops)[0]
         assert report.infimum_estimate == alone.infimum_estimate < 1.0
+
+
+def test_masked_pencils_with_nothing_to_weigh_make_no_lu(square32, one_lu_at_a_time):
+    # h <= 0 on the zero set of c and mu > 0: every masked supremum is 0
+    # before a pencil is asked for. With mu = 0 the H pair multiplies its
+    # supremum by 0 and is never weighed
+    spec, ops = square32
+    box = "indicator(1, 0.25, 0.6)*indicator(2, 0.25, 0.6)"
+    problem = make_problem(spec, c=box, mu="1 + 0.5*x2", h=f"3*{box} - 1", lam=-1.0)
+    hc, k1 = check_conditions(problem, ["Hc", "k1"], ops)
+    assert hc.sub_infima == (1.0, 1.0) and hc.infimum_estimate == k1.infimum_estimate == 1.0
+    assert hc.holds and k1.holds
+    flat = make_problem(spec, c=box, mu="0", h="30*sin(pi*x1)*sin(pi*x2)", lam=-1.0)
+    h = check_conditions(flat, ["H"], ops)[0]
+    assert h.holds and h.infimum_estimate == 1.0 and h.note == ""
+    assert one_lu_at_a_time == []
 
 
 def test_smallness_rejects_unknown_tag(interval64):

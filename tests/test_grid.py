@@ -214,6 +214,8 @@ def test_norms_rejects_bad_p(interval64):
     spec, ops = interval64
     with pytest.raises(ValueError):
         norms(GridFunction.zeros(spec), ops, p=0.5)
+    with pytest.raises(ValueError):
+        norms(GridFunction.zeros(spec), ops, p=float("nan"))
 
 
 def test_h10_of_sine(interval64):

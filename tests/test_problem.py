@@ -315,3 +315,12 @@ def test_p_exponent_bound(square8):
         make_problem(square8, p_exponent=1.0)
     with pytest.raises(ValueError, match="dim/2"):
         make_problem(square8, p_exponent=float("nan"))
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+def test_lam_must_be_finite(square8, lam):
+    # a NaN lam would leave d = lam c without a zero set, and H would read vacuous
+    with pytest.raises(ValueError, match="lam must be finite"):
+        make_problem(square8, lam=lam)
+    with pytest.raises(ValueError, match="lam must be finite"):
+        make_problem(square8).with_lambda(lam)
