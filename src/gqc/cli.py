@@ -249,7 +249,7 @@ def _coefficient(entry, spec: GridSpec, base_dir: str) -> CoefficientSpec:
     return CoefficientSpec.from_file(path, spec)
 
 
-def build_problem(cfg: dict, lam: float | None = None) -> ProblemData:
+def build_problem(cfg: dict) -> ProblemData:
     if "grid" not in cfg:
         raise ConfigError("config needs a 'grid' section")
     if "coefficients" not in cfg:
@@ -262,10 +262,8 @@ def build_problem(cfg: dict, lam: float | None = None) -> ProblemData:
     c = _coefficient(co["c"], spec, base)
     mu = _coefficient(co["mu"], spec, base)
     h = _coefficient(co["h"], spec, base)
-    if lam is None:
-        lam = float(cfg.get("lambda", 0.0))
     return ProblemData(
-        spec=spec, c=c, mu=mu, h=h, lam=lam,
+        spec=spec, c=c, mu=mu, h=h, lam=float(cfg.get("lambda", 0.0)),
         p_exponent=float(cfg.get("p_exponent", 2.0)),
         profile=cfg.get("profile", "A1"),
     )

@@ -8,8 +8,8 @@ reduce to weighted Rayleigh suprema: the infimum of
 
 is positive exactly when M * nu < 1, where nu is the largest eigenvalue of
 the pencil  diag(w) phi = nu L phi  restricted to the subspace. Subspaces
-are node masks: the discrete stand-in for fields vanishing wherever the
-coefficient c is supported is the mask |c| <= tau_c.
+are node masks, the zero sets of c and of lam c that ``ProblemData``
+derives: the discrete stand-ins for fields vanishing where each is supported.
 
 Discrete Rayleigh quotients carry O(h^2) error relative to the continuum,
 which is documented and not compensated.
@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid import DiscreteOperators, GridFunction, build_operators, factor, restrict
-from .problem import TAU_C_RELATIVE, ProblemData, compute_zero_mask
+from .problem import ProblemData
 
 # also the order in which check_conditions evaluates them: k1 last
 CONDITION_TAGS = ("H0", "Hc", "H", "FeroneMurat", "k1")
@@ -240,17 +240,11 @@ def _smallness(problem: ProblemData, which: str, ops: DiscreteOperators
         return np.ones(problem.spec.n_interior, dtype=bool), None, halves, ""
     if which == "Hc":
         return problem.c_zero_mask, None, halves, ""
-    mu_vals = problem.mu.values
     if which == "H":
-        d = problem.d_values()
-        mask = compute_zero_mask(d, TAU_C_RELATIVE * float(np.max(np.abs(d), initial=0.0)))
-        mu_const = float(np.max(mu_vals))
-        note = ""
-        if float(np.max(mu_vals) - np.min(mu_vals)) > 1e-12 * (1.0 + abs(mu_const)):
-            note = "mu is not constant; its maximum was used"
-        return mask, None, [(mu_const, problem.h.values)], note
+        note = "" if problem.mu_constant else "mu is not constant; its maximum was used"
+        return problem.d_zero_mask, None, [(problem.mu_max, problem.h.values)], note
     # k1: gradient term weighted by 1/mu over the c-zero mask
-    mask = problem.c_zero_mask
+    mu_vals, mask = problem.mu.values, problem.c_zero_mask
     if np.any(mu_vals[mask] <= 0.0):
         raise ValueError("k1 needs mu >= mu1 > 0 on the set where c vanishes")
     inv_mu = 1.0 / np.where(mu_vals > 0.0, mu_vals, 1.0)

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
@@ -84,6 +85,9 @@ class GridSpec:
             raise GridError(f"dim must be 1, 2 or 3, got {self.dim}")
         object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "bounds", _as_bounds(self.bounds))
+        for axis, nk in enumerate(self.n):  # 8.0 passes: JSON schemas count it an integer
+            if not (isinstance(nk, numbers.Real) and float(nk).is_integer()):
+                raise GridError(f"axis {axis}: the cell count must be an integer, got {nk!r}")
         object.__setattr__(self, "n", tuple(int(v) for v in self.n))
         if len(self.bounds) != self.dim or len(self.n) != self.dim:
             raise GridError(
@@ -658,15 +662,16 @@ def norms(u: GridFunction, ops: DiscreteOperators, p: float = 2.0) -> NormReport
     ``h10`` is sqrt(node_weight * u^T L u), the energy seminorm of the
     assembled Laplacian (equivalently edge-midpoint quadrature of
     |grad u|^2). Lp and the integral use midpoint node quadrature and are
-    low by O(1/n) for fields that do not vanish at the boundary.
+    low by O(1/n) for fields that do not vanish at the boundary; p = inf
+    gives the sup.
     """
     ops.check_spec(u)
     if not p >= 1.0:  # NaN fails too
         raise ValueError(f"p must be >= 1, got {p}")
     w = ops.node_weight
     vals = u.values
-    lp = float((w * np.sum(np.abs(vals) ** p)) ** (1.0 / p))
     sup = float(np.max(np.abs(vals))) if vals.size else 0.0
+    lp = sup if p == math.inf else float((w * np.sum(np.abs(vals) ** p)) ** (1.0 / p))
     h10 = float(np.sqrt(max(ops.energy_product(vals, vals), 0.0)))
     integral = float(w * np.sum(vals))
     return NormReport(lp=lp, sup=sup, h10=h10, integral=integral, p=p)

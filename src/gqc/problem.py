@@ -5,23 +5,22 @@ parameter ``lam`` of the equation
 
     -lap u = lam * c(x) * u + mu(x) * |grad u|^2 + h(x),  u = 0 on the boundary.
 
-Profiles name the structural assumptions a given study relies on:
-
-* ``A1``: c >= 0 and c not identically zero; mu bounded.
-* ``A2``: A1 plus h >= 0 with h not identically zero and mu >= mu1 > 0.
-* ``A3``: mu a positive constant, lam * c <= 0, h >= 0.
-* ``A5``: lam * c <= 0, mu bounded.
-
-``p_exponent`` is user metadata: on a grid every field is bounded, so
-integrability is vacuous; p only parameterizes the condition checks that
-need it. The discrete support of c is the node set where |c| exceeds
-tau_c = 1e-12 * max|c|; its complement is the discrete version of the
-subspace of fields vanishing on the support of c.
+This module is the one home of every rule about a problem's data; the
+condition checks and the transform route read what ``ProblemData`` derives.
+A profile (``A1``, ``A2``, ``A3``, ``A5``) names the structural assumptions
+a study relies on: a tuple of clause names from one clause table, each
+clause a function of the problem. ``p_exponent`` is user metadata: on a
+grid every field is bounded, so integrability is vacuous; p only
+parameterizes the condition checks that need it. The discrete zero set of
+a field v, for c and for d = lam c alike, is the node set where
+|v| <= TAU_C_RELATIVE * max|v| (``zero_set``); that of c is the discrete
+version of the subspace of fields vanishing on the support of c. mu counts
+as constant when max mu - min mu <= 1e-12 (1 + max|mu|).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +29,6 @@ from . import expressions as ex
 from .grid import GridError, GridFunction, GridSpec
 
 TAU_C_RELATIVE = 1e-12
-
-PROFILES = ("A1", "A2", "A3", "A5")
 
 
 class CoefficientSpec(GridFunction):
@@ -95,9 +92,21 @@ def compute_zero_mask(values: np.ndarray, tau: float) -> np.ndarray:
     return np.abs(np.asarray(values, dtype=float)) <= tau
 
 
+def zero_set(values: np.ndarray) -> np.ndarray:
+    """The discrete zero set of a field: |v| <= TAU_C_RELATIVE * max|v|."""
+    return compute_zero_mask(values, TAU_C_RELATIVE * float(np.max(np.abs(values), initial=0.0)))
+
+
 @dataclass
 class ProblemData:
-    """Sampled coefficients, parameter and profile for one problem instance."""
+    """Sampled coefficients, parameter and profile for one problem instance.
+
+    Derived on construction: ``mu_plus_sup`` and ``mu_minus_sup`` (sup of
+    mu+ and mu-), ``h_plus`` and ``h_minus`` (the parts of h),
+    ``c_zero_mask`` and ``d_zero_mask`` (the ``zero_set`` of c and of
+    d = lam c, each from the field itself), ``mu_max``, ``mu_min`` and
+    ``mu_constant`` (max mu - min mu <= 1e-12 (1 + max|mu|)).
+    """
 
     spec: GridSpec
     c: CoefficientSpec
@@ -125,14 +134,13 @@ class ProblemData:
         self.mu_minus_sup: float = float(np.max(np.maximum(-mu, 0.0), initial=0.0))
         self.h_plus: np.ndarray = np.maximum(h, 0.0)
         self.h_minus: np.ndarray = np.maximum(-h, 0.0)
-        self.tau_c: float = TAU_C_RELATIVE * float(np.max(np.abs(self.c.values), initial=0.0))
-        self.c_zero_mask: np.ndarray = compute_zero_mask(self.c.values, self.tau_c)
+        self.c_zero_mask: np.ndarray = zero_set(self.c.values)
+        self.d_zero_mask: np.ndarray = zero_set(self.d_values())
+        self.mu_max, self.mu_min = float(np.max(mu)), float(np.min(mu))
+        self.mu_constant = self.mu_max - self.mu_min <= 1e-12 * (1.0 + float(np.max(np.abs(mu))))
 
     def with_lambda(self, lam: float) -> "ProblemData":
-        return ProblemData(
-            spec=self.spec, c=self.c, mu=self.mu, h=self.h,
-            lam=float(lam), p_exponent=self.p_exponent, profile=self.profile,
-        )
+        return replace(self, lam=float(lam))
 
     def d_values(self) -> np.ndarray:
         """The zero-order coefficient lam * c."""
@@ -160,59 +168,45 @@ class ValidationReport:
         return [c for c in self.clauses if not c.passed]
 
 
-def _sign_clause(name: str, vals: np.ndarray, lower_ok: bool) -> ClauseResult:
+def _sign(vals: np.ndarray, lower_ok: bool) -> tuple[bool, int | None, str]:
     """lower_ok: require vals >= 0; otherwise require vals <= 0."""
-    if lower_ok:
-        bad = np.flatnonzero(vals < 0.0)
-    else:
-        bad = np.flatnonzero(vals > 0.0)
+    bad = np.flatnonzero(vals < 0.0 if lower_ok else vals > 0.0)
     if bad.size:
         node = int(bad[0])
-        return ClauseResult(name, False, node, f"value {vals[node]:.6g} at node {node}")
-    return ClauseResult(name, True)
+        return False, node, f"value {vals[node]:.6g} at node {node}"
+    return True, None, ""
 
 
-def _nonzero_clause(name: str, vals: np.ndarray) -> ClauseResult:
-    if np.max(np.abs(vals), initial=0.0) == 0.0:
-        return ClauseResult(name, False, None, "field vanishes at every node")
-    return ClauseResult(name, True)
+def _nonzero(vals: np.ndarray) -> tuple[bool, int | None, str]:
+    return (True, None, "") if np.any(vals) else (False, None, "field vanishes at every node")
+
+
+# each clause maps a problem to (passed, witness node, detail)
+_CLAUSES = {
+    "c >= 0": lambda p: _sign(p.c.values, lower_ok=True),
+    "c not identically 0": lambda p: _nonzero(p.c.values),
+    "mu bounded": lambda p: (bool(np.all(np.isfinite(p.mu.values))), None, ""),
+    "h >= 0": lambda p: _sign(p.h.values, lower_ok=True),
+    "h not identically 0": lambda p: _nonzero(p.h.values),
+    "mu >= mu1 > 0": lambda p: (p.mu_min > 0.0, None if p.mu_min > 0.0
+                                else int(np.argmin(p.mu.values)), f"min mu = {p.mu_min:.6g}"),
+    "mu constant": lambda p: (p.mu_constant, None, f"span {p.mu_max - p.mu_min:.3g}"),
+    "mu > 0": lambda p: (p.mu_min > 0.0, int(np.argmin(p.mu.values)), ""),
+    "lam * c <= 0": lambda p: _sign(p.d_values(), lower_ok=False),
+}
+
+_A1 = ("c >= 0", "c not identically 0", "mu bounded")
+_PROFILE_CLAUSES = {
+    "A1": _A1,
+    "A2": _A1 + ("h >= 0", "h not identically 0", "mu >= mu1 > 0"),
+    "A3": ("mu constant", "mu > 0", "lam * c <= 0", "h >= 0"),
+    "A5": ("lam * c <= 0", "mu bounded"),
+}
+PROFILES = tuple(_PROFILE_CLAUSES)
 
 
 def validate_profile(problem: ProblemData) -> ValidationReport:
-    """Check the clauses of the declared profile; failures carry a witness node."""
-    report = ValidationReport(profile=problem.profile)
-    c = problem.c.values
-    mu = problem.mu.values
-    h = problem.h.values
-    prof = problem.profile
-
-    if prof in ("A1", "A2"):
-        report.clauses.append(_sign_clause("c >= 0", c, lower_ok=True))
-        report.clauses.append(_nonzero_clause("c not identically 0", c))
-        report.clauses.append(ClauseResult("mu bounded", bool(np.all(np.isfinite(mu)))))
-    if prof == "A2":
-        report.clauses.append(_sign_clause("h >= 0", h, lower_ok=True))
-        report.clauses.append(_nonzero_clause("h not identically 0", h))
-        mu_min = float(np.min(mu))
-        report.clauses.append(
-            ClauseResult(
-                "mu >= mu1 > 0", mu_min > 0.0,
-                None if mu_min > 0.0 else int(np.argmin(mu)),
-                f"min mu = {mu_min:.6g}",
-            )
-        )
-    if prof == "A3":
-        span = float(np.max(mu) - np.min(mu))
-        scale = 1.0 + float(np.max(np.abs(mu), initial=0.0))
-        report.clauses.append(
-            ClauseResult("mu constant", span <= 1e-12 * scale, None, f"span {span:.3g}")
-        )
-        report.clauses.append(
-            ClauseResult("mu > 0", float(np.min(mu)) > 0.0, int(np.argmin(mu)))
-        )
-        report.clauses.append(_sign_clause("lam * c <= 0", problem.d_values(), lower_ok=False))
-        report.clauses.append(_sign_clause("h >= 0", h, lower_ok=True))
-    if prof == "A5":
-        report.clauses.append(_sign_clause("lam * c <= 0", problem.d_values(), lower_ok=False))
-        report.clauses.append(ClauseResult("mu bounded", bool(np.all(np.isfinite(mu)))))
-    return report
+    """Check the clauses of the declared profile, in its order; failures
+    carry a witness node where one exists."""
+    return ValidationReport(problem.profile, [ClauseResult(name, *_CLAUSES[name](problem))
+                                              for name in _PROFILE_CLAUSES[problem.profile]])

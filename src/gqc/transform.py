@@ -176,8 +176,7 @@ def _semilinear_system(problem: ProblemData, ops: DiscreteOperators) -> EulerLag
         detail = f" ({bad.detail})" if bad.detail else ""
         raise ValueError(f"the transform route needs profile A3: "
                          f"{bad.clause!r} fails{where}{detail}")
-    return EulerLagrangeSystem(ops, problem.c.values, float(np.max(problem.mu.values)),
-                               problem.h.values)
+    return EulerLagrangeSystem(ops, problem.c.values, problem.mu_max, problem.h.values)
 
 
 def functional_I(
@@ -271,7 +270,7 @@ def solve_transformed(
             f"smallness condition fails on the zero set of lam c (margin {margin:.3e}): "
             "no coercivity, the functional may be unbounded below"
         )
-    held = "d < 0 everywhere" if smallness.note.startswith("vacuous") else f"margin {margin:.3e}"
+    held = f"margin {margin:.3e}" if problem.d_zero_mask.any() else "d < 0 everywhere"
 
     v = _minimize(system, problem.lam, held)
     if float(np.min(v, initial=0.0)) < -1e-10:

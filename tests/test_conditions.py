@@ -16,6 +16,7 @@ from gqc import (
     find_exponents,
     first_eigen,
     sobolev_constant,
+    validate_profile,
     weighted_rayleigh_sup,
 )
 from gqc import conditions
@@ -435,6 +436,19 @@ def test_h_mask_apart_from_the_c_zero_mask_gets_its_own_lu(one_lu_at_a_time):
     for report in reports:
         alone = check_conditions(problem, [report.condition], ops)[0]
         assert report.infimum_estimate == alone.infimum_estimate < 1.0
+
+
+def test_h_note_and_a3_read_one_constant_mu_rule(square32):
+    # a span of 7.5e-15 is constant to both, one of 7.5e-7 to neither; c
+    # vanishes on half the box, so H weighs a pencil rather than read vacuous
+    spec, ops = square32
+    for slope, constant in ((1e-14, True), (1e-6, False)):
+        problem = make_problem(spec, c="indicator(1, 0.5, 1.0)", mu=f"1 + {slope}*x1", h="1",
+                               profile="A3")
+        a3 = {c.clause: c.passed for c in validate_profile(problem).clauses}
+        note = check_conditions(problem, ["H"], ops)[0].note
+        assert a3["mu constant"] is constant and problem.mu_constant is constant
+        assert note == ("" if constant else "mu is not constant; its maximum was used")
 
 
 def test_masked_pencils_with_nothing_to_weigh_make_no_lu(square32, one_lu_at_a_time):

@@ -31,6 +31,11 @@ def test_invalid_specs_rejected():
         GridSpec(4, ((0.0, 1.0),) * 4, (8,) * 4)
     with pytest.raises(GridError):
         GridSpec(2, ((0.0, 1.0),), (8, 8))  # bounds length mismatch
+    for bad in (64.7, np.float64(9.99), "16", float("nan"), float("inf")):
+        with pytest.raises(GridError, match="axis 1: the cell count must be an integer"):
+            GridSpec(2, ((0.0, 1.0), (0.0, 1.0)), (8, bad))
+    # integral floats, which a JSON schema admits as integers, still count
+    assert GridSpec(2, ((0.0, 1.0), (0.0, 1.0)), (8.0, np.float64(16.0))).n == (8, 16)
 
 
 def test_laplacian_1d_n4_is_textbook_tridiagonal():
@@ -202,6 +207,12 @@ def test_norms_constant_field(square32):
         nr = norms(one, ops, p=p)
         assert abs(nr.lp - 1.0) <= 2.5 / 32  # boundary-band quadrature deficit
     assert norms(one, ops).sup == 1.0
+    # p = inf is the sup norm: a sin(pi x) on 32 cells, whose sup is a
+    spec1 = GridSpec(1, ((0.0, 1.0),), (32,))
+    for a in (0.5, 3.0):
+        u = GridFunction.from_callable(spec1, lambda x: a * np.sin(np.pi * x))
+        nr = norms(u, build_operators(spec1), p=np.inf)
+        assert nr.lp == nr.sup == a
 
 
 def test_norms_zero(interval64):

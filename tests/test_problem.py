@@ -310,6 +310,30 @@ def test_profile_a5_sign(square8):
     assert not validate_profile(bad).passed
 
 
+def test_profile_clause_names_and_order(square8):
+    a1 = ["c >= 0", "c not identically 0", "mu bounded"]
+    expect = {"A1": a1, "A2": a1 + ["h >= 0", "h not identically 0", "mu >= mu1 > 0"],
+              "A5": ["lam * c <= 0", "mu bounded"]}
+    for profile, names in expect.items():
+        report = validate_profile(make_problem(square8, h="1", profile=profile))
+        assert report.profile == profile and report.passed
+        assert [c.clause for c in report.clauses] == names
+
+
+def test_profile_witness_and_detail(square8):
+    # nodes run first axis slowest on the 7 x 7 interior: h = 0.5 - x1 first
+    # turns negative at x1 = 0.625 (node 4 * 7), and 0.5 - x1 x2 is least at
+    # the last node
+    report = validate_profile(make_problem(square8, h="0.5 - x1", mu="0.5 - x1*x2",
+                                           profile="A2"))
+    got = {c.clause: (c.passed, c.witness_node, c.detail) for c in report.clauses}
+    assert got["h >= 0"] == (False, 28, "value -0.125 at node 28")
+    assert got["mu >= mu1 > 0"] == (False, 48, "min mu = -0.265625")
+    ok = validate_profile(make_problem(square8, h="1", mu="2", profile="A2")).clauses[-1]
+    assert (ok.clause, ok.passed, ok.witness_node, ok.detail) == (
+        "mu >= mu1 > 0", True, None, "min mu = 2")
+
+
 def test_p_exponent_bound(square8):
     with pytest.raises(ValueError, match="dim/2"):
         make_problem(square8, p_exponent=1.0)
